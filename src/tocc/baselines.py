@@ -60,6 +60,9 @@ class BaselineModel:
             return d.min(axis=1)
         raise ValueError(f"unknown baseline kind '{self.kind}'")
 
+    def predict(self, Z) -> PredictionResult:
+        return predict_baseline(self, Z)
+
 
 def _product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.ndarray:
     out = np.empty(queries.shape[0])

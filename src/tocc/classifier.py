@@ -23,6 +23,10 @@ from .numcore import RngStream, as_values, empirical_quantile, spatial_median
 from .transvariation import DROP_EPS, multivariate_tp, multivariate_tp_density
 
 
+class UndersizedClusterError(ValueError):
+    """A k-medoids cluster has too few members to calibrate a threshold."""
+
+
 @dataclass
 class PamResult:
     """k-medoids outcome: medoid row indices (ascending), 0-based cluster
@@ -74,6 +78,9 @@ class ToccModel:
     @property
     def p(self) -> int:
         return self.prototypes.shape[1]
+
+    def predict(self, Z) -> "PredictionResult":
+        return predict(self, Z)
 
 
 @dataclass
@@ -159,7 +166,8 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
             break
 
     assignment, d1, final_cost = _assignment_cost(dist, medoids)
-    assert final_cost <= cost + 1e-9, "PAM cost increased during SWAP"
+    if not final_cost <= cost + 1e-9:
+        raise RuntimeError("PAM cost increased during SWAP")
     return PamResult(list(medoids), assignment, final_cost)
 
 
@@ -234,30 +242,39 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
     """Two-phase PAM-TOCC: cluster the target class into k groups, then
     calibrate one counting-score threshold per cluster against its medoid.
 
-    s may be a single sensitivity or one value per cluster. Every cluster
-    must keep at least 3 members; an undersized cluster is an error
-    suggesting a smaller k.
+    Every cluster must keep at least 3 members. With a single sensitivity s,
+    an undersized cluster lowers k by one until all clusters are large
+    enough (k = 1 always is); model.n_prototypes is the k used. With one s
+    per cluster, k cannot be lowered: UndersizedClusterError is raised.
     """
     vals = as_values(X_target)
-    s_arr = np.full(k, float(s)) if np.isscalar(s) else np.asarray(s, dtype=float)
+    per_cluster = not np.isscalar(s)
+    s_arr = np.asarray(s, dtype=float) if per_cluster else np.full(k, float(s))
     if s_arr.shape[0] != k:
         raise ValueError("per-cluster sensitivities must match k")
     _check_target(vals, s_arr)
 
-    result = pam(vals, k, max_swaps=max_swaps)
+    while True:
+        result = pam(vals, k, max_swaps=max_swaps)
+        sizes = np.bincount(result.assignment, minlength=k)
+        small = np.flatnonzero(sizes < 3)
+        if small.size == 0:
+            break
+        if per_cluster:
+            raise UndersizedClusterError(
+                f"cluster {small[0]} has only {sizes[small[0]]} members; "
+                "try a smaller k")
+        k -= 1
     prototypes = vals[result.medoids]
     thresholds = np.empty(k)
     groups = []
     for g in range(k):
         members = vals[result.assignment == g]
-        if members.shape[0] < 3:
-            raise ValueError(
-                f"cluster {g} has only {members.shape[0]} members; try a smaller k")
         scores = [multivariate_tp(members, row, prototypes[g], eps).value
                   for row in members]
         thresholds[g] = empirical_quantile(scores, 1.0 - s_arr[g])
         groups.append(members.copy())
-    return ToccModel("pam_df", prototypes, thresholds, s_arr, eps=eps,
+    return ToccModel("pam_df", prototypes, thresholds, s_arr[:k], eps=eps,
                      groups=groups, feature_names=_feature_names(X_target), pam=result)
 
 

@@ -15,13 +15,10 @@ import os
 import sys
 
 from . import __version__
-from .baselines import fit_baseline, predict_baseline
-from .classifier import (ToccModel, fit_pam_tocc_df, fit_tocc_db, fit_tocc_df,
-                         predict)
-from .density import OrthantIntegrator
-from .evaluation import ALL_METHODS, make_method, roc_curve, run_benchmark
+from .evaluation import (ALL_METHODS, TOCC_METHODS, fit_method, make_method,
+                         roc_curve, run_benchmark)
 from .featsel import compute_vip, kappa_vip_select, pca_reduce, rp_select
-from .glass import FRONTENDS, VARIANTS, load_glass, run_glass_repro
+from .glass import FRONTENDS, load_glass, run_glass_repro
 from .io_utils import (IngestError, ingest_csv, load_model, save_model,
                        write_boxplot_svg, write_csv, write_json_report,
                        write_roc_svg)
@@ -29,9 +26,6 @@ from .numcore import RngStream, correlation_matrix
 from .simgen import SCENARIOS, ScenarioSpec, generate
 
 DEFAULT_SEED = 20260808
-
-TOCC_METHOD_NAMES = ("tocc-df", "tocc-db", "pam-tocc-df")
-BASELINE_METHOD_NAMES = ("gauss", "mix-gauss", "kde", "kmeans")
 
 
 def _default_seed() -> int:
@@ -90,41 +84,29 @@ def _components_range(text):
 def cmd_fit(args):
     data = _load_data(args)
     train = _target_rows(data)
-    rng = RngStream(args.seed)
-    method = args.method
-    if method == "tocc-df":
-        model = fit_tocc_df(train, args.s)
-    elif method == "tocc-db":
-        integ = OrthantIntegrator("monte_carlo", args.mc_samples, rng.child(997))
-        model = fit_tocc_db(train, args.s, rng,
-                            components_range=_components_range(args.components),
-                            integrator=integ)
-    elif method == "pam-tocc-df":
-        model = fit_pam_tocc_df(train, args.k, args.s)
-    elif method in BASELINE_METHOD_NAMES:
-        model = fit_baseline(method.replace("-", "_"), train, args.s, rng,
-                             k=args.kmeans_k,
-                             components_range=_components_range(args.components))
-    else:
-        raise ValueError(f"unknown method '{method}'")
+    model = fit_method(args.method, train, args.s, RngStream(args.seed),
+                       k=args.k, kmeans_k=args.kmeans_k,
+                       mc_samples=args.mc_samples,
+                       components_range=_components_range(args.components))
     config = _config(args, ["method", "s", "k", "kmeans_k", "mc_samples",
                             "components", "seed"])
     save_model(model, args.out, config=config)
-    print(f"fitted {method} on {train.n} target rows "
+    print(f"fitted {args.method} on {train.n} target rows "
           f"({train.p} features) -> {args.out}")
+    if args.method == "pam-tocc-df" and model.n_prototypes != args.k:
+        print(f"cluster count reduced to k={model.n_prototypes} "
+              f"(an undersized cluster blocked k={args.k})")
     return 0
 
 
 def _predictions(args):
     model = load_model(args.model)
     data = _load_data(args)
-    pred = predict(model, data) if isinstance(model, ToccModel) \
-        else predict_baseline(model, data)
-    return model, data, pred
+    return data, model.predict(data)
 
 
 def cmd_predict(args):
-    _, data, pred = _predictions(args)
+    data, pred = _predictions(args)
     rows = []
     for i in range(data.n):
         cluster = int(pred.cluster[i]) if pred.cluster is not None else ""
@@ -138,7 +120,7 @@ def cmd_predict(args):
 
 
 def cmd_score(args):
-    _, data, pred = _predictions(args)
+    data, pred = _predictions(args)
     rows = [[i, pred.score[i]] for i in range(data.n)]
     write_csv(args.out, ["row", "score"], rows, "score",
               _config(args, ["model", "data", "glass", "seed"]))
@@ -147,7 +129,7 @@ def cmd_score(args):
 
 
 def cmd_roc(args):
-    _, data, pred = _predictions(args)
+    data, pred = _predictions(args)
     if data.row_labels is None:
         raise ValueError("roc requires labeled data (--label-column or --glass)")
     curve = roc_curve(pred.typicality(), data.is_target())
@@ -222,9 +204,6 @@ def cmd_simulate(args):
 
 def cmd_bench(args):
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(f"unknown method '{m}' (choose from {ALL_METHODS})")
     spec = ScenarioSpec(args.scenario, args.n_target, RngStream(args.seed),
                         lam=args.lam, box_scale=args.box_scale)
     method_objs = [make_method(m, args.s, pam_k=args.k, mc_samples=args.mc_samples)
@@ -279,7 +258,7 @@ def cmd_glass_repro(args):
 
     def table(metric):
         rows = []
-        for variant in VARIANTS:
+        for variant in TOCC_METHODS:
             row = [variant]
             for frontend in FRONTENDS:
                 if (variant, frontend) in result.cells:
@@ -301,7 +280,7 @@ def cmd_glass_repro(args):
     print(f"{'variant':14s} " + " ".join(f"{f:>18s}" for f in FRONTENDS))
     for metric in ("auc", "specificity"):
         print(f"-- {metric}")
-        for variant in VARIANTS:
+        for variant in TOCC_METHODS:
             cells = []
             for frontend in FRONTENDS:
                 if (variant, frontend) in result.cells:
@@ -311,7 +290,7 @@ def cmd_glass_repro(args):
                     cells.append(f"{'skipped':>18s}")
             print(f"{variant:14s} " + " ".join(cells))
     print("-- wall time (seconds, not persisted)")
-    for variant in VARIANTS:
+    for variant in TOCC_METHODS:
         cells = []
         for frontend in FRONTENDS:
             if (variant, frontend) in result.cells:
@@ -367,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a classifier on target rows")
     _add_data_args(p)
     p.add_argument("--method", required=True,
-                   choices=list(TOCC_METHOD_NAMES) + list(BASELINE_METHOD_NAMES))
+                   choices=list(ALL_METHODS))
     p.add_argument("--s", type=float, default=0.9,
                    help="minimum training sensitivity")
     p.add_argument("--k", type=int, default=4, help="PAM cluster count")

@@ -268,7 +268,7 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
     Runs on per-column standardized data (an exact reparameterization that
     keeps tiny-variance features well conditioned) and rescales the fitted
     parameters at the end. A pure EM step never lowers the log-likelihood
-    (asserted); a drop right after a covariance had to be ridge-bumped means
+    (checked); a drop right after a covariance had to be ridge-bumped means
     a component is collapsing, so the run stops at the last clean iterate.
     """
     n, p = vals.shape
@@ -308,8 +308,8 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
             # EM guarantees a monotone log-likelihood; only the ridge repair
             # or a collapsing component may break it, and either way the run
             # has gone degenerate: keep the last clean iterate.
-            assert bumped or fragile, \
-                "EM log-likelihood decreased on a healthy step"
+            if not (bumped or fragile):
+                raise RuntimeError("EM log-likelihood decreased on a healthy step")
             state, ll = prev_state, prev_ll
             break
         if ll - prev_ll < tol and np.isfinite(prev_ll):

@@ -15,9 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import fit_baseline, predict_baseline
+from .baselines import fit_baseline
 from .classifier import (PredictionResult, fit_pam_tocc_df, fit_tocc_db,
-                         fit_tocc_df, predict)
+                         fit_tocc_df)
+from .density import OrthantIntegrator
 from .numcore import DataMatrix, RngStream, concat
 from .simgen import ScenarioSpec, generate
 
@@ -104,33 +105,50 @@ class Method:
     predict: Callable[[object, DataMatrix], PredictionResult]
 
 
-TOCC_METHODS = ("tocc-df", "tocc-db", "pam-tocc-df")
+# Method name -> ToccModel.variant, the name the ensembles take.
+TOCC_VARIANTS = {"tocc-df": "df", "tocc-db": "db", "pam-tocc-df": "pam_df"}
+TOCC_METHODS = tuple(TOCC_VARIANTS)
 BASELINE_METHODS = ("gauss", "mix-gauss", "kde", "kmeans")
 ALL_METHODS = TOCC_METHODS + BASELINE_METHODS
+
+
+def _check_name(name: str) -> None:
+    if name not in ALL_METHODS:
+        raise ValueError(f"unknown method '{name}' (choose from {ALL_METHODS})")
+
+
+def fit_method(name: str, X, s: float, rng: RngStream, k: int = 5,
+               kmeans_k: int = 5, mc_samples: int = 100_000,
+               components_range=(1, 9), n_restarts: int = 5):
+    """Fit the named method on target rows X at sensitivity s; every entry
+    point fits through this table. k is PAM-TOCC's cluster count, kmeans_k
+    the k-means baseline's; the rest set tocc-db's integrator and the
+    mixture search."""
+    _check_name(name)
+    if name == "tocc-df":
+        return fit_tocc_df(X, s)
+    if name == "tocc-db":
+        integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
+        return fit_tocc_db(X, s, rng, components_range=components_range,
+                           integrator=integrator, n_restarts=n_restarts)
+    if name == "pam-tocc-df":
+        return fit_pam_tocc_df(X, k, s)
+    return fit_baseline(name.replace("-", "_"), X, s, rng, k=kmeans_k,
+                        components_range=components_range)
 
 
 def make_method(name: str, s: float, pam_k: int = 5, kmeans_k: int = 5,
                 mc_samples: int = 100_000, components_range=(1, 9),
                 n_restarts: int = 5) -> Method:
-    """Build a Method by name with the paper-style default settings."""
-    if name == "tocc-df":
-        return Method(name, lambda X, rng: fit_tocc_df(X, s), predict)
-    if name == "tocc-db":
-        def fit_db(X, rng):
-            from .density import OrthantIntegrator
-            integ = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
-            return fit_tocc_db(X, s, rng, components_range=components_range,
-                               integrator=integ, n_restarts=n_restarts)
-        return Method(name, fit_db, predict)
-    if name == "pam-tocc-df":
-        return Method(name, lambda X, rng: fit_pam_tocc_df(X, pam_k, s), predict)
-    if name in ("gauss", "mix-gauss", "kde", "kmeans"):
-        kind = name.replace("-", "_")
-        return Method(name,
-                      lambda X, rng: fit_baseline(kind, X, s, rng, k=kmeans_k,
-                                                  components_range=components_range),
-                      predict_baseline)
-    raise ValueError(f"unknown method '{name}' (choose from {ALL_METHODS})")
+    """Build a Method by name; the settings are fit_method's."""
+    _check_name(name)
+
+    def fit(X, rng):
+        return fit_method(name, X, s, rng, k=pam_k, kmeans_k=kmeans_k,
+                          mc_samples=mc_samples,
+                          components_range=components_range,
+                          n_restarts=n_restarts)
+    return Method(name, fit, lambda model, Z: model.predict(Z))
 
 
 # ---------------------------------------------------------------------------

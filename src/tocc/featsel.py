@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (PredictionResult, ToccModel, fit_pam_tocc_df,
-                         fit_tocc_db, fit_tocc_df, predict)
+from .classifier import PredictionResult, ToccModel
+from .evaluation import TOCC_VARIANTS, fit_method
 from .numcore import DataMatrix, RngStream, as_values, pca
 
 
@@ -131,25 +131,24 @@ class ProjectionEnsemble:
     rng: RngStream
     variant: str = "df"
 
+    def predict(self, Z) -> PredictionResult:
+        return predict_ensemble(self, Z)
+
 
 def fit_rp_ensemble(X_target, d: int, b1: int, b2: int, s: float,
                     rng: RngStream, variant: str = "df",
                     **fit_kwargs) -> ProjectionEnsemble:
     """MAD-select b1 projections, then fit one TOCC of the requested variant
-    on each projected view of the target data."""
+    on each projected view of the target data; fit_kwargs are
+    evaluation.fit_method's settings, such as k for pam_df."""
+    names = {v: name for name, v in TOCC_VARIANTS.items()}
+    if variant not in names:
+        raise ValueError(f"unknown variant '{variant}'")
     projections = rp_select(X_target, d, b1, b2, rng.child(0))
     vals = as_values(X_target)
-    subs = []
-    for b, proj in enumerate(projections):
-        view = vals @ proj
-        if variant == "df":
-            subs.append(fit_tocc_df(view, s, **fit_kwargs))
-        elif variant == "db":
-            subs.append(fit_tocc_db(view, s, rng.child(b + 1), **fit_kwargs))
-        elif variant == "pam_df":
-            subs.append(fit_pam_tocc_df(view, s=s, **fit_kwargs))
-        else:
-            raise ValueError(f"unknown variant '{variant}'")
+    subs = [fit_method(names[variant], vals @ proj, s, rng.child(b + 1),
+                       **fit_kwargs)
+            for b, proj in enumerate(projections)]
     return ProjectionEnsemble(projections, subs, d, b1, b2, rng, variant)
 
 
@@ -162,7 +161,7 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
     vals = as_values(Z)
     votes = np.zeros(vals.shape[0])
     for proj, model in zip(ensemble.projections, ensemble.sub_models):
-        votes += predict(model, vals @ proj).accept
+        votes += model.predict(vals @ proj).accept
     fraction = votes / len(ensemble.sub_models)
     return PredictionResult(fraction > 0.5, fraction, None)
 

@@ -23,11 +23,10 @@ from importlib import resources
 
 import numpy as np
 
-from .classifier import fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, predict
-from .density import OrthantIntegrator
-from .evaluation import RocCurve, confusion_metrics, roc_curve
+from .evaluation import (TOCC_METHODS, TOCC_VARIANTS, RocCurve,
+                         confusion_metrics, fit_method, roc_curve)
 from .featsel import (compute_vip, fit_rp_ensemble, kappa_vip_select,
-                      pca_reduce, predict_ensemble, rp_select)
+                      pca_reduce, rp_select)
 from .io_utils import ingest_csv
 from .numcore import DataMatrix, RngStream, correlation_matrix
 
@@ -36,7 +35,6 @@ WINDOW_FLOAT_TYPES = ("1", "3")
 WINDOW_ALL_TYPES = ("1", "2", "3")
 NONWINDOW_TYPES = ("5", "6", "7")
 
-VARIANTS = ("tocc-df", "tocc-db", "pam-tocc-df")
 FRONTENDS = ("pca2", "rp2", "kvip2")
 
 
@@ -101,37 +99,11 @@ class GlassReproResult:
         return self.cells[(variant, frontend)]
 
 
-def _fit_predict(variant, train, test, s, pam_k, rng, mc_samples, notes, frontend):
-    if variant == "tocc-df":
-        model = fit_tocc_df(train, s)
-    elif variant == "tocc-db":
-        integ = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
-        model = fit_tocc_db(train, s, rng, integrator=integ)
-    elif variant == "pam-tocc-df":
-        # Isolated fragments can leave a k-medoids cluster too small to
-        # calibrate; step the cluster count down until the fit is legal.
-        k = pam_k
-        while True:
-            try:
-                model = fit_pam_tocc_df(train, k, s)
-                break
-            except ValueError:
-                if k <= 1:
-                    raise
-                k -= 1
-        if k != pam_k:
-            notes.append(f"pam-tocc-df/{frontend}: cluster count reduced to "
-                         f"k={k} (an undersized cluster blocked k={pam_k})")
-    else:
-        raise ValueError(f"unknown variant '{variant}'")
-    return predict(model, test)
-
-
 def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
                     d: int = 2, b1: int = 101, b2: int = 50,
                     mc_samples: int = 100_000, seed: int = 7,
                     data_path: str | None = None, subset: str = "float-windows",
-                    frontends=FRONTENDS, variants=VARIANTS,
+                    frontends=FRONTENDS, variants=TOCC_METHODS,
                     with_roc: bool = False) -> GlassReproResult:
     """Evaluate each TOCC variant under each front-end on the glass study.
 
@@ -171,17 +143,27 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
         for fi, frontend in enumerate(frontends):
             start = time.perf_counter()
             if frontend == "rp2":
-                ens_variant = {"tocc-df": "df", "tocc-db": "db",
-                               "pam-tocc-df": "pam_df"}[variant]
-                kwargs = {"k": pam_k} if ens_variant == "pam_df" else {}
                 ens = fit_rp_ensemble(train, d, b1, b2, s, rng.child(100 + vi),
-                                      variant=ens_variant, **kwargs)
-                pred = predict_ensemble(ens, data)
+                                      variant=TOCC_VARIANTS[variant], k=pam_k)
+                pred = ens.predict(data)
+                # A PAM-TOCC fit lowers k when a cluster is undersized.
+                stepped = sum(m.variant == "pam_df" and m.n_prototypes < pam_k
+                              for m in ens.sub_models)
+                if stepped:
+                    result.notes.append(
+                        f"{variant}/rp2: cluster count reduced below k={pam_k}"
+                        f" in {stepped} of {b1} sub-models")
             else:
                 train_view, full_view = views[frontend]
-                pred = _fit_predict(variant, train_view, full_view, s, pam_k,
-                                    rng.child(10 + 10 * vi + fi), mc_samples,
-                                    result.notes, frontend)
+                model = fit_method(variant, train_view, s,
+                                   rng.child(10 + 10 * vi + fi), k=pam_k,
+                                   mc_samples=mc_samples)
+                pred = model.predict(full_view)
+                if variant == "pam-tocc-df" and model.n_prototypes < pam_k:
+                    result.notes.append(
+                        f"pam-tocc-df/{frontend}: cluster count reduced to "
+                        f"k={model.n_prototypes} (an undersized cluster "
+                        f"blocked k={pam_k})")
             seconds = time.perf_counter() - start
             sens, spec = confusion_metrics(pred.accept, is_target)
             roc = roc_curve(pred.typicality(), is_target)

@@ -144,7 +144,8 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     if den.weighted == 0.0:
         return TpScore(0.0, num.weighted, 0.0, dropped.tolist())
     ratio = num.weighted / den.weighted
-    assert ratio <= 1.0 + 1e-12, "numerator exceeded denominator (counting bug)"
+    if not ratio <= 1.0 + 1e-12:
+        raise RuntimeError("numerator exceeded denominator (counting bug)")
     return TpScore(_clamp01(ratio), num.weighted, den.weighted, dropped.tolist())
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from tocc import (RngStream, fit_pam_tocc_df, fit_tocc_db, fit_tocc_df,
                   load_glass, pam, predict)
+from tocc.classifier import UndersizedClusterError
 
 
 def two_blobs(seed=0, n=50, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
@@ -161,8 +162,13 @@ class TestFitPamToccDf:
     def test_undersized_cluster_instructs(self):
         X = np.vstack([two_blobs(seed=32, n=20, spread=0.1),
                        np.array([[100.0, 100.0]])])
-        with pytest.raises(ValueError, match="smaller k"):
-            fit_pam_tocc_df(X, 3, 0.9)
+        # One sensitivity: k steps down until no cluster is undersized.
+        model = fit_pam_tocc_df(X, 3, 0.9)
+        assert model.n_prototypes == 2
+        assert np.bincount(model.pam.assignment).min() >= 3
+        # One sensitivity per cluster pins k, so the fit cannot step down.
+        with pytest.raises(UndersizedClusterError, match="smaller k"):
+            fit_pam_tocc_df(X, 3, [0.9, 0.9, 0.9])
 
     def test_detects_interior_nontargets(self):
         # Two target lobes with non-targets in the gap: a single global

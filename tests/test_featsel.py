@@ -128,6 +128,15 @@ class TestEnsembleVoting:
         pred = predict_ensemble(ens, X)
         assert pred.accept.mean() >= 0.8  # mostly typical on its own data
 
+    def test_pam_ensemble_steps_down_on_undersized_views(self):
+        # The glass benchmark's pam_df ensemble at seed 35: some projected
+        # views leave a k-medoids cluster under 3 members at k=4.
+        glass = load_glass()
+        target = glass.select_rows(glass.is_target())
+        ens = fit_rp_ensemble(target, 2, 101, 50, 0.9, RngStream(35).child(101),
+                              variant="pam_df", k=4)
+        assert min(m.n_prototypes for m in ens.sub_models) < 4
+
 
 class TestComputeVip:
     def test_basis_projection(self):

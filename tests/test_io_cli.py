@@ -4,10 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from tocc import (RngStream, fit_baseline, fit_pam_tocc_df, fit_tocc_db,
-                  fit_tocc_df, ingest_csv, load_glass, load_model, predict,
-                  predict_baseline, save_model)
+from tocc import RngStream, ingest_csv, load_glass, load_model, save_model
 from tocc.cli import main
+from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.io_utils import IngestError
 
 
@@ -91,30 +90,18 @@ class TestGlassLoader:
 
 
 class TestModelRoundTrip:
-    def fit_models(self):
-        gen = np.random.default_rng(50)
-        X = gen.normal(size=(60, 2))
-        rng = RngStream(51)
-        yield fit_tocc_df(X, 0.9), predict
-        yield fit_tocc_db(X, 0.9, rng, components_range=(1, 2),
-                          n_restarts=2), predict
-        yield fit_pam_tocc_df(X, 2, 0.9), predict
-        yield fit_baseline("gauss", X, 0.9), predict_baseline
-        yield fit_baseline("kmeans", X, 0.9, rng), predict_baseline
-        yield fit_baseline("kde", X, 0.9), predict_baseline
-        yield fit_baseline("mix_gauss", X, 0.9, rng,
-                           components_range=(1, 2)), predict_baseline
-
     def test_bit_exact_predictions(self, tmp_path):
+        X = np.random.default_rng(50).normal(size=(60, 2))
         Z = np.random.default_rng(52).normal(size=(25, 2))
-        for i, (model, predictor) in enumerate(self.fit_models()):
-            path = tmp_path / f"model_{i}.json"
+        for name in ALL_METHODS:
+            model = fit_method(name, X, 0.9, RngStream(51), k=2,
+                               mc_samples=10_000, components_range=(1, 2),
+                               n_restarts=2)
+            path = tmp_path / f"{name}.json"
             save_model(model, path)
-            loaded = load_model(path)
-            before = predictor(model, Z)
-            after = predictor(loaded, Z)
-            assert np.array_equal(before.score, after.score), f"model {i}"
-            assert np.array_equal(before.accept, after.accept), f"model {i}"
+            before, after = model.predict(Z), load_model(path).predict(Z)
+            assert np.array_equal(before.score, after.score), name
+            assert np.array_equal(before.accept, after.accept), name
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "m.json"
