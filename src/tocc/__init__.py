@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 from .numcore import (ConvergenceError, DataMatrix, PcaResult, RngStream,
                       concat, coordinatewise_median, correlation_matrix,
                       empirical_quantile, pca, spatial_median)
-from .transvariation import (SignCounts, TpScore, independent_product_tp,
-                             multivariate_tp, multivariate_tp_density,
-                             univariate_tp, univariate_tp_density)
-from .density import (MixtureDensity, OrthantIntegrator, fit_gmm, gmm_pdf,
+from .transvariation import (TpScore, independent_product_tp, multivariate_tp,
+                             multivariate_tp_density, univariate_tp,
+                             univariate_tp_density)
+from .density import (MixtureDensity, OrthantIntegrator, fit_gmm,
                       orthant_probability)
 from .classifier import (PamResult, PredictionResult, ToccModel,
                          fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, pam,
@@ -35,10 +35,9 @@ __all__ = [
     "ConvergenceError", "DataMatrix", "PcaResult", "RngStream", "concat",
     "coordinatewise_median", "correlation_matrix", "empirical_quantile",
     "pca", "spatial_median",
-    "SignCounts", "TpScore", "independent_product_tp", "multivariate_tp",
+    "TpScore", "independent_product_tp", "multivariate_tp",
     "multivariate_tp_density", "univariate_tp", "univariate_tp_density",
-    "MixtureDensity", "OrthantIntegrator", "fit_gmm", "gmm_pdf",
-    "orthant_probability",
+    "MixtureDensity", "OrthantIntegrator", "fit_gmm", "orthant_probability",
     "PamResult", "PredictionResult", "ToccModel", "fit_pam_tocc_df",
     "fit_tocc_db", "fit_tocc_df", "pam", "predict",
     "PcaReducer", "ProjectionEnsemble", "VipRanking", "compute_vip",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
-from .numcore import RngStream, as_values, empirical_quantile
+from .numcore import RngStream, as_queries, as_values, empirical_quantile
 
 KINDS = ("gauss", "mix_gauss", "kde", "kmeans")
 
@@ -137,18 +137,11 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
 
 
 def predict_baseline(model: BaselineModel, Z) -> PredictionResult:
-    """Accept rows scoring on the typical side of the threshold (inclusive)."""
-    vals = as_values(Z)
-    expected = None
-    for attr in (model.mean, model.train, model.centroids):
-        if attr is not None:
-            expected = attr.shape[-1]
-            break
-    if expected is None and model.density is not None:
-        expected = model.density.p
-    if expected is not None and vals.shape[1] != expected:
-        raise ValueError(
-            f"predict_baseline: query dimension {vals.shape[1]} != {expected}")
+    """Accept rows scoring on the typical side of the threshold (inclusive).
+    Z must be finite and as wide as the model."""
+    fitted = [a for a in (model.mean, model.train, model.centroids) if a is not None]
+    p = fitted[0].shape[-1] if fitted else model.density.p
+    vals = as_queries(Z, p, "predict_baseline")
     scores = model.scores(vals)
     if model.score_direction == "lower_is_typical":
         accept = scores <= model.threshold

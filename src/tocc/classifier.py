@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
-from .numcore import RngStream, as_values, empirical_quantile, spatial_median
-from .transvariation import DROP_EPS, multivariate_tp, multivariate_tp_density
+from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
+                      spatial_median)
+from .transvariation import DROP_EPS, tp_density_scores, tp_scores
 
 
 class UndersizedClusterError(ValueError):
@@ -66,10 +67,24 @@ class ToccModel:
         self.prototypes = np.atleast_2d(np.asarray(self.prototypes, dtype=float))
         self.thresholds = np.atleast_1d(np.asarray(self.thresholds, dtype=float))
         self.sensitivity = np.atleast_1d(np.asarray(self.sensitivity, dtype=float))
-        if np.any(self.thresholds < 0) or np.any(self.thresholds > 1):
+        k = self.n_prototypes
+        if self.thresholds.shape != (k,) or self.sensitivity.shape != (k,):
+            raise ValueError(f"need one threshold and one sensitivity per "
+                             f"prototype ({k})")
+        if not np.all((self.thresholds >= 0) & (self.thresholds <= 1)):
             raise ValueError("thresholds must lie in [0, 1]")
-        if self.variant == "db" and self.density is None:
-            raise ValueError("db variant requires a fitted density")
+        if not np.all(np.isfinite(self.prototypes)):
+            raise ValueError("prototypes must be finite")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps={self.eps} must be finite and >= 0")
+        if self.variant == "db" and getattr(self.density, "p", None) != self.p:
+            raise ValueError(f"db variant requires a fitted density of width {self.p}")
+        if self.variant != "db" and (
+                self.groups is None or len(self.groups) != k
+                or any(np.ndim(g) != 2 or np.shape(g)[1] != self.p
+                       for g in self.groups)):
+            raise ValueError(f"{self.variant} variant needs one group of "
+                             f"width {self.p} per prototype")
 
     @property
     def n_prototypes(self) -> int:
@@ -213,8 +228,7 @@ def fit_tocc_df(X_target, s: float, eps: float = DROP_EPS) -> ToccModel:
     vals = as_values(X_target)
     _check_target(vals, s)
     proto = spatial_median(vals)
-    scores = [multivariate_tp(vals, row, proto, eps).value for row in vals]
-    t = empirical_quantile(scores, 1.0 - s)
+    t = empirical_quantile(tp_scores(vals, vals, proto, eps)[0], 1.0 - s)
     return ToccModel("df", proto, [t], [s], eps=eps, groups=[vals.copy()],
                      feature_names=_feature_names(X_target))
 
@@ -230,9 +244,8 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     if integrator is None:
         integrator = OrthantIntegrator("monte_carlo", 100_000, rng.child(997))
     proto = spatial_median(vals)
-    scores = [multivariate_tp_density(density, row, proto, integrator, eps).value
-              for row in vals]
-    t = empirical_quantile(scores, 1.0 - s)
+    t = empirical_quantile(
+        tp_density_scores(density, vals, proto, integrator, eps)[0], 1.0 - s)
     return ToccModel("db", proto, [t], [s], eps=eps, density=density,
                      integrator=integrator, feature_names=_feature_names(X_target))
 
@@ -265,17 +278,12 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
                 f"cluster {small[0]} has only {sizes[small[0]]} members; "
                 "try a smaller k")
         k -= 1
-    prototypes = vals[result.medoids]
-    thresholds = np.empty(k)
-    groups = []
-    for g in range(k):
-        members = vals[result.assignment == g]
-        scores = [multivariate_tp(members, row, prototypes[g], eps).value
-                  for row in members]
-        thresholds[g] = empirical_quantile(scores, 1.0 - s_arr[g])
-        groups.append(members.copy())
-    return ToccModel("pam_df", prototypes, thresholds, s_arr[:k], eps=eps,
-                     groups=groups, feature_names=_feature_names(X_target), pam=result)
+    groups = [vals[result.assignment == g] for g in range(k)]
+    thresholds = [empirical_quantile(tp_scores(x, x, vals[med], eps)[0], 1.0 - sg)
+                  for x, med, sg in zip(groups, result.medoids, s_arr)]
+    return ToccModel("pam_df", vals[result.medoids], thresholds, s_arr[:k],
+                     eps=eps, groups=groups,
+                     feature_names=_feature_names(X_target), pam=result)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +293,18 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
 def predict(model: ToccModel, Z) -> PredictionResult:
     """Score each row of Z and accept it when the score reaches the threshold
     of its prototype (the nearest medoid's for pam_df, ties to the lowest
-    cluster index)."""
-    vals = as_values(Z)
-    if vals.shape[1] != model.p:
-        raise ValueError(
-            f"predict: query dimension {vals.shape[1]} != model dimension {model.p}")
+    cluster index). Z must be finite and as wide as the model."""
+    vals = as_queries(Z, model.p, "predict")
+    if model.variant == "db":
+        scores = tp_density_scores(model.density, vals, model.prototypes[0],
+                                   model.integrator, model.eps)[0]
+        return PredictionResult(scores >= model.thresholds[0], scores, None)
 
-    n = vals.shape[0]
-    scores = np.empty(n)
-    if model.variant == "pam_df":
-        clusters = np.empty(n, dtype=int)
-        d = np.linalg.norm(vals[:, None, :] - model.prototypes[None, :, :], axis=2)
-        clusters[:] = d.argmin(axis=1)
-        for i in range(n):
-            g = clusters[i]
-            scores[i] = multivariate_tp(model.groups[g], vals[i],
-                                        model.prototypes[g], model.eps).value
-        accept = scores >= model.thresholds[clusters]
-        return PredictionResult(accept, scores, clusters)
-
-    proto = model.prototypes[0]
-    if model.variant == "df":
-        for i in range(n):
-            scores[i] = multivariate_tp(model.groups[0], vals[i], proto,
-                                        model.eps).value
-    else:
-        for i in range(n):
-            scores[i] = multivariate_tp_density(model.density, vals[i], proto,
-                                                model.integrator, model.eps).value
-    accept = scores >= model.thresholds[0]
-    return PredictionResult(accept, scores, None)
+    d = np.linalg.norm(vals[:, None, :] - model.prototypes[None, :, :], axis=2)
+    clusters = d.argmin(axis=1)
+    scores = np.empty(vals.shape[0])
+    for g, (group, proto) in enumerate(zip(model.groups, model.prototypes)):
+        rows = clusters == g
+        scores[rows] = tp_scores(group, vals[rows], proto, model.eps)[0]
+    return PredictionResult(scores >= model.thresholds[clusters], scores,
+                            clusters if model.variant == "pam_df" else None)

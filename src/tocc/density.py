@@ -74,15 +74,22 @@ class MixtureDensity:
                               self.means[:, idx],
                               self.covariances[:, idx[:, None], idx[None, :]])
 
-    def interval_probability(self, lower: float, upper: float) -> float:
-        """P(lower <= X <= upper) for a univariate mixture, closed form."""
+    def interval_probability(self, lower, upper):
+        """P(lower <= X <= upper) for a univariate mixture, closed form.
+
+        Bounds may be +-inf, and arrays of bounds give one probability per
+        pair; scalar bounds give a float.
+        """
         if self.p != 1:
             raise ValueError("interval_probability requires a 1-D mixture")
         sd = np.sqrt(self.covariances[:, 0, 0])
         mu = self.means[:, 0]
-        hi = ndtr((upper - mu) / sd) if np.isfinite(upper) else np.ones_like(mu)
-        lo = ndtr((lower - mu) / sd) if np.isfinite(lower) else np.zeros_like(mu)
-        return float(np.sum(self.weights * (hi - lo)))
+        # ndtr(+inf) = 1 and ndtr(-inf) = 0 exactly, so infinite bounds need
+        # no special case.
+        hi = ndtr((np.asarray(upper, dtype=float)[..., None] - mu) / sd)
+        lo = ndtr((np.asarray(lower, dtype=float)[..., None] - mu) / sd)
+        mass = np.sum(self.weights * (hi - lo), axis=-1)
+        return float(mass) if mass.ndim == 0 else mass
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         counts = gen.multinomial(n, self.weights)
@@ -93,13 +100,6 @@ class MixtureDensity:
             z = gen.standard_normal((cnt, self.p))
             parts.append(self.means[g] + z @ self._chols[g].T)
         return np.vstack(parts)
-
-
-def gmm_pdf(density: MixtureDensity, x) -> float | np.ndarray:
-    """Mixture density at x (vector) or at each row of a matrix."""
-    arr = np.asarray(x, dtype=float)
-    vals = density.pdf(arr)
-    return float(vals[0]) if arr.ndim == 1 else vals
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
             start = time.perf_counter()
             if frontend == "rp2":
                 ens = fit_rp_ensemble(train, d, b1, b2, s, rng.child(100 + vi),
-                                      variant=TOCC_VARIANTS[variant], k=pam_k)
+                                      variant=TOCC_VARIANTS[variant], k=pam_k,
+                                      mc_samples=mc_samples)
                 pred = ens.predict(data)
                 # A PAM-TOCC fit lowers k when a cluster is undersized.
                 stepped = sum(m.variant == "pam_df" and m.n_prototypes < pam_k

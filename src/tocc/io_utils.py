@@ -195,12 +195,20 @@ def save_model(model, path, config: dict | None = None) -> None:
 
 def load_model(path):
     """Load a model written by save_model; predictions round-trip bit-exactly
-    because floats are stored at full precision."""
+    because floats are stored at full precision. A missing key or an
+    inconsistent model is a ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version "
                          f"{doc.get('schema_version')}")
+    try:
+        return _model_from_doc(doc, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks the key {exc}") from None
+
+
+def _model_from_doc(doc, path):
     if doc["model"] == "tocc":
         pam = None
         if doc.get("pam"):

@@ -111,6 +111,21 @@ def as_values(X) -> np.ndarray:
     return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
+def as_queries(Z, p: int, where: str) -> np.ndarray:
+    """Query rows Z as an n x p float array; ValueError unless Z is 2-D (or
+    1-D for p = 1), p wide and finite, naming the first non-finite row."""
+    vals = as_values(Z)
+    if vals.ndim != 2:
+        raise ValueError(f"{where}: queries must be 2-D, got {vals.ndim}-D")
+    if vals.shape[1] != p:
+        raise ValueError(f"{where}: query dimension {vals.shape[1]} != "
+                         f"model dimension {p}")
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{where}: query row {bad[0]} is not finite")
+    return vals
+
+
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN64) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

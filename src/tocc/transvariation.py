@@ -14,6 +14,7 @@ boxes. An independence shortcut multiplies per-coordinate scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +22,6 @@ import numpy as np
 from .numcore import as_values
 
 DROP_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class SignCounts:
-    """Counts of strict (s) and tied (s_tie) transvariating units among n_eff."""
-
-    s: int
-    s_tie: int
-    n_eff: int
-
-    @property
-    def weighted(self) -> float:
-        return self.s + 0.5 * self.s_tie
 
 
 @dataclass
@@ -56,16 +44,104 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def sign_counts(X, c, m) -> SignCounts:
-    """Units whose per-coordinate products (x_iu - c_u)(m_u - c_u) are all
-    negative (strict) or all zero (tie)."""
+# Query-point pairs per kernel step (blocks of at most this many points,
+# chunks of queries to match): cache-resident, and flat in memory at any n.
+_CHUNK_ELEMENTS = 2 ** 14
+# A denominator below this is degenerate and scores 0. Weighted counts are
+# multiples of 1/2, so for them this means a zero denominator.
+_DEGENERATE = 1e-12
+
+
+def _orthant_counts(X, C, m):
+    """Counts of the rows of X beyond each query row of C, and beyond m, in
+    the query's orthant direction from m: x is beyond c when every product
+    (x_u - c_u)(m_u - c_u) is negative and ties c when all are zero (weight
+    1/2); the denominator tests (x_u - m_u)(m_u - c_u), the same products on
+    data shifted by -(m - c) with ties at m exact. Returns the weighted
+    numerator and denominator, then both counts boundary-inclusive (every
+    product <= 0), as a box integral over Monte Carlo draws needs."""
+    n, k = X.shape
+    towards_m = m - C
+    anchors = np.stack([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
+    counts = np.zeros((3, 2, C.shape[0]), dtype=np.int64)
+    block = min(n, _CHUNK_ELEMENTS) or 1
+    step = max(1, _CHUNK_ELEMENTS // block)
+    for first in range(0, n, block):
+        XT = np.ascontiguousarray(X[first:first + block].T)
+        for start in range(0, C.shape[0], step):
+            rows = slice(start, start + step)
+            strict, tie, closed = tests = np.ones(
+                (3, 2, C[rows].shape[0], XT.shape[1]), dtype=bool)
+            for u in range(k):
+                prod = (XT[u] - anchors[:, rows, u, None]) * towards_m[rows, u, None]
+                strict &= prod < 0
+                tie &= prod == 0
+                closed &= prod <= 0
+            counts[:, :, rows] += np.count_nonzero(tests, axis=3)
+    strict, tie, closed = counts
+    num, den = strict + 0.5 * tie
+    if np.any(num > den):
+        raise RuntimeError("numerator exceeded denominator (counting bug)")
+    return num, den, *closed
+
+
+def _kept_groups(C, m, eps):
+    """(kept coordinates, query rows) for each distinct set of coordinates
+    surviving the drop rule |c_u - m_u| <= eps; all-dropped rows are left out."""
+    patterns, which = np.unique(np.abs(C - m) > eps, axis=0, return_inverse=True)
+    for j, pattern in enumerate(patterns):
+        if pattern.any():
+            yield np.flatnonzero(pattern), np.flatnonzero(which.reshape(-1) == j)
+
+
+def _ratio(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den < _DEGENERATE, 0.0, np.clip(num / den, 0.0, 1.0))
+
+
+def tp_scores(X, C, m, eps: float = DROP_EPS):
+    """Counting-form tp of each row of the float array C (q x p) against the
+    rows of X and prototype m: (value, numerator, denominator) arrays, one
+    entry per query. multivariate_tp is the one-query case."""
     vals = as_values(X)
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    prod = (vals - c) * (m - c)
-    strict = int(np.all(prod < 0, axis=1).sum())
-    tie = int(np.all(prod == 0, axis=1).sum())
-    return SignCounts(strict, tie, vals.shape[0])
+    num, den = np.full((2, C.shape[0]), float(vals.shape[0]))
+    for kept, rows in _kept_groups(C, m, eps):
+        num[rows], den[rows], _, _ = _orthant_counts(
+            vals[:, kept], C[np.ix_(rows, kept)], m[kept])
+    return _ratio(num, den), num, den
+
+
+def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
+    """Density-form tp of each row of the float array C (q x p) with
+    prototype m: (value, numerator mass, denominator mass) arrays, one entry
+    per query; multivariate_tp_density is the one-query case. One kept
+    coordinate is integrated in closed form; two or more count the
+    integrator's draws of the kept coordinates' marginal (the density itself
+    when nothing is dropped, so its sample cache hits) in each box, boundary
+    included."""
+    num, den = np.ones((2, C.shape[0]))
+    for kept, rows in _kept_groups(C, m, eps):
+        ck, mk = C[np.ix_(rows, kept)], m[kept]
+        marginal = density if kept.size == density.p else density.marginal(kept)
+        if kept.size == 1:
+            up = ck[:, 0] >= mk[0]
+            for out, bound in ((num, ck[:, 0]), (den, mk[0])):
+                out[rows] = marginal.interval_probability(
+                    np.where(up, bound, -np.inf), np.where(up, np.inf, bound))
+        else:
+            draws = integrator.samples(marginal)
+            _, _, *closed = _orthant_counts(draws, ck, mk)
+            num[rows], den[rows] = (cnt / draws.shape[0] for cnt in closed)
+    return _ratio(num, den), num, den
+
+
+def _query_pair(c, m, p: int, where: str):
+    c, m = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (c, m))
+    if c.shape != (p,) or m.shape != (p,):
+        raise ValueError(f"{where}: dimension mismatch")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(m))):
+        raise ValueError(f"{where}: query and prototype must be finite")
+    return c, m
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +158,9 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     arr = np.asarray(xs, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("univariate_tp: empty input")
-    prod = (arr - c) * (m - c)
-    s = int((prod < 0).sum())
-    s_tie = int((prod == 0).sum())
-    weighted = s + 0.5 * s_tie
+    num, *_ = _orthant_counts(arr[:, None], np.array([[c]], dtype=float),
+                              np.array([m], dtype=float))
+    weighted = float(num[0])
     value = _clamp01(2.0 * weighted / arr.size)
     return TpScore(value, weighted, arr.size / 2.0)
 
@@ -118,35 +193,14 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
 
     Coordinates where |c_u - m_u| <= eps carry no sign information and are
     dropped (recorded in dropped_coords). All dropped -> score 1. A zero
-    denominator (no training mass in c's direction) -> score 0.
+    denominator (no training mass in c's direction) -> score 0. A
+    non-finite c or m is an error.
     """
     vals = as_values(X)
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if c.shape[0] != vals.shape[1] or m.shape[0] != vals.shape[1]:
-        raise ValueError("multivariate_tp: dimension mismatch")
-
-    dropped = np.flatnonzero(np.abs(c - m) <= eps)
-    keep = np.flatnonzero(np.abs(c - m) > eps)
-    n = vals.shape[0]
-    if keep.size == 0:
-        return TpScore(1.0, float(n), float(n), dropped.tolist())
-
-    sub = vals[:, keep]
-    num = sign_counts(sub, c[keep], m[keep])
-    # Counts on the shifted data Y = X - (m - c) reduce algebraically to
-    # products (x - m)(m - c); the direct form keeps ties at m exact instead
-    # of letting the shift's rounding break them.
-    den_prod = (sub - m[keep]) * (m[keep] - c[keep])
-    den_strict = int(np.all(den_prod < 0, axis=1).sum())
-    den_tie = int(np.all(den_prod == 0, axis=1).sum())
-    den = SignCounts(den_strict, den_tie, sub.shape[0])
-    if den.weighted == 0.0:
-        return TpScore(0.0, num.weighted, 0.0, dropped.tolist())
-    ratio = num.weighted / den.weighted
-    if not ratio <= 1.0 + 1e-12:
-        raise RuntimeError("numerator exceeded denominator (counting bug)")
-    return TpScore(_clamp01(ratio), num.weighted, den.weighted, dropped.tolist())
+    c, m = _query_pair(c, m, vals.shape[1], "multivariate_tp")
+    value, num, den = tp_scores(vals, c[None], m, eps)
+    return TpScore(float(value[0]), float(num[0]), float(den[0]),
+                   np.flatnonzero(np.abs(c - m) <= eps).tolist())
 
 
 def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) -> TpScore:
@@ -159,43 +213,13 @@ def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) ->
     form (their bounds collapse to the full axis on both sides). Both masses
     are estimated on one common sample set so Monte Carlo noise partially
     cancels in the ratio; a denominator below 1e-12 flags degeneracy and
-    scores 0.
+    scores 0. A non-finite c or m is an error.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if c.shape[0] != density.p or m.shape[0] != density.p:
-        raise ValueError("multivariate_tp_density: dimension mismatch")
-
-    dropped = np.flatnonzero(np.abs(c - m) <= eps)
-    keep = np.flatnonzero(np.abs(c - m) > eps)
-    if keep.size == 0:
-        return TpScore(1.0, 1.0, 1.0, dropped.tolist())
-
-    # Reuse the density object itself when nothing is dropped so the
-    # integrator's sample cache can hit across queries.
-    marginal = density if keep.size == density.p else density.marginal(keep)
-    ck, mk = c[keep], m[keep]
-    up = ck >= mk
-    num_lower = np.where(up, ck, -np.inf)
-    num_upper = np.where(up, np.inf, ck)
-    den_lower = np.where(up, mk, -np.inf)
-    den_upper = np.where(up, np.inf, mk)
-
-    if keep.size == 1:
-        num_mass = marginal.interval_probability(num_lower[0], num_upper[0])
-        den_mass = marginal.interval_probability(den_lower[0], den_upper[0])
-    else:
-        samples = integrator.samples(marginal)
-        inside_num = np.all((samples >= num_lower) & (samples <= num_upper), axis=1)
-        inside_den = np.all((samples >= den_lower) & (samples <= den_upper), axis=1)
-        num_mass = inside_num.mean()
-        den_mass = inside_den.mean()
-
-    if den_mass < 1e-12:
-        return TpScore(0.0, float(num_mass), float(den_mass), dropped.tolist(),
-                       degenerate=True)
-    return TpScore(_clamp01(float(num_mass / den_mass)),
-                   float(num_mass), float(den_mass), dropped.tolist())
+    c, m = _query_pair(c, m, density.p, "multivariate_tp_density")
+    value, num, den = tp_density_scores(density, c[None], m, integrator, eps)
+    return TpScore(float(value[0]), float(num[0]), float(den[0]),
+                   np.flatnonzero(np.abs(c - m) <= eps).tolist(),
+                   degenerate=bool(den[0] < _DEGENERATE))
 
 
 def independent_product_tp(per_coord_scores) -> TpScore:
@@ -204,7 +228,5 @@ def independent_product_tp(per_coord_scores) -> TpScore:
     scores = list(per_coord_scores)
     if not scores:
         raise ValueError("independent_product_tp: empty score list")
-    value = 1.0
-    for s in scores:
-        value *= s.value
+    value = math.prod(s.value for s in scores)
     return TpScore(_clamp01(value), value, 1.0)

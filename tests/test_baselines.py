@@ -75,6 +75,13 @@ class TestPredictBaseline:
         with pytest.raises(ValueError):
             predict_baseline(model, np.ones((2, 5)))
 
+    def test_non_finite_query_rejected(self):
+        model = fit_baseline("kde", gaussian_sample(11), 0.9)
+        Z = np.zeros((3, model.train.shape[1]))
+        Z[2, 0] = np.nan
+        with pytest.raises(ValueError, match="query row 2 is not finite"):
+            predict_baseline(model, Z)
+
     def test_score_orientation_recorded(self):
         X = gaussian_sample(12)
         dist_model = fit_baseline("gauss", X, 0.9)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tocc import (RngStream, fit_pam_tocc_df, fit_tocc_db, fit_tocc_df,
-                  load_glass, pam, predict)
+from tocc import (MixtureDensity, RngStream, ToccModel, fit_pam_tocc_df,
+                  fit_tocc_db, fit_tocc_df, load_glass, pam, predict)
 from tocc.classifier import UndersizedClusterError
 
 
@@ -219,6 +219,16 @@ class TestPredict:
         specificity = (~pred.accept[~is_target]).mean()
         assert specificity == pytest.approx(0.961, abs=0.04)
 
+    def test_non_finite_query_rejected(self):
+        # A NaN coordinate is neither kept nor dropped by the drop rule, so
+        # unchecked it scored 1.0 and was accepted.
+        X = np.random.default_rng(47).normal(size=(60, 2))
+        model = fit_tocc_df(X, 0.9)
+        with pytest.raises(ValueError, match="query row 1 is not finite"):
+            predict(model, [[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="query row 0"):
+            predict(fit_pam_tocc_df(X, 2, 0.9), [[np.inf, 1.0]])
+
     def test_pam_nearest_cluster_tie_lowest(self):
         X = two_blobs(seed=46, n=30, spread=0.3)
         model = fit_pam_tocc_df(X, 2, 0.9)
@@ -226,3 +236,36 @@ class TestPredict:
         pred = predict(model, midpoint)
         d = np.linalg.norm(midpoint - model.prototypes, axis=1)
         assert pred.cluster[0] == int(np.argmin(d))
+
+
+class TestToccModelConsistency:
+    group = np.random.default_rng(48).normal(size=(20, 2))
+
+    def make(self, **changes):
+        fields = dict(variant="df", prototypes=np.zeros((1, 2)),
+                      thresholds=[0.5], sensitivity=[0.9], groups=[self.group])
+        fields.update(changes)
+        return ToccModel(**fields)
+
+    def test_consistent_model_builds(self):
+        assert self.make().n_prototypes == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"thresholds": [0.5, 0.5]},
+        {"sensitivity": [0.9, 0.9]},
+        {"prototypes": [[np.nan, 0.0]]},
+        {"eps": -1.0},
+        {"eps": np.nan},
+        {"thresholds": [np.nan]},
+        {"groups": None},
+        {"groups": [np.zeros((20, 3))]},
+        {"variant": "pam_df", "prototypes": np.zeros((2, 2)),
+         "thresholds": [0.5, 0.5], "sensitivity": [0.9, 0.9]},
+        {"variant": "db", "groups": None,
+         "density": MixtureDensity([1.0], [[0.0, 0.0, 0.0]], [np.eye(3)])},
+    ], ids=["thresholds", "sensitivity", "nan-prototype", "negative-eps",
+            "nan-eps", "nan-threshold", "no-groups", "group-width",
+            "groups-per-prototype", "density-width"])
+    def test_inconsistent_model_rejected(self, changes):
+        with pytest.raises(ValueError):
+            self.make(**changes)

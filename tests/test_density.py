@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from tocc import (MixtureDensity, OrthantIntegrator, RngStream, fit_gmm,
-                  gmm_pdf, orthant_probability)
+                  orthant_probability)
 
 
 class TestMixtureDensity:
     def test_standard_normal_at_zero(self):
         f = MixtureDensity([1.0], [[0.0]], [[[1.0]]])
-        assert gmm_pdf(f, [0.0]) == pytest.approx(0.3989422804, abs=1e-5)
+        assert f.pdf([0.0])[0] == pytest.approx(0.3989422804, abs=1e-5)
 
     def test_nonnegative(self):
         gen = np.random.default_rng(1)
         f = MixtureDensity([0.3, 0.7], [[0.0, 0.0], [2.0, -1.0]],
                            [np.eye(2), 2.0 * np.eye(2)])
-        assert np.all(gmm_pdf(f, gen.normal(size=(50, 2))) >= 0)
+        assert np.all(f.pdf(gen.normal(size=(50, 2))) >= 0)
 
     def test_distant_components_halve(self):
         f = MixtureDensity([0.5, 0.5], [[0.0], [1e9]], [[[1.0]], [[1.0]]])
         single = MixtureDensity([1.0], [[0.0]], [[[1.0]]])
-        assert gmm_pdf(f, [0.0]) == pytest.approx(0.5 * gmm_pdf(single, [0.0]))
+        assert f.pdf([0.0])[0] == pytest.approx(0.5 * single.pdf([0.0])[0])
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from tocc import RngStream, ingest_csv, load_glass, load_model, save_model
+import tocc.glass
+from tocc import (RngStream, ingest_csv, load_glass, load_model,
+                  run_glass_repro, save_model)
 from tocc.cli import main
 from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.io_utils import IngestError
@@ -89,6 +91,20 @@ class TestGlassLoader:
             load_glass(subset="everything")
 
 
+class TestGlassRepro:
+    def test_rp2_forwards_mc_samples(self, monkeypatch):
+        seen = []
+        real = tocc.glass.fit_rp_ensemble
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(tocc.glass, "fit_rp_ensemble", spy)
+        run_glass_repro(b1=1, b2=2, mc_samples=12_345, frontends=("rp2",),
+                        variants=("tocc-df",))
+        assert [kw["mc_samples"] for kw in seen] == [12_345]
+
+
 class TestModelRoundTrip:
     def test_bit_exact_predictions(self, tmp_path):
         X = np.random.default_rng(50).normal(size=(60, 2))
@@ -109,6 +125,38 @@ class TestModelRoundTrip:
             json.dump({"schema_version": 99, "model": "tocc"}, fh)
         with pytest.raises(ValueError, match="schema"):
             load_model(path)
+
+
+    @staticmethod
+    def saved_df_doc(tmp_path):
+        X = np.random.default_rng(53).normal(size=(30, 2))
+        path = tmp_path / "m.json"
+        save_model(fit_method("tocc-df", X, 0.9, RngStream(54)), path)
+        return path, json.loads(path.read_text())
+
+    def test_threshold_count_checked(self, tmp_path):
+        path, doc = self.saved_df_doc(tmp_path)
+        doc["thresholds"] = doc["thresholds"] * 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="one threshold"):
+            load_model(path)
+
+    def test_missing_key_named(self, tmp_path):
+        path, doc = self.saved_df_doc(tmp_path)
+        del doc["variant"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'variant'"):
+            load_model(path)
+
+    def test_missing_key_exits_2(self, tmp_path, capsys):
+        path, doc = self.saved_df_doc(tmp_path)
+        del doc["variant"]
+        path.write_text(json.dumps(doc))
+        data = write(tmp_path / "q.csv", "a,b\n0.0,0.0\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'variant'" in err
 
 
 def run_cli(*argv):

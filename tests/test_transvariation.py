@@ -103,6 +103,12 @@ class TestMultivariateTp:
         with pytest.raises(ValueError):
             multivariate_tp(self.corners, [0.5], [0.0, 0.0])
 
+    def test_non_finite_query_or_prototype_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            multivariate_tp(self.corners, [np.nan, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            multivariate_tp(self.corners, [0.5, 0.5], [0.0, np.inf])
+
     def test_matches_univariate_in_1d(self):
         # Exact agreement needs a tie-free sample: with ties at the median the
         # shifted-data denominator legitimately differs from n/2.
@@ -178,6 +184,12 @@ class TestMultivariateTpDensity:
         score = multivariate_tp_density(f, [41.0], [40.0], integ)
         assert score.value == 0.0
         assert score.degenerate
+
+    def test_non_finite_query_rejected(self):
+        f = self.standard_bivariate()
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(6))
+        with pytest.raises(ValueError, match="finite"):
+            multivariate_tp_density(f, [np.nan, 0.0], [0.0, 0.0], integ)
 
     def test_common_random_numbers_repeatable(self):
         f = self.standard_bivariate()
