@@ -21,7 +21,8 @@ import numpy as np
 
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
-from .numcore import RngStream, as_queries, as_values, empirical_quantile
+from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
+                      require_finite_rows)
 
 KINDS = ("gauss", "mix_gauss", "kde", "kmeans")
 
@@ -99,6 +100,7 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     if not 0.0 < s < 1.0:
         raise ValueError("sensitivity s must lie strictly inside (0, 1)")
     vals = as_values(X_target)
+    require_finite_rows(vals, "fit_baseline", "training")
     names = list(X_target.feature_names) if hasattr(X_target, "feature_names") else None
 
     if kind == "gauss":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      spatial_median)
+                      require_finite_rows, spatial_median)
 from .transvariation import DROP_EPS, tp_density_scores, tp_scores
 
 
@@ -208,12 +208,13 @@ def _assignment_cost(dist, medoids):
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _check_target(vals: np.ndarray, s) -> None:
+def _check_target(vals: np.ndarray, s, where: str) -> None:
     for sv in np.atleast_1d(np.asarray(s, dtype=float)):
         if not 0.0 < sv < 1.0:
             raise ValueError(f"sensitivity s={sv} must lie strictly inside (0, 1)")
     if vals.shape[0] < 5:
         raise ValueError("need at least 5 training rows")
+    require_finite_rows(vals, where, "training")
     if np.all(vals == vals[0]):
         raise ValueError("degenerate constant training data")
 
@@ -226,7 +227,7 @@ def fit_tocc_df(X_target, s: float, eps: float = DROP_EPS) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
     vals = as_values(X_target)
-    _check_target(vals, s)
+    _check_target(vals, s, "fit_tocc_df")
     proto = spatial_median(vals)
     t = empirical_quantile(tp_scores(vals, vals, proto, eps)[0], 1.0 - s)
     return ToccModel("df", proto, [t], [s], eps=eps, groups=[vals.copy()],
@@ -239,7 +240,7 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     """Density-based TOCC: fits a Gaussian mixture (BIC over the component
     range), then scores by orthant-mass ratios under that density."""
     vals = as_values(X_target)
-    _check_target(vals, s)
+    _check_target(vals, s, "fit_tocc_db")
     density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
     if integrator is None:
         integrator = OrthantIntegrator("monte_carlo", 100_000, rng.child(997))
@@ -265,7 +266,7 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
     s_arr = np.asarray(s, dtype=float) if per_cluster else np.full(k, float(s))
     if s_arr.shape[0] != k:
         raise ValueError("per-cluster sensitivities must match k")
-    _check_target(vals, s_arr)
+    _check_target(vals, s_arr, "fit_pam_tocc_df")
 
     while True:
         result = pam(vals, k, max_swaps=max_swaps)

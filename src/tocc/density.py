@@ -12,12 +12,53 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp, ndtr
+from scipy.linalg.lapack import dtrtrs
+from scipy.special import ndtr
 
-from .numcore import RngStream, as_values
+from .numcore import RngStream, as_queries, as_values, require_finite_rows
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _component_logpdf(X, means, chols) -> np.ndarray:
+    """C-ordered n x k matrix of Gaussian log densities of the rows of X, one
+    column per component (mean means[g], lower Cholesky factor chols[g]).
+
+    dtrtrs(L.T, ., lower=0, trans=1) is the exact LAPACK call scipy's
+    solve_triangular makes for a C-ordered lower factor; calling it directly
+    skips the wrapper's per-call checks. The output must stay C-ordered: EM's
+    responsibility sums depend on its memory order.
+    """
+    # A collapsed component can push the quadratic form past float range;
+    # EM's degeneracy check catches the resulting -inf/nan.
+    with np.errstate(over="ignore"):
+        white = X[None, :, :] - means[:, None, :]
+        for g, L in enumerate(chols):
+            white[g] = dtrtrs(L.T, white[g].T, lower=0, trans=1)[0].T
+        quad = np.ascontiguousarray((white * white).sum(axis=2).T)
+        log_det = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        return -0.5 * quad - log_det - 0.5 * means.shape[1] * _LOG_2PI
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a 2-D array, bit-identical to
+    scipy.special.logsumexp(a, axis=1) (scipy 1.17) without its per-call
+    overhead: the row maximum's m tied entries are summed separately as
+    log1p(s / m) + log(m) + max, and rows where that is not finite (all -inf,
+    +inf or nan) fall back to log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=1, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass
@@ -40,7 +81,7 @@ class MixtureDensity:
                 if self.means.shape[1] == 1 else self.covariances[None, :, :]
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
-        self._chols = [np.linalg.cholesky(c) for c in self.covariances]
+        self._chols = np.linalg.cholesky(self.covariances)
 
     @property
     def n_components(self) -> int:
@@ -51,18 +92,14 @@ class MixtureDensity:
         return self.means.shape[1]
 
     def component_logpdf(self, X) -> np.ndarray:
-        """n x G matrix of per-component Gaussian log densities."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty((X.shape[0], self.n_components))
-        for g, (mu, L) in enumerate(zip(self.means, self._chols)):
-            z = solve_triangular(L, (X - mu).T, lower=True)
-            out[:, g] = -0.5 * (z * z).sum(axis=0) \
-                - np.log(np.diag(L)).sum() - 0.5 * self.p * _LOG_2PI
-        return out
+        """n x G matrix of per-component Gaussian log densities; X must be
+        finite and p wide."""
+        X = as_queries(np.atleast_2d(X), self.p, "component_logpdf")
+        return _component_logpdf(X, self.means, self._chols)
 
     def logpdf(self, X) -> np.ndarray:
         lp = self.component_logpdf(X) + np.log(np.maximum(self.weights, 1e-300))
-        return logsumexp(lp, axis=1)
+        return logsumexp(lp)
 
     def pdf(self, X) -> np.ndarray:
         return np.exp(self.logpdf(X))
@@ -108,7 +145,8 @@ class MixtureDensity:
 
 @dataclass
 class OrthantIntegrator:
-    """Box-probability engine: closed form in 1-D, Monte Carlo above.
+    """Monte Carlo engine for boxes of two or more bounded coordinates (one
+    bounded coordinate is integrated in closed form without it).
 
     The stream is fixed, so the same integrator always replays the same
     sample set; numerator/denominator ratios built on one integrator share
@@ -121,9 +159,9 @@ class OrthantIntegrator:
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if self.method not in ("monte_carlo", "closed_form_1d"):
+        if self.method != "monte_carlo":
             raise ValueError(f"unknown integrator method '{self.method}'")
-        if self.method == "monte_carlo" and self.mc_samples < 10_000:
+        if self.mc_samples < 10_000:
             raise ValueError("monte_carlo integrator requires mc_samples >= 10000")
         self._cache = None
 
@@ -158,8 +196,6 @@ def orthant_probability(density: MixtureDensity, lower, upper,
     marginal = density if active.size == density.p else density.marginal(active)
     if active.size == 1:
         return marginal.interval_probability(lower[active[0]], upper[active[0]])
-    if integrator.method == "closed_form_1d":
-        raise ValueError("closed_form_1d integrator cannot handle boxes above 1-D")
     draws = integrator.samples(marginal)
     inside = np.all((draws >= lower[active]) & (draws <= upper[active]), axis=1)
     return float(inside.mean())
@@ -228,38 +264,28 @@ def _regularize_spd(cov: np.ndarray) -> np.ndarray | None:
 
 
 def _chol_all(covs):
-    """Cholesky factors for every component, ridging failures; returns
-    (factors, covs, bumped) or None if some component is beyond repair."""
-    chols = []
-    out = covs
+    """Cholesky factors of every component as one (k, p, p) stack, ridging
+    failures; returns (factors, covs, bumped) or None if some component is
+    beyond repair. The stacked call factors each matrix exactly as a
+    per-matrix call does; only a failure takes the per-component path."""
+    try:
+        return np.linalg.cholesky(covs), covs, False
+    except np.linalg.LinAlgError:
+        pass
+    chols = np.empty_like(covs)
+    out = covs.copy()
     bumped = False
     for g, cov in enumerate(covs):
         try:
-            chols.append(np.linalg.cholesky(cov))
+            chols[g] = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             fixed = _regularize_spd(cov)
             if fixed is None:
                 return None
-            if out is covs:
-                out = covs.copy()
             out[g] = fixed
-            chols.append(np.linalg.cholesky(fixed))
+            chols[g] = np.linalg.cholesky(fixed)
             bumped = True
     return chols, out, bumped
-
-
-def _log_joint(z, weights, means, chols):
-    n, p = z.shape
-    out = np.empty((n, len(weights)))
-    half_log_2pi = 0.5 * p * _LOG_2PI
-    # A collapsed component can push the quadratic form past float range;
-    # the resulting -inf/nan is caught by the caller's degeneracy check.
-    with np.errstate(over="ignore"):
-        for g, (mu, L) in enumerate(zip(means, chols)):
-            y = solve_triangular(L, (z - mu).T, lower=True)
-            out[:, g] = -0.5 * (y * y).sum(axis=0) - np.log(np.diag(L)).sum() \
-                - half_log_2pi
-    return out + np.log(np.maximum(weights, 1e-300))
 
 
 def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
@@ -295,11 +321,13 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
         bumped = bumped or bumped_now
         # A factor with a tiny pivot means a component is collapsing onto a
         # lower-dimensional set; float arithmetic can then wobble downhill.
-        fragile = any(np.diag(L).min() < 1e-7 * max(np.diag(L).max(), 1.0)
-                      for L in chols)
+        pivots = np.diagonal(chols, axis1=1, axis2=2)
+        fragile = bool(np.any(pivots.min(axis=1)
+                              < 1e-7 * np.maximum(pivots.max(axis=1), 1.0)))
 
-        log_joint = _log_joint(z, weights, means, chols)
-        row_ll = logsumexp(log_joint, axis=1)
+        log_joint = _component_logpdf(z, means, chols) \
+            + np.log(np.maximum(weights, 1e-300))
+        row_ll = logsumexp(log_joint)
         ll = float(row_ll.sum())
         if not np.isfinite(ll):
             return None
@@ -322,22 +350,22 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
             return None
         weights = nk / n
         means = (resp.T @ z) / nk[:, None]
-        covs = np.empty((k, p, p))
+        # The stacked matmul makes one gemm per component, as a loop would.
+        diff = z - means[:, None, :]
+        cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff \
+            / nk[:, None, None]
+        covs = 0.5 * (cov + cov.transpose(0, 2, 1))
         bumped = False
-        for g in range(k):
-            diff = z - means[g]
-            cov = (resp[:, g][:, None] * diff).T @ diff / nk[g]
-            covs[g] = 0.5 * (cov + cov.T)
 
     # Map parameters back to the original units: mu = z_mu * s + c,
     # cov = S z_cov S; the log-likelihood shifts by -n * sum(log s).
     weights, means, covs = state
     out_means = means * scale + center
     out_covs = covs * scale[None, :, None] * scale[None, None, :]
-    fixed = [_regularize_spd(c) for c in out_covs]
-    if any(f is None for f in fixed):
+    refit = _chol_all(out_covs)
+    if refit is None:
         return None
-    final = MixtureDensity(weights.copy(), out_means, np.array(fixed))
+    final = MixtureDensity(weights.copy(), out_means, refit[1])
     return final, ll - n * float(np.log(scale).sum())
 
 
@@ -357,8 +385,11 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
         Candidate component counts, e.g. range(1, 10).
     rng : RngStream
         Drives the k-means seedings; the fit is deterministic given it.
+
+    A non-finite training row is a ValueError that names it.
     """
     vals = as_values(X)
+    require_finite_rows(vals, "fit_gmm", "training")
     n, p = vals.shape
     if isinstance(components_range, tuple) and len(components_range) == 2:
         candidates = list(range(components_range[0], components_range[1] + 1))

@@ -120,10 +120,16 @@ def as_queries(Z, p: int, where: str) -> np.ndarray:
     if vals.shape[1] != p:
         raise ValueError(f"{where}: query dimension {vals.shape[1]} != "
                          f"model dimension {p}")
+    require_finite_rows(vals, where, "query")
+    return vals
+
+
+def require_finite_rows(vals: np.ndarray, where: str, kind: str) -> None:
+    """ValueError naming the first row of the 2-D array vals that holds a
+    nan or an infinity."""
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
-        raise ValueError(f"{where}: query row {bad[0]} is not finite")
-    return vals
+        raise ValueError(f"{where}: {kind} row {bad[0]} is not finite")
 
 
 def _splitmix64(x: int) -> int:

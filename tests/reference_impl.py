@@ -1,11 +1,12 @@
-"""Per-query reference implementation of the transvariation scores.
+"""Reference implementations of the transvariation scores and the EM step.
 
 A frozen copy of the straightforward one-query-at-a-time scoring code the
 library used before its batched orthant-counting kernel: sign_counts, the
 univariate counting score, the counting and density forms of the
 multivariate score, the three calibration comprehensions and the predict
-loops. The differential tests compare the library against it with
-np.array_equal. Only tests import this module.
+loops; and the per-component EM iteration and Gaussian log-density the
+library used before its stacked EM step. The differential tests compare the
+library against it with np.array_equal. Only tests import this module.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp, ndtr
 
+from tocc.density import (MixtureDensity, _initial_params, _regularize_spd,
+                          kmeans_lloyd)
 from tocc.numcore import as_values, empirical_quantile, spatial_median
 from tocc.transvariation import DROP_EPS, TpScore
 
@@ -187,3 +191,132 @@ def predict_scores(model, Z):
             scores[i] = multivariate_tp_density(model.density, vals[i], proto,
                                                 model.integrator, model.eps).value
     return scores, None
+
+
+# ---------------------------------------------------------------------------
+# Per-component EM and Gaussian log-density
+# ---------------------------------------------------------------------------
+# The EM iteration as it was before it was stacked over components: one
+# Cholesky, solve_triangular and covariance product per component, and
+# scipy's logsumexp. kmeans_lloyd, _initial_params and _regularize_spd are
+# unchanged and shared.
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def component_logpdf(density, X) -> np.ndarray:
+    """n x G matrix of per-component Gaussian log densities."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    chols = [np.linalg.cholesky(c) for c in density.covariances]
+    out = np.empty((X.shape[0], density.n_components))
+    for g, (mu, L) in enumerate(zip(density.means, chols)):
+        z = solve_triangular(L, (X - mu).T, lower=True)
+        out[:, g] = -0.5 * (z * z).sum(axis=0) \
+            - np.log(np.diag(L)).sum() - 0.5 * density.p * _LOG_2PI
+    return out
+
+
+def logpdf(density, X) -> np.ndarray:
+    lp = component_logpdf(density, X) \
+        + np.log(np.maximum(density.weights, 1e-300))
+    return logsumexp(lp, axis=1)
+
+
+def _chol_all(covs):
+    """Cholesky factors for every component, ridging failures; returns
+    (factors, covs, bumped) or None if some component is beyond repair."""
+    chols = []
+    out = covs
+    bumped = False
+    for g, cov in enumerate(covs):
+        try:
+            chols.append(np.linalg.cholesky(cov))
+        except np.linalg.LinAlgError:
+            fixed = _regularize_spd(cov)
+            if fixed is None:
+                return None
+            if out is covs:
+                out = covs.copy()
+            out[g] = fixed
+            chols.append(np.linalg.cholesky(fixed))
+            bumped = True
+    return chols, out, bumped
+
+
+def _log_joint(z, weights, means, chols):
+    n, p = z.shape
+    out = np.empty((n, len(weights)))
+    half_log_2pi = 0.5 * p * _LOG_2PI
+    # A collapsed component can push the quadratic form past float range;
+    # the resulting -inf/nan is caught by the caller's degeneracy check.
+    with np.errstate(over="ignore"):
+        for g, (mu, L) in enumerate(zip(means, chols)):
+            y = solve_triangular(L, (z - mu).T, lower=True)
+            out[:, g] = -0.5 * (y * y).sum(axis=0) - np.log(np.diag(L)).sum() \
+                - half_log_2pi
+    return out + np.log(np.maximum(weights, 1e-300))
+
+
+def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
+    """One EM run; returns (mixture, loglik) or None on degeneracy."""
+    n, p = vals.shape
+    center = vals.mean(axis=0)
+    scale = vals.std(axis=0, ddof=0)
+    scale[scale == 0] = 1.0
+    z = (vals - center) / scale
+
+    reg_base = 1e-8 * max(np.trace(np.cov(z, rowvar=False, ddof=1).reshape(p, p)) / p,
+                          1e-12)
+    _, labels = kmeans_lloyd(z, k, gen)
+    weights, means, covs = _initial_params(z, labels, k, reg_base)
+
+    prev_ll = -np.inf
+    prev_state = None
+    state = None
+    ll = -np.inf
+    bumped = False
+    for _ in range(max_iter):
+        refit = _chol_all(covs)
+        if refit is None:
+            return None
+        chols, covs, bumped_now = refit
+        bumped = bumped or bumped_now
+        fragile = any(np.diag(L).min() < 1e-7 * max(np.diag(L).max(), 1.0)
+                      for L in chols)
+
+        log_joint = _log_joint(z, weights, means, chols)
+        row_ll = logsumexp(log_joint, axis=1)
+        ll = float(row_ll.sum())
+        if not np.isfinite(ll):
+            return None
+        state = (weights, means, covs)
+        if np.isfinite(prev_ll) and ll < prev_ll - 1e-6 * max(1.0, abs(prev_ll)):
+            if not (bumped or fragile):
+                raise RuntimeError("EM log-likelihood decreased on a healthy step")
+            state, ll = prev_state, prev_ll
+            break
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll, prev_state = ll, state
+
+        resp = np.exp(log_joint - row_ll[:, None])
+        nk = resp.sum(axis=0)
+        if np.any(nk < 1e-10):
+            return None
+        weights = nk / n
+        means = (resp.T @ z) / nk[:, None]
+        covs = np.empty((k, p, p))
+        bumped = False
+        for g in range(k):
+            diff = z - means[g]
+            cov = (resp[:, g][:, None] * diff).T @ diff / nk[g]
+            covs[g] = 0.5 * (cov + cov.T)
+
+    weights, means, covs = state
+    out_means = means * scale + center
+    out_covs = covs * scale[None, :, None] * scale[None, None, :]
+    fixed = [_regularize_spd(c) for c in out_covs]
+    if any(f is None for f in fixed):
+        return None
+    final = MixtureDensity(weights.copy(), out_means, np.array(fixed))
+    return final, ll - n * float(np.log(scale).sum())

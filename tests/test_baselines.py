@@ -100,6 +100,13 @@ class TestPredictBaseline:
         with pytest.raises(ValueError):
             fit_baseline("parzen", gaussian_sample(13), 0.9)
 
+    @pytest.mark.parametrize("kind", ["gauss", "mix_gauss", "kde", "kmeans"])
+    def test_non_finite_training_row_rejected(self, kind):
+        X = gaussian_sample(15, n=50)
+        X[3, 0] = np.nan
+        with pytest.raises(ValueError, match="training row 3 is not finite"):
+            fit_baseline(kind, X, 0.9, RngStream(15))
+
     def test_invalid_sensitivity(self):
         with pytest.raises(ValueError):
             fit_baseline("gauss", gaussian_sample(14), 1.0)

@@ -112,6 +112,19 @@ class TestFitToccDf:
                                base, atol=1e-12)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda X: fit_tocc_df(X, 0.9),
+    lambda X: fit_tocc_db(X, 0.9, RngStream(1), components_range=(1, 2)),
+    lambda X: fit_pam_tocc_df(X, 2, 0.9),
+], ids=["fit_tocc_df", "fit_tocc_db", "fit_pam_tocc_df"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_row_rejected(fit, bad):
+    X = np.random.default_rng(16).normal(size=(50, 2))
+    X[7, 1] = bad
+    with pytest.raises(ValueError, match="training row 7 is not finite"):
+        fit(X)
+
+
 class TestFitToccDb:
     def test_calibration(self):
         X = np.random.default_rng(20).multivariate_normal(

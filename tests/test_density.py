@@ -85,10 +85,10 @@ class TestOrthantProbability:
             orthant_probability(f, [1.0], [0.0], integ)
 
     def test_closed_form_rejects_boxes(self):
-        f = MixtureDensity([1.0], [[0.0, 0.0]], [np.eye(2)])
-        integ = OrthantIntegrator("closed_form_1d", rng=RngStream(7))
-        with pytest.raises(ValueError):
-            orthant_probability(f, [0.0, 0.0], [np.inf, np.inf], integ)
+        # The integrator is Monte Carlo only; one bounded coordinate is
+        # integrated in closed form without it.
+        with pytest.raises(ValueError, match="unknown integrator method"):
+            OrthantIntegrator("closed_form_1d", rng=RngStream(7))
 
     def test_deterministic_given_stream(self):
         f = MixtureDensity([1.0], [[0.0, 0.0]], [np.eye(2)])
@@ -139,6 +139,13 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             # every candidate needs n > k * (p + 1) = 30
             fit_gmm(X[:4], (2, 3), RngStream(16))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_training_row_rejected(self, bad):
+        X = np.random.default_rng(19).normal(size=(40, 2))
+        X[5, 0] = bad
+        with pytest.raises(ValueError, match="training row 5 is not finite"):
+            fit_gmm(X, (1, 2), RngStream(20))
 
     def test_deterministic(self):
         gen = np.random.default_rng(17)

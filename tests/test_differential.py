@@ -1,18 +1,22 @@
-"""Differential sweeps: the batched orthant-counting kernel against the frozen
-per-query reference in reference_impl.py, compared exactly.
+"""Differential sweeps: the batched orthant-counting kernel and the stacked
+EM step against the frozen per-query and per-component references in
+reference_impl.py, compared exactly.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
-must not move a single score, tie or dropped coordinate.
+must not move a single score, tie or dropped coordinate, and stacking the EM
+step must not move a single mixture parameter or log-likelihood.
 """
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 import reference_impl as ref
 from tocc import (MixtureDensity, OrthantIntegrator, RngStream,
-                  fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, multivariate_tp,
-                  multivariate_tp_density, predict, univariate_tp)
-from tocc import transvariation
+                  fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, load_glass,
+                  multivariate_tp, multivariate_tp_density, predict,
+                  univariate_tp)
+from tocc import density, transvariation
 from tocc.transvariation import tp_density_scores, tp_scores
 
 
@@ -191,3 +195,117 @@ class TestFitPredict:
         Z = query_rows(seed, X, model)
         scores, _ = ref.predict_scores(model, Z)
         assert np.array_equal(predict(model, Z).score, scores)
+
+
+def assert_same_em(vals, k, stream):
+    """The library's and the reference EM run from the same seed: both
+    degenerate (None), or equal weights, means, covariances and
+    log-likelihood. Returns the library's result."""
+    got = density._em_single(vals, k, stream.generator())
+    want = ref._em_single(vals, k, stream.generator())
+    if got is None or want is None:
+        assert got is None and want is None
+        return got
+    (f, ll), (f_ref, ll_ref) = got, want
+    assert np.array_equal(f.weights, f_ref.weights)
+    assert np.array_equal(f.means, f_ref.means)
+    assert np.array_equal(f.covariances, f_ref.covariances)
+    assert ll == ll_ref
+    return got
+
+
+def glass_target(*features):
+    glass = load_glass()
+    return glass.select_rows(glass.is_target()).select_features(list(features)).values
+
+
+class TestEmStep:
+    def test_component_counts_and_restarts(self):
+        gen = np.random.default_rng(120)
+        X = np.vstack([gen.normal(size=(60, 2)),
+                       gen.normal(size=(50, 2)) * 0.3 + [4.0, 1.0],
+                       gen.normal(size=(40, 2)) @ [[1.0, 0.9], [0.0, 0.3]] - 3.0])
+        for k in range(1, 10):
+            for r in range(3):
+                assert_same_em(X, k, RngStream(121).child(k).child(r))
+        Y = gen.normal(size=(120, 3)) @ gen.normal(size=(3, 3))
+        for k in range(1, 6):
+            assert_same_em(Y, k, RngStream(122).child(k))
+
+    @pytest.mark.parametrize("features", [("RI", "Na"), ("Si", "Mg"),
+                                          ("Al", "Ca")], ids="-".join)
+    def test_glass_column_pairs(self, features):
+        vals = glass_target(*features)
+        for k in range(1, 10):
+            assert_same_em(vals, k, RngStream(71).child(k).child(k % 5))
+
+    def test_ridge_bump(self, monkeypatch):
+        # A component of the RI/Na glass targets collapses at G = 6, so its
+        # covariance fails Cholesky and takes the per-component ridge path.
+        bumps = []
+
+        def counted(cov):
+            bumps.append(cov)
+            return ref._regularize_spd(cov)
+
+        monkeypatch.setattr(density, "_regularize_spd", counted)
+        assert assert_same_em(glass_target("RI", "Na"), 6,
+                              RngStream(71).child(6).child(0)) is not None
+        assert bumps
+
+    def test_collapsing_component(self):
+        # At G = 2 one RI/Ba component collapses onto the Ba = 0 rows: the
+        # log-likelihood drops on a step with a tiny Cholesky pivot, and the
+        # run keeps its last clean iterate instead of raising.
+        assert assert_same_em(glass_target("RI", "Ba"), 2,
+                              RngStream(71).child(2).child(0)) is not None
+
+    def test_degenerate_run(self):
+        # Ba is zero on most glass targets: this G = 3 restart degenerates.
+        assert assert_same_em(glass_target("RI", "Ba"), 3,
+                              RngStream(71).child(3).child(1)) is None
+
+
+class TestMixtureLogDensity:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_matches_reference(self, p):
+        gen = np.random.default_rng(130 + p)
+        for _ in range(10):
+            f = mixture_case(gen, p)
+            # Far rows drive some component densities to -inf.
+            X = np.vstack([f.sample(50, gen), gen.normal(size=(5, p)) * 1e160])
+            with np.errstate(over="ignore"):
+                assert np.array_equal(f.component_logpdf(X),
+                                      ref.component_logpdf(f, X))
+                assert np.array_equal(f.logpdf(X), ref.logpdf(f, X))
+
+    def test_bad_rows_rejected(self):
+        f = MixtureDensity([1.0], [[0.0, 0.0]], [np.eye(2)])
+        with pytest.raises(ValueError, match="query row 1 is not finite"):
+            f.logpdf([[0.0, 0.0], [np.nan, 1.0]])
+        # One coordinate would broadcast over both.
+        with pytest.raises(ValueError, match="query dimension 1 != model"):
+            f.pdf([[0.5]])
+
+
+class TestLogsumexp:
+    def test_matches_scipy(self):
+        gen = np.random.default_rng(140)
+        for trial in range(200):
+            a = gen.normal(size=(int(gen.integers(1, 40)),
+                                 int(gen.integers(1, 10)))) * 20.0
+            if trial % 3 == 0:
+                a = np.round(a / 10.0)                  # tied maxima
+            a[gen.random(a.shape) < 0.2] = -np.inf
+            a[0] = -np.inf                              # an all -inf row
+            with np.errstate(all="raise"):
+                got = density.logsumexp(a)
+                want = scipy_logsumexp(a, axis=1)
+            assert np.array_equal(got, want)
+
+    def test_non_finite_rows_match_scipy(self):
+        a = np.array([[np.inf, 0.0], [np.nan, 0.0], [np.inf, -np.inf],
+                      [-np.inf, -np.inf], [1e308, 1e308]])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(density.logsumexp(a),
+                                  scipy_logsumexp(a, axis=1), equal_nan=True)

@@ -141,6 +141,18 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="one threshold"):
             load_model(path)
 
+    def test_closed_form_integrator_rejected(self, tmp_path):
+        X = np.random.default_rng(55).normal(size=(30, 2))
+        path = tmp_path / "db.json"
+        save_model(fit_method("tocc-db", X, 0.9, RngStream(56),
+                              mc_samples=10_000, components_range=(1, 1),
+                              n_restarts=1), path)
+        doc = json.loads(path.read_text())
+        doc["integrator"]["method"] = "closed_form_1d"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown integrator method"):
+            load_model(path)
+
     def test_missing_key_named(self, tmp_path):
         path, doc = self.saved_df_doc(tmp_path)
         del doc["variant"]
