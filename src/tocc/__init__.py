@@ -9,11 +9,10 @@ forensic glass study.
 __version__ = "0.1.0"
 
 from .numcore import (ConvergenceError, DataMatrix, PcaResult, RngStream,
-                      concat, coordinatewise_median, correlation_matrix,
-                      empirical_quantile, pca, spatial_median)
-from .transvariation import (TpScore, independent_product_tp, multivariate_tp,
-                             multivariate_tp_density, univariate_tp,
-                             univariate_tp_density)
+                      concat, correlation_matrix, empirical_quantile, pca,
+                      spatial_median)
+from .transvariation import (TpScore, multivariate_tp, multivariate_tp_density,
+                             univariate_tp, univariate_tp_density)
 from .density import (MixtureDensity, OrthantIntegrator, fit_gmm,
                       orthant_probability)
 from .classifier import (PamResult, PredictionResult, ToccModel,
@@ -33,10 +32,9 @@ from .io_utils import ingest_csv, load_model, save_model
 __all__ = [
     "__version__",
     "ConvergenceError", "DataMatrix", "PcaResult", "RngStream", "concat",
-    "coordinatewise_median", "correlation_matrix", "empirical_quantile",
-    "pca", "spatial_median",
-    "TpScore", "independent_product_tp", "multivariate_tp",
-    "multivariate_tp_density", "univariate_tp", "univariate_tp_density",
+    "correlation_matrix", "empirical_quantile", "pca", "spatial_median",
+    "TpScore", "multivariate_tp", "multivariate_tp_density", "univariate_tp",
+    "univariate_tp_density",
     "MixtureDensity", "OrthantIntegrator", "fit_gmm", "orthant_probability",
     "PamResult", "PredictionResult", "ToccModel", "fit_pam_tocc_df",
     "fit_tocc_db", "fit_tocc_df", "pam", "predict",

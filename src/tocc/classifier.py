@@ -223,20 +223,20 @@ def _feature_names(X):
     return list(X.feature_names) if hasattr(X, "feature_names") else None
 
 
-def fit_tocc_df(X_target, s: float, eps: float = DROP_EPS) -> ToccModel:
+def fit_tocc_df(X_target, s: float) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
     vals = as_values(X_target)
     _check_target(vals, s, "fit_tocc_df")
     proto = spatial_median(vals)
-    t = empirical_quantile(tp_scores(vals, vals, proto, eps)[0], 1.0 - s)
-    return ToccModel("df", proto, [t], [s], eps=eps, groups=[vals.copy()],
+    t = empirical_quantile(tp_scores(vals, vals, proto)[0], 1.0 - s)
+    return ToccModel("df", proto, [t], [s], groups=[vals.copy()],
                      feature_names=_feature_names(X_target))
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
                 components_range=(1, 9), integrator: OrthantIntegrator | None = None,
-                n_restarts: int = 5, eps: float = DROP_EPS) -> ToccModel:
+                n_restarts: int = 5) -> ToccModel:
     """Density-based TOCC: fits a Gaussian mixture (BIC over the component
     range), then scores by orthant-mass ratios under that density."""
     vals = as_values(X_target)
@@ -246,13 +246,12 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
         integrator = OrthantIntegrator("monte_carlo", 100_000, rng.child(997))
     proto = spatial_median(vals)
     t = empirical_quantile(
-        tp_density_scores(density, vals, proto, integrator, eps)[0], 1.0 - s)
-    return ToccModel("db", proto, [t], [s], eps=eps, density=density,
+        tp_density_scores(density, vals, proto, integrator)[0], 1.0 - s)
+    return ToccModel("db", proto, [t], [s], density=density,
                      integrator=integrator, feature_names=_feature_names(X_target))
 
 
-def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
-                    eps: float = DROP_EPS) -> ToccModel:
+def fit_pam_tocc_df(X_target, k: int, s) -> ToccModel:
     """Two-phase PAM-TOCC: cluster the target class into k groups, then
     calibrate one counting-score threshold per cluster against its medoid.
 
@@ -269,7 +268,7 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
     _check_target(vals, s_arr, "fit_pam_tocc_df")
 
     while True:
-        result = pam(vals, k, max_swaps=max_swaps)
+        result = pam(vals, k)
         sizes = np.bincount(result.assignment, minlength=k)
         small = np.flatnonzero(sizes < 3)
         if small.size == 0:
@@ -280,11 +279,11 @@ def fit_pam_tocc_df(X_target, k: int, s, max_swaps: int = 1000,
                 "try a smaller k")
         k -= 1
     groups = [vals[result.assignment == g] for g in range(k)]
-    thresholds = [empirical_quantile(tp_scores(x, x, vals[med], eps)[0], 1.0 - sg)
+    thresholds = [empirical_quantile(tp_scores(x, x, vals[med])[0], 1.0 - sg)
                   for x, med, sg in zip(groups, result.medoids, s_arr)]
     return ToccModel("pam_df", vals[result.medoids], thresholds, s_arr[:k],
-                     eps=eps, groups=groups,
-                     feature_names=_feature_names(X_target), pam=result)
+                     groups=groups, feature_names=_feature_names(X_target),
+                     pam=result)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def cmd_bench(args):
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     spec = ScenarioSpec(args.scenario, args.n_target, RngStream(args.seed),
                         lam=args.lam, box_scale=args.box_scale)
-    method_objs = [make_method(m, args.s, pam_k=args.k, mc_samples=args.mc_samples)
+    method_objs = [make_method(m, args.s, k=args.k, mc_samples=args.mc_samples)
                    for m in methods]
     result = run_benchmark(method_objs, spec, args.reps, args.s)
 
@@ -256,48 +256,32 @@ def cmd_glass_repro(args):
     config = _config(args, ["kappa", "k", "s", "d", "b1", "b2", "mc_samples",
                             "seed", "glass_subset"])
 
-    def table(metric):
-        rows = []
-        for variant in TOCC_METHODS:
-            row = [variant]
-            for frontend in FRONTENDS:
-                if (variant, frontend) in result.cells:
-                    row.append(getattr(result.cell(variant, frontend), metric))
-                else:
-                    row.append("")
-            row.append("n/a")  # external variable-selection column, see report
-            rows.append(row)
-        return rows
+    # One walk over the grid; a skipped cell stays empty.
+    tables = {"auc": [], "specificity": [], "seconds": []}
+    for variant in TOCC_METHODS:
+        cells = [result.cells.get((variant, f)) for f in FRONTENDS]
+        for metric, rows in tables.items():
+            rows.append([variant] + [getattr(c, metric) if c else ""
+                                     for c in cells])
 
     header = ["variant"] + list(FRONTENDS) + ["varsel2"]
-    write_csv(os.path.join(args.outdir, "auc_table.csv"), header, table("auc"),
-              "glass-repro", config)
-    write_csv(os.path.join(args.outdir, "specificity_table.csv"), header,
-              table("specificity"), "glass-repro", config)
+    for metric in ("auc", "specificity"):
+        # The external variable-selection column is n/a, see the report.
+        write_csv(os.path.join(args.outdir, f"{metric}_table.csv"), header,
+                  [row + ["n/a"] for row in tables[metric]], "glass-repro",
+                  config)
     _write_repro_report(os.path.join(args.outdir, "report.md"), result, config)
 
-    print(f"glass-repro ({result.config['subset']}, kappa={args.kappa}):")
+    print(f"glass-repro ({args.glass_subset}, kappa={args.kappa}):")
     print(f"{'variant':14s} " + " ".join(f"{f:>18s}" for f in FRONTENDS))
-    for metric in ("auc", "specificity"):
-        print(f"-- {metric}")
-        for variant in TOCC_METHODS:
-            cells = []
-            for frontend in FRONTENDS:
-                if (variant, frontend) in result.cells:
-                    c = result.cell(variant, frontend)
-                    cells.append(f"{getattr(c, metric):18.3f}")
-                else:
-                    cells.append(f"{'skipped':>18s}")
-            print(f"{variant:14s} " + " ".join(cells))
-    print("-- wall time (seconds, not persisted)")
-    for variant in TOCC_METHODS:
-        cells = []
-        for frontend in FRONTENDS:
-            if (variant, frontend) in result.cells:
-                cells.append(f"{result.cell(variant, frontend).seconds:18.2f}")
-            else:
-                cells.append(f"{'skipped':>18s}")
-        print(f"{variant:14s} " + " ".join(cells))
+    for metric, title, fmt in (
+            ("auc", "auc", "18.3f"), ("specificity", "specificity", "18.3f"),
+            ("seconds", "wall time (seconds, not persisted)", "18.2f")):
+        print(f"-- {title}")
+        for variant, *values in tables[metric]:
+            print(f"{variant:14s} " + " ".join(
+                format(v, fmt) if v != "" else f"{'skipped':>18s}"
+                for v in values))
     for note in result.notes:
         print(note)
     print(f"tables -> {args.outdir}")

@@ -18,6 +18,9 @@ from scipy.special import ndtr
 from .numcore import RngStream, as_queries, as_values, require_finite_rows
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_KMEANS_MAX_ITER = 100
+_EM_TOL = 1e-6        # stop once an EM step gains less log-likelihood
+_EM_MAX_ITER = 500
 
 
 def _component_logpdf(X, means, chols) -> np.ndarray:
@@ -63,7 +66,8 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MixtureDensity:
-    """Gaussian mixture: weights summing to one, component means, full SPD
+    """Gaussian mixture of k components in p dimensions: k weights summing
+    to one, a k x p array of means and a k x p x p stack of SPD
     covariances."""
 
     weights: np.ndarray
@@ -74,11 +78,12 @@ class MixtureDensity:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.covariances = np.asarray(self.covariances, dtype=float)
-        if self.means.ndim == 1:
-            self.means = self.means.reshape(len(self.weights), -1)
-        if self.covariances.ndim == 2:
-            self.covariances = self.covariances.reshape(len(self.weights), 1, 1) \
-                if self.means.shape[1] == 1 else self.covariances[None, :, :]
+        k = self.weights.size
+        p = self.means.shape[-1] if self.means.ndim else 0
+        if (self.weights.shape != (k,) or self.means.shape != (k, p)
+                or self.covariances.shape != (k, p, p)):
+            raise ValueError("MixtureDensity needs k weights, k x p means and "
+                             "k x p x p covariances")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         self._chols = np.linalg.cholesky(self.covariances)
@@ -178,6 +183,9 @@ def orthant_probability(density: MixtureDensity, lower, upper,
                         integrator: OrthantIntegrator) -> float:
     """P(lower <= X <= upper) under the mixture, bounds may be +-inf.
 
+    A public utility for general boxes; the classifiers do not call it
+    (transvariation.tp_density_scores integrates their orthant boxes).
+
     Coordinates unbounded on both sides are marginalized out exactly; a
     single bounded coordinate uses the closed-form normal CDF per component;
     two or more use the integrator's Monte Carlo draws (deterministic given
@@ -205,8 +213,8 @@ def orthant_probability(density: MixtureDensity, lower, upper,
 # EM fitting with BIC selection
 # ---------------------------------------------------------------------------
 
-def kmeans_lloyd(vals: np.ndarray, k: int, gen: np.random.Generator,
-                 max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_lloyd(vals: np.ndarray, k: int,
+                 gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iteration from a random distinct-row start.
 
     Returns (centroids, labels). Empty clusters keep their previous centroid.
@@ -216,7 +224,7 @@ def kmeans_lloyd(vals: np.ndarray, k: int, gen: np.random.Generator,
         raise ValueError(f"kmeans: k={k} outside [1, {n}]")
     centroids = vals[gen.choice(n, size=k, replace=False)].astype(float)
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = ((vals[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -288,7 +296,7 @@ def _chol_all(covs):
     return chols, out, bumped
 
 
-def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
+def _em_single(vals, k, gen):
     """One EM run; returns (mixture, loglik) or None on degeneracy.
 
     Runs on per-column standardized data (an exact reparameterization that
@@ -313,7 +321,7 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
     state = None
     ll = -np.inf
     bumped = False
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         refit = _chol_all(covs)
         if refit is None:
             return None
@@ -340,7 +348,7 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
                 raise RuntimeError("EM log-likelihood decreased on a healthy step")
             state, ll = prev_state, prev_ll
             break
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < _EM_TOL and np.isfinite(prev_ll):
             break
         prev_ll, prev_state = ll, state
 
@@ -372,8 +380,9 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
 def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> MixtureDensity:
     """Fit full-covariance mixtures over a component range, keep the BIC winner.
 
-    Each candidate G runs `n_restarts` k-means-seeded EM restarts; candidates
-    with too few observations per component (n <= G*(p+1)) are skipped.
+    Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts;
+    candidates with too few observations per component (n <= G*(p+1)) are
+    skipped.
     BIC = 2*loglik - params*ln(n), maximized. All candidates degenerate is an
     error.
 
@@ -381,8 +390,8 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
     ----------
     X : DataMatrix or array
         Training sample.
-    components_range : iterable of int, or (lo, hi) tuple
-        Candidate component counts, e.g. range(1, 10).
+    components_range : (lo, hi) tuple
+        Inclusive bounds of the candidate component counts, e.g. (1, 9).
     rng : RngStream
         Drives the k-means seedings; the fit is deterministic given it.
 
@@ -391,15 +400,12 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
     vals = as_values(X)
     require_finite_rows(vals, "fit_gmm", "training")
     n, p = vals.shape
-    if isinstance(components_range, tuple) and len(components_range) == 2:
-        candidates = list(range(components_range[0], components_range[1] + 1))
-    else:
-        candidates = list(components_range)
-    if not candidates:
+    lo, hi = components_range
+    if lo > hi:
         raise ValueError("fit_gmm: empty component range")
 
     best = None
-    for k in candidates:
+    for k in range(lo, hi + 1):
         if k < 1 or n <= k * (p + 1):
             continue
         best_run = None

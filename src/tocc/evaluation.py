@@ -9,6 +9,7 @@ threshold plus the threshold-free AUC.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,8 +78,8 @@ def roc_curve(scores, is_target) -> RocCurve:
 
 @dataclass
 class EvalReport:
-    """One method's result on one dataset: threshold metrics, ROC summary,
-    wall time, and run provenance."""
+    """One method's result on one dataset: threshold metrics, AUC, wall
+    time, and run provenance."""
 
     method: str
     sensitivity: float | None
@@ -87,7 +88,6 @@ class EvalReport:
     wall_time_seconds: float
     scenario: str | None = None
     replication: int | None = None
-    roc: RocCurve | None = None
     error: str | None = None
 
 
@@ -137,17 +137,14 @@ def fit_method(name: str, X, s: float, rng: RngStream, k: int = 5,
                         components_range=components_range)
 
 
-def make_method(name: str, s: float, pam_k: int = 5, kmeans_k: int = 5,
-                mc_samples: int = 100_000, components_range=(1, 9),
-                n_restarts: int = 5) -> Method:
-    """Build a Method by name; the settings are fit_method's."""
+def make_method(name: str, s: float, **settings) -> Method:
+    """Build a Method by name; settings are fit_method's keyword arguments,
+    checked here so that a misspelt one fails before any fit runs."""
     _check_name(name)
+    inspect.signature(fit_method).bind(name, None, s, None, **settings)
 
     def fit(X, rng):
-        return fit_method(name, X, s, rng, k=pam_k, kmeans_k=kmeans_k,
-                          mc_samples=mc_samples,
-                          components_range=components_range,
-                          n_restarts=n_restarts)
+        return fit_method(name, X, s, rng, **settings)
     return Method(name, fit, lambda model, Z: model.predict(Z))
 
 
@@ -206,9 +203,9 @@ def evaluate_method(method: Method, train: DataMatrix, test: DataMatrix,
                           error=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     sens, spec = confusion_metrics(result.accept, is_target)
-    roc = roc_curve(result.typicality(), is_target) if with_roc else None
-    return EvalReport(method.name, sens, spec, roc.auc if roc else None,
-                      elapsed, scenario, replication, roc=roc)
+    auc = roc_curve(result.typicality(), is_target).auc if with_roc else None
+    return EvalReport(method.name, sens, spec, auc, elapsed, scenario,
+                      replication)
 
 
 def run_benchmark(methods, spec: ScenarioSpec, replications: int,

@@ -97,6 +97,8 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     target data (smaller = tighter around the median). b2 = 1 degenerates to
     pure random projection. Deterministic given the stream.
     """
+    if b1 < 1:
+        raise ValueError("b1 must be at least 1")
     if b1 % 2 == 0:
         raise ValueError("b1 must be odd so majority votes cannot tie")
     if b2 < 1:
@@ -120,16 +122,11 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
 
 @dataclass
 class ProjectionEnsemble:
-    """b1 selected projections with one fitted sub-model each; prediction is
-    a strict-majority vote over the sub-models."""
+    """Selected projections with one fitted sub-model each; prediction is a
+    strict-majority vote over the sub-models."""
 
     projections: list[np.ndarray]
     sub_models: list[ToccModel]
-    d: int
-    b1: int
-    b2: int
-    rng: RngStream
-    variant: str = "df"
 
     def predict(self, Z) -> PredictionResult:
         return predict_ensemble(self, Z)
@@ -149,7 +146,7 @@ def fit_rp_ensemble(X_target, d: int, b1: int, b2: int, s: float,
     subs = [fit_method(names[variant], vals @ proj, s, rng.child(b + 1),
                        **fit_kwargs)
             for b, proj in enumerate(projections)]
-    return ProjectionEnsemble(projections, subs, d, b1, b2, rng, variant)
+    return ProjectionEnsemble(projections, subs)
 
 
 def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
@@ -173,13 +170,10 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
 @dataclass
 class VipRanking:
     """Per-feature importance (median CI across projections) with the
-    descending ranking; kappa/selected are filled by the correlation-aware
-    selection step."""
+    descending ranking."""
 
     vip: np.ndarray
     ranking: np.ndarray
-    kappa: float | None = None
-    selected: list[int] | None = None
 
 
 def compute_vip(projections, feature_sds) -> VipRanking:
@@ -221,6 +215,8 @@ def kappa_vip_select(ranking: VipRanking, corr: np.ndarray, kappa: float,
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must lie in (0, 1]")
+    if n_keep < 1:
+        raise ValueError("n_keep must be at least 1")
     corr = np.asarray(corr, dtype=float)
     selected: list[int] = []
     for idx in ranking.ranking:

@@ -23,17 +23,18 @@ from importlib import resources
 
 import numpy as np
 
-from .evaluation import (TOCC_METHODS, TOCC_VARIANTS, RocCurve,
-                         confusion_metrics, fit_method, roc_curve)
+from .evaluation import (TOCC_METHODS, TOCC_VARIANTS, confusion_metrics,
+                         fit_method, roc_curve)
 from .featsel import (compute_vip, fit_rp_ensemble, kappa_vip_select,
                       pca_reduce, rp_select)
-from .io_utils import ingest_csv
-from .numcore import DataMatrix, RngStream, correlation_matrix
+from .io_utils import IngestError, ingest_csv
+from .numcore import (NONTARGET_LABEL, TARGET_LABEL, DataMatrix, RngStream,
+                      correlation_matrix)
 
 GLASS_FEATURES = ("RI", "Na", "Mg", "Al", "Si", "K", "Ca", "Ba", "Fe")
-WINDOW_FLOAT_TYPES = ("1", "3")
-WINDOW_ALL_TYPES = ("1", "2", "3")
-NONWINDOW_TYPES = ("5", "6", "7")
+# subset -> (target type codes, type codes kept; None keeps every row)
+SUBSETS = {"float-windows": ((1, 3), (1, 3, 5, 6, 7)),
+           "all-windows": ((1, 2, 3), None)}
 
 FRONTENDS = ("pca2", "rp2", "kvip2")
 
@@ -47,29 +48,23 @@ def load_glass(path: str | None = None, subset: str = "float-windows") -> DataMa
 
     subset "float-windows" (default) keeps types {1,3} as targets and drops
     the non-float building windows, giving the 138-fragment study set;
-    "all-windows" keeps {1,2,3} as targets (214 rows).
+    "all-windows" keeps {1,2,3} as targets (214 rows). The numeric Type
+    column is read in the same pass as the features and then dropped.
     """
-    if subset == "float-windows":
-        target_types = WINDOW_FLOAT_TYPES
-    elif subset == "all-windows":
-        target_types = WINDOW_ALL_TYPES
-    else:
+    if subset not in SUBSETS:
         raise ValueError("subset must be 'float-windows' or 'all-windows'")
-    data = ingest_csv(path or bundled_glass_path(), label_column="Type",
-                      target_labels=target_types)
-    if subset == "float-windows":
-        types = _raw_types(path)
-        keep = [t in WINDOW_FLOAT_TYPES + NONWINDOW_TYPES for t in types]
-        data = data.select_rows(np.array(keep))
-    return data
-
-
-def _raw_types(path):
-    with open(path or bundled_glass_path()) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    header = lines[0].strip().split(",")
-    idx = header.index("Type")
-    return [ln.strip().split(",")[idx] for ln in lines[1:] if ln.strip()]
+    target_types, kept_types = SUBSETS[subset]
+    path = path or bundled_glass_path()
+    table = ingest_csv(path)
+    if "Type" not in table.feature_names:
+        raise IngestError(f"{path}: missing column 'Type'")
+    types = table.select_features(["Type"]).values[:, 0]
+    rows = np.isin(types, kept_types) if kept_types else np.full(types.size, True)
+    features = [name for name in table.feature_names if name != "Type"]
+    labels = np.where(np.isin(types[rows], target_types), TARGET_LABEL,
+                      NONTARGET_LABEL)
+    return DataMatrix(table.select_features(features).values[rows], features,
+                      labels.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +79,13 @@ class CellResult:
     sensitivity: float
     specificity: float
     seconds: float
-    roc: RocCurve | None = None
 
 
 @dataclass
 class GlassReproResult:
     cells: dict = field(default_factory=dict)
     vip_selected: list[str] = field(default_factory=list)
-    vip_values: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     def cell(self, variant: str, frontend: str) -> CellResult:
         return self.cells[(variant, frontend)]
@@ -103,8 +95,7 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
                     d: int = 2, b1: int = 101, b2: int = 50,
                     mc_samples: int = 100_000, seed: int = 7,
                     data_path: str | None = None, subset: str = "float-windows",
-                    frontends=FRONTENDS, variants=TOCC_METHODS,
-                    with_roc: bool = False) -> GlassReproResult:
+                    frontends=FRONTENDS, variants=TOCC_METHODS) -> GlassReproResult:
     """Evaluate each TOCC variant under each front-end on the glass study.
 
     Front-ends are fitted on the target class only; the grid reports AUC,
@@ -117,9 +108,7 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
     train = data.select_rows(is_target)
     rng = RngStream(seed)
 
-    result = GlassReproResult(config={
-        "kappa": kappa, "pam_k": pam_k, "s": s, "d": d, "b1": b1, "b2": b2,
-        "mc_samples": mc_samples, "seed": seed, "subset": subset})
+    result = GlassReproResult()
 
     views = {}
     if "pca2" in frontends:
@@ -133,8 +122,6 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
         selected = kappa_vip_select(ranking, corr, kappa, n_keep=d)
         names = [train.feature_names[j] for j in selected]
         result.vip_selected = names
-        result.vip_values = {train.feature_names[j]: float(ranking.vip[j])
-                             for j in ranking.ranking}
         views["kvip2"] = (train.select_features(selected),
                           data.select_features(selected))
         result.notes.append(f"kappa-VIP (kappa={kappa}) selected: {', '.join(names)}")
@@ -167,8 +154,7 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
                         f"blocked k={pam_k})")
             seconds = time.perf_counter() - start
             sens, spec = confusion_metrics(pred.accept, is_target)
-            roc = roc_curve(pred.typicality(), is_target)
+            auc = roc_curve(pred.typicality(), is_target).auc
             result.cells[(variant, frontend)] = CellResult(
-                variant, frontend, roc.auc, sens, spec, seconds,
-                roc=roc if with_roc else None)
+                variant, frontend, auc, sens, spec, seconds)
     return result

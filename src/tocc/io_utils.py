@@ -302,9 +302,9 @@ def _svg_meta(command, config):
     return f"<!-- {body} -->"
 
 
-def write_roc_svg(path, curves, width=480, height=480, command="roc",
-                  config=None) -> None:
+def write_roc_svg(path, curves, config=None) -> None:
     """Plot (label, RocCurve) pairs as polylines in the unit square."""
+    width = height = 480
     pad = 50.0
     w, h = width - 2 * pad, height - 2 * pad
 
@@ -316,7 +316,7 @@ def write_roc_svg(path, curves, width=480, height=480, command="roc",
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" font-family="sans-serif" font-size="12">',
-             _svg_meta(command, config),
+             _svg_meta("roc", config),
              f'<rect x="{pad}" y="{pad}" width="{w}" height="{h}" fill="none" '
              f'stroke="black"/>',
              f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
@@ -338,10 +338,10 @@ def write_roc_svg(path, curves, width=480, height=480, command="roc",
         fh.write("\n".join(parts) + "\n")
 
 
-def write_boxplot_svg(path, groups: dict, width=640, height=420,
-                      ylabel: str = "specificity", command="bench",
-                      config=None) -> None:
-    """Median/quartile/whisker boxes, one per named group of values."""
+def write_boxplot_svg(path, groups: dict, config=None) -> None:
+    """Specificity boxes (median, quartiles, whiskers), one per named group
+    of values."""
+    width, height = 640, 420
     pad = 55.0
     names = list(groups.keys())
     w, h = width - 2 * pad, height - 2 * pad
@@ -355,11 +355,11 @@ def write_boxplot_svg(path, groups: dict, width=640, height=420,
     slot = w / max(len(names), 1)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" font-family="sans-serif" font-size="12">',
-             _svg_meta(command, config),
+             _svg_meta("bench", config),
              f'<rect x="{pad}" y="{pad}" width="{w}" height="{h}" fill="none" '
              f'stroke="black"/>',
              f'<text x="14" y="{height / 2}" text-anchor="middle" '
-             f'transform="rotate(-90 14 {height / 2})">{ylabel}</text>']
+             f'transform="rotate(-90 14 {height / 2})">specificity</text>']
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(f'<line x1="{pad - 4}" y1="{sy(tick):.2f}" x2="{pad}" '
                      f'y2="{sy(tick):.2f}" stroke="black"/>')

@@ -182,12 +182,6 @@ def empirical_quantile(xs, q: float) -> float:
     return float(np.partition(arr, k - 1)[k - 1])
 
 
-def coordinatewise_median(X) -> np.ndarray:
-    """Per-column sample median; even n uses the midpoint convention."""
-    vals = as_values(X)
-    return np.median(vals, axis=0)
-
-
 def spatial_median(X, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
     """Spatial median (mediancentre): minimizer of the summed Euclidean
     distances, found by modified Weiszfeld iteration.
@@ -205,7 +199,7 @@ def spatial_median(X, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
     if n == 1:
         return vals[0].copy()
 
-    y = coordinatewise_median(vals)
+    y = np.median(vals, axis=0)
     for _ in range(max_iter):
         diff = vals - y
         dist = np.linalg.norm(diff, axis=1)

@@ -10,8 +10,9 @@ marginals and correlation 0.35.
   e-h  the same four target shapes, but non-targets are uniform in a box
        centered at the target medians, reaching box_scale * IQR from the
        center in each dimension.
-  i    banana-shaped arcs: noisy points on a circle segment, the non-target
-       arc narrower and offset.
+  i    banana-shaped arcs: noisy points (sd 0.8) on a radius-5 circle
+       segment 0.9 pi wide; the non-target arc is 0.6 pi wide and its
+       center sits one unit lower.
 
 Generation is a pure function of the spec (including its stream): the same
 spec reproduces the same samples bit for bit.
@@ -37,8 +38,7 @@ class ScenarioSpec:
     """Parameters of one synthetic setting.
 
     n_nontarget defaults to half the target size. lam is the non-centrality
-    shift for scenarios a-d; box_scale sizes the uniform box for e-h; the
-    banana_* fields shape scenario i.
+    shift for scenarios a-d; box_scale sizes the uniform box for e-h.
     """
 
     id: str
@@ -47,11 +47,6 @@ class ScenarioSpec:
     n_nontarget: int | None = None
     lam: float = 1.0
     box_scale: float = 3.0
-    banana_radius: float = 5.0
-    banana_sigma: float = 0.8
-    banana_target_width: float = 0.9 * math.pi
-    banana_nontarget_width: float = 0.6 * math.pi
-    banana_offset: tuple[float, float] = (0.0, -1.0)
 
     def __post_init__(self):
         if self.id not in SCENARIOS:
@@ -113,10 +108,8 @@ def generate(spec: ScenarioSpec) -> SamplePair:
     n_t, n_nt = spec.n_target, spec.nontarget_size
 
     if spec.id == "i":
-        target = _banana(gen, n_t, spec.banana_radius, spec.banana_sigma,
-                         spec.banana_target_width, (0.0, 0.0))
-        nontarget = _banana(gen, n_nt, spec.banana_radius, spec.banana_sigma,
-                            spec.banana_nontarget_width, spec.banana_offset)
+        target = _banana(gen, n_t, 0.9 * math.pi, (0.0, 0.0))
+        nontarget = _banana(gen, n_nt, 0.6 * math.pi, (0.0, -1.0))
     else:
         transform = _TRANSFORMS[spec.id]
         target = _draw_transformed(gen, n_t, np.zeros(2), transform)
@@ -139,8 +132,8 @@ def generate(spec: ScenarioSpec) -> SamplePair:
         DataMatrix(nontarget, names, [NONTARGET_LABEL] * n_nt))
 
 
-def _banana(gen, n, radius, sigma, width, center):
+def _banana(gen, n, width, center):
     angles = gen.uniform(-width / 2.0, width / 2.0, size=n)
-    points = radius * np.column_stack([np.sin(angles), np.cos(angles)])
+    points = 5.0 * np.column_stack([np.sin(angles), np.cos(angles)])
     points += np.asarray(center, dtype=float)
-    return points + gen.normal(0.0, sigma, size=(n, 2))
+    return points + gen.normal(0.0, 0.8, size=(n, 2))

@@ -9,12 +9,11 @@ Four forms are provided: univariate counting, univariate from a CDF,
 multivariate counting (the maximum is re-estimated on shifted data because a
 spatial median does not split all orthants evenly), and a density-based
 multivariate version that integrates a fitted density over orthant-directed
-boxes. An independence shortcut multiplies per-coordinate scores.
+boxes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,13 +219,3 @@ def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) ->
     return TpScore(float(value[0]), float(num[0]), float(den[0]),
                    np.flatnonzero(np.abs(c - m) <= eps).tolist(),
                    degenerate=bool(den[0] < _DEGENERATE))
-
-
-def independent_product_tp(per_coord_scores) -> TpScore:
-    """Under coordinate independence, multivariate tp is the product of the
-    univariate marginal scores."""
-    scores = list(per_coord_scores)
-    if not scores:
-        raise ValueError("independent_product_tp: empty score list")
-    value = math.prod(s.value for s in scores)
-    return TpScore(_clamp01(value), value, 1.0)

@@ -25,6 +25,15 @@ class TestMixtureDensity:
         with pytest.raises(ValueError):
             MixtureDensity([0.5, 0.6], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
+    @pytest.mark.parametrize("means, covs", [
+        ([0.0, 1.0], [[[1.0]], [[1.0]]]),       # 1-D means
+        ([[0.0], [1.0]], [[1.0], [1.0]]),       # 2-D covariances
+        ([[0.0, 0.0], [1.0, 1.0]], [np.eye(2)]),  # one covariance for two
+    ], ids=["flat-means", "flat-covariances", "too-few-covariances"])
+    def test_shape_validation(self, means, covs):
+        with pytest.raises(ValueError, match="k x p means"):
+            MixtureDensity([0.5, 0.5], means, covs)
+
     def test_marginal(self):
         cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
         f = MixtureDensity([1.0], [[1.0, 2.0, 3.0]], [cov])

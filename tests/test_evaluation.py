@@ -139,3 +139,7 @@ class TestEvaluateMethod:
     def test_unknown_method_name(self):
         with pytest.raises(ValueError):
             make_method("svdd", 0.9)
+
+    def test_unknown_setting(self):
+        with pytest.raises(TypeError):
+            make_method("pam-tocc-df", 0.9, pam_k=4)

@@ -56,9 +56,11 @@ class TestRpSelect:
             assert np.allclose(proj.T @ proj, np.eye(2), atol=1e-9)
 
     def test_even_b1_rejected(self):
+        # Even sizes could tie a vote; b1 < 1 would leave an empty ensemble.
         X = np.random.default_rng(8).normal(size=(30, 4))
-        with pytest.raises(ValueError):
-            rp_select(X, 2, 10, 3, RngStream(9))
+        for b1 in (10, 0, -1):
+            with pytest.raises(ValueError):
+                rp_select(X, 2, b1, 3, RngStream(9))
 
     def test_selection_prefers_low_variance_axis(self):
         gen = np.random.default_rng(10)
@@ -95,8 +97,7 @@ class TestEnsembleVoting:
     def _ensemble(thresholds):
         models = [_stub_model(t) for t in thresholds]
         eye = np.eye(1)
-        return ProjectionEnsemble([eye] * len(models), models, 1,
-                                  len(models), 1, RngStream(0))
+        return ProjectionEnsemble([eye] * len(models), models)
 
     def test_unanimous_accept(self):
         ens = self._ensemble([0.0, 0.0, 0.0])
@@ -210,6 +211,11 @@ class TestKappaVipSelect:
             chosen = kappa_vip_select(ranking, corr, 0.6, 4)
             positions = [list(ranking.ranking).index(j) for j in chosen]
             assert positions == sorted(positions)
+
+    def test_n_keep_below_one_rejected(self):
+        ranking = self._ranking([0.9, 0.8, 0.7])
+        with pytest.raises(ValueError):
+            kappa_vip_select(ranking, np.eye(3), 0.5, 0)
 
     def test_warns_when_short(self):
         ranking = self._ranking([0.9, 0.8, 0.7])

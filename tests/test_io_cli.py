@@ -90,6 +90,22 @@ class TestGlassLoader:
         with pytest.raises(ValueError):
             load_glass(subset="everything")
 
+    @pytest.mark.parametrize("sep, header", [(", ", "Type"), (",", '"Type"')],
+                             ids=["spaced", "quoted-header"])
+    def test_reformatted_copy_loads_like_bundled(self, tmp_path, sep, header):
+        # Spaces after the commas and a quoted header are valid CSV; the
+        # study subset must still drop the type-2 windows.
+        with open(tocc.glass.bundled_glass_path()) as fh:
+            lines = fh.read().splitlines()
+        lines[0] = lines[0].replace("Type", header)
+        path = write(tmp_path / "copy.csv",
+                     "\n".join(ln.replace(",", sep) for ln in lines) + "\n")
+        for subset in ("float-windows", "all-windows"):
+            copy, bundled = load_glass(path, subset), load_glass(subset=subset)
+            assert copy.feature_names == bundled.feature_names
+            assert copy.row_labels == bundled.row_labels
+            assert np.array_equal(copy.values, bundled.values)
+
 
 class TestGlassRepro:
     def test_rp2_forwards_mc_samples(self, monkeypatch):

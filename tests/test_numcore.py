@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tocc import (ConvergenceError, DataMatrix, RngStream,
-                  coordinatewise_median, correlation_matrix,
+from tocc import (ConvergenceError, DataMatrix, RngStream, correlation_matrix,
                   empirical_quantile, load_glass, pca, spatial_median)
 from tocc.numcore import distance_sum
 
@@ -33,18 +32,6 @@ class TestEmpiricalQuantile:
             assert all(v in xs for v in vals)
 
 
-class TestCoordinatewiseMedian:
-    def test_odd(self):
-        assert coordinatewise_median(np.array([[1.0], [2.0], [3.0]]))[0] == 2
-
-    def test_even_midpoint(self):
-        assert coordinatewise_median(np.array([[1.0], [2.0], [3.0], [4.0]]))[0] == 2.5
-
-    def test_two_columns(self):
-        X = np.array([[0.0, 10.0], [2.0, 20.0], [4.0, 30.0]])
-        assert np.allclose(coordinatewise_median(X), [2, 20])
-
-
 class TestSpatialMedian:
     def test_symmetric_cross(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -64,7 +51,7 @@ class TestSpatialMedian:
         for _ in range(20):
             X = gen.normal(size=(gen.integers(3, 30), gen.integers(1, 4)))
             sm = spatial_median(X)
-            cm = coordinatewise_median(X)
+            cm = np.median(X, axis=0)
             assert distance_sum(X, sm) <= distance_sum(X, cm) + 1e-9
 
     def test_nonconvergence_carries_iterate(self):
