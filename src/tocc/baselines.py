@@ -15,7 +15,8 @@ same empirical_quantile path so sensitivity stays comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,28 @@ from .density import MixtureDensity, fit_gmm, kmeans_lloyd
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
                       require_finite_rows)
 
-KINDS = ("gauss", "mix_gauss", "kde", "kmeans")
+
+class _Kind(NamedTuple):
+    # Fitted field -> its array shape, "p" marking the model width (None for
+    # the mixture, whose width is its own p); then the score's orientation.
+    fields: dict
+    higher_is_typical: bool
+
+    @property
+    def score_direction(self) -> str:
+        return "higher_is_typical" if self.higher_is_typical else "lower_is_typical"
+
+
+KINDS = {"gauss": _Kind({"mean": ("p",), "cov_inv": ("p", "p")}, False),
+         "mix_gauss": _Kind({"density": None}, True),
+         "kde": _Kind({"bandwidths": ("p",), "train": ("n", "p")}, True),
+         "kmeans": _Kind({"centroids": ("k", "p")}, False)}
+
+
+def _check_kind(kind: str) -> _Kind:
+    if kind not in KINDS:
+        raise ValueError(f"unknown baseline kind '{kind}' (choose from {tuple(KINDS)})")
+    return KINDS[kind]
 
 
 @dataclass
@@ -32,7 +54,8 @@ class BaselineModel:
     """A calibrated reference classifier.
 
     kind picks the scoring rule; score_direction says which side of the
-    threshold is typical. Only the fields the kind needs are populated.
+    threshold is typical. Only the fields the kind needs are populated, and
+    construction checks them against the kind's entry in KINDS.
     """
 
     kind: str
@@ -46,6 +69,36 @@ class BaselineModel:
     train: np.ndarray | None = None
     centroids: np.ndarray | None = None
     feature_names: list[str] | None = None
+    p: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spec = _check_kind(self.kind)
+        if self.score_direction != spec.score_direction:
+            raise ValueError(f"{self.kind} scores are {spec.score_direction}, "
+                             f"not '{self.score_direction}'")
+        # A missing (None) threshold or sensitivity reads as nan here.
+        if not np.isfinite(np.asarray(self.threshold, dtype=float)):
+            raise ValueError(f"threshold={self.threshold!r} must be a finite number")
+        if not 0.0 < np.asarray(self.sensitivity, dtype=float) < 1.0:
+            raise ValueError("sensitivity s must lie strictly inside (0, 1)")
+        widths = set()
+        for name, shape in spec.fields.items():
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.kind} model lacks its {name}")
+            if shape is None:
+                widths.add(value.p)
+                continue
+            value = np.asarray(value, dtype=float)
+            if value.ndim != len(shape) or not np.all(np.isfinite(value)):
+                raise ValueError(f"{self.kind} {name} must be a finite "
+                                 f"{len(shape)}-D array")
+            setattr(self, name, value)
+            widths.update(n for n, dim in zip(value.shape, shape) if dim == "p")
+        if len(widths) != 1:
+            raise ValueError(f"{self.kind} fields disagree on the width "
+                             f"({sorted(widths)})")
+        self.p = widths.pop()
 
     def scores(self, Z) -> np.ndarray:
         vals = as_values(Z)
@@ -56,10 +109,8 @@ class BaselineModel:
             return self.density.pdf(vals)
         if self.kind == "kde":
             return _product_kde(self.train, self.bandwidths, vals)
-        if self.kind == "kmeans":
-            d = np.linalg.norm(vals[:, None, :] - self.centroids[None, :, :], axis=2)
-            return d.min(axis=1)
-        raise ValueError(f"unknown baseline kind '{self.kind}'")
+        d = np.linalg.norm(vals[:, None, :] - self.centroids[None, :, :], axis=2)
+        return d.min(axis=1)
 
     def predict(self, Z) -> PredictionResult:
         return predict_baseline(self, Z)
@@ -95,10 +146,9 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     Silverman's-rule diagonal bandwidth. kmeans scores distance to the
     nearest of k=5 centroids (Lloyd, seeded by rng).
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown baseline kind '{kind}' (choose from {KINDS})")
-    if not 0.0 < s < 1.0:
-        raise ValueError("sensitivity s must lie strictly inside (0, 1)")
+    spec = _check_kind(kind)
+    if rng is None and kind in ("mix_gauss", "kmeans"):
+        raise ValueError(f"{kind} requires an RngStream")
     vals = as_values(X_target)
     require_finite_rows(vals, "fit_baseline", "training")
     names = list(X_target.feature_names) if hasattr(X_target, "feature_names") else None
@@ -113,40 +163,27 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 "gauss: singular covariance; rerun with regularize > 0") from exc
-        model = BaselineModel(kind, 0.0, "lower_is_typical", s,
-                              mean=mean, cov_inv=cov_inv, feature_names=names)
+        fitted = dict(mean=mean, cov_inv=cov_inv)
     elif kind == "mix_gauss":
-        if rng is None:
-            raise ValueError("mix_gauss requires an RngStream")
-        density = fit_gmm(vals, components_range, rng)
-        model = BaselineModel(kind, 0.0, "higher_is_typical", s,
-                              density=density, feature_names=names)
+        fitted = dict(density=fit_gmm(vals, components_range, rng))
     elif kind == "kde":
-        model = BaselineModel(kind, 0.0, "higher_is_typical", s,
-                              bandwidths=_silverman_bandwidths(vals),
-                              train=vals.copy(), feature_names=names)
+        fitted = dict(bandwidths=_silverman_bandwidths(vals), train=vals.copy())
     else:  # kmeans
-        if rng is None:
-            raise ValueError("kmeans requires an RngStream")
         centroids, _ = kmeans_lloyd(vals, min(k, vals.shape[0]), rng.generator())
-        model = BaselineModel(kind, 0.0, "lower_is_typical", s,
-                              centroids=centroids, feature_names=names)
+        fitted = dict(centroids=centroids)
 
-    train_scores = model.scores(vals)
-    level = s if model.score_direction == "lower_is_typical" else 1.0 - s
-    model.threshold = empirical_quantile(train_scores, level)
+    model = BaselineModel(kind, 0.0, spec.score_direction, s,
+                          feature_names=names, **fitted)
+    level = 1.0 - s if spec.higher_is_typical else s
+    model.threshold = empirical_quantile(model.scores(vals), level)
     return model
 
 
 def predict_baseline(model: BaselineModel, Z) -> PredictionResult:
     """Accept rows scoring on the typical side of the threshold (inclusive).
     Z must be finite and as wide as the model."""
-    fitted = [a for a in (model.mean, model.train, model.centroids) if a is not None]
-    p = fitted[0].shape[-1] if fitted else model.density.p
-    vals = as_queries(Z, p, "predict_baseline")
+    vals = as_queries(Z, model.p, "predict_baseline")
     scores = model.scores(vals)
-    if model.score_direction == "lower_is_typical":
-        accept = scores <= model.threshold
-        return PredictionResult(accept, scores, None, higher_is_typical=False)
-    accept = scores >= model.threshold
-    return PredictionResult(accept, scores, None, higher_is_typical=True)
+    higher = KINDS[model.kind].higher_is_typical
+    accept = scores >= model.threshold if higher else scores <= model.threshold
+    return PredictionResult(accept, scores, None, higher_is_typical=higher)

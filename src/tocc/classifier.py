@@ -79,6 +79,8 @@ class ToccModel:
             raise ValueError(f"eps={self.eps} must be finite and >= 0")
         if self.variant == "db" and getattr(self.density, "p", None) != self.p:
             raise ValueError(f"db variant requires a fitted density of width {self.p}")
+        if self.variant == "db" and self.integrator is None:
+            raise ValueError("db variant requires an integrator")
         if self.variant != "db" and (
                 self.groups is None or len(self.groups) != k
                 or any(np.ndim(g) != 2 or np.shape(g)[1] != self.p

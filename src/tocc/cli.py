@@ -18,7 +18,7 @@ from . import __version__
 from .evaluation import (ALL_METHODS, TOCC_METHODS, fit_method, make_method,
                          roc_curve, run_benchmark)
 from .featsel import compute_vip, kappa_vip_select, pca_reduce, rp_select
-from .glass import FRONTENDS, load_glass, run_glass_repro
+from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
 from .io_utils import (IngestError, ingest_csv, load_model, save_model,
                        write_boxplot_svg, write_csv, write_json_report,
                        write_roc_svg)
@@ -293,11 +293,17 @@ def _write_repro_report(path, result, config):
     lines.append("Configuration: " + ", ".join(f"{k}={v}" for k, v in
                                                sorted(config.items())))
     lines.append("")
-    lines.append("- Target class: float-process window fragments (types 1 and 3"
-                 " of the bundled table, 87 rows); non-target: containers,"
-                 " tableware and headlamps (types 5-7, 51 rows). Non-float"
-                 " building windows (type 2) are excluded from this study"
-                 " subset.")
+    float_only = config["glass_subset"] == "float-windows"
+    types = SUBSETS[config["glass_subset"]][0]
+    codes = ", ".join(map(str, types[:-1])) + f" and {types[-1]}"
+    line = (f"- Target class: {'float-process ' if float_only else ''}window"
+            f" fragments (types {codes} of the bundled table, {result.n_target}"
+            " rows); non-target: containers, tableware and headlamps (types"
+            f" 5-7, {result.n_nontarget} rows).")
+    if float_only:
+        line += (" Non-float building windows (type 2) are excluded from this"
+                 " study subset.")
+    lines.append(line)
     lines.append("- Features are the raw refractive index and element"
                  " concentrations. No oxygen column exists in the public"
                  " table, so no per-row oxygen renormalization is applied;"

@@ -63,15 +63,14 @@ def roc_curve(scores, is_target) -> RocCurve:
         raise ValueError("roc_curve: scores must be finite")
 
     cuts = np.unique(s)[::-1]
-    n_t, n_nt = tgt.sum(), (~tgt).sum()
-    fpr = [0.0]
-    tpr = [0.0]
-    ths = [np.inf]
-    for c in cuts:
-        tpr.append(float((s[tgt] >= c).sum() / n_t))
-        fpr.append(float((s[~tgt] >= c).sum() / n_nt))
-        ths.append(float(c))
-    fpr, tpr, ths = np.array(fpr), np.array(tpr), np.array(ths)
+
+    def rate_at_or_above(class_scores):
+        ranked = np.sort(class_scores)
+        at_or_above = ranked.size - np.searchsorted(ranked, cuts, side="left")
+        return np.concatenate(([0.0], at_or_above / ranked.size))
+
+    tpr, fpr = rate_at_or_above(s[tgt]), rate_at_or_above(s[~tgt])
+    ths = np.concatenate(([np.inf], cuts))
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
     return RocCurve(fpr, tpr, ths, auc)
 

@@ -84,6 +84,8 @@ class CellResult:
 @dataclass
 class GlassReproResult:
     cells: dict = field(default_factory=dict)
+    n_target: int = 0
+    n_nontarget: int = 0
     vip_selected: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -108,7 +110,8 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
     train = data.select_rows(is_target)
     rng = RngStream(seed)
 
-    result = GlassReproResult()
+    result = GlassReproResult(n_target=int(is_target.sum()),
+                              n_nontarget=int((~is_target).sum()))
 
     views = {}
     if "pca2" in frontends:

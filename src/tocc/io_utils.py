@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -128,66 +128,67 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def _density_to_dict(d: MixtureDensity | None):
-    if d is None:
-        return None
-    return {"weights": _arr(d.weights), "means": _arr(d.means),
-            "covariances": _arr(d.covariances)}
+class _Codec(NamedTuple):
+    """How one kind of field value goes to JSON and back. A None value is
+    written as null, or left out of the file when optional."""
+
+    dump: Callable
+    load: Callable
+    optional: bool = False
 
 
-def _density_from_dict(obj):
-    if obj is None:
-        return None
-    return MixtureDensity(np.array(obj["weights"]), np.array(obj["means"]),
-                          np.array(obj["covariances"]))
+_PLAIN = _Codec(lambda v: v, lambda v: v)
+_FLOATS = _Codec(_arr, np.array)
+# An empty list is written as null.
+_ARRAYS = _Codec(lambda v: [_arr(g) for g in v] or None,
+                 lambda v: [np.array(g) for g in v] or None)
+_MIXTURE = _Codec(
+    lambda d: {"weights": _arr(d.weights), "means": _arr(d.means),
+               "covariances": _arr(d.covariances)},
+    lambda o: MixtureDensity(o["weights"], o["means"], o["covariances"]))
+_INTEGRATOR = _Codec(
+    lambda i: {"method": i.method, "mc_samples": i.mc_samples,
+               "seed": i.rng.seed, "stream_id": i.rng.stream_id},
+    lambda o: OrthantIntegrator(o["method"], o["mc_samples"],
+                                RngStream(o["seed"], o["stream_id"])))
+_PAM = _Codec(
+    lambda r: {"medoids": list(r.medoids),
+               "assignment": [int(a) for a in r.assignment],
+               "total_cost": r.total_cost},
+    lambda o: PamResult(list(o["medoids"]), np.array(o["assignment"], dtype=int),
+                        o["total_cost"]),
+    optional=True)
 
-
-def _integrator_to_dict(integ: OrthantIntegrator | None):
-    if integ is None:
-        return None
-    return {"method": integ.method, "mc_samples": integ.mc_samples,
-            "seed": integ.rng.seed, "stream_id": integ.rng.stream_id}
-
-
-def _integrator_from_dict(obj):
-    if obj is None:
-        return None
-    return OrthantIntegrator(obj["method"], obj["mc_samples"],
-                             RngStream(obj["seed"], obj["stream_id"]))
+# Model tag -> (class, its persisted fields in file order). Loading builds
+# cls(**fields), so every file passes the class's own consistency checks.
+_MODELS = {
+    "tocc": (ToccModel, (
+        ("variant", _PLAIN), ("sensitivity", _FLOATS), ("eps", _PLAIN),
+        ("prototypes", _FLOATS), ("thresholds", _FLOATS),
+        ("feature_names", _PLAIN), ("groups", _ARRAYS), ("density", _MIXTURE),
+        ("integrator", _INTEGRATOR), ("pam", _PAM))),
+    "baseline": (BaselineModel, (
+        ("kind", _PLAIN), ("sensitivity", _PLAIN), ("threshold", _PLAIN),
+        ("score_direction", _PLAIN), ("feature_names", _PLAIN),
+        ("mean", _FLOATS), ("cov_inv", _FLOATS), ("bandwidths", _FLOATS),
+        ("train", _FLOATS), ("centroids", _FLOATS), ("density", _MIXTURE))),
+}
+_TAGS = {cls: tag for tag, (cls, _) in _MODELS.items()}
 
 
 def save_model(model, path, config: dict | None = None) -> None:
     """Write a fitted TOCC or baseline model as schema-versioned JSON."""
-    doc = {"schema_version": SCHEMA_VERSION, "library_version": __version__,
-           "config": config or {}}
-    if isinstance(model, ToccModel):
-        doc["model"] = "tocc"
-        doc["variant"] = model.variant
-        doc["sensitivity"] = _arr(model.sensitivity)
-        doc["eps"] = model.eps
-        doc["prototypes"] = _arr(model.prototypes)
-        doc["thresholds"] = _arr(model.thresholds)
-        doc["feature_names"] = model.feature_names
-        doc["groups"] = [_arr(g) for g in model.groups] if model.groups else None
-        doc["density"] = _density_to_dict(model.density)
-        doc["integrator"] = _integrator_to_dict(model.integrator)
-        if model.pam is not None:
-            doc["pam"] = {"medoids": list(model.pam.medoids),
-                          "assignment": [int(a) for a in model.pam.assignment],
-                          "total_cost": model.pam.total_cost}
-    elif isinstance(model, BaselineModel):
-        doc["model"] = "baseline"
-        doc["kind"] = model.kind
-        doc["sensitivity"] = model.sensitivity
-        doc["threshold"] = model.threshold
-        doc["score_direction"] = model.score_direction
-        doc["feature_names"] = model.feature_names
-        for name in ("mean", "cov_inv", "bandwidths", "train", "centroids"):
-            val = getattr(model, name)
-            doc[name] = _arr(val) if val is not None else None
-        doc["density"] = _density_to_dict(model.density)
-    else:
+    if type(model) not in _TAGS:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    tag = _TAGS[type(model)]
+    doc = {"schema_version": SCHEMA_VERSION, "library_version": __version__,
+           "config": config or {}, "model": tag}
+    for name, codec in _MODELS[tag][1]:
+        value = getattr(model, name)
+        if value is not None:
+            doc[name] = codec.dump(value)
+        elif not codec.optional:
+            doc[name] = None
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -203,40 +204,16 @@ def load_model(path):
         raise ValueError(f"{path}: unsupported schema version "
                          f"{doc.get('schema_version')}")
     try:
-        return _model_from_doc(doc, path)
+        if doc["model"] not in _MODELS:
+            raise ValueError(f"{path}: unknown model type '{doc['model']}'")
+        cls, fields = _MODELS[doc["model"]]
+        kwargs = {}
+        for name, codec in fields:
+            value = doc.get(name) if codec.optional else doc[name]
+            kwargs[name] = None if value is None else codec.load(value)
+        return cls(**kwargs)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks the key {exc}") from None
-
-
-def _model_from_doc(doc, path):
-    if doc["model"] == "tocc":
-        pam = None
-        if doc.get("pam"):
-            pam = PamResult(list(doc["pam"]["medoids"]),
-                            np.array(doc["pam"]["assignment"], dtype=int),
-                            doc["pam"]["total_cost"])
-        return ToccModel(
-            variant=doc["variant"],
-            prototypes=np.array(doc["prototypes"]),
-            thresholds=np.array(doc["thresholds"]),
-            sensitivity=np.array(doc["sensitivity"]),
-            eps=doc["eps"],
-            groups=[np.array(g) for g in doc["groups"]] if doc["groups"] else None,
-            density=_density_from_dict(doc["density"]),
-            integrator=_integrator_from_dict(doc["integrator"]),
-            feature_names=doc["feature_names"],
-            pam=pam)
-    if doc["model"] == "baseline":
-        def arr(key):
-            return np.array(doc[key]) if doc.get(key) is not None else None
-        return BaselineModel(
-            kind=doc["kind"], threshold=doc["threshold"],
-            score_direction=doc["score_direction"], sensitivity=doc["sensitivity"],
-            mean=arr("mean"), cov_inv=arr("cov_inv"),
-            density=_density_from_dict(doc.get("density")),
-            bandwidths=arr("bandwidths"), train=arr("train"),
-            centroids=arr("centroids"), feature_names=doc["feature_names"])
-    raise ValueError(f"{path}: unknown model type '{doc['model']}'")
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,33 @@
-"""Reference implementations of the transvariation scores and the EM step.
+"""Reference implementations of the transvariation scores, the EM step,
+the ROC sweep and the model-file writer and reader.
 
 A frozen copy of the straightforward one-query-at-a-time scoring code the
 library used before its batched orthant-counting kernel: sign_counts, the
 univariate counting score, the counting and density forms of the
 multivariate score, the three calibration comprehensions and the predict
-loops; and the per-component EM iteration and Gaussian log-density the
-library used before its stacked EM step. The differential tests compare the
-library against it with np.array_equal. Only tests import this module.
+loops; the per-component EM iteration and Gaussian log-density the library
+used before its stacked EM step; the per-cut-point ROC loop; and the
+hand-written model save/load the library used before its persistence table.
+The differential tests compare the library against it with np.array_equal
+or byte equality. Only tests import this module.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp, ndtr
 
-from tocc.density import (MixtureDensity, _initial_params, _regularize_spd,
-                          kmeans_lloyd)
-from tocc.numcore import as_values, empirical_quantile, spatial_median
+from tocc import __version__
+from tocc.baselines import BaselineModel
+from tocc.classifier import PamResult, ToccModel
+from tocc.density import (MixtureDensity, OrthantIntegrator, _initial_params,
+                          _regularize_spd, kmeans_lloyd)
+from tocc.evaluation import RocCurve
+from tocc.numcore import RngStream, as_values, empirical_quantile, spatial_median
 from tocc.transvariation import DROP_EPS, TpScore
 
 
@@ -320,3 +328,139 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
         return None
     final = MixtureDensity(weights.copy(), out_means, np.array(fixed))
     return final, ll - n * float(np.log(scale).sum())
+
+
+# ---------------------------------------------------------------------------
+# ROC sweep, one cut point at a time
+# ---------------------------------------------------------------------------
+
+def roc_curve(scores, is_target) -> RocCurve:
+    s = np.asarray(scores, dtype=float)
+    tgt = np.asarray(is_target, dtype=bool)
+    cuts = np.unique(s)[::-1]
+    n_t, n_nt = tgt.sum(), (~tgt).sum()
+    fpr = [0.0]
+    tpr = [0.0]
+    ths = [np.inf]
+    for c in cuts:
+        tpr.append(float((s[tgt] >= c).sum() / n_t))
+        fpr.append(float((s[~tgt] >= c).sum() / n_nt))
+        ths.append(float(c))
+    fpr, tpr, ths = np.array(fpr), np.array(tpr), np.array(ths)
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+    return RocCurve(fpr, tpr, ths, auc)
+
+
+# ---------------------------------------------------------------------------
+# Model files, each field list written out by hand
+# ---------------------------------------------------------------------------
+
+def _arr(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
+
+def _density_to_dict(d):
+    if d is None:
+        return None
+    return {"weights": _arr(d.weights), "means": _arr(d.means),
+            "covariances": _arr(d.covariances)}
+
+
+def _density_from_dict(obj):
+    if obj is None:
+        return None
+    return MixtureDensity(np.array(obj["weights"]), np.array(obj["means"]),
+                          np.array(obj["covariances"]))
+
+
+def _integrator_to_dict(integ):
+    if integ is None:
+        return None
+    return {"method": integ.method, "mc_samples": integ.mc_samples,
+            "seed": integ.rng.seed, "stream_id": integ.rng.stream_id}
+
+
+def _integrator_from_dict(obj):
+    if obj is None:
+        return None
+    return OrthantIntegrator(obj["method"], obj["mc_samples"],
+                             RngStream(obj["seed"], obj["stream_id"]))
+
+
+def save_model(model, path, config=None) -> None:
+    doc = {"schema_version": 1, "library_version": __version__,
+           "config": config or {}}
+    if isinstance(model, ToccModel):
+        doc["model"] = "tocc"
+        doc["variant"] = model.variant
+        doc["sensitivity"] = _arr(model.sensitivity)
+        doc["eps"] = model.eps
+        doc["prototypes"] = _arr(model.prototypes)
+        doc["thresholds"] = _arr(model.thresholds)
+        doc["feature_names"] = model.feature_names
+        doc["groups"] = [_arr(g) for g in model.groups] if model.groups else None
+        doc["density"] = _density_to_dict(model.density)
+        doc["integrator"] = _integrator_to_dict(model.integrator)
+        if model.pam is not None:
+            doc["pam"] = {"medoids": list(model.pam.medoids),
+                          "assignment": [int(a) for a in model.pam.assignment],
+                          "total_cost": model.pam.total_cost}
+    elif isinstance(model, BaselineModel):
+        doc["model"] = "baseline"
+        doc["kind"] = model.kind
+        doc["sensitivity"] = model.sensitivity
+        doc["threshold"] = model.threshold
+        doc["score_direction"] = model.score_direction
+        doc["feature_names"] = model.feature_names
+        for name in ("mean", "cov_inv", "bandwidths", "train", "centroids"):
+            val = getattr(model, name)
+            doc[name] = _arr(val) if val is not None else None
+        doc["density"] = _density_to_dict(model.density)
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def load_model(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("schema_version") != 1:
+        raise ValueError(f"{path}: unsupported schema version "
+                         f"{doc.get('schema_version')}")
+    try:
+        return _model_from_doc(doc, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks the key {exc}") from None
+
+
+def _model_from_doc(doc, path):
+    if doc["model"] == "tocc":
+        pam = None
+        if doc.get("pam"):
+            pam = PamResult(list(doc["pam"]["medoids"]),
+                            np.array(doc["pam"]["assignment"], dtype=int),
+                            doc["pam"]["total_cost"])
+        return ToccModel(
+            variant=doc["variant"],
+            prototypes=np.array(doc["prototypes"]),
+            thresholds=np.array(doc["thresholds"]),
+            sensitivity=np.array(doc["sensitivity"]),
+            eps=doc["eps"],
+            groups=[np.array(g) for g in doc["groups"]] if doc["groups"] else None,
+            density=_density_from_dict(doc["density"]),
+            integrator=_integrator_from_dict(doc["integrator"]),
+            feature_names=doc["feature_names"],
+            pam=pam)
+    if doc["model"] == "baseline":
+        def arr(key):
+            return np.array(doc[key]) if doc.get(key) is not None else None
+        return BaselineModel(
+            kind=doc["kind"], threshold=doc["threshold"],
+            score_direction=doc["score_direction"], sensitivity=doc["sensitivity"],
+            mean=arr("mean"), cov_inv=arr("cov_inv"),
+            density=_density_from_dict(doc.get("density")),
+            bandwidths=arr("bandwidths"), train=arr("train"),
+            centroids=arr("centroids"), feature_names=doc["feature_names"])
+    raise ValueError(f"{path}: unknown model type '{doc['model']}'")

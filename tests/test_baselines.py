@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -110,3 +112,31 @@ class TestPredictBaseline:
     def test_invalid_sensitivity(self):
         with pytest.raises(ValueError):
             fit_baseline("gauss", gaussian_sample(14), 1.0)
+
+
+class TestBaselineModelChecks:
+    def test_fitted_fields_rebuild(self):
+        X = gaussian_sample(16)
+        for kind in ("gauss", "mix_gauss", "kde", "kmeans"):
+            model = fit_baseline(kind, X, 0.9, RngStream(16), components_range=(1, 2))
+            again = replace(model)
+            assert again.p == 2
+            assert np.array_equal(predict_baseline(again, X).score,
+                                  predict_baseline(model, X).score)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"kind": "parzen"}, "unknown baseline kind"),
+        ({"score_direction": "higher_is_typical"}, "lower_is_typical"),
+        ({"threshold": np.inf}, "finite number"),
+        ({"sensitivity": 1.0}, r"inside \(0, 1\)"),
+        ({"sensitivity": None}, r"inside \(0, 1\)"),
+        ({"cov_inv": None}, "lacks its cov_inv"),
+        ({"cov_inv": np.eye(3)}, "disagree on the width"),
+        ({"mean": np.zeros((1, 2))}, "finite 1-D array"),
+        ({"mean": np.array([0.0, np.nan])}, "finite 1-D array")],
+        ids=["kind", "direction", "threshold", "sensitivity", "null-sensitivity",
+             "missing-field", "width", "shape", "nan"])
+    def test_inconsistent_gauss_rejected(self, changes, message):
+        model = fit_baseline("gauss", gaussian_sample(17), 0.9)
+        with pytest.raises(ValueError, match=message):
+            replace(model, **changes)

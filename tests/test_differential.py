@@ -1,10 +1,12 @@
-"""Differential sweeps: the batched orthant-counting kernel and the stacked
-EM step against the frozen per-query and per-component references in
-reference_impl.py, compared exactly.
+"""Differential sweeps: the batched orthant-counting kernel, the stacked
+EM step, the sorted ROC sweep and the table-driven model files against the
+frozen per-query, per-component, per-cut-point and hand-written references
+in reference_impl.py, compared exactly.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
-must not move a single score, tie or dropped coordinate, and stacking the EM
-step must not move a single mixture parameter or log-likelihood.
+must not move a single score, tie or dropped coordinate, stacking the EM
+step must not move a single mixture parameter or log-likelihood, and a
+model file must keep every byte.
 """
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 import reference_impl as ref
-from tocc import (MixtureDensity, OrthantIntegrator, RngStream,
+from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
                   fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, load_glass,
-                  multivariate_tp, multivariate_tp_density, predict,
-                  univariate_tp)
+                  load_model, multivariate_tp, multivariate_tp_density,
+                  predict, roc_curve, save_model, univariate_tp)
 from tocc import density, transvariation
+from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.transvariation import tp_density_scores, tp_scores
 
 
@@ -309,3 +312,65 @@ class TestLogsumexp:
         with np.errstate(all="ignore"):
             assert np.array_equal(density.logsumexp(a),
                                   scipy_logsumexp(a, axis=1), equal_nan=True)
+
+
+class TestRocCurve:
+    def test_matches_reference(self):
+        gen = np.random.default_rng(91)
+        for _ in range(300):
+            n = int(gen.integers(2, 120))
+            if gen.integers(2):   # heavy ties, signed zeros included
+                scores = gen.integers(-3, 4, size=n) * float(gen.choice([0.5, -0.0]))
+            else:
+                scores = gen.normal(size=n) * 10.0 ** gen.uniform(-3, 3)
+            is_target = gen.random(n) < gen.uniform(0.1, 0.9)
+            is_target[:2] = (True, False)
+            new, old = roc_curve(scores, is_target), ref.roc_curve(scores, is_target)
+            for got, want in ((new.fpr, old.fpr), (new.tpr, old.tpr),
+                              (new.thresholds, old.thresholds)):
+                assert np.array_equal(got, want)
+            assert new.auc == old.auc
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    gen = np.random.default_rng(93)
+    X = DataMatrix(np.vstack([gen.normal(size=(40, 2)),
+                              gen.normal(size=(30, 2)) * 0.5 + 3.0]), ["u", "v"])
+    Z = gen.normal(size=(40, 2)) * 2.0 + 1.0
+    return Z, {name: fit_method(name, X, 0.9, RngStream(94), k=2,
+                                mc_samples=10_000, components_range=(1, 2),
+                                n_restarts=2)
+               for name in ALL_METHODS}
+
+
+def assert_same_predictions(a, b, Z):
+    pa, pb = a.predict(Z), b.predict(Z)
+    assert np.array_equal(pa.score, pb.score)
+    assert np.array_equal(pa.accept, pb.accept)
+    assert (pa.cluster is None) == (pb.cluster is None)
+    if pa.cluster is not None:
+        assert np.array_equal(pa.cluster, pb.cluster)
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_bytes_match_reference(self, tmp_path, fitted_models, name):
+        model = fitted_models[1][name]
+        config = {"method": name, "seed": 94, "s": 0.9}
+        save_model(model, tmp_path / "new.json", config)
+        ref.save_model(model, tmp_path / "old.json", config)
+        assert (tmp_path / "new.json").read_bytes() == \
+            (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_files_load_both_ways(self, tmp_path, fitted_models, name):
+        Z, models = fitted_models
+        model = models[name]
+        save_model(model, tmp_path / "new.json")
+        ref.save_model(model, tmp_path / "old.json")
+        for loaded in (load_model(tmp_path / "old.json"),
+                       ref.load_model(tmp_path / "new.json")):
+            assert type(loaded) is type(model)
+            assert loaded.feature_names == ["u", "v"]
+            assert_same_predictions(loaded, model, Z)

@@ -7,7 +7,7 @@ import pytest
 import tocc.glass
 from tocc import (RngStream, ingest_csv, load_glass, load_model,
                   run_glass_repro, save_model)
-from tocc.cli import main
+from tocc.cli import _write_repro_report, main
 from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.io_utils import IngestError
 
@@ -120,6 +120,22 @@ class TestGlassRepro:
                         variants=("tocc-df",))
         assert [kw["mc_samples"] for kw in seen] == [12_345]
 
+    @pytest.mark.parametrize("subset, line", [
+        ("float-windows", "- Target class: float-process window fragments "
+         "(types 1 and 3 of the bundled table, 87 rows); non-target: "
+         "containers, tableware and headlamps (types 5-7, 51 rows). Non-float "
+         "building windows (type 2) are excluded from this study subset."),
+        ("all-windows", "- Target class: window fragments (types 1, 2 and 3 "
+         "of the bundled table, 163 rows); non-target: containers, tableware "
+         "and headlamps (types 5-7, 51 rows).")],
+        ids=["float-windows", "all-windows"])
+    def test_report_describes_the_subset_used(self, tmp_path, subset, line):
+        result = run_glass_repro(subset=subset, frontends=("pca2",),
+                                 variants=("tocc-df",))
+        path = tmp_path / "report.md"
+        _write_repro_report(path, result, {"glass_subset": subset})
+        assert line in path.read_text().splitlines()
+
 
 class TestModelRoundTrip:
     def test_bit_exact_predictions(self, tmp_path):
@@ -185,6 +201,48 @@ class TestModelRoundTrip:
                        "--out", tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'variant'" in err
+
+
+    def test_db_without_integrator_exits_2(self, tmp_path, capsys):
+        X = np.random.default_rng(55).normal(size=(30, 2))
+        path = tmp_path / "db.json"
+        save_model(fit_method("tocc-db", X, 0.9, RngStream(56),
+                              mc_samples=10_000, components_range=(1, 1),
+                              n_restarts=1), path)
+        doc = json.loads(path.read_text())
+        doc["integrator"] = None
+        path.write_text(json.dumps(doc))
+        data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "requires an integrator" in err
+
+
+class TestBaselineModelFiles:
+    """An edited baseline file is refused with a one-line exit 2 instead of
+    crashing or scoring."""
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("gauss", {"mean": None}, "gauss model lacks its mean"),
+        ("gauss", {"threshold": None}, "threshold=None must be a finite number"),
+        ("gauss", {"score_direction": "up"},
+         "gauss scores are lower_is_typical, not 'up'"),
+        ("kde", {"bandwidths": [0.3]}, "kde fields disagree on the width")],
+        ids=["null-mean", "null-threshold", "unknown-direction",
+             "narrow-bandwidths"])
+    def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
+        X = np.random.default_rng(57).normal(size=(40, 2))
+        path = tmp_path / f"{kind}.json"
+        save_model(fit_method(kind, X, 0.9, RngStream(58)), path)
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        data = write(tmp_path / "q.csv", "a,b\n0.0,0.0\n1.0,-1.0\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 def run_cli(*argv):
