@@ -23,7 +23,7 @@ import numpy as np
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_finite_rows)
+                      require_feature_names, require_finite_rows)
 
 
 class _Kind(NamedTuple):
@@ -99,6 +99,7 @@ class BaselineModel:
             raise ValueError(f"{self.kind} fields disagree on the width "
                              f"({sorted(widths)})")
         self.p = widths.pop()
+        require_feature_names(self.feature_names, self.p)
 
     def scores(self, Z) -> np.ndarray:
         vals = as_values(Z)

@@ -14,13 +14,15 @@ its outer rim.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_finite_rows, spatial_median)
+                      require_feature_names, require_finite_rows,
+                      spatial_median)
 from .transvariation import DROP_EPS, tp_density_scores, tp_scores
 
 
@@ -75,8 +77,10 @@ class ToccModel:
             raise ValueError("thresholds must lie in [0, 1]")
         if not np.all(np.isfinite(self.prototypes)):
             raise ValueError("prototypes must be finite")
-        if not (np.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"eps={self.eps} must be finite and >= 0")
+        if not (isinstance(self.eps, numbers.Real) and np.isfinite(self.eps)
+                and self.eps >= 0):
+            raise ValueError(f"eps={self.eps!r} must be a finite number >= 0")
+        require_feature_names(self.feature_names, self.p)
         if self.variant == "db" and getattr(self.density, "p", None) != self.p:
             raise ValueError(f"db variant requires a fitted density of width {self.p}")
         if self.variant == "db" and self.integrator is None:

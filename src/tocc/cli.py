@@ -270,7 +270,8 @@ def cmd_glass_repro(args):
         write_csv(os.path.join(args.outdir, f"{metric}_table.csv"), header,
                   [row + ["n/a"] for row in tables[metric]], "glass-repro",
                   config)
-    _write_repro_report(os.path.join(args.outdir, "report.md"), result, config)
+    _write_repro_report(os.path.join(args.outdir, "report.md"), result, config,
+                        args.data)
 
     print(f"glass-repro ({args.glass_subset}, kappa={args.kappa}):")
     print(f"{'variant':14s} " + " ".join(f"{f:>18s}" for f in FRONTENDS))
@@ -288,7 +289,9 @@ def cmd_glass_repro(args):
     return 0
 
 
-def _write_repro_report(path, result, config):
+def _write_repro_report(path, result, config, data_path):
+    """report.md of a glass study; data_path is the table it read, None for
+    the bundled one."""
     lines = ["# Glass study notes", ""]
     lines.append("Configuration: " + ", ".join(f"{k}={v}" for k, v in
                                                sorted(config.items())))
@@ -296,8 +299,9 @@ def _write_repro_report(path, result, config):
     float_only = config["glass_subset"] == "float-windows"
     types = SUBSETS[config["glass_subset"]][0]
     codes = ", ".join(map(str, types[:-1])) + f" and {types[-1]}"
+    table = "the bundled table" if data_path is None else data_path
     line = (f"- Target class: {'float-process ' if float_only else ''}window"
-            f" fragments (types {codes} of the bundled table, {result.n_target}"
+            f" fragments (types {codes} of {table}, {result.n_target}"
             " rows); non-target: containers, tableware and headlamps (types"
             f" 5-7, {result.n_nontarget} rows).")
     if float_only:

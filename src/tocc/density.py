@@ -9,13 +9,15 @@ every evaluation of the same integrator replays the same sample set.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import RngStream, as_queries, as_values, require_finite_rows
+from .numcore import (RngStream, as_queries, as_values, require_finite_rows,
+                      row_patterns, tiles)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -116,23 +118,6 @@ class MixtureDensity:
                               self.means[:, idx],
                               self.covariances[:, idx[:, None], idx[None, :]])
 
-    def interval_probability(self, lower, upper):
-        """P(lower <= X <= upper) for a univariate mixture, closed form.
-
-        Bounds may be +-inf, and arrays of bounds give one probability per
-        pair; scalar bounds give a float.
-        """
-        if self.p != 1:
-            raise ValueError("interval_probability requires a 1-D mixture")
-        sd = np.sqrt(self.covariances[:, 0, 0])
-        mu = self.means[:, 0]
-        # ndtr(+inf) = 1 and ndtr(-inf) = 0 exactly, so infinite bounds need
-        # no special case.
-        hi = ndtr((np.asarray(upper, dtype=float)[..., None] - mu) / sd)
-        lo = ndtr((np.asarray(lower, dtype=float)[..., None] - mu) / sd)
-        mass = np.sum(self.weights * (hi - lo), axis=-1)
-        return float(mass) if mass.ndim == 0 else mass
-
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         counts = gen.multinomial(n, self.weights)
         parts = []
@@ -166,8 +151,10 @@ class OrthantIntegrator:
     def __post_init__(self):
         if self.method != "monte_carlo":
             raise ValueError(f"unknown integrator method '{self.method}'")
-        if self.mc_samples < 10_000:
-            raise ValueError("monte_carlo integrator requires mc_samples >= 10000")
+        if not (isinstance(self.mc_samples, numbers.Integral)
+                and self.mc_samples >= 10_000):
+            raise ValueError(f"monte_carlo integrator requires an integer "
+                             f"mc_samples >= 10000, not {self.mc_samples!r}")
         self._cache = None
 
     def samples(self, density: MixtureDensity) -> np.ndarray:
@@ -179,34 +166,50 @@ class OrthantIntegrator:
         return draws
 
 
+def box_masses(density: MixtureDensity, lower, upper,
+               integrator: OrthantIntegrator) -> np.ndarray:
+    """Mass under the mixture of each box lower[i] <= x <= upper[i] of the
+    q x p bounds (+-inf allowed). Coordinates unbounded on both sides are
+    marginalized out exactly and a box bounded nowhere has mass 1; one
+    bounded coordinate is integrated in closed form, two or more by counting
+    the integrator's draws of that marginal inside the box, boundary
+    included. Rows bounded on the same coordinates share one marginal and
+    one draw set (the density's own when all are bounded, so its sample
+    cache hits)."""
+    mass = np.ones(lower.shape[0])
+    for kept, rows in row_patterns(np.isfinite(lower) | np.isfinite(upper)):
+        lo, hi = lower[np.ix_(rows, kept)], upper[np.ix_(rows, kept)]
+        marginal = density if kept.size == density.p else density.marginal(kept)
+        if kept.size == 1:
+            # ndtr(+inf) = 1 and ndtr(-inf) = 0 exactly: no case for +-inf.
+            mu, sd = marginal.means[:, 0], np.sqrt(marginal.covariances[:, 0, 0])
+            mass[rows] = np.sum(marginal.weights * (ndtr((hi - mu) / sd)
+                                                    - ndtr((lo - mu) / sd)), axis=-1)
+            continue
+        draws = integrator.samples(marginal)
+        inside = np.zeros(rows.size, dtype=np.int64)
+        for XT, chunk in tiles(draws, rows.size):
+            hit = np.ones((lo[chunk].shape[0], XT.shape[1]), dtype=bool)
+            for u in range(kept.size):
+                hit &= (XT[u] >= lo[chunk, u, None]) & (XT[u] <= hi[chunk, u, None])
+            inside[chunk] += np.count_nonzero(hit, axis=1)
+        mass[rows] = inside / draws.shape[0]
+    return mass
+
+
 def orthant_probability(density: MixtureDensity, lower, upper,
                         integrator: OrthantIntegrator) -> float:
-    """P(lower <= X <= upper) under the mixture, bounds may be +-inf.
-
-    A public utility for general boxes; the classifiers do not call it
-    (transvariation.tp_density_scores integrates their orthant boxes).
-
-    Coordinates unbounded on both sides are marginalized out exactly; a
-    single bounded coordinate uses the closed-form normal CDF per component;
-    two or more use the integrator's Monte Carlo draws (deterministic given
-    the stream).
-    """
+    """P(lower <= X <= upper) under the mixture for one box of p bounds,
+    +-inf allowed, by box_masses; a nan bound is a ValueError."""
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape[0] != density.p or upper.shape[0] != density.p:
+    if lower.shape != (density.p,) or upper.shape != (density.p,):
         raise ValueError("orthant_probability: bound dimension mismatch")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("orthant_probability: a bound is nan")
     if np.any(lower > upper):
         raise ValueError("orthant_probability: lower bound exceeds upper bound")
-
-    active = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
-    if active.size == 0:
-        return 1.0
-    marginal = density if active.size == density.p else density.marginal(active)
-    if active.size == 1:
-        return marginal.interval_probability(lower[active[0]], upper[active[0]])
-    draws = integrator.samples(marginal)
-    inside = np.all((draws >= lower[active]) & (draws <= upper[active]), axis=1)
-    return float(inside.mean())
+    return float(box_masses(density, lower[None], upper[None], integrator)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared numerical primitives: quantiles, medians, spatial median, PCA,
-correlation, and seeded random streams.
+correlation, seeded random streams, and the kernels' tiling and row grouping.
 
 Everything here is a pure function of its inputs; RngStream is an immutable
 handle that derives fresh numpy generators on demand, so repeated calls with
@@ -130,6 +130,41 @@ def require_finite_rows(vals: np.ndarray, where: str, kind: str) -> None:
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
         raise ValueError(f"{where}: {kind} row {bad[0]} is not finite")
+
+
+def require_feature_names(names, p: int) -> None:
+    """ValueError unless a fitted model's feature names are None or a list
+    of p names."""
+    if names is not None and not (isinstance(names, list) and len(names) == p):
+        raise ValueError(f"feature_names must be None or a list of {p} names, "
+                         f"not {names!r}")
+
+
+# Point-query pairs per kernel tile: cache-resident, and flat in memory at
+# any number of points.
+_CHUNK_ELEMENTS = 2 ** 14
+
+
+def tiles(X: np.ndarray, q: int):
+    """Cache-sized tiles of the n x k points X against q queries: yields
+    (XT, rows), a k x b transposed block of at most _CHUNK_ELEMENTS points
+    and a slice of queries small enough that rows x b stays within it."""
+    block = min(X.shape[0], _CHUNK_ELEMENTS) or 1
+    step = max(1, _CHUNK_ELEMENTS // block)
+    for first in range(0, X.shape[0], block):
+        XT = np.ascontiguousarray(X[first:first + block].T)
+        for start in range(0, q, step):
+            yield XT, slice(start, start + step)
+
+
+def row_patterns(mask: np.ndarray):
+    """(columns, rows) for each distinct row of the boolean q x p mask that
+    is true somewhere: its true columns and the indices of the rows equal
+    to it."""
+    patterns, which = np.unique(mask, axis=0, return_inverse=True)
+    for j, pattern in enumerate(patterns):
+        if pattern.any():
+            yield np.flatnonzero(pattern), np.flatnonzero(which.reshape(-1) == j)
 
 
 def _splitmix64(x: int) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import as_values
+from .density import box_masses
+from .numcore import as_values, row_patterns, tiles
 
 DROP_EPS = 1e-12
 
@@ -43,54 +44,34 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-# Query-point pairs per kernel step (blocks of at most this many points,
-# chunks of queries to match): cache-resident, and flat in memory at any n.
-_CHUNK_ELEMENTS = 2 ** 14
 # A denominator below this is degenerate and scores 0. Weighted counts are
 # multiples of 1/2, so for them this means a zero denominator.
 _DEGENERATE = 1e-12
 
 
 def _orthant_counts(X, C, m):
-    """Counts of the rows of X beyond each query row of C, and beyond m, in
-    the query's orthant direction from m: x is beyond c when every product
-    (x_u - c_u)(m_u - c_u) is negative and ties c when all are zero (weight
-    1/2); the denominator tests (x_u - m_u)(m_u - c_u), the same products on
-    data shifted by -(m - c) with ties at m exact. Returns the weighted
-    numerator and denominator, then both counts boundary-inclusive (every
-    product <= 0), as a box integral over Monte Carlo draws needs."""
-    n, k = X.shape
+    """Weighted counts of the rows of X beyond each query row of C, and
+    beyond m, in the query's orthant direction from m: x is beyond c when
+    every product (x_u - c_u)(m_u - c_u) is negative and ties c when all
+    are zero (weight 1/2); the denominator tests (x_u - m_u)(m_u - c_u), the
+    same products on data shifted by -(m - c) with ties at m exact. Returns
+    (numerator, denominator)."""
     towards_m = m - C
     anchors = np.stack([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
-    counts = np.zeros((3, 2, C.shape[0]), dtype=np.int64)
-    block = min(n, _CHUNK_ELEMENTS) or 1
-    step = max(1, _CHUNK_ELEMENTS // block)
-    for first in range(0, n, block):
-        XT = np.ascontiguousarray(X[first:first + block].T)
-        for start in range(0, C.shape[0], step):
-            rows = slice(start, start + step)
-            strict, tie, closed = tests = np.ones(
-                (3, 2, C[rows].shape[0], XT.shape[1]), dtype=bool)
-            for u in range(k):
-                prod = (XT[u] - anchors[:, rows, u, None]) * towards_m[rows, u, None]
-                strict &= prod < 0
-                tie &= prod == 0
-                closed &= prod <= 0
-            counts[:, :, rows] += np.count_nonzero(tests, axis=3)
-    strict, tie, closed = counts
+    counts = np.zeros((2, 2, C.shape[0]), dtype=np.int64)
+    for XT, rows in tiles(X, C.shape[0]):
+        strict, tie = tests = np.ones((2, 2, C[rows].shape[0], XT.shape[1]),
+                                      dtype=bool)
+        for u in range(X.shape[1]):
+            prod = (XT[u] - anchors[:, rows, u, None]) * towards_m[rows, u, None]
+            strict &= prod < 0
+            tie &= prod == 0
+        counts[:, :, rows] += np.count_nonzero(tests, axis=3)
+    strict, tie = counts
     num, den = strict + 0.5 * tie
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")
-    return num, den, *closed
-
-
-def _kept_groups(C, m, eps):
-    """(kept coordinates, query rows) for each distinct set of coordinates
-    surviving the drop rule |c_u - m_u| <= eps; all-dropped rows are left out."""
-    patterns, which = np.unique(np.abs(C - m) > eps, axis=0, return_inverse=True)
-    for j, pattern in enumerate(patterns):
-        if pattern.any():
-            yield np.flatnonzero(pattern), np.flatnonzero(which.reshape(-1) == j)
+    return num, den
 
 
 def _ratio(num, den):
@@ -104,8 +85,8 @@ def tp_scores(X, C, m, eps: float = DROP_EPS):
     entry per query. multivariate_tp is the one-query case."""
     vals = as_values(X)
     num, den = np.full((2, C.shape[0]), float(vals.shape[0]))
-    for kept, rows in _kept_groups(C, m, eps):
-        num[rows], den[rows], _, _ = _orthant_counts(
+    for kept, rows in row_patterns(np.abs(C - m) > eps):
+        num[rows], den[rows] = _orthant_counts(
             vals[:, kept], C[np.ix_(rows, kept)], m[kept])
     return _ratio(num, den), num, den
 
@@ -113,24 +94,17 @@ def tp_scores(X, C, m, eps: float = DROP_EPS):
 def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
     """Density-form tp of each row of the float array C (q x p) with
     prototype m: (value, numerator mass, denominator mass) arrays, one entry
-    per query; multivariate_tp_density is the one-query case. One kept
-    coordinate is integrated in closed form; two or more count the
-    integrator's draws of the kept coordinates' marginal (the density itself
-    when nothing is dropped, so its sample cache hits) in each box, boundary
-    included."""
-    num, den = np.ones((2, C.shape[0]))
-    for kept, rows in _kept_groups(C, m, eps):
-        ck, mk = C[np.ix_(rows, kept)], m[kept]
-        marginal = density if kept.size == density.p else density.marginal(kept)
-        if kept.size == 1:
-            up = ck[:, 0] >= mk[0]
-            for out, bound in ((num, ck[:, 0]), (den, mk[0])):
-                out[rows] = marginal.interval_probability(
-                    np.where(up, bound, -np.inf), np.where(up, np.inf, bound))
-        else:
-            draws = integrator.samples(marginal)
-            _, _, *closed = _orthant_counts(draws, ck, mk)
-            num[rows], den[rows] = (cnt / draws.shape[0] for cnt in closed)
+    per query; multivariate_tp_density is the one-query case. The numerator
+    box lies beyond c and the denominator box beyond m, both in c's
+    direction from m; a dropped coordinate is unbounded. One box_masses call
+    integrates all 2q boxes, so a query's two boxes share one marginal and
+    one draw set."""
+    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
+    kept = np.tile(np.abs(C - m) > eps, (2, 1))
+    up = np.tile(C >= m, (2, 1))
+    num, den = box_masses(density, np.where(kept & up, anchors, -np.inf),
+                          np.where(kept & ~up, anchors, np.inf),
+                          integrator).reshape(2, -1)
     return _ratio(num, den), num, den
 
 
@@ -157,8 +131,8 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     arr = np.asarray(xs, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("univariate_tp: empty input")
-    num, *_ = _orthant_counts(arr[:, None], np.array([[c]], dtype=float),
-                              np.array([m], dtype=float))
+    num, _ = _orthant_counts(arr[:, None], np.array([[c]], dtype=float),
+                             np.array([m], dtype=float))
     weighted = float(num[0])
     value = _clamp01(2.0 * weighted / arr.size)
     return TpScore(value, weighted, arr.size / 2.0)

@@ -6,8 +6,10 @@ library used before its batched orthant-counting kernel: sign_counts, the
 univariate counting score, the counting and density forms of the
 multivariate score, the three calibration comprehensions and the predict
 loops; the per-component EM iteration and Gaussian log-density the library
-used before its stacked EM step; the per-cut-point ROC loop; and the
-hand-written model save/load the library used before its persistence table.
+used before its stacked EM step; the per-cut-point ROC loop; the
+hand-written model save/load the library used before its persistence table;
+and orthant_probability and the batched density score as they were before
+both integrated their boxes through density.box_masses.
 The differential tests compare the library against it with np.array_equal
 or byte equality. Only tests import this module.
 """
@@ -143,6 +145,70 @@ def multivariate_tp_density(density, c, m, integrator,
                        degenerate=True)
     return TpScore(_clamp01(float(num_mass / den_mass)),
                    float(num_mass), float(den_mass), dropped.tolist())
+
+
+# ---------------------------------------------------------------------------
+# Orthant masses before box_masses: orthant_probability and the batched
+# density score each integrated their own boxes
+# ---------------------------------------------------------------------------
+
+def _interval_masses(marginal, lower, upper):
+    """MixtureDensity.interval_probability: P(lower <= X <= upper) of a
+    univariate mixture per pair of bounds, a float for scalar bounds."""
+    sd = np.sqrt(marginal.covariances[:, 0, 0])
+    mu = marginal.means[:, 0]
+    hi = ndtr((np.asarray(upper, dtype=float)[..., None] - mu) / sd)
+    lo = ndtr((np.asarray(lower, dtype=float)[..., None] - mu) / sd)
+    mass = np.sum(marginal.weights * (hi - lo), axis=-1)
+    return float(mass) if mass.ndim == 0 else mass
+
+
+def orthant_probability(density, lower, upper, integrator) -> float:
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lower.shape[0] != density.p or upper.shape[0] != density.p:
+        raise ValueError("orthant_probability: bound dimension mismatch")
+    if np.any(lower > upper):
+        raise ValueError("orthant_probability: lower bound exceeds upper bound")
+    active = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
+    if active.size == 0:
+        return 1.0
+    marginal = density if active.size == density.p else density.marginal(active)
+    if active.size == 1:
+        return _interval_masses(marginal, lower[active[0]], upper[active[0]])
+    draws = integrator.samples(marginal)
+    inside = np.all((draws >= lower[active]) & (draws <= upper[active]), axis=1)
+    return float(inside.mean())
+
+
+def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
+    """(value, numerator mass, denominator mass) of each row of C: one
+    marginal per pattern of kept coordinates; a draw is in a box when every
+    product (x_u - a_u)(m_u - c_u) <= 0, a = c for the numerator and m for
+    the denominator."""
+    num, den = np.ones((2, C.shape[0]))
+    patterns, which = np.unique(np.abs(C - m) > eps, axis=0, return_inverse=True)
+    for j, pattern in enumerate(patterns):
+        if not pattern.any():
+            continue
+        kept = np.flatnonzero(pattern)
+        rows = np.flatnonzero(which.reshape(-1) == j)
+        ck, mk = C[np.ix_(rows, kept)], m[kept]
+        marginal = density if kept.size == density.p else density.marginal(kept)
+        if kept.size == 1:
+            up = ck[:, 0] >= mk[0]
+            for out, bound in ((num, ck[:, 0]), (den, mk[0])):
+                out[rows] = _interval_masses(marginal, np.where(up, bound, -np.inf),
+                                             np.where(up, np.inf, bound))
+            continue
+        draws = integrator.samples(marginal)
+        for out, anchors in ((num, ck), (den, np.broadcast_to(mk, ck.shape))):
+            inside = [np.all((draws - a) * (mk - c) <= 0, axis=1).sum()
+                      for a, c in zip(anchors, ck)]
+            out[rows] = np.array(inside) / draws.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(den < 1e-12, 0.0, np.clip(num / den, 0.0, 1.0))
+    return value, num, den
 
 
 # ---------------------------------------------------------------------------

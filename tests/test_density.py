@@ -93,6 +93,22 @@ class TestOrthantProbability:
         with pytest.raises(ValueError):
             orthant_probability(f, [1.0], [0.0], integ)
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan], [0.0]), ([0.0], [np.nan]), ([np.nan] * 2, [np.nan] * 2),
+        ([-np.inf, 0.0], [np.nan, 1.0])],
+        ids=["nan-lower", "nan-upper", "all-nan", "nan-beside-a-bound"])
+    def test_nan_bound_rejected(self, lower, upper):
+        p = len(lower)
+        f = MixtureDensity([1.0], [[0.0] * p], [np.eye(p)])
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(6))
+        with pytest.raises(ValueError, match="a bound is nan"):
+            orthant_probability(f, lower, upper, integ)
+
+    @pytest.mark.parametrize("mc_samples", [None, 100_000.5, "100000"])
+    def test_non_integer_mc_samples_rejected(self, mc_samples):
+        with pytest.raises(ValueError, match="integer mc_samples"):
+            OrthantIntegrator("monte_carlo", mc_samples, RngStream(9))
+
     def test_closed_form_rejects_boxes(self):
         # The integrator is Monte Carlo only; one bounded coordinate is
         # integrated in closed form without it.

@@ -1,7 +1,8 @@
-"""Differential sweeps: the batched orthant-counting kernel, the stacked
-EM step, the sorted ROC sweep and the table-driven model files against the
-frozen per-query, per-component, per-cut-point and hand-written references
-in reference_impl.py, compared exactly.
+"""Differential sweeps: the batched orthant-counting kernel, the one
+box-mass function, the stacked EM step, the sorted ROC sweep and the
+table-driven model files against the frozen per-query, per-component,
+per-cut-point and hand-written references in reference_impl.py, compared
+exactly.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
 must not move a single score, tie or dropped coordinate, stacking the EM
@@ -17,8 +18,10 @@ import reference_impl as ref
 from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
                   fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, load_glass,
                   load_model, multivariate_tp, multivariate_tp_density,
-                  predict, roc_curve, save_model, univariate_tp)
-from tocc import density, transvariation
+                  orthant_probability, predict, roc_curve, save_model,
+                  univariate_tp)
+from tocc import density, numcore, transvariation
+from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.transvariation import tp_density_scores, tp_scores
 
@@ -86,7 +89,7 @@ class TestCountingKernel:
     def test_chunk_boundaries(self, monkeypatch):
         # A tiny budget makes every batch span many chunks, with a ragged
         # last one.
-        monkeypatch.setattr(transvariation, "_CHUNK_ELEMENTS", 97)
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
         gen = np.random.default_rng(103)
         for _ in range(20):
             X, m, Q, eps = counting_case(gen)
@@ -150,6 +153,76 @@ class TestDensityKernel:
         for c, m in (([41.0, 41.0], [40.0, 40.0]), ([41.0, 0.0], [40.0, 0.0])):
             assert fields(multivariate_tp_density(density, c, m, integ)) \
                 == fields(ref.multivariate_tp_density(density, c, m, integ))
+
+
+def marginal_draws(density, integ, kept):
+    """The integrator's draws of the marginal over the coordinates kept,
+    exactly as box_masses sees them."""
+    return integ.samples(density if kept.size == density.p
+                         else density.marginal(kept))
+
+
+def random_boxes(gen, density, integ, q):
+    """q boxes, each coordinate unbounded, bounded below, above or on both
+    sides; the first rows are bounded nowhere, and boxes bounded on two or
+    more coordinates mostly take their bounds from two of the draws, so
+    draws lie exactly on the boundary."""
+    p = density.p
+    lower, upper = np.full((q, p), -np.inf), np.full((q, p), np.inf)
+    sides = gen.integers(4, size=(q, p))    # 0 none, 1 below, 2 above, 3 both
+    sides[:3] = 0
+    for i, side in enumerate(sides):
+        kept = np.flatnonzero(side)
+        if kept.size >= 2 and gen.random() < 0.8:
+            pair = marginal_draws(density, integ, kept)[gen.integers(10_000, size=2)]
+            lo, hi = pair.min(axis=0), pair.max(axis=0)
+        else:
+            lo = gen.normal(size=kept.size)
+            hi = lo + gen.choice([0.0, gen.exponential()], size=kept.size)
+        lower[i, kept] = np.where(side[kept] & 1, lo, -np.inf)
+        upper[i, kept] = np.where(side[kept] & 2, hi, np.inf)
+    return lower, upper
+
+
+class TestBoxMasses:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_boxes_match_reference(self, p):
+        gen = np.random.default_rng(120 + p)
+        density = mixture_case(gen, p)
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(p))
+        lower, upper = random_boxes(gen, density, integ, 60)
+        expected = [ref.orthant_probability(density, lo, hi, integ)
+                    for lo, hi in zip(lower, upper)]
+        assert np.array_equal(box_masses(density, lower, upper, integ), expected)
+        assert [orthant_probability(density, lo, hi, integ)
+                for lo, hi in zip(lower, upper)] == expected
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+        gen = np.random.default_rng(124)
+        density = mixture_case(gen, 3)
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(4))
+        lower, upper = random_boxes(gen, density, integ, 30)
+        expected = [ref.orthant_probability(density, lo, hi, integ)
+                    for lo, hi in zip(lower, upper)]
+        assert np.array_equal(box_masses(density, lower, upper, integ), expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_density_scores_on_draws_match_reference(self, p):
+        # The prototype and every kept query coordinate sit on draws of the
+        # marginal their boxes are integrated over.
+        gen = np.random.default_rng(125 + p)
+        density = mixture_case(gen, p)
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(p))
+        m = integ.samples(density)[0]
+        Q = np.repeat(m[None, :], 40, axis=0)
+        for c in Q[1:]:
+            kept = np.flatnonzero(gen.random(p) < 0.7)
+            if kept.size:
+                c[kept] = marginal_draws(density, integ, kept)[gen.integers(10_000)]
+        for got, want in zip(tp_density_scores(density, Q, m, integ),
+                             ref.tp_density_scores(density, Q, m, integ)):
+            assert np.array_equal(got, want)
 
 
 def target_rows(seed, n=80, p=2):

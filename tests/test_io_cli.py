@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+import tocc.cli
 import tocc.glass
 from tocc import (RngStream, ingest_csv, load_glass, load_model,
                   run_glass_repro, save_model)
@@ -133,8 +135,20 @@ class TestGlassRepro:
         result = run_glass_repro(subset=subset, frontends=("pca2",),
                                  variants=("tocc-df",))
         path = tmp_path / "report.md"
-        _write_repro_report(path, result, {"glass_subset": subset})
+        _write_repro_report(path, result, {"glass_subset": subset}, None)
         assert line in path.read_text().splitlines()
+
+    def test_report_names_the_data_file(self, tmp_path, monkeypatch):
+        real = tocc.cli.run_glass_repro
+        monkeypatch.setattr(tocc.cli, "run_glass_repro", lambda **kw: real(
+            **{**kw, "frontends": ("pca2",), "variants": ("tocc-df",)}))
+        data = str(tmp_path / "glass.csv")
+        shutil.copy(tocc.glass.bundled_glass_path(), data)
+        outdir = tmp_path / "repro"
+        assert run_cli("glass-repro", "--data", data, "--outdir", outdir) == 0
+        report = (outdir / "report.md").read_text()
+        assert f"(types 1 and 3 of {data}, 87 rows)" in report
+        assert "bundled" not in report
 
 
 class TestModelRoundTrip:
@@ -203,20 +217,46 @@ class TestModelRoundTrip:
         assert err.count("\n") == 1 and "'variant'" in err
 
 
-    def test_db_without_integrator_exits_2(self, tmp_path, capsys):
+
+
+class TestToccModelFiles:
+    """An edited tocc file is refused with a one-line exit 2 instead of
+    crashing or scoring."""
+
+    @pytest.mark.parametrize("method, edit, message", [
+        ("tocc-db", {"integrator": None}, "db variant requires an integrator"),
+        ("tocc-df", {"eps": None}, "eps=None must be a finite number >= 0"),
+        ("tocc-db", {"integrator": {"mc_samples": None}},
+         "requires an integer mc_samples >= 10000, not None"),
+        ("tocc-db", {"integrator": {"mc_samples": 100000.5}},
+         "requires an integer mc_samples >= 10000, not 100000.5"),
+        ("tocc-df", {"feature_names": ["a"]},
+         "feature_names must be None or a list of 2 names, not ['a']"),
+        ("tocc-db", {"feature_names": ["a", "b", "c"]},
+         "feature_names must be None or a list of 2 names"),
+        ("tocc-df", {"feature_names": 5},
+         "feature_names must be None or a list of 2 names, not 5")],
+        ids=["db-null-integrator", "null-eps", "null-mc-samples",
+             "fractional-mc-samples", "one-feature-name", "three-feature-names",
+             "numeric-feature-names"])
+    def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
-        path = tmp_path / "db.json"
-        save_model(fit_method("tocc-db", X, 0.9, RngStream(56),
+        path = tmp_path / f"{method}.json"
+        save_model(fit_method(method, X, 0.9, RngStream(56),
                               mc_samples=10_000, components_range=(1, 1),
                               n_restarts=1), path)
         doc = json.loads(path.read_text())
-        doc["integrator"] = None
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                doc[key].update(value)
+            else:
+                doc[key] = value
         path.write_text(json.dumps(doc))
         data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n")
         assert run_cli("predict", "--model", path, "--data", data,
                        "--out", tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "requires an integrator" in err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestBaselineModelFiles:
@@ -228,9 +268,13 @@ class TestBaselineModelFiles:
         ("gauss", {"threshold": None}, "threshold=None must be a finite number"),
         ("gauss", {"score_direction": "up"},
          "gauss scores are lower_is_typical, not 'up'"),
-        ("kde", {"bandwidths": [0.3]}, "kde fields disagree on the width")],
+        ("kde", {"bandwidths": [0.3]}, "kde fields disagree on the width"),
+        ("gauss", {"feature_names": ["a"]},
+         "feature_names must be None or a list of 2 names"),
+        ("kde", {"feature_names": ["a", "b", "c"]},
+         "feature_names must be None or a list of 2 names")],
         ids=["null-mean", "null-threshold", "unknown-direction",
-             "narrow-bandwidths"])
+             "narrow-bandwidths", "one-feature-name", "three-feature-names"])
     def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
         X = np.random.default_rng(57).normal(size=(40, 2))
         path = tmp_path / f"{kind}.json"
