@@ -75,6 +75,8 @@ class ToccModel:
                              f"prototype ({k})")
         if not np.all((self.thresholds >= 0) & (self.thresholds <= 1)):
             raise ValueError("thresholds must lie in [0, 1]")
+        if not np.all((self.sensitivity > 0) & (self.sensitivity < 1)):
+            raise ValueError("sensitivity s must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(self.prototypes)):
             raise ValueError("prototypes must be finite")
         if not (isinstance(self.eps, numbers.Real) and np.isfinite(self.eps)

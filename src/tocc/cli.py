@@ -17,12 +17,11 @@ import sys
 from . import __version__
 from .evaluation import (ALL_METHODS, TOCC_METHODS, fit_method, make_method,
                          roc_curve, run_benchmark)
-from .featsel import compute_vip, kappa_vip_select, pca_reduce, rp_select
+from .featsel import kappa_vip, pca_reduce
 from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
-from .io_utils import (IngestError, ingest_csv, load_model, save_model,
-                       write_boxplot_svg, write_csv, write_json_report,
-                       write_roc_svg)
-from .numcore import RngStream, correlation_matrix
+from .io_utils import (ingest_csv, load_model, save_model, write_boxplot_svg,
+                       write_csv, write_json_report, write_roc_svg)
+from .numcore import RngStream
 from .simgen import SCENARIOS, ScenarioSpec, generate
 
 DEFAULT_SEED = 20260808
@@ -165,11 +164,8 @@ def cmd_reduce(args):
 def cmd_vip(args):
     data = _load_data(args)
     train = _target_rows(data)
-    rng = RngStream(args.seed)
-    projections = rp_select(train, args.d, args.b1, args.b2, rng.child(1))
-    ranking = compute_vip(projections, train.values.std(axis=0, ddof=1))
-    selected = kappa_vip_select(ranking, correlation_matrix(train), args.kappa,
-                                args.n_keep)
+    ranking, selected = kappa_vip(train, args.d, args.b1, args.b2, args.kappa,
+                                  args.n_keep, RngStream(args.seed).child(1))
     rows = [[train.feature_names[j], ranking.vip[j],
              "yes" if j in selected else "no"]
             for j in ranking.ranking]
@@ -248,11 +244,12 @@ def cmd_bench(args):
 
 def cmd_glass_repro(args):
     frontends = [f for f in FRONTENDS if not (args.skip_rp and f == "rp2")]
+    # A bad --outdir fails here, before the grid runs.
+    os.makedirs(args.outdir, exist_ok=True)
     result = run_glass_repro(kappa=args.kappa, pam_k=args.k, s=args.s, d=args.d,
                              b1=args.b1, b2=args.b2, mc_samples=args.mc_samples,
                              seed=args.seed, data_path=args.data,
                              subset=args.glass_subset, frontends=frontends)
-    os.makedirs(args.outdir, exist_ok=True)
     config = _config(args, ["kappa", "k", "s", "d", "b1", "b2", "mc_samples",
                             "seed", "glass_subset"])
 
@@ -435,9 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Bad input (IngestError is a ValueError) and paths that cannot be read
+    # or written end in one line on stderr.
     try:
         return args.func(args)
-    except (ValueError, IngestError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"tocc: error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import PredictionResult, ToccModel
 from .evaluation import TOCC_VARIANTS, fit_method
-from .numcore import DataMatrix, RngStream, as_values, pca
+from .numcore import DataMatrix, RngStream, as_values, correlation_matrix, pca
 
 
 # ---------------------------------------------------------------------------
@@ -75,27 +75,14 @@ def pca_reduce(X, d: int, which: str = "last") -> tuple[PcaReducer, DataMatrix]:
 # Random-projection ensemble
 # ---------------------------------------------------------------------------
 
-def _orthonormal_columns(gen: np.random.Generator, p: int, d: int) -> np.ndarray:
-    a = gen.standard_normal((p, d))
-    q, r = np.linalg.qr(a)
-    # Fix the QR sign ambiguity so the draw is reproducible bit for bit.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q[:, :d] * signs
-
-
-def _mad_compactness(projected: np.ndarray) -> float:
-    med = np.median(projected, axis=0)
-    return float(np.median(np.abs(projected - med), axis=0).sum())
-
-
 def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.ndarray]:
     """Pick b1 projections, each the most compact of b2 random candidates.
 
     Candidates are p x d standard-normal matrices with orthonormalized
     columns; compactness is the summed per-coordinate MAD of the projected
-    target data (smaller = tighter around the median). b2 = 1 degenerates to
-    pure random projection. Deterministic given the stream.
+    target data (smaller = tighter around the median), and the first of
+    equally compact candidates wins. b2 = 1 degenerates to pure random
+    projection. Deterministic given the stream.
     """
     if b1 < 1:
         raise ValueError("b1 must be at least 1")
@@ -109,14 +96,18 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
         raise ValueError(f"rp_select: need 1 <= d < p, got d={d}, p={p}")
     gen = rng.generator()
     chosen = []
+    # One block of b2 candidates at a time keeps the (b2, n, d) projected
+    # stack small; stacking all b1 blocks would raise peak memory.
     for _ in range(b1):
-        best = None
-        for _ in range(b2):
-            proj = _orthonormal_columns(gen, p, d)
-            spread = _mad_compactness(vals @ proj)
-            if best is None or spread < best[0]:
-                best = (spread, proj)
-        chosen.append(best[1])
+        q, r = np.linalg.qr(gen.standard_normal((b2, p, d)))
+        # Fix the QR sign ambiguity so the draw is reproducible bit for bit.
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        signs[signs == 0] = 1.0
+        candidates = q * signs[:, None, :]
+        projected = vals @ candidates
+        med = np.median(projected, axis=1)
+        spread = np.median(np.abs(projected - med[:, None, :]), axis=1).sum(axis=1)
+        chosen.append(candidates[np.argmin(spread)].copy())
     return chosen
 
 
@@ -192,16 +183,13 @@ def compute_vip(projections, feature_sds) -> VipRanking:
     projections = list(projections)
     if not projections:
         raise ValueError("compute_vip: no projections")
-    p = projections[0].shape[0]
-    ci = np.empty((len(projections), p))
-    for i, proj in enumerate(projections):
-        weighted = np.abs(proj) * sds[:, None]
-        norms = np.sqrt(((proj * sds[:, None]) ** 2).sum(axis=0))
-        if np.any(norms == 0):
-            raise ValueError("compute_vip: projection with a zero-norm column")
-        ci[i] = (weighted / norms).sum(axis=1)
+    stack = np.stack(projections)
+    norms = np.sqrt(((stack * sds[:, None]) ** 2).sum(axis=1))
+    if np.any(norms == 0):
+        raise ValueError("compute_vip: projection with a zero-norm column")
+    ci = (np.abs(stack) * sds[:, None] / norms[:, None, :]).sum(axis=2)
     vip = np.median(ci, axis=0)
-    ranking = np.lexsort((np.arange(p), -vip))
+    ranking = np.lexsort((np.arange(vip.size), -vip))
     return VipRanking(vip, ranking)
 
 
@@ -233,3 +221,14 @@ def kappa_vip_select(ranking: VipRanking, corr: np.ndarray, kappa: float,
             f"kappa_vip_select: only {len(selected)} of {n_keep} features pass "
             f"the kappa={kappa} screen", stacklevel=2)
     return selected
+
+
+def kappa_vip(X_target, d: int, b1: int, b2: int, kappa: float, n_keep: int,
+              rng: RngStream) -> tuple[VipRanking, list[int]]:
+    """The kappa-VIP pipeline on the target rows: MAD-select b1 projections,
+    rank features by VIP with their sample (ddof=1) standard deviations, then
+    keep up to n_keep features that pass the kappa correlation screen."""
+    projections = rp_select(X_target, d, b1, b2, rng)
+    ranking = compute_vip(projections, as_values(X_target).std(axis=0, ddof=1))
+    return ranking, kappa_vip_select(ranking, correlation_matrix(X_target),
+                                     kappa, n_keep)

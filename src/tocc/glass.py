@@ -25,11 +25,9 @@ import numpy as np
 
 from .evaluation import (TOCC_METHODS, TOCC_VARIANTS, confusion_metrics,
                          fit_method, roc_curve)
-from .featsel import (compute_vip, fit_rp_ensemble, kappa_vip_select,
-                      pca_reduce, rp_select)
+from .featsel import fit_rp_ensemble, kappa_vip, pca_reduce
 from .io_utils import IngestError, ingest_csv
-from .numcore import (NONTARGET_LABEL, TARGET_LABEL, DataMatrix, RngStream,
-                      correlation_matrix)
+from .numcore import NONTARGET_LABEL, TARGET_LABEL, DataMatrix, RngStream
 
 GLASS_FEATURES = ("RI", "Na", "Mg", "Al", "Si", "K", "Ca", "Ba", "Fe")
 # subset -> (target type codes, type codes kept; None keeps every row)
@@ -118,19 +116,19 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
         reducer, train_red = pca_reduce(train, d, which="last")
         views["pca2"] = (train_red, reducer.apply(data))
     if "kvip2" in frontends:
-        projections = rp_select(train, d, b1, b2, rng.child(1))
-        sds = train.values.std(axis=0, ddof=1)
-        ranking = compute_vip(projections, sds)
-        corr = correlation_matrix(train)
-        selected = kappa_vip_select(ranking, corr, kappa, n_keep=d)
+        _, selected = kappa_vip(train, d, b1, b2, kappa, d, rng.child(1))
         names = [train.feature_names[j] for j in selected]
         result.vip_selected = names
         views["kvip2"] = (train.select_features(selected),
                           data.select_features(selected))
         result.notes.append(f"kappa-VIP (kappa={kappa}) selected: {', '.join(names)}")
 
-    for vi, variant in enumerate(variants):
-        for fi, frontend in enumerate(frontends):
+    # Streams follow each cell's place in the full grid, so a cell draws the
+    # same whether it runs alone or beside others.
+    for variant in variants:
+        vi = TOCC_METHODS.index(variant)
+        for frontend in frontends:
+            fi = FRONTENDS.index(frontend)
             start = time.perf_counter()
             if frontend == "rp2":
                 ens = fit_rp_ensemble(train, d, b1, b2, s, rng.child(100 + vi),

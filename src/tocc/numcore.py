@@ -9,6 +9,7 @@ the same stream replay the same draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,6 +187,15 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # A null seed would make numpy draw fresh OS entropy on every call.
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= 0):
+                raise ValueError(f"RngStream {name}={value!r} must be a "
+                                 f"non-negative integer")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
@@ -308,14 +318,12 @@ def pca(X) -> PcaResult:
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    eigvals = np.where(np.abs(eigvals) < 1e-12 * max(1.0, abs(eigvals[0])), 0.0, eigvals)
-    eigvals = np.maximum(eigvals, 0.0)
-    for j in range(p):
-        lead = np.argmax(np.abs(eigvecs[:, j]))
-        if eigvecs[lead, j] < 0:
-            eigvecs[:, j] = -eigvecs[:, j]
-    zero = eigvals <= 1e-12 * max(1.0, eigvals[0] if eigvals.size else 1.0)
-    return PcaResult(eigvals, eigvecs, mean, zero)
+    tol = 1e-12 * max(1.0, abs(eigvals[0]))
+    # Negative and numerically zero eigenvalues both read as 0.
+    eigvals = np.where(eigvals < tol, 0.0, eigvals)
+    lead = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(p)]
+    eigvecs = eigvecs * np.where(lead < 0, -1.0, 1.0)
+    return PcaResult(eigvals, eigvecs, mean, eigvals <= tol)
 
 
 def correlation_matrix(X) -> np.ndarray:

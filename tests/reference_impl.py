@@ -8,8 +8,11 @@ multivariate score, the three calibration comprehensions and the predict
 loops; the per-component EM iteration and Gaussian log-density the library
 used before its stacked EM step; the per-cut-point ROC loop; the
 hand-written model save/load the library used before its persistence table;
-and orthant_probability and the batched density score as they were before
-both integrated their boxes through density.box_masses.
+orthant_probability and the batched density score as they were before
+both integrated their boxes through density.box_masses; and the
+one-candidate-at-a-time random-projection selection, the per-projection VIP
+loop and the per-column PCA sign fix the feature-selection layer used before
+it worked on stacked arrays.
 The differential tests compare the library against it with np.array_equal
 or byte equality. Only tests import this module.
 """
@@ -29,7 +32,9 @@ from tocc.classifier import PamResult, ToccModel
 from tocc.density import (MixtureDensity, OrthantIntegrator, _initial_params,
                           _regularize_spd, kmeans_lloyd)
 from tocc.evaluation import RocCurve
-from tocc.numcore import RngStream, as_values, empirical_quantile, spatial_median
+from tocc.featsel import VipRanking
+from tocc.numcore import (PcaResult, RngStream, as_values, empirical_quantile,
+                           spatial_median)
 from tocc.transvariation import DROP_EPS, TpScore
 
 
@@ -530,3 +535,78 @@ def _model_from_doc(doc, path):
             bandwidths=arr("bandwidths"), train=arr("train"),
             centroids=arr("centroids"), feature_names=doc["feature_names"])
     raise ValueError(f"{path}: unknown model type '{doc['model']}'")
+
+
+# ---------------------------------------------------------------------------
+# Feature selection: one candidate, projection and column at a time
+# ---------------------------------------------------------------------------
+
+def _orthonormal_columns(gen: np.random.Generator, p: int, d: int) -> np.ndarray:
+    a = gen.standard_normal((p, d))
+    q, r = np.linalg.qr(a)
+    # Fix the QR sign ambiguity so the draw is reproducible bit for bit.
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q[:, :d] * signs
+
+
+def _mad_compactness(projected: np.ndarray) -> float:
+    med = np.median(projected, axis=0)
+    return float(np.median(np.abs(projected - med), axis=0).sum())
+
+
+def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.ndarray]:
+    vals = as_values(X_target)
+    p = vals.shape[1]
+    gen = rng.generator()
+    chosen = []
+    for _ in range(b1):
+        best = None
+        for _ in range(b2):
+            proj = _orthonormal_columns(gen, p, d)
+            spread = _mad_compactness(vals @ proj)
+            if best is None or spread < best[0]:
+                best = (spread, proj)
+        chosen.append(best[1])
+    return chosen
+
+
+def compute_vip(projections, feature_sds) -> VipRanking:
+    sds = np.asarray(feature_sds, dtype=float)
+    if np.any(sds <= 0):
+        raise ValueError("compute_vip: feature standard deviations must be positive")
+    projections = list(projections)
+    if not projections:
+        raise ValueError("compute_vip: no projections")
+    p = projections[0].shape[0]
+    ci = np.empty((len(projections), p))
+    for i, proj in enumerate(projections):
+        weighted = np.abs(proj) * sds[:, None]
+        norms = np.sqrt(((proj * sds[:, None]) ** 2).sum(axis=0))
+        if np.any(norms == 0):
+            raise ValueError("compute_vip: projection with a zero-norm column")
+        ci[i] = (weighted / norms).sum(axis=1)
+    vip = np.median(ci, axis=0)
+    ranking = np.lexsort((np.arange(p), -vip))
+    return VipRanking(vip, ranking)
+
+
+def pca(X) -> PcaResult:
+    vals = as_values(X)
+    n, p = vals.shape
+    if n < 2:
+        raise ValueError("pca: need n >= 2")
+    mean = vals.mean(axis=0)
+    cov = np.cov(vals - mean, rowvar=False, ddof=1).reshape(p, p)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    eigvals = np.where(np.abs(eigvals) < 1e-12 * max(1.0, abs(eigvals[0])), 0.0, eigvals)
+    eigvals = np.maximum(eigvals, 0.0)
+    for j in range(p):
+        lead = np.argmax(np.abs(eigvecs[:, j]))
+        if eigvecs[lead, j] < 0:
+            eigvecs[:, j] = -eigvecs[:, j]
+    zero = eigvals <= 1e-12 * max(1.0, eigvals[0] if eigvals.size else 1.0)
+    return PcaResult(eigvals, eigvecs, mean, zero)

@@ -1,13 +1,14 @@
 """Differential sweeps: the batched orthant-counting kernel, the one
-box-mass function, the stacked EM step, the sorted ROC sweep and the
-table-driven model files against the frozen per-query, per-component,
-per-cut-point and hand-written references in reference_impl.py, compared
-exactly.
+box-mass function, the stacked EM step, the sorted ROC sweep, the
+table-driven model files and the stacked feature-selection front-ends
+against the frozen per-query, per-component, per-cut-point, hand-written and
+per-candidate references in reference_impl.py, compared exactly.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
 must not move a single score, tie or dropped coordinate, stacking the EM
-step must not move a single mixture parameter or log-likelihood, and a
-model file must keep every byte.
+step must not move a single mixture parameter or log-likelihood, a model
+file must keep every byte, and stacking the projection candidates must not
+change which projection is selected.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
 from tocc import density, numcore, transvariation
 from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
+from tocc.featsel import compute_vip, rp_select
 from tocc.transvariation import tp_density_scores, tp_scores
 
 
@@ -447,3 +449,80 @@ class TestModelFiles:
             assert type(loaded) is type(model)
             assert loaded.feature_names == ["u", "v"]
             assert_same_predictions(loaded, model, Z)
+
+
+def assert_same_selection(X, d, b1, b2, stream):
+    got = rp_select(X, d, b1, b2, stream)
+    want = ref.rp_select(X, d, b1, b2, stream)
+    assert len(got) == len(want) == b1
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return got
+
+
+def assert_same_pca(X):
+    got, want = numcore.pca(X), ref.pca(X)
+    for name in ("eigenvalues", "components", "mean", "zero_variance"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestFeatureSelection:
+    @pytest.mark.parametrize("p", [2, 3, 9])
+    def test_rp_select_every_width(self, p):
+        gen = np.random.default_rng(130 + p)
+        sizes = iter(np.tile([2, 3, 5, 11, 87, 250, 1000], 4))
+        for d in range(1, p):
+            for b2 in (1, 50):
+                n = int(next(sizes))
+                X = gen.normal(size=(n, p)) * 10.0 ** gen.uniform(-2, 2, size=p)
+                assert_same_selection(X, d, 3, b2, RngStream(131).child(n + d))
+
+    def test_rp_select_ties_keep_the_first_candidate(self):
+        # Identical rows give every candidate a spread of 0.
+        X = np.tile([1.5, -2.0, 0.25], (6, 1))
+        got = assert_same_selection(X, 2, 3, 50, RngStream(132))
+        first = ref.rp_select(X, 2, 3, 1, RngStream(132))
+        assert np.array_equal(got[0], first[0])
+
+    def test_rp_select_glass_target(self):
+        glass = load_glass()
+        train = glass.select_rows(glass.is_target())
+        assert_same_selection(train, 2, 101, 50, RngStream(7).child(1))
+
+    def test_compute_vip(self):
+        gen = np.random.default_rng(133)
+        for _ in range(201):
+            p = int(gen.integers(2, 10))
+            d = int(gen.integers(1, p))
+            projections = [gen.normal(size=(p, d))
+                           for _ in range(int(gen.integers(1, 12)))]
+            if gen.integers(2):   # exact zero loadings and tied VIPs
+                projections = [np.round(a) for a in projections]
+                projections = [a for a in projections if np.all(a.any(axis=0))]
+                if not projections:
+                    continue
+            sds = 10.0 ** gen.uniform(-3, 3, size=p)
+            got, want = compute_vip(projections, sds), ref.compute_vip(projections, sds)
+            assert np.array_equal(got.vip, want.vip)
+            assert np.array_equal(got.ranking, want.ranking)
+
+    def test_pca(self):
+        gen = np.random.default_rng(134)
+        for _ in range(150):
+            n, p = int(gen.integers(2, 60)), int(gen.integers(1, 8))
+            assert_same_pca(gen.normal(size=(n, p)) * 10.0 ** gen.uniform(-3, 3, size=p))
+
+    def test_pca_rank_deficient(self):
+        gen = np.random.default_rng(135)
+        for _ in range(150):
+            n, p = int(gen.integers(2, 12)), int(gen.integers(2, 8))
+            X = gen.normal(size=(n, p))
+            kind = gen.integers(3)
+            if kind == 0:   # a repeated column
+                X[:, -1] = X[:, 0]
+            elif kind == 1:   # a constant column
+                X[:, int(gen.integers(p))] = 3.0
+            else:   # a linear combination of two columns
+                X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
+            assert_same_pca(X)
+        assert_same_pca(np.ones((5, 3)))

@@ -4,8 +4,7 @@ import pytest
 from tocc import (RngStream, ToccModel, compute_vip, fit_rp_ensemble,
                   kappa_vip_select, load_glass, pca_reduce, predict_ensemble,
                   rp_select)
-from tocc.featsel import ProjectionEnsemble, VipRanking
-from tocc.numcore import correlation_matrix
+from tocc.featsel import ProjectionEnsemble, VipRanking, kappa_vip
 
 
 class TestPcaReduce:
@@ -172,6 +171,14 @@ class TestComputeVip:
         with pytest.raises(ValueError):
             compute_vip([np.eye(2)], np.array([1.0, 0.0]))
 
+    def test_no_projections_rejected(self):
+        with pytest.raises(ValueError, match="no projections"):
+            compute_vip([], [1.0, 2.0])
+
+    def test_zero_norm_column_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm column"):
+            compute_vip([np.eye(3)[:, :2], np.zeros((3, 2))], [1.0, 2.0, 3.0])
+
 
 class TestKappaVipSelect:
     @staticmethod
@@ -194,9 +201,7 @@ class TestKappaVipSelect:
     def test_glass_selects_si_mg(self):
         glass = load_glass()
         target = glass.select_rows(glass.is_target())
-        projs = rp_select(target, 2, 101, 50, RngStream(7).child(1))
-        ranking = compute_vip(projs, target.values.std(axis=0, ddof=1))
-        selected = kappa_vip_select(ranking, correlation_matrix(target), 0.5, 2)
+        _, selected = kappa_vip(target, 2, 101, 50, 0.5, 2, RngStream(7).child(1))
         names = {target.feature_names[j] for j in selected}
         assert names == {"Si", "Mg"}
 

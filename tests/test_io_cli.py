@@ -138,6 +138,16 @@ class TestGlassRepro:
         _write_repro_report(path, result, {"glass_subset": subset}, None)
         assert line in path.read_text().splitlines()
 
+    def test_cell_streams_do_not_depend_on_the_other_cells(self):
+        def db_kvip2(**grid):
+            result = run_glass_repro(b1=5, b2=5, mc_samples=10_000, **grid)
+            cell = result.cell("tocc-db", "kvip2")
+            return cell.auc, cell.sensitivity, cell.specificity
+        alone = db_kvip2(frontends=("kvip2",), variants=("tocc-db",))
+        beside = db_kvip2(frontends=("pca2", "kvip2"),
+                          variants=("tocc-df", "tocc-db"))
+        assert alone == beside
+
     def test_report_names_the_data_file(self, tmp_path, monkeypatch):
         real = tocc.cli.run_glass_repro
         monkeypatch.setattr(tocc.cli, "run_glass_repro", lambda **kw: real(
@@ -235,10 +245,22 @@ class TestToccModelFiles:
         ("tocc-db", {"feature_names": ["a", "b", "c"]},
          "feature_names must be None or a list of 2 names"),
         ("tocc-df", {"feature_names": 5},
-         "feature_names must be None or a list of 2 names, not 5")],
+         "feature_names must be None or a list of 2 names, not 5"),
+        ("tocc-db", {"integrator": {"seed": None}},
+         "RngStream seed=None must be a non-negative integer"),
+        ("tocc-db", {"integrator": {"stream_id": -1}},
+         "RngStream stream_id=-1 must be a non-negative integer"),
+        ("tocc-df", {"sensitivity": [1.5]},
+         "sensitivity s must lie strictly inside (0, 1)"),
+        ("tocc-df", {"sensitivity": [0.0]},
+         "sensitivity s must lie strictly inside (0, 1)"),
+        ("tocc-db", {"sensitivity": None},
+         "sensitivity s must lie strictly inside (0, 1)")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
-             "numeric-feature-names"])
+             "numeric-feature-names", "null-integrator-seed",
+             "negative-stream-id", "sensitivity-above-1", "zero-sensitivity",
+             "null-sensitivity"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
@@ -382,6 +404,27 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("tocc: error:")
         assert "\n" not in err
+
+    def test_unwritable_model_path_single_line(self, tmp_path, capsys):
+        rows = np.random.default_rng(59).normal(size=(20, 2))
+        data = write(tmp_path / "d.csv",
+                     "a,b\n" + "".join(f"{x},{y}\n" for x, y in rows))
+        assert run_cli("fit", "--data", data, "--method", "tocc-df",
+                       "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tocc: error:") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_outdir_is_a_file_fails_before_the_grid(self, tmp_path, capsys,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(tocc.cli, "run_glass_repro",
+                            lambda **kw: calls.append(kw))
+        outdir = write(tmp_path / "taken", "")
+        assert run_cli("glass-repro", "--skip-rp", "--outdir", outdir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tocc: error:") and err.count("\n") == 1
+        assert calls == []
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOCC_SEED", "99")

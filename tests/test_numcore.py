@@ -156,6 +156,16 @@ class TestRngStream:
         ids = {base.child(k).stream_id for k in range(100)}
         assert len(ids) == 100
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (None, 0), (-1, 0), (1.5, 0), (True, 0), ("7", 0), (7, None), (7, -3),
+        (7, 2.0)])
+    def test_rejects_non_integer_or_negative(self, seed, stream_id):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            RngStream(seed, stream_id)
+
+    def test_accepts_numpy_integers(self):
+        assert RngStream(np.int64(5), np.uint64(2)) == RngStream(5, 2)
+
 
 class TestDataMatrix:
     def test_validation(self):
