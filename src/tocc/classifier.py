@@ -23,7 +23,7 @@ from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
                       require_feature_names, require_finite_rows,
                       spatial_median)
-from .transvariation import DROP_EPS, tp_density_scores, tp_scores
+from .transvariation import DROP_EPS, TpRows, tp_density_scores, tp_scores
 
 
 class UndersizedClusterError(ValueError):
@@ -79,8 +79,8 @@ class ToccModel:
             raise ValueError("sensitivity s must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(self.prototypes)):
             raise ValueError("prototypes must be finite")
-        if not (isinstance(self.eps, numbers.Real) and np.isfinite(self.eps)
-                and self.eps >= 0):
+        if not (isinstance(self.eps, numbers.Real) and not isinstance(self.eps, bool)
+                and np.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps={self.eps!r} must be a finite number >= 0")
         require_feature_names(self.feature_names, self.p)
         if self.variant == "db" and getattr(self.density, "p", None) != self.p:
@@ -93,6 +93,9 @@ class ToccModel:
                        for g in self.groups)):
             raise ValueError(f"{self.variant} variant needs one group of "
                              f"width {self.p} per prototype")
+        if self.variant != "db" and not all(
+                np.all(np.isfinite(np.asarray(g, dtype=float))) for g in self.groups):
+            raise ValueError("group rows must be finite")
 
     @property
     def n_prototypes(self) -> int:
@@ -104,6 +107,15 @@ class ToccModel:
 
     def predict(self, Z) -> "PredictionResult":
         return predict(self, Z)
+
+    def _score(self, g: int, Z) -> TpRows:
+        """Score the float rows Z against prototype g: under the fitted
+        density for db, by counting against group g otherwise. The one place
+        a variant picks its kernel."""
+        if self.variant == "db":
+            return tp_density_scores(self.density, Z, self.prototypes[g],
+                                     self.integrator, self.eps)
+        return tp_scores(self.groups[g], Z, self.prototypes[g], self.eps)
 
 
 @dataclass
@@ -231,15 +243,23 @@ def _feature_names(X):
     return list(X.feature_names) if hasattr(X, "feature_names") else None
 
 
+def _calibrated(own_rows, variant, prototypes, s, **fields) -> ToccModel:
+    """A ToccModel whose threshold g is the (1 - s_g) type-1 quantile of the
+    scores of group g's own rows, own_rows[g], against prototype g."""
+    model = ToccModel(variant, prototypes, np.zeros(len(own_rows)), s, **fields)
+    model.thresholds = np.array([
+        empirical_quantile(model._score(g, rows).value, 1.0 - sg)
+        for g, (rows, sg) in enumerate(zip(own_rows, model.sensitivity))])
+    return model
+
+
 def fit_tocc_df(X_target, s: float) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
     vals = as_values(X_target)
     _check_target(vals, s, "fit_tocc_df")
-    proto = spatial_median(vals)
-    t = empirical_quantile(tp_scores(vals, vals, proto)[0], 1.0 - s)
-    return ToccModel("df", proto, [t], [s], groups=[vals.copy()],
-                     feature_names=_feature_names(X_target))
+    return _calibrated([vals], "df", spatial_median(vals), [s], groups=[vals.copy()],
+                       feature_names=_feature_names(X_target))
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
@@ -252,11 +272,8 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
     if integrator is None:
         integrator = OrthantIntegrator("monte_carlo", 100_000, rng.child(997))
-    proto = spatial_median(vals)
-    t = empirical_quantile(
-        tp_density_scores(density, vals, proto, integrator)[0], 1.0 - s)
-    return ToccModel("db", proto, [t], [s], density=density,
-                     integrator=integrator, feature_names=_feature_names(X_target))
+    return _calibrated([vals], "db", spatial_median(vals), [s], density=density,
+                       integrator=integrator, feature_names=_feature_names(X_target))
 
 
 def fit_pam_tocc_df(X_target, k: int, s) -> ToccModel:
@@ -287,11 +304,9 @@ def fit_pam_tocc_df(X_target, k: int, s) -> ToccModel:
                 "try a smaller k")
         k -= 1
     groups = [vals[result.assignment == g] for g in range(k)]
-    thresholds = [empirical_quantile(tp_scores(x, x, vals[med])[0], 1.0 - sg)
-                  for x, med, sg in zip(groups, result.medoids, s_arr)]
-    return ToccModel("pam_df", vals[result.medoids], thresholds, s_arr[:k],
-                     groups=groups, feature_names=_feature_names(X_target),
-                     pam=result)
+    return _calibrated(groups, "pam_df", vals[result.medoids], s_arr[:k],
+                       groups=groups, feature_names=_feature_names(X_target),
+                       pam=result)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +314,15 @@ def fit_pam_tocc_df(X_target, k: int, s) -> ToccModel:
 # ---------------------------------------------------------------------------
 
 def predict(model: ToccModel, Z) -> PredictionResult:
-    """Score each row of Z and accept it when the score reaches the threshold
-    of its prototype (the nearest medoid's for pam_df, ties to the lowest
-    cluster index). Z must be finite and as wide as the model."""
+    """Score each row of Z against its nearest prototype (the one spatial
+    median for df and db, the nearest medoid for pam_df with ties to the
+    lowest cluster index) and accept it when the score reaches that
+    prototype's threshold. Z must be finite and as wide as the model."""
     vals = as_queries(Z, model.p, "predict")
-    if model.variant == "db":
-        scores = tp_density_scores(model.density, vals, model.prototypes[0],
-                                   model.integrator, model.eps)[0]
-        return PredictionResult(scores >= model.thresholds[0], scores, None)
-
-    d = np.linalg.norm(vals[:, None, :] - model.prototypes[None, :, :], axis=2)
-    clusters = d.argmin(axis=1)
+    clusters = np.linalg.norm(vals[:, None] - model.prototypes, axis=2).argmin(axis=1)
     scores = np.empty(vals.shape[0])
-    for g, (group, proto) in enumerate(zip(model.groups, model.prototypes)):
+    for g in range(model.n_prototypes):
         rows = clusters == g
-        scores[rows] = tp_scores(group, vals[rows], proto, model.eps)[0]
+        scores[rows] = model._score(g, vals[rows]).value
     return PredictionResult(scores >= model.thresholds[clusters], scores,
                             clusters if model.variant == "pam_df" else None)

@@ -10,7 +10,6 @@ single-line error on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 

@@ -14,6 +14,7 @@ boxes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,8 @@ class TpScore:
 
     numerator_count / denominator_count are unit counts for the counting
     forms and probability masses for the density form. dropped_coords lists
-    coordinates excluded because the query ties the prototype there.
+    coordinates excluded because the query ties the prototype there;
+    degenerate marks a denominator too small to divide by (score 0).
     """
 
     value: float
@@ -40,13 +42,21 @@ class TpScore:
     degenerate: bool = False
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+# The batch forms' per-query record, one entry per row of C: value,
+# numerator, denominator, the q x p mask of coordinates kept by the drop
+# rule, and the degenerate-denominator flag. A TpScore is one row of it.
+TpRows = namedtuple("TpRows", "value numerator denominator kept degenerate")
 
 
 # A denominator below this is degenerate and scores 0. Weighted counts are
 # multiples of 1/2, so for them this means a zero denominator.
 _DEGENERATE = 1e-12
+
+
+def _kept(C, m, eps):
+    """The drop rule: a coordinate where the query lies within eps of the
+    prototype carries no sign information and is dropped."""
+    return np.abs(C - m) > eps
 
 
 def _orthant_counts(X, C, m):
@@ -74,47 +84,55 @@ def _orthant_counts(X, C, m):
     return num, den
 
 
-def _ratio(num, den):
+def _record(num, den, kept) -> TpRows:
+    """The record of numerators and denominators: a degenerate denominator
+    scores 0, any other ratio is clipped to [0, 1]."""
+    degenerate = den < _DEGENERATE
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den < _DEGENERATE, 0.0, np.clip(num / den, 0.0, 1.0))
+        value = np.where(degenerate, 0.0, np.clip(num / den, 0.0, 1.0))
+    return TpRows(value, num, den, kept, degenerate)
 
 
-def tp_scores(X, C, m, eps: float = DROP_EPS):
+def tp_scores(X, C, m, eps: float = DROP_EPS) -> TpRows:
     """Counting-form tp of each row of the float array C (q x p) against the
-    rows of X and prototype m: (value, numerator, denominator) arrays, one
-    entry per query. multivariate_tp is the one-query case."""
+    rows of X and prototype m, numerator and denominator in unit counts.
+    multivariate_tp is the one-query case."""
     vals = as_values(X)
+    kept = _kept(C, m, eps)
     num, den = np.full((2, C.shape[0]), float(vals.shape[0]))
-    for kept, rows in row_patterns(np.abs(C - m) > eps):
+    for cols, rows in row_patterns(kept):
         num[rows], den[rows] = _orthant_counts(
-            vals[:, kept], C[np.ix_(rows, kept)], m[kept])
-    return _ratio(num, den), num, den
+            vals[:, cols], C[np.ix_(rows, cols)], m[cols])
+    return _record(num, den, kept)
 
 
-def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
+def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRows:
     """Density-form tp of each row of the float array C (q x p) with
-    prototype m: (value, numerator mass, denominator mass) arrays, one entry
-    per query; multivariate_tp_density is the one-query case. The numerator
-    box lies beyond c and the denominator box beyond m, both in c's
-    direction from m; a dropped coordinate is unbounded. One box_masses call
-    integrates all 2q boxes, so a query's two boxes share one marginal and
-    one draw set."""
+    prototype m, numerator and denominator as probability masses;
+    multivariate_tp_density is the one-query case. The numerator box lies
+    beyond c and the denominator box beyond m, both in c's direction from
+    m; a dropped coordinate is unbounded. One box_masses call integrates all
+    2q boxes, so a query's two boxes share one marginal and one draw set."""
+    kept = _kept(C, m, eps)
     anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
-    kept = np.tile(np.abs(C - m) > eps, (2, 1))
-    up = np.tile(C >= m, (2, 1))
-    num, den = box_masses(density, np.where(kept & up, anchors, -np.inf),
-                          np.where(kept & ~up, anchors, np.inf),
+    bounded, up = np.tile([kept, C >= m], (1, 2, 1))
+    num, den = box_masses(density, np.where(bounded & up, anchors, -np.inf),
+                          np.where(bounded & ~up, anchors, np.inf),
                           integrator).reshape(2, -1)
-    return _ratio(num, den), num, den
+    return _record(num, den, kept)
 
 
-def _query_pair(c, m, p: int, where: str):
+def _one_query(batch, c, m, p: int, where: str) -> TpScore:
+    """Row 0 of batch(C, m), a batch form, for the single query c against
+    prototype m, both finite and p wide."""
     c, m = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (c, m))
     if c.shape != (p,) or m.shape != (p,):
         raise ValueError(f"{where}: dimension mismatch")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(m))):
         raise ValueError(f"{where}: query and prototype must be finite")
-    return c, m
+    value, num, den, kept, degenerate = batch(c[None], m)
+    return TpScore(float(value[0]), float(num[0]), float(den[0]),
+                   np.flatnonzero(~kept[0]).tolist(), bool(degenerate[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +152,7 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     num, _ = _orthant_counts(arr[:, None], np.array([[c]], dtype=float),
                              np.array([m], dtype=float))
     weighted = float(num[0])
-    value = _clamp01(2.0 * weighted / arr.size)
-    return TpScore(value, weighted, arr.size / 2.0)
+    return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
 
 def univariate_tp_density(cdf, c: float, m: float) -> TpScore:
@@ -148,7 +165,7 @@ def univariate_tp_density(cdf, c: float, m: float) -> TpScore:
     if not 0.0 <= f_c <= 1.0:
         raise ValueError(f"univariate_tp_density: cdf returned {f_c}, outside [0, 1]")
     tail = f_c if m >= c else 1.0 - f_c
-    return TpScore(_clamp01(2.0 * tail), tail, 0.5)
+    return TpScore(min(1.0, 2.0 * tail), tail, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +187,8 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     non-finite c or m is an error.
     """
     vals = as_values(X)
-    c, m = _query_pair(c, m, vals.shape[1], "multivariate_tp")
-    value, num, den = tp_scores(vals, c[None], m, eps)
-    return TpScore(float(value[0]), float(num[0]), float(den[0]),
-                   np.flatnonzero(np.abs(c - m) <= eps).tolist())
+    return _one_query(lambda C, m: tp_scores(vals, C, m, eps), c, m,
+                      vals.shape[1], "multivariate_tp")
 
 
 def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) -> TpScore:
@@ -188,8 +203,5 @@ def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) ->
     cancels in the ratio; a denominator below 1e-12 flags degeneracy and
     scores 0. A non-finite c or m is an error.
     """
-    c, m = _query_pair(c, m, density.p, "multivariate_tp_density")
-    value, num, den = tp_density_scores(density, c[None], m, integrator, eps)
-    return TpScore(float(value[0]), float(num[0]), float(den[0]),
-                   np.flatnonzero(np.abs(c - m) <= eps).tolist(),
-                   degenerate=bool(den[0] < _DEGENERATE))
+    return _one_query(lambda C, m: tp_density_scores(density, C, m, integrator, eps),
+                      c, m, density.p, "multivariate_tp_density")

@@ -33,6 +33,24 @@ def fields(score):
             score.dropped_coords, score.degenerate)
 
 
+def assert_rows_match(rows, oracles, degenerate):
+    """Each row of a batch record equals the frozen one-query oracle's
+    value, numerator, denominator, dropped coordinates and degenerate flag
+    (read by the caller from the oracle's denominator)."""
+    assert np.array_equal(rows.value, [o.value for o in oracles])
+    assert np.array_equal(rows.numerator, [o.numerator_count for o in oracles])
+    assert np.array_equal(rows.denominator, [o.denominator_count for o in oracles])
+    assert [np.flatnonzero(~kept).tolist() for kept in rows.kept] \
+        == [o.dropped_coords for o in oracles]
+    assert rows.degenerate.tolist() == [degenerate(o) for o in oracles]
+
+
+def zero_denominator(oracle):
+    # The counting oracle never sets its flag: a zero weighted count is the
+    # degenerate denominator.
+    return oracle.denominator_count == 0.0
+
+
 def sample_points(gen, n, p):
     """Integer grids with heavy ties, duplicated rows, or continuous data at
     scales from 1e-160 (products underflow to 0) to 1e160 (they overflow)."""
@@ -77,16 +95,19 @@ class TestCountingKernel:
         gen = np.random.default_rng(101)
         for _ in range(60):
             X, m, Q, eps = counting_case(gen)
-            expected = [ref.multivariate_tp(X, c, m, eps).value for c in Q]
-            assert np.array_equal(tp_scores(X, Q, m, eps)[0], expected)
+            assert_rows_match(tp_scores(X, Q, m, eps),
+                              [ref.multivariate_tp(X, c, m, eps) for c in Q],
+                              zero_denominator)
 
     def test_single_query_fields_match_reference(self):
         gen = np.random.default_rng(102)
         for _ in range(30):
             X, m, Q, eps = counting_case(gen)
             for c in Q[gen.integers(0, len(Q), size=10)]:
-                assert fields(multivariate_tp(X, c, m, eps)) \
-                    == fields(ref.multivariate_tp(X, c, m, eps))
+                got = multivariate_tp(X, c, m, eps)
+                want = ref.multivariate_tp(X, c, m, eps)
+                assert fields(got)[:4] == fields(want)[:4]
+                assert got.degenerate == zero_denominator(want)
 
     def test_chunk_boundaries(self, monkeypatch):
         # A tiny budget makes every batch span many chunks, with a ragged
@@ -127,10 +148,10 @@ class TestDensityKernel:
             X = density.sample(40, gen)
             m = np.median(X, axis=0)
             Q = sample_queries(gen, X, m, transvariation.DROP_EPS)
-            expected = [ref.multivariate_tp_density(density, c, m, integ).value
-                        for c in Q]
-            assert np.array_equal(tp_density_scores(density, Q, m, integ)[0],
-                                  expected)
+            assert_rows_match(
+                tp_density_scores(density, Q, m, integ),
+                [ref.multivariate_tp_density(density, c, m, integ) for c in Q],
+                lambda oracle: oracle.denominator_count < 1e-12)
             for c in Q[:8]:
                 assert fields(multivariate_tp_density(density, c, m, integ)) \
                     == fields(ref.multivariate_tp_density(density, c, m, integ))

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 
 import numpy as np
@@ -255,12 +254,15 @@ class TestToccModelFiles:
         ("tocc-df", {"sensitivity": [0.0]},
          "sensitivity s must lie strictly inside (0, 1)"),
         ("tocc-db", {"sensitivity": None},
-         "sensitivity s must lie strictly inside (0, 1)")],
+         "sensitivity s must lie strictly inside (0, 1)"),
+        ("tocc-df", {"groups": [[[0.0, None]] + [[0.0, 1.0]] * 29]},
+         "group rows must be finite"),
+        ("tocc-df", {"eps": True}, "eps=True must be a finite number >= 0")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
              "negative-stream-id", "sensitivity-above-1", "zero-sensitivity",
-             "null-sensitivity"])
+             "null-sensitivity", "null-in-group-row", "bool-eps"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"

@@ -100,6 +100,13 @@ class TestMultivariateTp:
         assert score.value == 1.0
         assert score.dropped_coords == [0, 1]
 
+    def test_degenerate_denominator_flagged(self):
+        # No row lies beyond m in c's direction from m: a zero denominator.
+        X = [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]]
+        score = multivariate_tp(X, [-1, -1], [-0.5, -0.5])
+        assert (score.value, score.denominator_count) == (0.0, 0.0)
+        assert score.degenerate
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             multivariate_tp(self.corners, [0.5], [0.0, 0.0])
