@@ -16,8 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import (RngStream, as_queries, as_values, require_finite_rows,
-                      row_patterns, tiles)
+from .numcore import RngStream, as_queries, as_values, require_finite_rows, tiles
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -86,6 +85,10 @@ class MixtureDensity:
                 or self.covariances.shape != (k, p, p)):
             raise ValueError("MixtureDensity needs k weights, k x p means and "
                              "k x p x p covariances")
+        if not all(np.isfinite(a).all()
+                   for a in (self.weights, self.means, self.covariances)):
+            raise ValueError("MixtureDensity weights, means and covariances "
+                             "must all be finite")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         self._chols = np.linalg.cholesky(self.covariances)
@@ -111,13 +114,6 @@ class MixtureDensity:
     def pdf(self, X) -> np.ndarray:
         return np.exp(self.logpdf(X))
 
-    def marginal(self, coords) -> "MixtureDensity":
-        """Marginal mixture over a coordinate subset (exact for Gaussians)."""
-        idx = np.atleast_1d(np.asarray(coords, dtype=int))
-        return MixtureDensity(self.weights.copy(),
-                              self.means[:, idx],
-                              self.covariances[:, idx[:, None], idx[None, :]])
-
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         counts = gen.multinomial(n, self.weights)
         parts = []
@@ -140,8 +136,7 @@ class OrthantIntegrator:
 
     The stream is fixed, so the same integrator always replays the same
     sample set; numerator/denominator ratios built on one integrator share
-    their draws (common random numbers). The sample cache is keyed on the
-    density object and is semantically invisible.
+    their draws (common random numbers).
     """
 
     method: str = "monte_carlo"
@@ -155,42 +150,40 @@ class OrthantIntegrator:
                 and self.mc_samples >= 10_000):
             raise ValueError(f"monte_carlo integrator requires an integer "
                              f"mc_samples >= 10000, not {self.mc_samples!r}")
-        self._cache = None
 
     def samples(self, density: MixtureDensity) -> np.ndarray:
-        if self._cache is not None and self._cache[0] is density \
-                and self._cache[1] == self.mc_samples:
-            return self._cache[2]
-        draws = density.sample(self.mc_samples, self.rng.generator())
-        self._cache = (density, self.mc_samples, draws)
-        return draws
+        return density.sample(self.mc_samples, self.rng.generator())
 
 
 def box_masses(density: MixtureDensity, lower, upper,
                integrator: OrthantIntegrator) -> np.ndarray:
     """Mass under the mixture of each box lower[i] <= x <= upper[i] of the
-    q x p bounds (+-inf allowed). Coordinates unbounded on both sides are
-    marginalized out exactly and a box bounded nowhere has mass 1; one
-    bounded coordinate is integrated in closed form, two or more by counting
-    the integrator's draws of that marginal inside the box, boundary
-    included. Rows bounded on the same coordinates share one marginal and
-    one draw set (the density's own when all are bounded, so its sample
-    cache hits)."""
+    q x p bounds (+-inf allowed). A box bounded nowhere has mass 1. A box
+    bounded on one coordinate j is integrated in closed form under the
+    mixture's exact marginal on j. A box bounded on two or more coordinates
+    gets the share of the integrator's draws of the full mixture inside it,
+    boundary included: every finite draw passes an infinite bound, so this
+    marginalizes the unbounded coordinates out, and all such boxes of one
+    call share one draw set."""
+    bounded = np.isfinite(lower) | np.isfinite(upper)
+    n_bounded = bounded.sum(axis=1)
     mass = np.ones(lower.shape[0])
-    for kept, rows in row_patterns(np.isfinite(lower) | np.isfinite(upper)):
-        lo, hi = lower[np.ix_(rows, kept)], upper[np.ix_(rows, kept)]
-        marginal = density if kept.size == density.p else density.marginal(kept)
-        if kept.size == 1:
-            # ndtr(+inf) = 1 and ndtr(-inf) = 0 exactly: no case for +-inf.
-            mu, sd = marginal.means[:, 0], np.sqrt(marginal.covariances[:, 0, 0])
-            mass[rows] = np.sum(marginal.weights * (ndtr((hi - mu) / sd)
-                                                    - ndtr((lo - mu) / sd)), axis=-1)
-            continue
-        draws = integrator.samples(marginal)
+    rows = np.flatnonzero(n_bounded == 1)
+    j = bounded[rows].argmax(axis=1)
+    mu = density.means.T[j]
+    sd = np.sqrt(np.diagonal(density.covariances, axis1=1, axis2=2).T[j])
+    lo, hi = lower[rows, j][:, None], upper[rows, j][:, None]
+    # ndtr(+inf) = 1 and ndtr(-inf) = 0 exactly: no case for +-inf.
+    mass[rows] = np.sum(density.weights * (ndtr((hi - mu) / sd)
+                                           - ndtr((lo - mu) / sd)), axis=-1)
+    rows = np.flatnonzero(n_bounded >= 2)
+    if rows.size:
+        draws = integrator.samples(density)
+        lo, hi = lower[rows], upper[rows]
         inside = np.zeros(rows.size, dtype=np.int64)
         for XT, chunk in tiles(draws, rows.size):
             hit = np.ones((lo[chunk].shape[0], XT.shape[1]), dtype=bool)
-            for u in range(kept.size):
+            for u in range(density.p):
                 hit &= (XT[u] >= lo[chunk, u, None]) & (XT[u] <= hi[chunk, u, None])
             inside[chunk] += np.count_nonzero(hit, axis=1)
         mass[rows] = inside / draws.shape[0]

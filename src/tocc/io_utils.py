@@ -76,6 +76,17 @@ def ingest_csv(path, label_column: str | None = None,
     feature_idx = [j for j in range(len(header)) if j not in (label_idx, norm_idx)]
     feature_names = [header[j] for j in feature_idx]
 
+    def number(record, r, j):
+        try:
+            cell = float(record[j])
+        except ValueError:
+            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                              f"non-numeric cell '{record[j]}'") from None
+        if not np.isfinite(cell):
+            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                              f"non-finite cell '{record[j]}'")
+        return cell
+
     rows, labels = [], []
     for r, record in enumerate(reader, start=2):
         if not record:
@@ -83,23 +94,9 @@ def ingest_csv(path, label_column: str | None = None,
         if len(record) != len(header):
             raise IngestError(f"{path}: row {r}: expected {len(header)} cells, "
                               f"got {len(record)}")
-        vals = []
-        for j in feature_idx:
-            try:
-                cell = float(record[j])
-            except ValueError:
-                raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                                  f"non-numeric cell '{record[j]}'") from None
-            if not np.isfinite(cell):
-                raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                                  f"non-finite cell '{record[j]}'")
-            vals.append(cell)
+        vals = [number(record, r, j) for j in feature_idx]
         if norm_idx is not None:
-            try:
-                ref = float(record[norm_idx])
-            except ValueError:
-                raise IngestError(f"{path}: row {r}, column '{normalize_by}': "
-                                  f"non-numeric cell '{record[norm_idx]}'") from None
+            ref = number(record, r, norm_idx)
             if ref == 0:
                 raise IngestError(f"{path}: row {r}, column '{normalize_by}': "
                                   f"zero reference value")
@@ -129,35 +126,44 @@ def _arr(a) -> list:
 
 
 class _Codec(NamedTuple):
-    """How one kind of field value goes to JSON and back. A None value is
-    written as null, or left out of the file when optional."""
+    """How one kind of field value goes to JSON and back: dump writes it,
+    build reads it from a JSON value of json_type (object: any). A None
+    value is written as null, or left out of the file when optional."""
 
     dump: Callable
-    load: Callable
+    build: Callable
+    json_type: type = object
     optional: bool = False
+
+    def load(self, name: str, value):
+        if not isinstance(value, self.json_type):
+            kind = "an object" if self.json_type is dict else "an array"
+            raise ValueError(f"model field '{name}' must be {kind}, "
+                             f"not {json.dumps(value)}")
+        return self.build(value)
 
 
 _PLAIN = _Codec(lambda v: v, lambda v: v)
 _FLOATS = _Codec(_arr, np.array)
 # An empty list is written as null.
 _ARRAYS = _Codec(lambda v: [_arr(g) for g in v] or None,
-                 lambda v: [np.array(g) for g in v] or None)
+                 lambda v: [np.array(g) for g in v] or None, list)
 _MIXTURE = _Codec(
     lambda d: {"weights": _arr(d.weights), "means": _arr(d.means),
                "covariances": _arr(d.covariances)},
-    lambda o: MixtureDensity(o["weights"], o["means"], o["covariances"]))
+    lambda o: MixtureDensity(o["weights"], o["means"], o["covariances"]), dict)
 _INTEGRATOR = _Codec(
     lambda i: {"method": i.method, "mc_samples": i.mc_samples,
                "seed": i.rng.seed, "stream_id": i.rng.stream_id},
     lambda o: OrthantIntegrator(o["method"], o["mc_samples"],
-                                RngStream(o["seed"], o["stream_id"])))
+                                RngStream(o["seed"], o["stream_id"])), dict)
 _PAM = _Codec(
     lambda r: {"medoids": list(r.medoids),
                "assignment": [int(a) for a in r.assignment],
                "total_cost": r.total_cost},
     lambda o: PamResult(list(o["medoids"]), np.array(o["assignment"], dtype=int),
                         o["total_cost"]),
-    optional=True)
+    dict, optional=True)
 
 # Model tag -> (class, its persisted fields in file order). Loading builds
 # cls(**fields), so every file passes the class's own consistency checks.
@@ -204,13 +210,13 @@ def load_model(path):
         raise ValueError(f"{path}: unsupported schema version "
                          f"{doc.get('schema_version')}")
     try:
-        if doc["model"] not in _MODELS:
+        if not isinstance(doc["model"], str) or doc["model"] not in _MODELS:
             raise ValueError(f"{path}: unknown model type '{doc['model']}'")
         cls, fields = _MODELS[doc["model"]]
         kwargs = {}
         for name, codec in fields:
             value = doc.get(name) if codec.optional else doc[name]
-            kwargs[name] = None if value is None else codec.load(value)
+            kwargs[name] = None if value is None else codec.load(name, value)
         return cls(**kwargs)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks the key {exc}") from None

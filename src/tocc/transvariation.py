@@ -112,7 +112,7 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRow
     multivariate_tp_density is the one-query case. The numerator box lies
     beyond c and the denominator box beyond m, both in c's direction from
     m; a dropped coordinate is unbounded. One box_masses call integrates all
-    2q boxes, so a query's two boxes share one marginal and one draw set."""
+    2q boxes, so all boxes of the batch share one draw set."""
     kept = _kept(C, m, eps)
     anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
     bounded, up = np.tile([kept, C >= m], (1, 2, 1))

@@ -9,7 +9,10 @@ loops; the per-component EM iteration and Gaussian log-density the library
 used before its stacked EM step; the per-cut-point ROC loop; the
 hand-written model save/load the library used before its persistence table;
 orthant_probability and the batched density score as they were before
-both integrated their boxes through density.box_masses; and the
+both integrated their boxes through density.box_masses (the three density
+scores take their Monte Carlo draws as column subsets of the full
+mixture's draws, as box_masses does, and their closed-form marginals from
+_marginal); and the
 one-candidate-at-a-time random-projection selection, the per-projection VIP
 loop and the per-column PCA sign fix the feature-selection layer used before
 it worked on stacked arrays.
@@ -106,6 +109,14 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     return TpScore(_clamp01(ratio), num.weighted, den.weighted, dropped.tolist())
 
 
+def _marginal(density, coords) -> MixtureDensity:
+    """MixtureDensity.marginal: the exact marginal mixture over a coordinate
+    subset."""
+    idx = np.atleast_1d(np.asarray(coords, dtype=int))
+    return MixtureDensity(density.weights.copy(), density.means[:, idx],
+                          density.covariances[:, idx[:, None], idx[None, :]])
+
+
 def interval_probability(marginal, lower: float, upper: float) -> float:
     """P(lower <= X <= upper) for a univariate mixture, closed form."""
     sd = np.sqrt(marginal.covariances[:, 0, 0])
@@ -127,7 +138,7 @@ def multivariate_tp_density(density, c, m, integrator,
     if keep.size == 0:
         return TpScore(1.0, 1.0, 1.0, dropped.tolist())
 
-    marginal = density if keep.size == density.p else density.marginal(keep)
+    marginal = density if keep.size == density.p else _marginal(density, keep)
     ck, mk = c[keep], m[keep]
     up = ck >= mk
     num_lower = np.where(up, ck, -np.inf)
@@ -139,7 +150,7 @@ def multivariate_tp_density(density, c, m, integrator,
         num_mass = interval_probability(marginal, num_lower[0], num_upper[0])
         den_mass = interval_probability(marginal, den_lower[0], den_upper[0])
     else:
-        samples = integrator.samples(marginal)
+        samples = integrator.samples(density)[:, keep]
         inside_num = np.all((samples >= num_lower) & (samples <= num_upper), axis=1)
         inside_den = np.all((samples >= den_lower) & (samples <= den_upper), axis=1)
         num_mass = inside_num.mean()
@@ -178,17 +189,17 @@ def orthant_probability(density, lower, upper, integrator) -> float:
     active = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
     if active.size == 0:
         return 1.0
-    marginal = density if active.size == density.p else density.marginal(active)
+    marginal = density if active.size == density.p else _marginal(density, active)
     if active.size == 1:
         return _interval_masses(marginal, lower[active[0]], upper[active[0]])
-    draws = integrator.samples(marginal)
+    draws = integrator.samples(density)[:, active]
     inside = np.all((draws >= lower[active]) & (draws <= upper[active]), axis=1)
     return float(inside.mean())
 
 
 def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
-    """(value, numerator mass, denominator mass) of each row of C: one
-    marginal per pattern of kept coordinates; a draw is in a box when every
+    """(value, numerator mass, denominator mass) of each row of C, one
+    pattern of kept coordinates at a time; a draw is in a box when every
     product (x_u - a_u)(m_u - c_u) <= 0, a = c for the numerator and m for
     the denominator."""
     num, den = np.ones((2, C.shape[0]))
@@ -199,14 +210,14 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
         kept = np.flatnonzero(pattern)
         rows = np.flatnonzero(which.reshape(-1) == j)
         ck, mk = C[np.ix_(rows, kept)], m[kept]
-        marginal = density if kept.size == density.p else density.marginal(kept)
+        marginal = density if kept.size == density.p else _marginal(density, kept)
         if kept.size == 1:
             up = ck[:, 0] >= mk[0]
             for out, bound in ((num, ck[:, 0]), (den, mk[0])):
                 out[rows] = _interval_masses(marginal, np.where(up, bound, -np.inf),
                                              np.where(up, np.inf, bound))
             continue
-        draws = integrator.samples(marginal)
+        draws = integrator.samples(density)[:, kept]
         for out, anchors in ((num, ck), (den, np.broadcast_to(mk, ck.shape))):
             inside = [np.all((draws - a) * (mk - c) <= 0, axis=1).sum()
                       for a, c in zip(anchors, ck)]

@@ -3,6 +3,7 @@ import pytest
 
 from tocc import (MixtureDensity, OrthantIntegrator, RngStream, fit_gmm,
                   orthant_probability)
+from tocc.density import box_masses
 
 
 class TestMixtureDensity:
@@ -34,12 +35,15 @@ class TestMixtureDensity:
         with pytest.raises(ValueError, match="k x p means"):
             MixtureDensity([0.5, 0.5], means, covs)
 
-    def test_marginal(self):
-        cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
-        f = MixtureDensity([1.0], [[1.0, 2.0, 3.0]], [cov])
-        marg = f.marginal([0, 2])
-        assert np.allclose(marg.means, [[1.0, 3.0]])
-        assert np.allclose(marg.covariances[0], [[2.0, 0.1], [0.1, 3.0]])
+    @pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        params = {"weights": np.array([0.5, 0.5]),
+                  "means": np.array([[0.0, 0.0], [1.0, 1.0]]),
+                  "covariances": np.array([np.eye(2), np.eye(2)])}
+        params[field].flat[0] = bad
+        with pytest.raises(ValueError, match="must all be finite"):
+            MixtureDensity(**params)
 
     def test_pdf_integrates_to_one(self):
         f = MixtureDensity([0.4, 0.6], [[0.0, 0.0], [3.0, 1.0]],
@@ -126,6 +130,25 @@ class TestOrthantProbability:
     def test_small_mc_budget_rejected(self):
         with pytest.raises(ValueError):
             OrthantIntegrator("monte_carlo", 5_000, RngStream(9))
+
+
+class TestBoxMasses:
+    def test_one_draw_set_for_every_pattern(self):
+        # A box bounded on coordinates {0, 1} is counted on those columns of
+        # the full mixture's draws, and bounding coordinate 2 as well by the
+        # draws' own range in that column leaves its mass unchanged.
+        cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+        f = MixtureDensity([0.4, 0.6], [[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]],
+                           [cov, np.eye(3)])
+        integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(10))
+        draws = integ.samples(f)
+        lo, hi = np.array([0.5, -np.inf]), np.array([np.inf, 1.5])
+        inside = np.count_nonzero(np.all((draws[:, :2] >= lo)
+                                         & (draws[:, :2] <= hi), axis=1))
+        lower = np.array([[*lo, -np.inf], [*lo, draws[:, 2].min()]])
+        upper = np.array([[*hi, np.inf], [*hi, draws[:, 2].max()]])
+        assert box_masses(f, lower, upper, integ).tolist() \
+            == [inside / draws.shape[0]] * 2
 
 
 class TestFitGmm:

@@ -178,13 +178,6 @@ class TestDensityKernel:
                 == fields(ref.multivariate_tp_density(density, c, m, integ))
 
 
-def marginal_draws(density, integ, kept):
-    """The integrator's draws of the marginal over the coordinates kept,
-    exactly as box_masses sees them."""
-    return integ.samples(density if kept.size == density.p
-                         else density.marginal(kept))
-
-
 def random_boxes(gen, density, integ, q):
     """q boxes, each coordinate unbounded, bounded below, above or on both
     sides; the first rows are bounded nowhere, and boxes bounded on two or
@@ -197,7 +190,7 @@ def random_boxes(gen, density, integ, q):
     for i, side in enumerate(sides):
         kept = np.flatnonzero(side)
         if kept.size >= 2 and gen.random() < 0.8:
-            pair = marginal_draws(density, integ, kept)[gen.integers(10_000, size=2)]
+            pair = integ.samples(density)[:, kept][gen.integers(10_000, size=2)]
             lo, hi = pair.min(axis=0), pair.max(axis=0)
         else:
             lo = gen.normal(size=kept.size)
@@ -232,8 +225,8 @@ class TestBoxMasses:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_density_scores_on_draws_match_reference(self, p):
-        # The prototype and every kept query coordinate sit on draws of the
-        # marginal their boxes are integrated over.
+        # The prototype and every kept query coordinate sit on the draws
+        # their boxes are counted on.
         gen = np.random.default_rng(125 + p)
         density = mixture_case(gen, p)
         integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(p))
@@ -242,7 +235,7 @@ class TestBoxMasses:
         for c in Q[1:]:
             kept = np.flatnonzero(gen.random(p) < 0.7)
             if kept.size:
-                c[kept] = marginal_draws(density, integ, kept)[gen.integers(10_000)]
+                c[kept] = integ.samples(density)[:, kept][gen.integers(10_000)]
         for got, want in zip(tp_density_scores(density, Q, m, integ),
                              ref.tp_density_scores(density, Q, m, integ)):
             assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
-"""Every imported name is used: an AST scan of the package, the tests and the
-demos that needs no linter. An import on a line marked `# noqa` or a name
-listed in `__all__` counts as used; `from __future__` imports are skipped."""
+"""AST scans that need no linter. Every imported name is used in the
+package, the tests and the demos: an import on a line marked `# noqa` or a
+name listed in `__all__` counts as used; `from __future__` imports are
+skipped. And the package has no check that `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,14 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in SOURCES for line, name in unused_imports(path)]
     assert unused == []
+
+
+def test_no_assert_in_package():
+    """No assert statement and no __debug__ test under src/tocc: python -O
+    drops both, and the package's checks must hold there too."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(ROOT.glob("src/tocc/**/*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []

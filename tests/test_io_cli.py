@@ -63,6 +63,11 @@ class TestIngestCsv:
         data = ingest_csv(path, normalize_by="o")
         assert data.feature_names == ["a", "b"]
         assert np.allclose(data.values, [[1, 2], [3, 1]])
+        for bad in ("inf", "nan"):
+            path = write(tmp_path / "e.csv", f"a,b,o\n2,4,2\n9,3,{bad}\n")
+            with pytest.raises(IngestError, match=f"row 3, column 'o': "
+                                                  f"non-finite cell '{bad}'"):
+                ingest_csv(path, normalize_by="o")
 
     def test_normalize_zero_reference(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,o\n2,0\n")
@@ -257,12 +262,25 @@ class TestToccModelFiles:
          "sensitivity s must lie strictly inside (0, 1)"),
         ("tocc-df", {"groups": [[[0.0, None]] + [[0.0, 1.0]] * 29]},
          "group rows must be finite"),
-        ("tocc-df", {"eps": True}, "eps=True must be a finite number >= 0")],
+        ("tocc-df", {"eps": True}, "eps=True must be a finite number >= 0"),
+        ("tocc-db", {"integrator": 5},
+         "model field 'integrator' must be an object, not 5"),
+        ("tocc-db", {"density": [1, 2]},
+         "model field 'density' must be an object, not [1, 2]"),
+        ("pam-tocc-df", {"pam": 5}, "model field 'pam' must be an object"),
+        ("tocc-df", {"groups": 5}, "model field 'groups' must be an array, not 5"),
+        ("tocc-df", {"model": ["tocc"]}, "unknown model type"),
+        ("tocc-db", {"density": {"means": [[float("nan"), 0.0]]}},
+         "weights, means and covariances must all be finite"),
+        ("tocc-db", {"density": {"weights": [float("nan")]}},
+         "weights, means and covariances must all be finite")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
              "negative-stream-id", "sensitivity-above-1", "zero-sensitivity",
-             "null-sensitivity", "null-in-group-row", "bool-eps"])
+             "null-sensitivity", "null-in-group-row", "bool-eps",
+             "numeric-integrator", "list-density", "numeric-pam",
+             "numeric-groups", "list-model", "nan-mean", "nan-weight"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
