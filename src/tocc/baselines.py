@@ -117,12 +117,18 @@ class BaselineModel:
         return predict_baseline(self, Z)
 
 
+# Queries per block of the product KDE: a block holds _KDE_BLOCK x n x p
+# standardized differences.
+_KDE_BLOCK = 64
+
+
 def _product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.ndarray:
     out = np.empty(queries.shape[0])
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * h).prod()
-    for i, q in enumerate(queries):
-        z = (q - train) / h
-        out[i] = norm * np.exp(-0.5 * (z ** 2).sum(axis=1)).mean()
+    for start in range(0, queries.shape[0], _KDE_BLOCK):
+        rows = slice(start, start + _KDE_BLOCK)
+        z = (queries[rows, None, :] - train) / h
+        out[rows] = norm * np.exp(-0.5 * (z ** 2).sum(axis=2)).mean(axis=1)
     return out
 
 

@@ -139,11 +139,33 @@ class PredictionResult:
 # Partitioning Around Medoids
 # ---------------------------------------------------------------------------
 
+# Rows per block of the n x n column sums in BUILD and SWAP; n up to this is
+# one block.
+_PAM_BLOCK = 256
+
+
 def _pairwise_distances(vals: np.ndarray) -> np.ndarray:
     sq = (vals ** 2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * vals @ vals.T
+    d2 = np.add.outer(sq, sq)
+    d2 -= (2.0 * vals) @ vals.T
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
+def _column_sums(fill, buf) -> np.ndarray:
+    """Column sums of an n x n array written block by block: fill(rows, out)
+    writes the rows slice into out, a leading block of the reused buffer
+    buf. Each block's first row takes the running sum, so every column adds
+    up row after row, as numpy sums the whole array."""
+    n = buf.shape[1]
+    total = None
+    for start in range(0, n, buf.shape[0]):
+        out = buf[:n - start]
+        fill(slice(start, start + out.shape[0]), out)
+        if total is not None:
+            out[0] += total
+        total = out.sum(axis=0)
+    return total
 
 
 def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
@@ -165,10 +187,12 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
     # BUILD: first medoid minimizes total distance; each next one maximizes
     # the summed reduction of point-to-nearest-medoid distances. Candidates
     # duplicating a chosen medoid reduce nothing, so distinct rows win first.
+    buf = np.empty((min(n, _PAM_BLOCK), n))
     medoids = [int(np.argmin(dist.sum(axis=1)))]
     nearest = dist[:, medoids[0]].copy()
     while len(medoids) < k:
-        reduction = np.maximum(nearest[:, None] - dist, 0.0).sum(axis=0)
+        reduction = _column_sums(lambda r, out: np.maximum(
+            np.subtract(nearest[r, None], dist[r], out=out), 0.0, out=out), buf)
         reduction[medoids] = -np.inf
         j = int(np.argmax(reduction))
         medoids.append(j)
@@ -179,25 +203,21 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
     cost = _assignment_cost(dist, medoids)[2]
     while swaps < max_swaps:
         nearest_pos, d1, d2 = _nearest_two(dist, medoids)
-        improved = False
         for pos in range(len(medoids)):
             # Cost after dropping this medoid: covered points fall back to
             # their second-nearest, then everyone may adopt the candidate.
             base = np.where(nearest_pos == pos, d2, d1)
-            new_costs = np.minimum(base[:, None], dist).sum(axis=0)
-            for j in range(n):
-                if j in medoids:
-                    continue
-                if new_costs[j] < cost:
-                    medoids[pos] = j
-                    medoids.sort()
-                    cost = float(new_costs[j])
-                    swaps += 1
-                    improved = True
-                    break
-            if improved:
+            new_costs = _column_sums(
+                lambda r, out: np.minimum(base[r, None], dist[r], out=out), buf)
+            new_costs[medoids] = np.inf
+            better = np.flatnonzero(new_costs < cost)
+            if better.size:
+                medoids[pos] = int(better[0])
+                medoids.sort()
+                cost = float(new_costs[better[0]])
+                swaps += 1
                 break
-        if not improved:
+        else:
             break
 
     assignment, d1, final_cost = _assignment_cost(dist, medoids)

@@ -144,7 +144,7 @@ class _Codec(NamedTuple):
 
 
 _PLAIN = _Codec(lambda v: v, lambda v: v)
-_FLOATS = _Codec(_arr, np.array)
+_FLOATS = _Codec(_arr, np.array, list)
 # An empty list is written as null.
 _ARRAYS = _Codec(lambda v: [_arr(g) for g in v] or None,
                  lambda v: [np.array(g) for g in v] or None, list)
@@ -206,6 +206,9 @@ def load_model(path):
     inconsistent model is a ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file must hold a JSON object, "
+                         f"not {json.dumps(doc)[:40]}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version "
                          f"{doc.get('schema_version')}")

@@ -59,6 +59,22 @@ def _kept(C, m, eps):
     return np.abs(C - m) > eps
 
 
+# The p = 2 sweep below replaces the broadcast kernel from this many
+# point-query pairs up. Medians on a 2-core Xeon (Python 3.11, numpy 2.4),
+# n x q, broadcast -> sweep: 22 x 54 0.06 -> 0.17 ms, 87 x 214 0.30 ->
+# 0.52 ms, 150 x 225 0.51 -> 0.50 ms, 256 x 256 0.81 -> 0.59 ms, 2000 x 2000
+# 56 -> 4.0 ms, 2000 x 10 000 261 -> 20 ms. The crossover is near 2^15
+# pairs; 2^16 leaves a margin where the two are within a few percent.
+_SWEEP_MIN_PAIRS = 2 ** 16
+# The sweep compares coordinates where the kernel tests signs of products.
+# The two agree unless a product of two nonzero differences underflows to 0
+# or a difference overflows. A float of magnitude at least 2^-485 is a
+# multiple of 2^-537, so every nonzero difference of such floats is at
+# least 2^-537 and every product of two is at least 2^-1074; magnitudes
+# below 2^1022 keep every difference finite.
+_SWEEP_RANGE = (2.0 ** -485, 2.0 ** 1022)
+
+
 def _orthant_counts(X, C, m):
     """Weighted counts of the rows of X beyond each query row of C, and
     beyond m, in the query's orthant direction from m: x is beyond c when
@@ -66,6 +82,18 @@ def _orthant_counts(X, C, m):
     are zero (weight 1/2); the denominator tests (x_u - m_u)(m_u - c_u), the
     same products on data shifted by -(m - c) with ties at m exact. Returns
     (numerator, denominator)."""
+    counts = _sweep_counts if _sweepable(X, C, m) else _broadcast_counts
+    strict, tie = counts(X, C, m)
+    num, den = strict + 0.5 * tie
+    if np.any(num > den):
+        raise RuntimeError("numerator exceeded denominator (counting bug)")
+    return num, den
+
+
+def _broadcast_counts(X, C, m):
+    """Strict and tie counts, each 2 x q (numerator, denominator), by the
+    product tests on every row of X against every query, in cache-sized
+    tiles."""
     towards_m = m - C
     anchors = np.stack([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
     counts = np.zeros((2, 2, C.shape[0]), dtype=np.int64)
@@ -77,11 +105,55 @@ def _orthant_counts(X, C, m):
             strict &= prod < 0
             tie &= prod == 0
         counts[:, :, rows] += np.count_nonzero(tests, axis=3)
-    strict, tie = counts
-    num, den = strict + 0.5 * tie
-    if np.any(num > den):
-        raise RuntimeError("numerator exceeded denominator (counting bug)")
-    return num, den
+    return counts
+
+
+def _sweepable(X, C, m) -> bool:
+    """Whether the sweep is both faster and exactly the product tests: two
+    columns, enough pairs, every query off m and every entry zero or in
+    _SWEEP_RANGE (not nan or inf)."""
+    if X.shape[1] != 2 or X.shape[0] * C.shape[0] < _SWEEP_MIN_PAIRS:
+        return False
+    mags = np.abs(np.concatenate([X.ravel(), C.ravel(), m]))
+    tiny, huge = _SWEEP_RANGE
+    return bool(np.all(C != m) and np.all((mags == 0) | (mags >= tiny) & (mags < huge)))
+
+
+def _sweep_counts(X, C, m):
+    """The counts of _broadcast_counts for two columns, by sorting. Each
+    query c has two anchors a, c itself and m: strict counts the rows with
+    x_u > a_u where c_u > m_u and x_u < a_u elsewhere, on both coordinates;
+    tie counts x == a. Exact, in O((n + q) log^2 n).
+
+    x > a is x >= nextafter(a, inf), so every count is of x_u >= b_u, and a
+    coordinate pointing down is the complement of one: the four quadrants
+    follow by inclusion-exclusion from the marginal counts and the
+    dominance count D = #{x_0 >= b_0, x_1 >= b_1}. D is a merge-sort-tree
+    query: with the rows in descending x_0, D counts the rows of a prefix
+    whose x_1 rank is at least b_1's; each set bit of the prefix length is
+    one sorted block of that many rows, searched once.
+    """
+    n = X.shape[0]
+    A = np.concatenate([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
+    up = np.tile(C > m, (2, 1))
+    B = np.where(up, np.nextafter(A, np.inf), A)
+    cols = np.sort(X, axis=0)
+    above = [n - np.searchsorted(cols[:, u], B[:, u]) for u in (0, 1)]
+    rank = np.searchsorted(cols[:, 1], X[np.argsort(-X[:, 0]), 1])
+    least = np.searchsorted(cols[:, 1], B[:, 1])
+    dom = np.zeros(len(A), dtype=np.int64)
+    for lvl in range(n.bit_length()):
+        keys = np.sort((np.arange(n) >> lvl) * n + rank)
+        hit = np.flatnonzero((above[0] >> lvl) & 1)
+        block = (above[0][hit] >> lvl) - 1
+        dom[hit] += ((block + 1) << lvl) - np.searchsorted(keys, block * n + least[hit])
+    strict = np.select([up[:, 0] & up[:, 1], up[:, 0], up[:, 1]],
+                       [dom, above[0] - dom, above[1] - dom],
+                       n - above[0] - above[1] + dom)
+    rows = np.sort(np.ascontiguousarray(X).view(complex).ravel())
+    points = np.ascontiguousarray(A).view(complex).ravel()
+    tie = np.searchsorted(rows, points, "right") - np.searchsorted(rows, points)
+    return strict.reshape(2, -1), tie.reshape(2, -1)
 
 
 def _record(num, den, kept) -> TpRows:

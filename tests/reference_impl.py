@@ -15,7 +15,8 @@ mixture's draws, as box_masses does, and their closed-form marginals from
 _marginal); and the
 one-candidate-at-a-time random-projection selection, the per-projection VIP
 loop and the per-column PCA sign fix the feature-selection layer used before
-it worked on stacked arrays.
+it worked on stacked arrays; and PAM with whole n x n temporaries and the
+per-query product KDE, as they were before both worked in blocks.
 The differential tests compare the library against it with np.array_equal
 or byte equality. Only tests import this module.
 """
@@ -621,3 +622,89 @@ def pca(X) -> PcaResult:
             eigvecs[:, j] = -eigvecs[:, j]
     zero = eigvals <= 1e-12 * max(1.0, eigvals[0] if eigvals.size else 1.0)
     return PcaResult(eigvals, eigvecs, mean, zero)
+
+
+# ---------------------------------------------------------------------------
+# PAM with whole n x n temporaries, and the per-query product KDE
+# ---------------------------------------------------------------------------
+
+def _pairwise_distances(vals: np.ndarray) -> np.ndarray:
+    sq = (vals ** 2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * vals @ vals.T
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
+    vals = as_values(X)
+    n = vals.shape[0]
+    if k > n:
+        raise ValueError(f"pam: k={k} exceeds n={n}")
+    if k < 1:
+        raise ValueError("pam: k must be at least 1")
+    dist = _pairwise_distances(vals)
+
+    medoids = [int(np.argmin(dist.sum(axis=1)))]
+    nearest = dist[:, medoids[0]].copy()
+    while len(medoids) < k:
+        reduction = np.maximum(nearest[:, None] - dist, 0.0).sum(axis=0)
+        reduction[medoids] = -np.inf
+        j = int(np.argmax(reduction))
+        medoids.append(j)
+        nearest = np.minimum(nearest, dist[:, j])
+    medoids.sort()
+
+    swaps = 0
+    cost = _assignment_cost(dist, medoids)[2]
+    while swaps < max_swaps:
+        nearest_pos, d1, d2 = _nearest_two(dist, medoids)
+        improved = False
+        for pos in range(len(medoids)):
+            base = np.where(nearest_pos == pos, d2, d1)
+            new_costs = np.minimum(base[:, None], dist).sum(axis=0)
+            for j in range(n):
+                if j in medoids:
+                    continue
+                if new_costs[j] < cost:
+                    medoids[pos] = j
+                    medoids.sort()
+                    cost = float(new_costs[j])
+                    swaps += 1
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+    assignment, d1, final_cost = _assignment_cost(dist, medoids)
+    if not final_cost <= cost + 1e-9:
+        raise RuntimeError("PAM cost increased during SWAP")
+    return PamResult(list(medoids), assignment, final_cost)
+
+
+def _nearest_two(dist, medoids):
+    cols = dist[:, medoids]
+    if cols.shape[1] == 1:
+        pos = np.zeros(dist.shape[0], dtype=int)
+        return pos, cols[:, 0], np.full(dist.shape[0], np.inf)
+    order = np.argsort(cols, axis=1, kind="stable")
+    pos = order[:, 0]
+    rows = np.arange(dist.shape[0])
+    return pos, cols[rows, order[:, 0]], cols[rows, order[:, 1]]
+
+
+def _assignment_cost(dist, medoids):
+    cols = dist[:, medoids]
+    assignment = cols.argmin(axis=1)
+    d1 = cols[np.arange(dist.shape[0]), assignment]
+    return assignment, d1, float(d1.sum())
+
+
+def product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    out = np.empty(queries.shape[0])
+    norm = 1.0 / (np.sqrt(2.0 * np.pi) * h).prod()
+    for i, q in enumerate(queries):
+        z = (q - train) / h
+        out[i] = norm * np.exp(-0.5 * (z ** 2).sum(axis=1)).mean()
+    return out

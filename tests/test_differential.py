@@ -1,8 +1,10 @@
-"""Differential sweeps: the batched orthant-counting kernel, the one
-box-mass function, the stacked EM step, the sorted ROC sweep, the
-table-driven model files and the stacked feature-selection front-ends
-against the frozen per-query, per-component, per-cut-point, hand-written and
-per-candidate references in reference_impl.py, compared exactly.
+"""Differential sweeps: the batched orthant-counting kernel and its p = 2
+sort-and-search sweep, the one box-mass function, the stacked EM step, the
+sorted ROC sweep, the table-driven model files, the stacked
+feature-selection front-ends, blocked PAM and the blocked product KDE
+against the frozen per-query, per-component, per-cut-point, hand-written,
+per-candidate and whole-array references in reference_impl.py, compared
+exactly.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
 must not move a single score, tie or dropped coordinate, stacking the EM
@@ -21,7 +23,7 @@ from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
                   load_model, multivariate_tp, multivariate_tp_density,
                   orthant_probability, predict, roc_curve, save_model,
                   univariate_tp)
-from tocc import density, numcore, transvariation
+from tocc import baselines, classifier, density, numcore, transvariation
 from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.featsel import compute_vip, rp_select
@@ -127,6 +129,85 @@ class TestCountingKernel:
             c = float(gen.choice([m, float(gen.integers(-4, 5)), gen.normal()]))
             assert fields(univariate_tp(xs, c, m)) \
                 == fields(ref.univariate_tp(xs, c, m))
+
+
+def force_sweep(monkeypatch):
+    """Take the p = 2 sweep at every size, and count the groups it scores."""
+    monkeypatch.setattr(transvariation, "_SWEEP_MIN_PAIRS", 0)
+    calls = []
+    sweep = transvariation._sweep_counts
+    monkeypatch.setattr(transvariation, "_sweep_counts",
+                        lambda *args: calls.append(1) or sweep(*args))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestCountingSweep:
+    def test_sweep_matches_reference(self, monkeypatch):
+        calls = force_sweep(monkeypatch)
+        gen = np.random.default_rng(105)
+        for _ in range(40):
+            X, m, Q, eps = counting_case(gen)
+            assert_rows_match(tp_scores(X, Q, m, eps),
+                              [ref.multivariate_tp(X, c, m, eps) for c in Q],
+                              zero_denominator)
+        assert len(calls) > 20
+
+    def test_sweep_matches_broadcast_at_cli_scale(self, monkeypatch):
+        # 2000 rows of a coarse grid with duplicated rows against 10 000
+        # queries: training rows, grid points and continuous points.
+        gen = np.random.default_rng(106)
+        X = gen.integers(-20, 21, size=(2000, 2)).astype(float)
+        X[1000:] = X[gen.integers(0, 1000, size=1000)]
+        m = np.median(X, axis=0) + 0.5
+        Q = np.vstack([X[gen.integers(0, 2000, size=4000)],
+                       gen.integers(-22, 23, size=(3000, 2)),
+                       gen.normal(size=(3000, 2)) * 10])
+        monkeypatch.setattr(transvariation, "_SWEEP_MIN_PAIRS", len(X) * len(Q) + 1)
+        broadcast = tp_scores(X, Q, m)
+        calls = force_sweep(monkeypatch)
+        sweep = tp_scores(X, Q, m)
+        assert calls
+        for got, want in zip(sweep, broadcast):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale, sweeps", [
+        (2.0 ** -485, True),
+        (2.0 ** -486, False),
+        (2.0 ** 1023, False)],
+        ids=["at-the-bound", "underflow", "overflow"])
+    def test_sweep_guard(self, monkeypatch, scale, sweeps):
+        # Near 2^-486 one-ulp differences multiply to 2^-1076 and 2^-1075,
+        # which round to 0: the product tests see ties where the
+        # comparisons see strict counts. Near 2^1023, m - c overflows and
+        # (c - c)(m - c) is nan, not a tie. At 2^-485 the products are
+        # still at least 2^-1074, and the sweep must agree.
+        calls = force_sweep(monkeypatch)
+        s, u = scale, np.spacing(scale)
+        m = np.array([s + 3 * u, s])
+        X = np.array([[s + u, -(s + u)], [s + 2 * u, -s], m, [-s, -s],
+                      [-(s + u), s + u], [s, -s]])
+        Q = np.vstack([X, [[-s, -(s + u)], [s + 3 * u, -s]]])
+        assert_rows_match(tp_scores(X, Q, m, 0.0),
+                          [ref.multivariate_tp(X, c, m, 0.0) for c in Q],
+                          zero_denominator)
+        assert bool(calls) == sweeps
+
+    def test_query_on_the_prototype(self, monkeypatch):
+        # A negative eps drops nothing, so a query keeps the coordinates it
+        # shares with m, where every product is 0: the sweep must not run.
+        # Extra rows at m keep each such query's numerator ties (rows equal
+        # to it on the other coordinate) below its denominator ties; the
+        # product tests raise where they are not.
+        calls = force_sweep(monkeypatch)
+        Q = np.array(np.meshgrid([-2.0, -1, 0, 1, 2], [-2.0, -1, 0, 1, 2])).reshape(2, -1).T
+        m = np.zeros(2)
+        X = np.vstack([Q, np.zeros((3, 2))])
+        assert_rows_match(tp_scores(X, Q, m, -1.0),
+                          [ref.multivariate_tp(X, c, m, -1.0) for c in Q],
+                          zero_denominator)
+        assert not calls
 
 
 def mixture_case(gen, p):
@@ -540,3 +621,60 @@ class TestFeatureSelection:
                 X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
             assert_same_pca(X)
         assert_same_pca(np.ones((5, 3)))
+
+
+def pam_points(gen, n):
+    """n rows in 2 to 5 columns: a continuous cloud, a coarse integer grid
+    (ties in every distance sum), or a cloud with duplicated rows."""
+    p = int(gen.integers(2, 6))
+    kind = int(gen.integers(3))
+    if kind == 0:
+        return gen.normal(size=(n, p)) * 10.0 ** gen.uniform(-2, 2)
+    if kind == 1:
+        return gen.integers(-3, 4, size=(n, p)).astype(float)
+    X = gen.normal(size=(n, p))
+    return X[gen.integers(0, n // 3, size=n)]
+
+
+class TestPam:
+    """Blocked BUILD and SWAP column sums pick the same medoids and costs
+    as whole n x n temporaries, on both sides of the block size."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_matches_reference(self, n):
+        gen = np.random.default_rng(130 + n)
+        for k in range(1, 7):
+            X = pam_points(gen, n)
+            got, want = classifier.pam(X, k), ref.pam(X, k)
+            assert got.medoids == want.medoids
+            assert np.array_equal(got.assignment, want.assignment)
+            assert got.total_cost == want.total_cost
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_column_sums_match_whole_array(self, n):
+        gen = np.random.default_rng(136)
+        dist = classifier._pairwise_distances(pam_points(gen, n))
+        base = gen.permutation(dist[0])
+        buf = np.empty((min(n, classifier._PAM_BLOCK), n))
+        got = classifier._column_sums(
+            lambda r, out: np.minimum(base[r, None], dist[r], out=out), buf)
+        assert np.array_equal(got, np.minimum(base[:, None], dist).sum(axis=0))
+
+    def test_distances_match_reference(self):
+        gen = np.random.default_rng(137)
+        for _ in range(20):
+            X = pam_points(gen, int(gen.integers(1, 300)))
+            assert np.array_equal(classifier._pairwise_distances(X),
+                                  ref._pairwise_distances(X))
+
+
+class TestProductKde:
+    def test_matches_reference(self):
+        gen = np.random.default_rng(140)
+        for _ in range(60):
+            p = int(gen.integers(1, 6))
+            train = gen.normal(size=(int(gen.integers(2, 300)), p))
+            Q = gen.normal(size=(int(gen.integers(0, 200)), p)) * 2
+            h = gen.uniform(0.1, 2.0, size=p)
+            assert np.array_equal(baselines._product_kde(train, h, Q),
+                                  ref.product_kde(train, h, Q))

@@ -273,14 +273,19 @@ class TestToccModelFiles:
         ("tocc-db", {"density": {"means": [[float("nan"), 0.0]]}},
          "weights, means and covariances must all be finite"),
         ("tocc-db", {"density": {"weights": [float("nan")]}},
-         "weights, means and covariances must all be finite")],
+         "weights, means and covariances must all be finite"),
+        ("tocc-df", {"sensitivity": {"a": 1}},
+         """model field 'sensitivity' must be an array, not {"a": 1}"""),
+        ("pam-tocc-df", {"thresholds": 0.5},
+         "model field 'thresholds' must be an array, not 0.5")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
              "negative-stream-id", "sensitivity-above-1", "zero-sensitivity",
              "null-sensitivity", "null-in-group-row", "bool-eps",
              "numeric-integrator", "list-density", "numeric-pam",
-             "numeric-groups", "list-model", "nan-mean", "nan-weight"])
+             "numeric-groups", "list-model", "nan-mean", "nan-weight",
+             "object-sensitivity", "numeric-thresholds"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
@@ -289,7 +294,7 @@ class TestToccModelFiles:
                               n_restarts=1), path)
         doc = json.loads(path.read_text())
         for key, value in edit.items():
-            if isinstance(value, dict):
+            if isinstance(value, dict) and isinstance(doc[key], dict):
                 doc[key].update(value)
             else:
                 doc[key] = value
@@ -299,6 +304,14 @@ class TestToccModelFiles:
                        "--out", tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_top_level_array_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path / "model.json", "[1]\n")
+        data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must hold a JSON object, not [1]" in err
 
 
 class TestBaselineModelFiles:
