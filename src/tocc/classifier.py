@@ -34,11 +34,39 @@ class UndersizedClusterError(ValueError):
 class PamResult:
     """k-medoids outcome: medoid row indices (ascending), 0-based cluster
     labels mapping each point to its nearest medoid, and the summed
-    point-to-medoid distance."""
+    point-to-medoid distance. A malformed field is a ValueError."""
 
     medoids: list[int]
     assignment: np.ndarray
     total_cost: float
+
+    def __post_init__(self):
+        if not (isinstance(self.medoids, list) and self.medoids
+                and all(_is_index(i) for i in self.medoids)
+                and self.medoids == sorted(set(self.medoids))):
+            raise ValueError("pam medoids must be an ascending list of distinct "
+                             f"row indices, not {self.medoids!r:.60}")
+        try:
+            labels = np.asarray(self.assignment)
+        except ValueError:
+            labels = None
+        if not (labels is not None and labels.ndim == 1 and labels.size
+                and labels.dtype.kind in "iu" and labels.min() >= 0
+                and labels.max() < len(self.medoids)):
+            raise ValueError("pam assignment must be an array of cluster labels "
+                             f"below {len(self.medoids)}, not {self.assignment!r:.60}")
+        self.assignment = labels.astype(int, copy=False)
+        if not (_is_real(self.total_cost) and 0 <= self.total_cost < np.inf):
+            raise ValueError("pam total_cost must be a finite number >= 0, "
+                             f"not {self.total_cost!r:.60}")
+
+
+def _is_index(i) -> bool:
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool) and i >= 0
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass
@@ -79,8 +107,7 @@ class ToccModel:
             raise ValueError("sensitivity s must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(self.prototypes)):
             raise ValueError("prototypes must be finite")
-        if not (isinstance(self.eps, numbers.Real) and not isinstance(self.eps, bool)
-                and np.isfinite(self.eps) and self.eps >= 0):
+        if not (_is_real(self.eps) and np.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps={self.eps!r} must be a finite number >= 0")
         require_feature_names(self.feature_names, self.p)
         if self.variant == "db" and getattr(self.density, "p", None) != self.p:
@@ -96,6 +123,13 @@ class ToccModel:
         if self.variant != "db" and not all(
                 np.all(np.isfinite(np.asarray(g, dtype=float))) for g in self.groups):
             raise ValueError("group rows must be finite")
+        if self.pam is not None and (
+                self.variant != "pam_df" or len(self.pam.medoids) != k
+                or self.pam.medoids[-1] >= self.pam.assignment.size
+                or np.bincount(self.pam.assignment, minlength=k).tolist()
+                != [len(g) for g in self.groups]):
+            raise ValueError(f"a pam block needs a pam_df model, one medoid row "
+                             f"per prototype ({k}) and one label per group row")
 
     @property
     def n_prototypes(self) -> int:

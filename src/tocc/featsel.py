@@ -17,7 +17,8 @@ import numpy as np
 
 from .classifier import PredictionResult, ToccModel
 from .evaluation import TOCC_VARIANTS, fit_method
-from .numcore import DataMatrix, RngStream, as_values, correlation_matrix, pca
+from .numcore import (DataMatrix, RngStream, as_queries, as_values,
+                      correlation_matrix, pca)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +145,10 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
     """Accept a query iff a strict majority of sub-models accept it.
 
     The returned score is the accepting-vote fraction, a graded typicality
-    usable for ROC curves.
+    usable for ROC curves. Z must be finite and as wide as the data the
+    projections were drawn for.
     """
-    vals = as_values(Z)
+    vals = as_queries(Z, ensemble.projections[0].shape[0], "predict_ensemble")
     votes = np.zeros(vals.shape[0])
     for proj, model in zip(ensemble.projections, ensemble.sub_models):
         votes += model.predict(vals @ proj).accept

@@ -161,8 +161,7 @@ _PAM = _Codec(
     lambda r: {"medoids": list(r.medoids),
                "assignment": [int(a) for a in r.assignment],
                "total_cost": r.total_cost},
-    lambda o: PamResult(list(o["medoids"]), np.array(o["assignment"], dtype=int),
-                        o["total_cost"]),
+    lambda o: PamResult(o["medoids"], o["assignment"], o["total_cost"]),
     dict, optional=True)
 
 # Model tag -> (class, its persisted fields in file order). Loading builds

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import box_masses
-from .numcore import as_values, row_patterns, tiles
+from .numcore import as_values, require_finite_rows, row_patterns, tiles
 
 DROP_EPS = 1e-12
 
@@ -55,8 +55,17 @@ _DEGENERATE = 1e-12
 
 def _kept(C, m, eps):
     """The drop rule: a coordinate where the query lies within eps of the
-    prototype carries no sign information and is dropped."""
+    prototype carries no sign information and is dropped. eps must be at
+    least 0, so every kept coordinate has c != m and a direction, _up."""
+    if not eps >= 0:
+        raise ValueError(f"eps={eps!r} must be a number >= 0")
     return np.abs(C - m) > eps
+
+
+def _up(C, m):
+    """The direction rule: on a kept coordinate the query points up from
+    the prototype where c > m and down where c < m."""
+    return C > m
 
 
 # The p = 2 sweep below replaces the broadcast kernel from this many
@@ -66,64 +75,48 @@ def _kept(C, m, eps):
 # 56 -> 4.0 ms, 2000 x 10 000 261 -> 20 ms. The crossover is near 2^15
 # pairs; 2^16 leaves a margin where the two are within a few percent.
 _SWEEP_MIN_PAIRS = 2 ** 16
-# The sweep compares coordinates where the kernel tests signs of products.
-# The two agree unless a product of two nonzero differences underflows to 0
-# or a difference overflows. A float of magnitude at least 2^-485 is a
-# multiple of 2^-537, so every nonzero difference of such floats is at
-# least 2^-537 and every product of two is at least 2^-1074; magnitudes
-# below 2^1022 keep every difference finite.
-_SWEEP_RANGE = (2.0 ** -485, 2.0 ** 1022)
 
 
 def _orthant_counts(X, C, m):
     """Weighted counts of the rows of X beyond each query row of C, and
-    beyond m, in the query's orthant direction from m: x is beyond c when
-    every product (x_u - c_u)(m_u - c_u) is negative and ties c when all
-    are zero (weight 1/2); the denominator tests (x_u - m_u)(m_u - c_u), the
-    same products on data shifted by -(m - c) with ties at m exact. Returns
-    (numerator, denominator)."""
-    counts = _sweep_counts if _sweepable(X, C, m) else _broadcast_counts
-    strict, tie = counts(X, C, m)
-    num, den = strict + 0.5 * tie
+    beyond m, in the query's orthant direction from m (ties weight 1/2),
+    for queries off m on every coordinate. Each query has two anchors, c
+    for the numerator and m for the denominator: x is beyond an anchor a
+    when x_u > a_u on every coordinate where c points up and x_u < a_u
+    where it points down, and ties it when x == a. Returns (numerator,
+    denominator)."""
+    q, p = C.shape
+    sweep = p == 2 and X.shape[0] * q >= _SWEEP_MIN_PAIRS
+    strict, tie = (_sweep_counts if sweep else _broadcast_counts)(
+        X, np.concatenate([C, np.broadcast_to(m, C.shape)]), np.tile(_up(C, m), (2, 1)))
+    num, den = (strict + 0.5 * tie).reshape(2, q)
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")
     return num, den
 
 
-def _broadcast_counts(X, C, m):
-    """Strict and tie counts, each 2 x q (numerator, denominator), by the
-    product tests on every row of X against every query, in cache-sized
-    tiles."""
-    towards_m = m - C
-    anchors = np.stack([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
-    counts = np.zeros((2, 2, C.shape[0]), dtype=np.int64)
-    for XT, rows in tiles(X, C.shape[0]):
-        strict, tie = tests = np.ones((2, 2, C[rows].shape[0], XT.shape[1]),
-                                      dtype=bool)
+def _broadcast_counts(X, A, up):
+    """Strict and tie counts of the rows of X at each anchor row of A with
+    directions up, by comparing every row with every anchor in cache-sized
+    tiles. Negation is exact, so negating the down coordinates of both
+    makes every strict test y > a and every tie y == a."""
+    sign = np.where(up, 1.0, -1.0)
+    A = A * sign
+    counts = np.zeros((2, A.shape[0]), dtype=np.int64)
+    for XT, rows in tiles(X, A.shape[0]):
+        strict, tie = tests = np.ones((2, A[rows].shape[0], XT.shape[1]), dtype=bool)
         for u in range(X.shape[1]):
-            prod = (XT[u] - anchors[:, rows, u, None]) * towards_m[rows, u, None]
-            strict &= prod < 0
-            tie &= prod == 0
-        counts[:, :, rows] += np.count_nonzero(tests, axis=3)
+            y = XT[u] * sign[rows, u, None]
+            strict &= y > A[rows, u, None]
+            tie &= y == A[rows, u, None]
+        counts[:, rows] += np.count_nonzero(tests, axis=2)
     return counts
 
 
-def _sweepable(X, C, m) -> bool:
-    """Whether the sweep is both faster and exactly the product tests: two
-    columns, enough pairs, every query off m and every entry zero or in
-    _SWEEP_RANGE (not nan or inf)."""
-    if X.shape[1] != 2 or X.shape[0] * C.shape[0] < _SWEEP_MIN_PAIRS:
-        return False
-    mags = np.abs(np.concatenate([X.ravel(), C.ravel(), m]))
-    tiny, huge = _SWEEP_RANGE
-    return bool(np.all(C != m) and np.all((mags == 0) | (mags >= tiny) & (mags < huge)))
-
-
-def _sweep_counts(X, C, m):
-    """The counts of _broadcast_counts for two columns, by sorting. Each
-    query c has two anchors a, c itself and m: strict counts the rows with
-    x_u > a_u where c_u > m_u and x_u < a_u elsewhere, on both coordinates;
-    tie counts x == a. Exact, in O((n + q) log^2 n).
+def _sweep_counts(X, A, up):
+    """The counts of _broadcast_counts for two columns, by sorting: strict
+    counts the rows with x_u > a_u where up and x_u < a_u elsewhere, on
+    both coordinates; tie counts x == a. Exact, in O((n + q) log^2 n).
 
     x > a is x >= nextafter(a, inf), so every count is of x_u >= b_u, and a
     coordinate pointing down is the complement of one: the four quadrants
@@ -134,8 +127,6 @@ def _sweep_counts(X, C, m):
     one sorted block of that many rows, searched once.
     """
     n = X.shape[0]
-    A = np.concatenate([C, np.broadcast_to(m, C.shape)])   # numerator, denominator
-    up = np.tile(C > m, (2, 1))
     B = np.where(up, np.nextafter(A, np.inf), A)
     cols = np.sort(X, axis=0)
     above = [n - np.searchsorted(cols[:, u], B[:, u]) for u in (0, 1)]
@@ -153,7 +144,7 @@ def _sweep_counts(X, C, m):
     rows = np.sort(np.ascontiguousarray(X).view(complex).ravel())
     points = np.ascontiguousarray(A).view(complex).ravel()
     tie = np.searchsorted(rows, points, "right") - np.searchsorted(rows, points)
-    return strict.reshape(2, -1), tie.reshape(2, -1)
+    return strict, tie
 
 
 def _record(num, den, kept) -> TpRows:
@@ -187,7 +178,7 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRow
     2q boxes, so all boxes of the batch share one draw set."""
     kept = _kept(C, m, eps)
     anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
-    bounded, up = np.tile([kept, C >= m], (1, 2, 1))
+    bounded, up = np.tile([kept, _up(C, m)], (1, 2, 1))
     num, den = box_masses(density, np.where(bounded & up, anchors, -np.inf),
                           np.where(bounded & ~up, anchors, np.inf),
                           integrator).reshape(2, -1)
@@ -211,18 +202,30 @@ def _one_query(batch, c, m, p: int, where: str) -> TpScore:
 # Univariate forms
 # ---------------------------------------------------------------------------
 
+def _require_finite(where: str, **values) -> None:
+    """ValueError naming the first of the scalar values that is not finite."""
+    for name, v in values.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{where}: {name}={v!r} is not finite")
+
+
 def univariate_tp(xs, c: float, m: float) -> TpScore:
     """tp of a constant against a univariate group with median m.
 
     Counts opposite-sign differences (ties at half weight) and divides by the
     maximum n/2. m must be the sample median of xs for the normalization to
-    be exact; it is taken as given.
+    be exact; it is taken as given. c = m ties every unit and scores 1. A
+    non-finite entry of xs, c or m is an error.
     """
-    arr = np.asarray(xs, dtype=float).ravel()
+    arr = np.asarray(xs, dtype=float).reshape(-1, 1)
     if arr.size == 0:
         raise ValueError("univariate_tp: empty input")
-    num, _ = _orthant_counts(arr[:, None], np.array([[c]], dtype=float),
-                             np.array([m], dtype=float))
+    require_finite_rows(arr, "univariate_tp", "group")
+    c, m = float(c), float(m)
+    _require_finite("univariate_tp", c=c, m=m)
+    if c == m:
+        return TpScore(1.0, arr.size / 2.0, arr.size / 2.0)
+    num, _ = _orthant_counts(arr, np.array([[c]]), np.array([m]))
     weighted = float(num[0])
     return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
@@ -231,8 +234,10 @@ def univariate_tp_density(cdf, c: float, m: float) -> TpScore:
     """Density-based univariate tp: twice the tail mass on c's side of m.
 
     cdf is any monotone CDF of the target class; F(c) outside [0, 1] is an
-    error (a broken estimator, not a tie case).
+    error (a broken estimator, not a tie case), and so is a non-finite c or
+    m.
     """
+    _require_finite("univariate_tp_density", c=c, m=m)
     f_c = float(cdf(c))
     if not 0.0 <= f_c <= 1.0:
         raise ValueError(f"univariate_tp_density: cdf returned {f_c}, outside [0, 1]")
@@ -247,18 +252,20 @@ def univariate_tp_density(cdf, c: float, m: float) -> TpScore:
 def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     """Multivariate tp by joint sign counting across coordinates.
 
-    Numerator: units whose products (x_iu - c_u)(m_u - c_u) are negative on
-    every coordinate (ties on every coordinate count 1/2). Denominator: the
-    same count on data shifted by -(m - c), which reduces to products
-    (x_iu - m_u)(m_u - c_u); this estimates the maximum attainable
-    transvariability for a prototype that need not split the sample evenly.
+    Numerator: units beyond c in c's direction from m on every coordinate,
+    x_iu > c_u where c_u > m_u and x_iu < c_u where c_u < m_u (units equal
+    to c count 1/2). Denominator: the same count on data shifted by
+    -(m - c), which is the count beyond m in the same direction; this
+    estimates the maximum attainable transvariability for a prototype that
+    need not split the sample evenly.
 
     Coordinates where |c_u - m_u| <= eps carry no sign information and are
     dropped (recorded in dropped_coords). All dropped -> score 1. A zero
     denominator (no training mass in c's direction) -> score 0. A
-    non-finite c or m is an error.
+    non-finite group row, c or m, or an eps below 0, is an error.
     """
     vals = as_values(X)
+    require_finite_rows(vals, "multivariate_tp", "group")
     return _one_query(lambda C, m: tp_scores(vals, C, m, eps), c, m,
                       vals.shape[1], "multivariate_tp")
 

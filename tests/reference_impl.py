@@ -16,7 +16,10 @@ _marginal); and the
 one-candidate-at-a-time random-projection selection, the per-projection VIP
 loop and the per-column PCA sign fix the feature-selection layer used before
 it worked on stacked arrays; and PAM with whole n x n temporaries and the
-per-query product KDE, as they were before both worked in blocks.
+per-query product KDE, as they were before both worked in blocks. Beside
+the frozen copies, comparison_tp counts the multivariate score straight
+from its definition by plain comparisons: the product tests agree with it
+unless a product of differences underflows or a difference overflows.
 The differential tests compare the library against it with np.array_equal
 or byte equality. Only tests import this module.
 """
@@ -108,6 +111,32 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     if not ratio <= 1.0 + 1e-12:
         raise RuntimeError("numerator exceeded denominator (counting bug)")
     return TpScore(_clamp01(ratio), num.weighted, den.weighted, dropped.tolist())
+
+
+def comparison_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
+    """The counting form by plain comparisons, one query at a time: a row
+    is beyond an anchor a (c for the numerator, m for the denominator) when
+    x_u > a_u on every kept coordinate with c_u > m_u and x_u < a_u on the
+    others, and ties it when x_u == a_u on every kept coordinate."""
+    vals = as_values(X)
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    keep = np.abs(c - m) > eps
+    dropped = np.flatnonzero(~keep).tolist()
+    n = vals.shape[0]
+    if not keep.any():
+        return TpScore(1.0, float(n), float(n), dropped)
+    sub, up = vals[:, keep], c[keep] > m[keep]
+
+    def weighted(a):
+        beyond = np.all(np.where(up, sub > a, sub < a), axis=1)
+        ties = np.all(sub == a, axis=1)
+        return beyond.sum() + 0.5 * ties.sum()
+
+    num, den = weighted(c[keep]), weighted(m[keep])
+    if den == 0.0:
+        return TpScore(0.0, num, 0.0, dropped)
+    return TpScore(min(1.0, num / den), num, den, dropped)
 
 
 def _marginal(density, coords) -> MixtureDensity:

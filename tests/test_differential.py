@@ -4,7 +4,9 @@ sorted ROC sweep, the table-driven model files, the stacked
 feature-selection front-ends, blocked PAM and the blocked product KDE
 against the frozen per-query, per-component, per-cut-point, hand-written,
 per-candidate and whole-array references in reference_impl.py, compared
-exactly.
+exactly. The counting kernels are also compared with the comparison oracle
+there, on every case, since the frozen product tests are exact only inside
+a value range.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
 must not move a single score, tie or dropped coordinate, stacking the EM
@@ -12,6 +14,8 @@ step must not move a single mixture parameter or log-likelihood, a model
 file must keep every byte, and stacking the projection candidates must not
 change which projection is selected.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +40,9 @@ def fields(score):
 
 
 def assert_rows_match(rows, oracles, degenerate):
-    """Each row of a batch record equals the frozen one-query oracle's
-    value, numerator, denominator, dropped coordinates and degenerate flag
-    (read by the caller from the oracle's denominator)."""
+    """Each row of a batch record equals the one-query oracle's value,
+    numerator, denominator, dropped coordinates and degenerate flag (read
+    by the caller from the oracle's denominator)."""
     assert np.array_equal(rows.value, [o.value for o in oracles])
     assert np.array_equal(rows.numerator, [o.numerator_count for o in oracles])
     assert np.array_equal(rows.denominator, [o.denominator_count for o in oracles])
@@ -48,14 +52,42 @@ def assert_rows_match(rows, oracles, degenerate):
 
 
 def zero_denominator(oracle):
-    # The counting oracle never sets its flag: a zero weighted count is the
-    # degenerate denominator.
+    # The counting oracles never set their flag: a zero weighted count is
+    # the degenerate denominator.
     return oracle.denominator_count == 0.0
+
+
+# Where every entry is 0 or of a magnitude in this range, the frozen
+# product tests equal the comparisons: every product of two nonzero
+# differences is at least 2^-1074 and no difference overflows.
+PRODUCT_RANGE = (2.0 ** -485, 2.0 ** 1022)
+
+
+def counting_oracles(X, Q, m, eps):
+    """The comparison oracle's score of each query row of Q, and, where the
+    product tests are exact (PRODUCT_RANGE), the frozen product oracle's."""
+    oracles = [[ref.comparison_tp(X, c, m, eps) for c in Q]]
+    mags = np.abs(np.concatenate([X.ravel(), Q.ravel(), m]))
+    tiny, huge = PRODUCT_RANGE
+    if np.all((mags == 0) | (mags >= tiny) & (mags < huge)):
+        # Near 1e160 the frozen products overflow to infinities of the
+        # right sign.
+        with np.errstate(over="ignore"):
+            oracles.append([ref.multivariate_tp(X, c, m, eps) for c in Q])
+    return oracles
+
+
+def assert_counts_match(X, Q, m, eps):
+    """tp_scores equals every oracle of counting_oracles on every row."""
+    rows = tp_scores(X, Q, m, eps)
+    for oracles in counting_oracles(X, Q, m, eps):
+        assert_rows_match(rows, oracles, zero_denominator)
 
 
 def sample_points(gen, n, p):
     """Integer grids with heavy ties, duplicated rows, or continuous data at
-    scales from 1e-160 (products underflow to 0) to 1e160 (they overflow)."""
+    scales from 1e-160 (products of differences underflow to 0) to 1e160
+    (they overflow)."""
     kind = int(gen.integers(4))
     if kind == 0:
         return gen.integers(-2, 3, size=(n, p)).astype(float)
@@ -91,46 +123,6 @@ def counting_case(gen):
     return X, m, sample_queries(gen, X, m, eps), eps
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-class TestCountingKernel:
-    def test_batched_scores_match_reference(self):
-        gen = np.random.default_rng(101)
-        for _ in range(60):
-            X, m, Q, eps = counting_case(gen)
-            assert_rows_match(tp_scores(X, Q, m, eps),
-                              [ref.multivariate_tp(X, c, m, eps) for c in Q],
-                              zero_denominator)
-
-    def test_single_query_fields_match_reference(self):
-        gen = np.random.default_rng(102)
-        for _ in range(30):
-            X, m, Q, eps = counting_case(gen)
-            for c in Q[gen.integers(0, len(Q), size=10)]:
-                got = multivariate_tp(X, c, m, eps)
-                want = ref.multivariate_tp(X, c, m, eps)
-                assert fields(got)[:4] == fields(want)[:4]
-                assert got.degenerate == zero_denominator(want)
-
-    def test_chunk_boundaries(self, monkeypatch):
-        # A tiny budget makes every batch span many chunks, with a ragged
-        # last one.
-        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-        gen = np.random.default_rng(103)
-        for _ in range(20):
-            X, m, Q, eps = counting_case(gen)
-            expected = [ref.multivariate_tp(X, c, m, eps).value for c in Q]
-            assert np.array_equal(tp_scores(X, Q, m, eps)[0], expected)
-
-    def test_univariate_matches_reference(self):
-        gen = np.random.default_rng(104)
-        for _ in range(200):
-            xs = gen.integers(-3, 4, size=int(gen.integers(1, 40))).astype(float)
-            m = float(np.median(xs)) if gen.random() < 0.7 else float(xs[0])
-            c = float(gen.choice([m, float(gen.integers(-4, 5)), gen.normal()]))
-            assert fields(univariate_tp(xs, c, m)) \
-                == fields(ref.univariate_tp(xs, c, m))
-
-
 def force_sweep(monkeypatch):
     """Take the p = 2 sweep at every size, and count the groups it scores."""
     monkeypatch.setattr(transvariation, "_SWEEP_MIN_PAIRS", 0)
@@ -141,17 +133,82 @@ def force_sweep(monkeypatch):
     return calls
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+def scaled_grid_case():
+    """Integer-grid rows with ties and duplicated rows, a half-integer
+    prototype and integer queries (some on the data, one on the prototype
+    and one sharing a coordinate with it): every entry times 2^k is exact
+    for k from -1070 to 1021."""
+    gen = np.random.default_rng(107)
+    X = gen.integers(-2, 3, size=(40, 2)).astype(float)
+    X[30:] = X[:10]
+    m = np.array([0.5, -0.5])
+    Q = np.vstack([X[:12], gen.integers(-3, 4, size=(20, 2)), m, [[0.5, 2.0]]])
+    return X, Q, m
+
+
+# Turning RuntimeWarning into an error makes a floating-point overflow or
+# invalid operation brought back into either counter fail these sweeps.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCountingKernel:
+    def test_batched_scores_match_reference(self):
+        gen = np.random.default_rng(101)
+        for _ in range(60):
+            X, m, Q, eps = counting_case(gen)
+            assert_counts_match(X, Q, m, eps)
+
+    def test_single_query_fields_match_reference(self):
+        gen = np.random.default_rng(102)
+        for _ in range(30):
+            X, m, Q, eps = counting_case(gen)
+            picked = Q[gen.integers(0, len(Q), size=10)]
+            for oracles in counting_oracles(X, picked, m, eps):
+                for c, want in zip(picked, oracles):
+                    got = multivariate_tp(X, c, m, eps)
+                    assert fields(got)[:4] == fields(want)[:4]
+                    assert got.degenerate == zero_denominator(want)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # A tiny budget makes every batch span many chunks, with a ragged
+        # last one.
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+        gen = np.random.default_rng(103)
+        for _ in range(20):
+            X, m, Q, eps = counting_case(gen)
+            assert_counts_match(X, Q, m, eps)
+
+    def test_univariate_matches_reference(self):
+        gen = np.random.default_rng(104)
+        for _ in range(200):
+            xs = gen.integers(-3, 4, size=int(gen.integers(1, 40))).astype(float)
+            m = float(np.median(xs)) if gen.random() < 0.7 else float(xs[0])
+            c = float(gen.choice([m, float(gen.integers(-4, 5)), gen.normal()]))
+            assert fields(univariate_tp(xs, c, m)) \
+                == fields(ref.univariate_tp(xs, c, m))
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["default", "sweep"])
+    def test_power_of_two_scales(self, monkeypatch, sweep):
+        # Scaling by 2^k is exact, so no count may move: not where products
+        # of differences would underflow (k <= -537), nor near the top of
+        # the range.
+        X, Q, m = scaled_grid_case()
+        if sweep:
+            calls = force_sweep(monkeypatch)
+        want = tp_scores(X, Q, m, 0.0)
+        for k in range(-1070, 1022):
+            s = 2.0 ** k
+            for got, expected in zip(tp_scores(X * s, Q * s, m * s, 0.0), want):
+                assert np.array_equal(got, expected), k
+        assert not sweep or len(calls) > 2092
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCountingSweep:
     def test_sweep_matches_reference(self, monkeypatch):
         calls = force_sweep(monkeypatch)
         gen = np.random.default_rng(105)
         for _ in range(40):
             X, m, Q, eps = counting_case(gen)
-            assert_rows_match(tp_scores(X, Q, m, eps),
-                              [ref.multivariate_tp(X, c, m, eps) for c in Q],
-                              zero_denominator)
+            assert_counts_match(X, Q, m, eps)
         assert len(calls) > 20
 
     def test_sweep_matches_broadcast_at_cli_scale(self, monkeypatch):
@@ -172,42 +229,42 @@ class TestCountingSweep:
         for got, want in zip(sweep, broadcast):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("scale, sweeps", [
-        (2.0 ** -485, True),
-        (2.0 ** -486, False),
-        (2.0 ** 1023, False)],
-        ids=["at-the-bound", "underflow", "overflow"])
-    def test_sweep_guard(self, monkeypatch, scale, sweeps):
-        # Near 2^-486 one-ulp differences multiply to 2^-1076 and 2^-1075,
-        # which round to 0: the product tests see ties where the
-        # comparisons see strict counts. Near 2^1023, m - c overflows and
-        # (c - c)(m - c) is nan, not a tie. At 2^-485 the products are
-        # still at least 2^-1074, and the sweep must agree.
-        calls = force_sweep(monkeypatch)
+    @pytest.mark.parametrize("scale", [2.0 ** -485, 2.0 ** -486, 2.0 ** 1023],
+                             ids=["at-the-bound", "underflow", "overflow"])
+    def test_sweep_guard(self, monkeypatch, scale):
+        # The scales where products of differences stop being exact: at
+        # 2^-485 they are still at least 2^-1074, near 2^-486 one-ulp
+        # differences multiply to 2^-1076 and 2^-1075, which round to 0,
+        # and near 2^1023 m - c overflows. Both counters compare, so the
+        # sweep runs at each scale and equals the broadcast kernel and the
+        # comparison oracle.
         s, u = scale, np.spacing(scale)
         m = np.array([s + 3 * u, s])
         X = np.array([[s + u, -(s + u)], [s + 2 * u, -s], m, [-s, -s],
                       [-(s + u), s + u], [s, -s]])
         Q = np.vstack([X, [[-s, -(s + u)], [s + 3 * u, -s]]])
-        assert_rows_match(tp_scores(X, Q, m, 0.0),
-                          [ref.multivariate_tp(X, c, m, 0.0) for c in Q],
-                          zero_denominator)
-        assert bool(calls) == sweeps
+        with warnings.catch_warnings():
+            if scale == 2.0 ** 1023:
+                # The drop rule's m - c overflows to an infinity, which is
+                # kept, as it should be.
+                warnings.filterwarnings(
+                    "ignore", "overflow encountered in subtract", RuntimeWarning)
+            broadcast = tp_scores(X, Q, m, 0.0)
+            calls = force_sweep(monkeypatch)
+            sweep = tp_scores(X, Q, m, 0.0)
+            oracles = [ref.comparison_tp(X, c, m, 0.0) for c in Q]
+        assert calls
+        for got, want in zip(sweep, broadcast):
+            assert np.array_equal(got, want)
+        assert_rows_match(sweep, oracles, zero_denominator)
 
-    def test_query_on_the_prototype(self, monkeypatch):
-        # A negative eps drops nothing, so a query keeps the coordinates it
-        # shares with m, where every product is 0: the sweep must not run.
-        # Extra rows at m keep each such query's numerator ties (rows equal
-        # to it on the other coordinate) below its denominator ties; the
-        # product tests raise where they are not.
-        calls = force_sweep(monkeypatch)
+    def test_query_on_the_prototype(self):
+        # A negative eps would keep the coordinates a query shares with m,
+        # where it points neither up nor down; nan would drop nothing.
         Q = np.array(np.meshgrid([-2.0, -1, 0, 1, 2], [-2.0, -1, 0, 1, 2])).reshape(2, -1).T
-        m = np.zeros(2)
-        X = np.vstack([Q, np.zeros((3, 2))])
-        assert_rows_match(tp_scores(X, Q, m, -1.0),
-                          [ref.multivariate_tp(X, c, m, -1.0) for c in Q],
-                          zero_denominator)
-        assert not calls
+        for eps in (-1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match="must be a number >= 0"):
+                tp_scores(Q, Q, np.zeros(2), eps)
 
 
 def mixture_case(gen, p):

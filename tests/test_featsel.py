@@ -128,6 +128,19 @@ class TestEnsembleVoting:
         pred = predict_ensemble(ens, X)
         assert pred.accept.mean() >= 0.8  # mostly typical on its own data
 
+    def test_bad_queries_rejected(self):
+        # A 9-feature glass ensemble names both widths for an 8-wide query,
+        # and the row of a non-finite one.
+        glass = load_glass()
+        target = glass.values[glass.is_target()]
+        ens = fit_rp_ensemble(target, 2, 3, 5, 0.9, RngStream(19))
+        with pytest.raises(ValueError, match="query dimension 8 != model dimension 9"):
+            predict_ensemble(ens, target[:4, :8])
+        bad = target[:4].copy()
+        bad[2, 5] = np.nan
+        with pytest.raises(ValueError, match="query row 2 is not finite"):
+            predict_ensemble(ens, bad)
+
     def test_pam_ensemble_steps_down_on_undersized_views(self):
         # The glass benchmark's pam_df ensemble at seed 35: some projected
         # views leave a k-medoids cluster under 3 members at k=4.

@@ -277,7 +277,21 @@ class TestToccModelFiles:
         ("tocc-df", {"sensitivity": {"a": 1}},
          """model field 'sensitivity' must be an array, not {"a": 1}"""),
         ("pam-tocc-df", {"thresholds": 0.5},
-         "model field 'thresholds' must be an array, not 0.5")],
+         "model field 'thresholds' must be an array, not 0.5"),
+        ("pam-tocc-df", {"pam": {"medoids": None}},
+         "pam medoids must be an ascending list of distinct row indices, not None"),
+        ("pam-tocc-df", {"pam": {"medoids": "abc"}},
+         "pam medoids must be an ascending list of distinct row indices, not 'abc'"),
+        ("pam-tocc-df", {"pam": {"medoids": [8, 11, 17, 23, 999]}},
+         "a pam block needs a pam_df model, one medoid row per prototype (5)"),
+        ("pam-tocc-df", {"pam": {"assignment": None}},
+         "pam assignment must be an array of cluster labels below 5, not None"),
+        ("pam-tocc-df", {"pam": {"assignment": 1e308}},
+         "pam assignment must be an array of cluster labels below 5, not 1e+308"),
+        ("pam-tocc-df", {"pam": {"assignment": [0]}},
+         "one label per group row"),
+        ("pam-tocc-df", {"pam": {"total_cost": "abc"}},
+         "pam total_cost must be a finite number >= 0, not 'abc'")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
@@ -285,7 +299,9 @@ class TestToccModelFiles:
              "null-sensitivity", "null-in-group-row", "bool-eps",
              "numeric-integrator", "list-density", "numeric-pam",
              "numeric-groups", "list-model", "nan-mean", "nan-weight",
-             "object-sensitivity", "numeric-thresholds"])
+             "object-sensitivity", "numeric-thresholds", "null-medoids",
+             "string-medoids", "medoid-out-of-range", "null-assignment",
+             "huge-assignment", "one-entry-assignment", "string-total-cost"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"

@@ -52,7 +52,17 @@ class TestUnivariateTp:
         for _ in range(50):
             xs = gen.integers(-5, 6, size=gen.integers(1, 30)).astype(float)
             m = float(np.median(xs))
-            assert univariate_tp(xs, m, m).value == 1.0
+            score = univariate_tp(xs, m, m)
+            assert (score.value, score.numerator_count, score.denominator_count) \
+                == (1.0, xs.size / 2, xs.size / 2)
+
+    @pytest.mark.parametrize("xs, c, m, message", [
+        ([1, 2, 3, 4, 5], np.nan, 3, "c=nan is not finite"),
+        ([1, 2, 3, 4, 5], 1, np.inf, "m=inf is not finite"),
+        ([1, 2, np.nan, 4, 5], 1, 3, "group row 2 is not finite")])
+    def test_non_finite_input_rejected(self, xs, c, m, message):
+        with pytest.raises(ValueError, match=message):
+            univariate_tp(xs, c, m)
 
     def test_nonincreasing_outward(self):
         gen = np.random.default_rng(22)
@@ -76,6 +86,12 @@ class TestUnivariateTpDensity:
     def test_symmetry(self):
         score = univariate_tp_density(norm.cdf, -1.2816, 0.0)
         assert score.value == pytest.approx(0.20, abs=1e-3)
+
+    def test_non_finite_query_rejected(self):
+        with pytest.raises(ValueError, match="c=nan is not finite"):
+            univariate_tp_density(norm.cdf, np.nan, 0.0)
+        with pytest.raises(ValueError, match="m=-inf is not finite"):
+            univariate_tp_density(norm.cdf, 0.0, -np.inf)
 
     def test_broken_cdf_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +132,33 @@ class TestMultivariateTp:
             multivariate_tp(self.corners, [np.nan, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             multivariate_tp(self.corners, [0.5, 0.5], [0.0, np.inf])
+
+    def test_non_finite_group_row_rejected(self):
+        X = np.vstack([self.corners, [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="group row 4 is not finite"):
+            multivariate_tp(X, [0.5, 0.5], [0.0, 0.0])
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps=-1.0 must be a number >= 0"):
+            multivariate_tp(self.corners, [0.5, 0.5], [0.0, 0.0], eps=-1.0)
+
+    def test_one_ulp_grid_near_the_bottom_of_the_range(self):
+        # Products of one-ulp differences near 2^-486 round to 0; the
+        # comparisons still see the 4 x 4 grid's strict and tied rows.
+        s = 2.0 ** -486
+        u = np.spacing(s)
+        grid = [s, s + u, s + 2 * u, s + 3 * u]
+        X = [[a, b] for a in grid for b in grid]
+        score = multivariate_tp(X, [s + u, s + u], [s, s], eps=0.0)
+        assert (score.numerator_count, score.denominator_count) == (4.5, 9.5)
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_ties_near_the_top_of_the_range(self):
+        # m - c overflows to an infinity; the tie with c still counts.
+        s = 2.0 ** 1023
+        score = multivariate_tp([[-s, -s], [s, s]], [-s, -s], [s, s], eps=0.0)
+        assert (score.numerator_count, score.denominator_count) == (0.5, 1.5)
 
     def test_matches_univariate_in_1d(self):
         # Exact agreement needs a tie-free sample: with ties at the median the
