@@ -23,7 +23,7 @@ METHODS = ["tocc-df", "pam-tocc-df", "gauss", "kmeans"]
 
 def bench(spec):
     methods = [make_method(m, 0.9) for m in METHODS]
-    return run_benchmark(methods, spec, REPS, 0.9, with_roc=False)
+    return run_benchmark(methods, spec, REPS, 0.9)
 
 
 def medians(result):

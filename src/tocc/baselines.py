@@ -23,7 +23,8 @@ import numpy as np
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_feature_names, require_finite_rows)
+                      require_feature_names, require_finite_rows,
+                      require_symmetric)
 
 
 class _Kind(NamedTuple):
@@ -41,6 +42,8 @@ KINDS = {"gauss": _Kind({"mean": ("p",), "cov_inv": ("p", "p")}, False),
          "mix_gauss": _Kind({"density": None}, True),
          "kde": _Kind({"bandwidths": ("p",), "train": ("n", "p")}, True),
          "kmeans": _Kind({"centroids": ("k", "p")}, False)}
+_FITTED = tuple(dict.fromkeys(name for spec in KINDS.values()
+                             for name in spec.fields))
 
 
 def _check_kind(kind: str) -> _Kind:
@@ -55,7 +58,9 @@ class BaselineModel:
 
     kind picks the scoring rule; score_direction says which side of the
     threshold is typical. Only the fields the kind needs are populated, and
-    construction checks them against the kind's entry in KINDS.
+    construction checks them against the kind's entry in KINDS: the others
+    must be None, kde bandwidths positive, and the gauss cov_inv symmetric
+    positive definite.
     """
 
     kind: str
@@ -81,6 +86,9 @@ class BaselineModel:
             raise ValueError(f"threshold={self.threshold!r} must be a finite number")
         if not 0.0 < np.asarray(self.sensitivity, dtype=float) < 1.0:
             raise ValueError("sensitivity s must lie strictly inside (0, 1)")
+        for name in _FITTED:
+            if name not in spec.fields and getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} model has no {name}")
         widths = set()
         for name, shape in spec.fields.items():
             value = getattr(self, name)
@@ -100,6 +108,14 @@ class BaselineModel:
                              f"({sorted(widths)})")
         self.p = widths.pop()
         require_feature_names(self.feature_names, self.p)
+        if self.kind == "kde" and not np.all(self.bandwidths > 0):
+            raise ValueError("kde bandwidths must be positive")
+        if self.kind == "gauss":
+            require_symmetric(self.cov_inv, "gauss cov_inv")
+            try:
+                np.linalg.cholesky(self.cov_inv)
+            except np.linalg.LinAlgError:
+                raise ValueError("gauss cov_inv must be positive definite") from None
 
     def scores(self, Z) -> np.ndarray:
         vals = as_values(Z)
@@ -142,16 +158,14 @@ def _silverman_bandwidths(vals: np.ndarray) -> np.ndarray:
 
 
 def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
-                 k: int = 5, components_range=(1, 9),
-                 regularize: float = 0.0) -> BaselineModel:
+                 k: int = 5, components_range=(1, 9)) -> BaselineModel:
     """Fit one of the reference classifiers and calibrate its threshold so the
     training acceptance is at least s.
 
     gauss scores Mahalanobis distance to the mean (singular covariance is an
-    error; pass regularize > 0 to add a scaled ridge). mix_gauss scores the
-    BIC-selected mixture density. kde scores a Gaussian product kernel with
-    Silverman's-rule diagonal bandwidth. kmeans scores distance to the
-    nearest of k=5 centroids (Lloyd, seeded by rng).
+    error). mix_gauss scores the BIC-selected mixture density. kde scores a
+    Gaussian product kernel with Silverman's-rule diagonal bandwidth. kmeans
+    scores distance to the nearest of k=5 centroids (Lloyd, seeded by rng).
     """
     spec = _check_kind(kind)
     if rng is None and kind in ("mix_gauss", "kmeans"):
@@ -163,13 +177,11 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     if kind == "gauss":
         mean = vals.mean(axis=0)
         cov = np.cov(vals, rowvar=False, ddof=1).reshape(vals.shape[1], vals.shape[1])
-        if regularize > 0:
-            cov = cov + regularize * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
         try:
             cov_inv = np.linalg.inv(cov)
         except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "gauss: singular covariance; rerun with regularize > 0") from exc
+            raise ValueError("gauss: singular covariance (a feature is constant "
+                             "or a linear combination of others)") from exc
         fitted = dict(mean=mean, cov_inv=cov_inv)
     elif kind == "mix_gauss":
         fitted = dict(density=fit_gmm(vals, components_range, rng))

@@ -26,10 +26,6 @@ from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
 from .transvariation import DROP_EPS, TpRows, tp_density_scores, tp_scores
 
 
-class UndersizedClusterError(ValueError):
-    """A k-medoids cluster has too few members to calibrate a threshold."""
-
-
 @dataclass
 class PamResult:
     """k-medoids outcome: medoid row indices (ascending), 0-based cluster
@@ -283,9 +279,8 @@ def _assignment_cost(dist, medoids):
 # ---------------------------------------------------------------------------
 
 def _check_target(vals: np.ndarray, s, where: str) -> None:
-    for sv in np.atleast_1d(np.asarray(s, dtype=float)):
-        if not 0.0 < sv < 1.0:
-            raise ValueError(f"sensitivity s={sv} must lie strictly inside (0, 1)")
+    if not 0.0 < float(s) < 1.0:
+        raise ValueError(f"sensitivity s={float(s)} must lie strictly inside (0, 1)")
     if vals.shape[0] < 5:
         raise ValueError("need at least 5 training rows")
     require_finite_rows(vals, where, "training")
@@ -317,48 +312,36 @@ def fit_tocc_df(X_target, s: float) -> ToccModel:
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
-                components_range=(1, 9), integrator: OrthantIntegrator | None = None,
+                components_range=(1, 9), mc_samples: int = 100_000,
                 n_restarts: int = 5) -> ToccModel:
     """Density-based TOCC: fits a Gaussian mixture (BIC over the component
-    range), then scores by orthant-mass ratios under that density."""
+    range), then scores by orthant-mass ratios under that density, counted
+    on mc_samples Monte Carlo draws from stream rng.child(997)."""
     vals = as_values(X_target)
     _check_target(vals, s, "fit_tocc_db")
     density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
-    if integrator is None:
-        integrator = OrthantIntegrator("monte_carlo", 100_000, rng.child(997))
+    integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
     return _calibrated([vals], "db", spatial_median(vals), [s], density=density,
                        integrator=integrator, feature_names=_feature_names(X_target))
 
 
-def fit_pam_tocc_df(X_target, k: int, s) -> ToccModel:
+def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
     """Two-phase PAM-TOCC: cluster the target class into k groups, then
     calibrate one counting-score threshold per cluster against its medoid.
 
-    Every cluster must keep at least 3 members. With a single sensitivity s,
-    an undersized cluster lowers k by one until all clusters are large
-    enough (k = 1 always is); model.n_prototypes is the k used. With one s
-    per cluster, k cannot be lowered: UndersizedClusterError is raised.
+    Every cluster must keep at least 3 members: an undersized cluster lowers
+    k by one until all clusters are large enough (k = 1 always is);
+    model.n_prototypes is the k used.
     """
     vals = as_values(X_target)
-    per_cluster = not np.isscalar(s)
-    s_arr = np.asarray(s, dtype=float) if per_cluster else np.full(k, float(s))
-    if s_arr.shape[0] != k:
-        raise ValueError("per-cluster sensitivities must match k")
-    _check_target(vals, s_arr, "fit_pam_tocc_df")
-
+    _check_target(vals, s, "fit_pam_tocc_df")
     while True:
         result = pam(vals, k)
-        sizes = np.bincount(result.assignment, minlength=k)
-        small = np.flatnonzero(sizes < 3)
-        if small.size == 0:
+        if np.bincount(result.assignment, minlength=k).min() >= 3:
             break
-        if per_cluster:
-            raise UndersizedClusterError(
-                f"cluster {small[0]} has only {sizes[small[0]]} members; "
-                "try a smaller k")
         k -= 1
     groups = [vals[result.assignment == g] for g in range(k)]
-    return _calibrated(groups, "pam_df", vals[result.medoids], s_arr[:k],
+    return _calibrated(groups, "pam_df", vals[result.medoids], [s] * k,
                        groups=groups, feature_names=_feature_names(X_target),
                        pam=result)
 

@@ -182,7 +182,7 @@ def cmd_simulate(args):
     sample = generate(spec)
     rows = [[x, y, "target"] for x, y in sample.target.values]
     rows += [[x, y, "non-target"] for x, y in sample.nontarget.values]
-    config = _config(args, ["scenario", "n_target", "n_nontarget", "lambda",
+    config = _config(args, ["scenario", "n_target", "n_nontarget",
                             "box_scale", "seed"])
     config["lambda"] = args.lam
     write_csv(args.out, ["x1", "x2", "label"], rows, "simulate", config)

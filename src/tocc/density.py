@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import RngStream, as_queries, as_values, require_finite_rows, tiles
+from .numcore import (RngStream, as_queries, as_values, require_finite_rows,
+                      require_symmetric, tiles)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -91,6 +92,7 @@ class MixtureDensity:
                              "must all be finite")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
+        require_symmetric(self.covariances, "mixture covariances")
         self._chols = np.linalg.cholesky(self.covariances)
 
     @property
@@ -316,13 +318,11 @@ def _em_single(vals, k, gen):
     prev_state = None
     state = None
     ll = -np.inf
-    bumped = False
     for _ in range(_EM_MAX_ITER):
         refit = _chol_all(covs)
         if refit is None:
             return None
-        chols, covs, bumped_now = refit
-        bumped = bumped or bumped_now
+        chols, covs, bumped = refit
         # A factor with a tiny pivot means a component is collapsing onto a
         # lower-dimensional set; float arithmetic can then wobble downhill.
         pivots = np.diagonal(chols, axis1=1, axis2=2)
@@ -359,7 +359,6 @@ def _em_single(vals, k, gen):
         cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff \
             / nk[:, None, None]
         covs = 0.5 * (cov + cov.transpose(0, 2, 1))
-        bumped = False
 
     # Map parameters back to the original units: mu = z_mu * s + c,
     # cov = S z_cov S; the log-likelihood shifts by -n * sum(log s).

@@ -19,7 +19,6 @@ import numpy as np
 from .baselines import fit_baseline
 from .classifier import (PredictionResult, fit_pam_tocc_df, fit_tocc_db,
                          fit_tocc_df)
-from .density import OrthantIntegrator
 from .numcore import DataMatrix, RngStream, concat
 from .simgen import ScenarioSpec, generate
 
@@ -85,7 +84,6 @@ class EvalReport:
     specificity: float | None
     auc: float | None
     wall_time_seconds: float
-    scenario: str | None = None
     replication: int | None = None
     error: str | None = None
 
@@ -127,9 +125,8 @@ def fit_method(name: str, X, s: float, rng: RngStream, k: int = 5,
     if name == "tocc-df":
         return fit_tocc_df(X, s)
     if name == "tocc-db":
-        integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
         return fit_tocc_db(X, s, rng, components_range=components_range,
-                           integrator=integrator, n_restarts=n_restarts)
+                           mc_samples=mc_samples, n_restarts=n_restarts)
     if name == "pam-tocc-df":
         return fit_pam_tocc_df(X, k, s)
     return fit_baseline(name.replace("-", "_"), X, s, rng, k=kmeans_k,
@@ -153,11 +150,8 @@ def make_method(name: str, s: float, **settings) -> Method:
 
 @dataclass
 class BenchmarkResult:
-    """All per-replication reports plus scenario metadata."""
+    """All per-replication reports of one scenario."""
 
-    scenario: str
-    s: float
-    replications: int
     reports: list[EvalReport] = field(default_factory=list)
 
     def for_method(self, name: str) -> list[EvalReport]:
@@ -187,9 +181,7 @@ class BenchmarkResult:
 
 
 def evaluate_method(method: Method, train: DataMatrix, test: DataMatrix,
-                    rng: RngStream, scenario: str | None = None,
-                    replication: int | None = None,
-                    with_roc: bool = True) -> EvalReport:
+                    rng: RngStream, replication: int | None = None) -> EvalReport:
     """Fit on the target sample, evaluate on the labeled test set."""
     is_target = test.is_target()
     start = time.perf_counter()
@@ -198,17 +190,16 @@ def evaluate_method(method: Method, train: DataMatrix, test: DataMatrix,
         result = method.predict(fitted, test)
     except Exception as exc:  # recorded, not fatal: the harness keeps going
         return EvalReport(method.name, None, None, None,
-                          time.perf_counter() - start, scenario, replication,
+                          time.perf_counter() - start, replication,
                           error=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     sens, spec = confusion_metrics(result.accept, is_target)
-    auc = roc_curve(result.typicality(), is_target).auc if with_roc else None
-    return EvalReport(method.name, sens, spec, auc, elapsed, scenario,
-                      replication)
+    auc = roc_curve(result.typicality(), is_target).auc
+    return EvalReport(method.name, sens, spec, auc, elapsed, replication)
 
 
 def run_benchmark(methods, spec: ScenarioSpec, replications: int,
-                  s: float, with_roc: bool = True) -> BenchmarkResult:
+                  s: float) -> BenchmarkResult:
     """Replicate scenario draws and evaluate every method on each.
 
     Methods may be names (built via make_method at sensitivity s) or Method
@@ -220,14 +211,13 @@ def run_benchmark(methods, spec: ScenarioSpec, replications: int,
     if replications < 1:
         raise ValueError("replications must be at least 1")
     method_objs = [m if isinstance(m, Method) else make_method(m, s) for m in methods]
-    result = BenchmarkResult(spec.id, s, replications)
+    result = BenchmarkResult()
     for r in range(replications):
         rep_rng = spec.rng.child(r)
         sample = generate(spec.with_stream(rep_rng))
         test = concat(sample.target, sample.nontarget)
         for mi, method in enumerate(method_objs):
             report = evaluate_method(method, sample.target, test,
-                                     rep_rng.child(mi + 1), spec.id, r,
-                                     with_roc=with_roc)
+                                     rep_rng.child(mi + 1), r)
             result.reports.append(report)
     return result

@@ -71,8 +71,6 @@ def load_glass(path: str | None = None, subset: str = "float-windows") -> DataMa
 
 @dataclass
 class CellResult:
-    variant: str
-    frontend: str
     auc: float
     sensitivity: float
     specificity: float
@@ -156,6 +154,6 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
             seconds = time.perf_counter() - start
             sens, spec = confusion_metrics(pred.accept, is_target)
             auc = roc_curve(pred.typicality(), is_target).auc
-            result.cells[(variant, frontend)] = CellResult(
-                variant, frontend, auc, sens, spec, seconds)
+            result.cells[(variant, frontend)] = CellResult(auc, sens, spec,
+                                                           seconds)
     return result

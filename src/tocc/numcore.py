@@ -141,6 +141,16 @@ def require_feature_names(names, p: int) -> None:
                          f"not {names!r}")
 
 
+def require_symmetric(a: np.ndarray, what: str) -> None:
+    """ValueError unless each trailing square matrix of a equals its
+    transpose to within 1e-10 of its largest entry. Fitted covariances and
+    their inverses can differ from their transposes in the last bits, so
+    exact symmetry is not asked for."""
+    gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    if np.any(gap > 1e-10 * np.abs(a).max(axis=(-2, -1))):
+        raise ValueError(f"{what} must be symmetric")
+
+
 # Point-query pairs per kernel tile: cache-resident, and flat in memory at
 # any number of points.
 _CHUNK_ELEMENTS = 2 ** 14
@@ -227,28 +237,31 @@ def empirical_quantile(xs, q: float) -> float:
     return float(np.partition(arr, k - 1)[k - 1])
 
 
-def spatial_median(X, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
+_WEISZFELD_TOL = 1e-8
+_WEISZFELD_MAX_ITER = 1000
+
+
+def spatial_median(X) -> np.ndarray:
     """Spatial median (mediancentre): minimizer of the summed Euclidean
     distances, found by modified Weiszfeld iteration.
 
     Starts at the coordinatewise median (so the objective never exceeds its
     value there). Data points the iterate lands on are pulled out of the
     denominator and handled by the Vardi-Zhang correction. Convergence is
-    declared when successive iterates move less than `tol`; exceeding
-    `max_iter` raises ConvergenceError carrying the last iterate.
+    declared when successive iterates move less than _WEISZFELD_TOL;
+    exceeding _WEISZFELD_MAX_ITER iterations raises ConvergenceError
+    carrying the last iterate.
     """
     vals = as_values(X)
-    if tol <= 0:
-        raise ValueError("spatial_median: tol must be positive")
     n = vals.shape[0]
     if n == 1:
         return vals[0].copy()
 
     y = np.median(vals, axis=0)
-    for _ in range(max_iter):
+    for _ in range(_WEISZFELD_MAX_ITER):
         diff = vals - y
         dist = np.linalg.norm(diff, axis=1)
-        at_point = dist < tol
+        at_point = dist < _WEISZFELD_TOL
         far = ~at_point
         if not far.any():
             return y
@@ -266,11 +279,12 @@ def spatial_median(X, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
             y_new = (1.0 - gamma) * t_tilde + gamma * y
         else:
             y_new = t_tilde
-        if np.linalg.norm(y_new - y) < tol:
+        if np.linalg.norm(y_new - y) < _WEISZFELD_TOL:
             return y_new
         y = y_new
     raise ConvergenceError(
-        f"spatial_median: no convergence after {max_iter} iterations", y)
+        f"spatial_median: no convergence after {_WEISZFELD_MAX_ITER} "
+        "iterations", y)
 
 
 def distance_sum(X, point) -> float:

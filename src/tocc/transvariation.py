@@ -56,10 +56,13 @@ _DEGENERATE = 1e-12
 def _kept(C, m, eps):
     """The drop rule: a coordinate where the query lies within eps of the
     prototype carries no sign information and is dropped. eps must be at
-    least 0, so every kept coordinate has c != m and a direction, _up."""
+    least 0, so every kept coordinate has c != m and a direction, _up.
+    Near opposite ends of the float range c - m overflows to an infinity,
+    which is kept, as it should be."""
     if not eps >= 0:
         raise ValueError(f"eps={eps!r} must be a number >= 0")
-    return np.abs(C - m) > eps
+    with np.errstate(over="ignore"):
+        return np.abs(C - m) > eps
 
 
 def _up(C, m):

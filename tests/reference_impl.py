@@ -121,7 +121,8 @@ def comparison_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     vals = as_values(X)
     c = np.atleast_1d(np.asarray(c, dtype=float))
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    keep = np.abs(c - m) > eps
+    with np.errstate(over="ignore"):  # an infinite c - m is kept
+        keep = np.abs(c - m) > eps
     dropped = np.flatnonzero(~keep).tolist()
     n = vals.shape[0]
     if not keep.any():

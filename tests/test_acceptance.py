@@ -127,14 +127,12 @@ def test_criterion_4_calibration_floor():
                 + gen.normal(size=2) * 3
             s = (0.8, 0.9, 0.95)[trial % 3]
             for name in methods:
-                rng = RngStream(1000 + trial).child(hash(name) % 1000)
+                rng = RngStream(1000 + trial).child(methods.index(name))
                 if name == "tocc-df":
                     model, pred = fit_tocc_df(X, s), predict
                 elif name == "tocc-db":
                     model = fit_tocc_db(X, s, rng, components_range=(1, 2),
-                                        n_restarts=2,
-                                        integrator=OrthantIntegrator(
-                                            "monte_carlo", 10_000, rng.child(9)))
+                                        n_restarts=2, mc_samples=10_000)
                     pred = predict
                 elif name == "pam-tocc-df":
                     model, pred = fit_pam_tocc_df(X, 2, s), predict
@@ -173,7 +171,7 @@ def test_criterion_6_simulation_properties():
         spec_by_lam = {}
         for lam in (1.0, 2.0):
             spec = ScenarioSpec("a", 500, RngStream(61), lam=lam)
-            result = run_benchmark(["tocc-df"], spec, 20, 0.9, with_roc=False)
+            result = run_benchmark(["tocc-df"], spec, 20, 0.9)
             spec_by_lam[lam] = median_spec(result, "tocc-df")
         assert spec_by_lam[2.0] > spec_by_lam[1.0], spec_by_lam
 
@@ -187,15 +185,14 @@ def test_criterion_6_simulation_properties():
         pooled = []
         for scenario in "efgh":
             spec = ScenarioSpec(scenario, 500, RngStream(62))
-            result = run_benchmark(methods, spec, 10, 0.9, with_roc=False)
+            result = run_benchmark(methods, spec, 10, 0.9)
             pooled.extend(r.specificity for r in result.reports
                           if r.error is None and r.specificity is not None)
         assert float(np.median(pooled)) >= 0.70, np.median(pooled)
 
         # (i) banana: the clustered variant is at least as specific
         spec = ScenarioSpec("i", 500, RngStream(63))
-        result = run_benchmark(["pam-tocc-df", "tocc-df"], spec, 20, 0.9,
-                               with_roc=False)
+        result = run_benchmark(["pam-tocc-df", "tocc-df"], spec, 20, 0.9)
         assert median_spec(result, "pam-tocc-df") >= median_spec(result, "tocc-df")
 
         assert time.perf_counter() - start < 300.0

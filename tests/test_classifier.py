@@ -3,7 +3,6 @@ import pytest
 
 from tocc import (MixtureDensity, RngStream, ToccModel, fit_pam_tocc_df,
                   fit_tocc_db, fit_tocc_df, load_glass, pam, predict)
-from tocc.classifier import UndersizedClusterError
 
 
 def two_blobs(seed=0, n=50, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
@@ -172,16 +171,13 @@ class TestFitPamToccDf:
             members = pred.cluster == g
             assert pred.accept[members].mean() >= 0.9
 
-    def test_undersized_cluster_instructs(self):
+    def test_undersized_cluster_steps_k_down(self):
         X = np.vstack([two_blobs(seed=32, n=20, spread=0.1),
                        np.array([[100.0, 100.0]])])
-        # One sensitivity: k steps down until no cluster is undersized.
+        # k steps down until no cluster is undersized.
         model = fit_pam_tocc_df(X, 3, 0.9)
         assert model.n_prototypes == 2
         assert np.bincount(model.pam.assignment).min() >= 3
-        # One sensitivity per cluster pins k, so the fit cannot step down.
-        with pytest.raises(UndersizedClusterError, match="smaller k"):
-            fit_pam_tocc_df(X, 3, [0.9, 0.9, 0.9])
 
     def test_detects_interior_nontargets(self):
         # Two target lobes with non-targets in the gap: a single global
@@ -249,6 +245,39 @@ class TestPredict:
         pred = predict(model, midpoint)
         d = np.linalg.norm(midpoint - model.prototypes, axis=1)
         assert pred.cluster[0] == int(np.argmin(d))
+
+
+class TestScoresFallOutward:
+    """Moving a query outward from the prototype along a ray that stays in
+    one orthant only shrinks the region beyond it, so its tocc-df and
+    tocc-db scores never increase; tocc-db counts every ray point on the
+    same draws."""
+
+    @pytest.mark.parametrize("seed, n, p", [(0, 120, 2), (1, 120, 3),
+                                            (2, 60, 2), (3, 2000, 2)],
+                             ids=["p2", "p3", "small", "sweep"])
+    def test_scores_never_increase(self, seed, n, p):
+        gen = np.random.default_rng(300 + seed)
+        X = gen.normal(size=(n, p)) @ gen.normal(size=(p, p))
+        X[: n // 4] = np.round(X[: n // 4], 1)  # repeated coordinates
+        models = [fit_tocc_df(X, 0.9)]
+        if n <= 120:
+            models.append(fit_tocc_db(X, 0.9, RngStream(seed),
+                                      components_range=(1, 2), n_restarts=1,
+                                      mc_samples=10_000))
+        t = np.linspace(0.0, 4.0, 41)[1:, None]
+        for model in models:
+            m = model.prototypes[0]
+            for _ in range(5):
+                direction = gen.choice([-1.0, 1.0], size=p) \
+                    * gen.uniform(0.1, 1.0, size=p)
+                scores = predict(model, m + t * direction).score
+                assert np.all(np.diff(scores) <= 0), (model.variant, scores)
+            # Rays through data points, which meet them at t = 1.
+            for x in X[:5]:
+                if np.all(x != m):
+                    scores = predict(model, m + t * (x - m)).score
+                    assert np.all(np.diff(scores) <= 0), (model.variant, scores)
 
 
 class TestToccModelConsistency:

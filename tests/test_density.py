@@ -45,6 +45,18 @@ class TestMixtureDensity:
         with pytest.raises(ValueError, match="must all be finite"):
             MixtureDensity(**params)
 
+    def test_symmetry_within_a_relative_tolerance(self):
+        # Fitted covariances can differ from their transposes in the last
+        # bit; that passes at any scale, a visible asymmetry does not, even
+        # beside a much larger component.
+        small = np.array([[2.0, 0.3], [0.3, 0.5]]) * 1e-6
+        small[0, 1] = np.nextafter(small[0, 1], 1.0)
+        MixtureDensity([1.0], [[0.0, 0.0]], [small])
+        lopsided = np.array([[2.0, 0.3], [0.3 + 1e-8, 0.5]])
+        with pytest.raises(ValueError, match="covariances must be symmetric"):
+            MixtureDensity([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
+                           [lopsided, 1e6 * np.eye(2)])
+
     def test_pdf_integrates_to_one(self):
         f = MixtureDensity([0.4, 0.6], [[0.0, 0.0], [3.0, 1.0]],
                            [np.eye(2), [[2.0, 0.3], [0.3, 0.5]]])

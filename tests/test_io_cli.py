@@ -291,7 +291,9 @@ class TestToccModelFiles:
         ("pam-tocc-df", {"pam": {"assignment": [0]}},
          "one label per group row"),
         ("pam-tocc-df", {"pam": {"total_cost": "abc"}},
-         "pam total_cost must be a finite number >= 0, not 'abc'")],
+         "pam total_cost must be a finite number >= 0, not 'abc'"),
+        ("tocc-db", {"density": {"covariances": [[[1.0, 0.5], [0.0, 1.0]]]}},
+         "mixture covariances must be symmetric")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
@@ -301,7 +303,8 @@ class TestToccModelFiles:
              "numeric-groups", "list-model", "nan-mean", "nan-weight",
              "object-sensitivity", "numeric-thresholds", "null-medoids",
              "string-medoids", "medoid-out-of-range", "null-assignment",
-             "huge-assignment", "one-entry-assignment", "string-total-cost"])
+             "huge-assignment", "one-entry-assignment", "string-total-cost",
+             "asymmetric-covariance"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
@@ -343,9 +346,17 @@ class TestBaselineModelFiles:
         ("gauss", {"feature_names": ["a"]},
          "feature_names must be None or a list of 2 names"),
         ("kde", {"feature_names": ["a", "b", "c"]},
-         "feature_names must be None or a list of 2 names")],
+         "feature_names must be None or a list of 2 names"),
+        ("kde", {"bandwidths": [0.0, -1.0]}, "kde bandwidths must be positive"),
+        ("gauss", {"cov_inv": [[-1.0, 0.0], [0.0, -1.0]]},
+         "gauss cov_inv must be positive definite"),
+        ("gauss", {"cov_inv": [[1.0, 0.5], [0.0, 1.0]]},
+         "gauss cov_inv must be symmetric"),
+        ("gauss", {"centroids": [[0.0, 0.0]]}, "a gauss model has no centroids")],
         ids=["null-mean", "null-threshold", "unknown-direction",
-             "narrow-bandwidths", "one-feature-name", "three-feature-names"])
+             "narrow-bandwidths", "one-feature-name", "three-feature-names",
+             "non-positive-bandwidths", "negative-definite-cov-inv",
+             "asymmetric-cov-inv", "gauss-with-centroids"])
     def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
         X = np.random.default_rng(57).normal(size=(40, 2))
         path = tmp_path / f"{kind}.json"

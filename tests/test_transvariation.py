@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,13 +153,16 @@ class TestMultivariateTp:
         score = multivariate_tp(X, [s + u, s + u], [s, s], eps=0.0)
         assert (score.numerator_count, score.denominator_count) == (4.5, 9.5)
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered in subtract:RuntimeWarning")
     def test_ties_near_the_top_of_the_range(self):
-        # m - c overflows to an infinity; the tie with c still counts.
+        # m - c overflows to an infinity, silently; the tie with c still
+        # counts.
         s = 2.0 ** 1023
-        score = multivariate_tp([[-s, -s], [s, s]], [-s, -s], [s, s], eps=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = multivariate_tp([[-s, -s], [s, s]], [-s, -s], [s, s],
+                                    eps=0.0)
         assert (score.numerator_count, score.denominator_count) == (0.5, 1.5)
+        assert score.value == pytest.approx(1 / 3)
 
     def test_matches_univariate_in_1d(self):
         # Exact agreement needs a tie-free sample: with ties at the median the
