@@ -47,7 +47,8 @@ _FITTED = tuple(dict.fromkeys(name for spec in KINDS.values()
 
 
 def _check_kind(kind: str) -> _Kind:
-    if kind not in KINDS:
+    # A model file can hold any JSON value here, and a list is unhashable.
+    if not (isinstance(kind, str) and kind in KINDS):
         raise ValueError(f"unknown baseline kind '{kind}' (choose from {tuple(KINDS)})")
     return KINDS[kind]
 

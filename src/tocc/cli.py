@@ -27,34 +27,40 @@ DEFAULT_SEED = 20260808
 
 
 def _default_seed() -> int:
+    """TOCC_SEED if set and not empty, else DEFAULT_SEED; ValueError unless
+    it is a non-negative integer."""
     env = os.environ.get("TOCC_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        seed = int(env) if env else DEFAULT_SEED
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"TOCC_SEED={env!r} must be a non-negative integer")
+    return seed
 
 
-def _add_data_args(p, with_labels=True):
+def _add_data_args(p):
     p.add_argument("--data", help="input CSV with a header row")
     p.add_argument("--glass", action="store_true",
                    help="use the bundled glass dataset instead of --data")
     p.add_argument("--glass-subset", default="float-windows",
-                   choices=["float-windows", "all-windows"])
-    if with_labels:
-        p.add_argument("--label-column", help="column holding class labels")
-        p.add_argument("--target-labels", help="comma-separated target label values")
-        p.add_argument("--nontarget-labels",
-                       help="comma-separated non-target label values")
+                   choices=list(SUBSETS))
+    p.add_argument("--label-column", help="column holding class labels")
+    p.add_argument("--target-labels", help="comma-separated target label values")
+    p.add_argument("--nontarget-labels",
+                   help="comma-separated non-target label values")
     p.add_argument("--normalize-by",
                    help="divide every feature column by this column, row-wise")
 
 
 def _load_data(args):
-    if getattr(args, "glass", False):
+    if args.glass:
         return load_glass(subset=args.glass_subset)
     if not args.data:
         raise ValueError("provide --data or --glass")
-    target = args.target_labels.split(",") if getattr(args, "target_labels", None) else None
-    nontarget = (args.nontarget_labels.split(",")
-                 if getattr(args, "nontarget_labels", None) else None)
-    return ingest_csv(args.data, label_column=getattr(args, "label_column", None),
+    target = args.target_labels.split(",") if args.target_labels else None
+    nontarget = args.nontarget_labels.split(",") if args.nontarget_labels else None
+    return ingest_csv(args.data, label_column=args.label_column,
                       target_labels=target, nontarget_labels=nontarget,
                       normalize_by=args.normalize_by)
 
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full evaluation grid on the glass study")
     p.add_argument("--data", help="custom glass CSV (defaults to bundled)")
     p.add_argument("--glass-subset", default="float-windows",
-                   choices=["float-windows", "all-windows"])
+                   choices=list(SUBSETS))
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--s", type=float, default=0.9)
@@ -429,11 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Bad input (IngestError is a ValueError) and paths that cannot be read
-    # or written end in one line on stderr.
+    # Bad input (IngestError is a ValueError), a bad TOCC_SEED, and paths
+    # that cannot be read or written end in one line on stderr.
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"tocc: error: {exc}", file=sys.stderr)

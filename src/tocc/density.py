@@ -16,8 +16,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import (RngStream, as_queries, as_values, require_finite_rows,
-                      require_symmetric, tiles)
+from .numcore import (RngStream, as_queries, as_values, box_counts,
+                      require_finite_rows, require_symmetric)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -181,13 +181,10 @@ def box_masses(density: MixtureDensity, lower, upper,
     rows = np.flatnonzero(n_bounded >= 2)
     if rows.size:
         draws = integrator.samples(density)
-        lo, hi = lower[rows], upper[rows]
-        inside = np.zeros(rows.size, dtype=np.int64)
-        for XT, chunk in tiles(draws, rows.size):
-            hit = np.ones((lo[chunk].shape[0], XT.shape[1]), dtype=bool)
-            for u in range(density.p):
-                hit &= (XT[u] >= lo[chunk, u, None]) & (XT[u] <= hi[chunk, u, None])
-            inside[chunk] += np.count_nonzero(hit, axis=1)
+        # The draws are finite, so the closed box holds the draws of the
+        # open box one ulp wider on every side.
+        inside = box_counts(draws, np.nextafter(lower[rows], -np.inf),
+                            np.nextafter(upper[rows], np.inf))
         mass[rows] = inside / draws.shape[0]
     return mass
 

@@ -50,7 +50,7 @@ def load_glass(path: str | None = None, subset: str = "float-windows") -> DataMa
     column is read in the same pass as the features and then dropped.
     """
     if subset not in SUBSETS:
-        raise ValueError("subset must be 'float-windows' or 'all-windows'")
+        raise ValueError("subset must be " + " or ".join(map(repr, SUBSETS)))
     target_types, kept_types = SUBSETS[subset]
     path = path or bundled_glass_path()
     table = ingest_csv(path)

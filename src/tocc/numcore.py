@@ -1,5 +1,6 @@
 """Shared numerical primitives: quantiles, medians, spatial median, PCA,
-correlation, seeded random streams, and the kernels' tiling and row grouping.
+correlation, seeded random streams, the one box counter and tie counter
+behind both score forms, and the counting kernel's row grouping.
 
 Everything here is a pure function of its inputs; RngStream is an immutable
 handle that derives fresh numpy generators on demand, so repeated calls with
@@ -151,21 +152,114 @@ def require_symmetric(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
-# Point-query pairs per kernel tile: cache-resident, and flat in memory at
-# any number of points.
+# Rows per block of the points a box count reads, and point-box pairs per
+# tile of its comparison loop: cache-resident, and flat in memory at any
+# number of points.
 _CHUNK_ELEMENTS = 2 ** 14
 
+# A block of rows is counted by the p = 2 sweep when every box is one-sided
+# and there are at least _SWEEP_MIN_BOXES boxes and _SWEEP_MIN_PAIRS
+# row-box pairs: the loop's cost grows with the pairs, the sweep's with the
+# rows. Best of 15 runs on a 2-core Xeon (Python 3.11, numpy 2.4), one
+# box_counts call, loop / sweep in ms:
+#     rows     96 boxes     128 boxes     192 boxes     256 boxes
+#      500    0.22 / 0.27   0.29 / 0.30   0.43 / 0.34   0.57 / 0.40
+#    2 000    0.84 / 0.64   1.37 / 0.75   1.90 / 0.93   2.67 / 0.96
+#    8 000    1.42 / 2.20   1.88 / 2.24   2.84 / 2.30   3.74 / 2.35
+#   16 384    2.54 / 4.68   3.42 / 4.78   5.13 / 4.87   6.80 / 4.92
+#  100 000    17.4 / 29.7   23.4 / 29.7   35.8 / 30.8   46.0 / 30.7
+# The crossover is near 180 boxes for full blocks and near 80 at 2 000
+# rows; at 150 rows it is near 1 000 boxes, which the pair bound covers.
+_SWEEP_MIN_BOXES = 192
+_SWEEP_MIN_PAIRS = 2 ** 17
 
-def tiles(X: np.ndarray, q: int):
-    """Cache-sized tiles of the n x k points X against q queries: yields
-    (XT, rows), a k x b transposed block of at most _CHUNK_ELEMENTS points
-    and a slice of queries small enough that rows x b stays within it."""
+
+def box_counts(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Count of the rows of the n x p points X strictly inside each open box
+    lower[i] < x < upper[i] of the q x p bounds, +-inf allowed.
+
+    X is read in blocks of at most _CHUNK_ELEMENTS rows. A block is counted
+    by _sweep_counts when p = 2, every box is one-sided (each coordinate a
+    half-line (a, inf) or (-inf, a), or the whole line) and the block is
+    large enough, and otherwise by comparing every row with every box in
+    cache-sized tiles. Both count exactly, so the choice never moves a
+    count.
+    """
+    q, p = lower.shape
     block = min(X.shape[0], _CHUNK_ELEMENTS) or 1
     step = max(1, _CHUNK_ELEMENTS // block)
+    sweep = (p == 2 and q >= _SWEEP_MIN_BOXES and block * q >= _SWEEP_MIN_PAIRS
+             and np.all((lower == -np.inf) | (upper == np.inf)))
+    if sweep:
+        up = upper == np.inf
+        anchors = np.where(up, lower, upper)
+    counts = np.zeros(q, dtype=np.int64)
     for first in range(0, X.shape[0], block):
-        XT = np.ascontiguousarray(X[first:first + block].T)
+        rows = X[first:first + block]
+        if sweep and rows.shape[0] * q >= _SWEEP_MIN_PAIRS:
+            counts += _sweep_counts(rows, anchors, up)
+            continue
+        XT = np.ascontiguousarray(rows.T)
         for start in range(0, q, step):
-            yield XT, slice(start, start + step)
+            box = slice(start, start + step)
+            inside = np.ones((lower[box].shape[0], XT.shape[1]), dtype=bool)
+            for u in range(p):
+                inside &= XT[u] > lower[box, u, None]
+                inside &= XT[u] < upper[box, u, None]
+            counts[box] += np.count_nonzero(inside, axis=1)
+    return counts
+
+
+def _sweep_counts(X, A, up):
+    """Count of the rows of the n x 2 points X with x_u > a_u where up and
+    x_u < a_u elsewhere, on both coordinates, for each row a of A: the
+    one-sided boxes of box_counts, by sorting. Exact, in O((n + q) log^2 n).
+
+    x > a is x >= nextafter(a, inf), so every count is of x_u >= b_u, and a
+    coordinate pointing down is the complement of one: the four quadrants
+    follow by inclusion-exclusion from the marginal counts and the
+    dominance count D = #{x_0 >= b_0, x_1 >= b_1}. D is a merge-sort-tree
+    query: with the rows in descending x_0, D counts the rows of a prefix
+    whose x_1 rank is at least b_1's; each set bit of the prefix length is
+    one sorted block of that many rows, searched once.
+    """
+    n = X.shape[0]
+    B = np.where(up, np.nextafter(A, np.inf), A)
+    cols = np.sort(X, axis=0)
+    above = [n - np.searchsorted(cols[:, u], B[:, u]) for u in (0, 1)]
+    rank = np.searchsorted(cols[:, 1], X[np.argsort(-X[:, 0]), 1])
+    least = np.searchsorted(cols[:, 1], B[:, 1])
+    dom = np.zeros(len(A), dtype=np.int64)
+    for lvl in range(n.bit_length()):
+        keys = np.sort((np.arange(n) >> lvl) * n + rank)
+        hit = np.flatnonzero((above[0] >> lvl) & 1)
+        block = (above[0][hit] >> lvl) - 1
+        dom[hit] += ((block + 1) << lvl) - np.searchsorted(keys, block * n + least[hit])
+    return np.select([up[:, 0] & up[:, 1], up[:, 0], up[:, 1]],
+                     [dom, above[0] - dom, above[1] - dom],
+                     n - above[0] - above[1] + dom)
+
+
+def tie_counts(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Count of the rows of the n x p points X equal to each row of the
+    q x p anchors A, by sorting one key per row of X and searching it for
+    the anchors' keys."""
+    keys = np.sort(_row_keys(X))
+    anchors = _row_keys(A)
+    return np.searchsorted(keys, anchors, "right") - np.searchsorted(keys, anchors)
+
+
+def _row_keys(M):
+    """One sortable key per row of the float array M whose equality is the
+    rows' equality: the float itself for one column, a complex number
+    (ordered by its real part first) for two, and otherwise the row's bytes,
+    after adding 0.0 so that -0.0 and 0.0 have the same bytes."""
+    if M.shape[1] == 1:
+        return M[:, 0]
+    if M.shape[1] == 2:
+        return np.ascontiguousarray(M).view(complex)[:, 0]
+    M = np.ascontiguousarray(M + 0.0)
+    return M.view(np.dtype((np.void, M.itemsize * M.shape[1])))[:, 0]
 
 
 def row_patterns(mask: np.ndarray):

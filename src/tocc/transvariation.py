@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import box_masses
-from .numcore import as_values, require_finite_rows, row_patterns, tiles
+from .numcore import (as_values, box_counts, require_finite_rows,
+                      row_patterns, tie_counts)
 
 DROP_EPS = 1e-12
 
@@ -71,83 +72,31 @@ def _up(C, m):
     return C > m
 
 
-# The p = 2 sweep below replaces the broadcast kernel from this many
-# point-query pairs up. Medians on a 2-core Xeon (Python 3.11, numpy 2.4),
-# n x q, broadcast -> sweep: 22 x 54 0.06 -> 0.17 ms, 87 x 214 0.30 ->
-# 0.52 ms, 150 x 225 0.51 -> 0.50 ms, 256 x 256 0.81 -> 0.59 ms, 2000 x 2000
-# 56 -> 4.0 ms, 2000 x 10 000 261 -> 20 ms. The crossover is near 2^15
-# pairs; 2^16 leaves a margin where the two are within a few percent.
-_SWEEP_MIN_PAIRS = 2 ** 16
+def _orthant_boxes(C, m, kept):
+    """The 2q x p bounds (lower, upper) of the open orthant boxes of the
+    queries C (q x p) with prototype m: box i lies beyond the anchor a =
+    C[i] and box q + i beyond a = m, both in C[i]'s direction from m,
+    (a_u, inf) where it points up and (-inf, a_u) where it points down, on
+    each coordinate that the mask kept (or True) keeps; a coordinate not
+    kept is unbounded."""
+    up = _up(C, m)
+    lo, hi = kept & up, kept & ~up
+    return (np.concatenate([np.where(lo, C, -np.inf), np.where(lo, m, -np.inf)]),
+            np.concatenate([np.where(hi, C, np.inf), np.where(hi, m, np.inf)]))
 
 
 def _orthant_counts(X, C, m):
     """Weighted counts of the rows of X beyond each query row of C, and
     beyond m, in the query's orthant direction from m (ties weight 1/2),
-    for queries off m on every coordinate. Each query has two anchors, c
-    for the numerator and m for the denominator: x is beyond an anchor a
-    when x_u > a_u on every coordinate where c points up and x_u < a_u
-    where it points down, and ties it when x == a. Returns (numerator,
-    denominator)."""
-    q, p = C.shape
-    sweep = p == 2 and X.shape[0] * q >= _SWEEP_MIN_PAIRS
-    strict, tie = (_sweep_counts if sweep else _broadcast_counts)(
-        X, np.concatenate([C, np.broadcast_to(m, C.shape)]), np.tile(_up(C, m), (2, 1)))
-    num, den = (strict + 0.5 * tie).reshape(2, q)
+    for queries off m on every coordinate: the rows strictly inside each
+    open orthant box, plus half the rows equal to its anchor. Returns
+    (numerator, denominator)."""
+    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
+    num, den = (box_counts(X, *_orthant_boxes(C, m, True))
+                + 0.5 * tie_counts(X, anchors)).reshape(2, -1)
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")
     return num, den
-
-
-def _broadcast_counts(X, A, up):
-    """Strict and tie counts of the rows of X at each anchor row of A with
-    directions up, by comparing every row with every anchor in cache-sized
-    tiles. Negation is exact, so negating the down coordinates of both
-    makes every strict test y > a and every tie y == a."""
-    sign = np.where(up, 1.0, -1.0)
-    A = A * sign
-    counts = np.zeros((2, A.shape[0]), dtype=np.int64)
-    for XT, rows in tiles(X, A.shape[0]):
-        strict, tie = tests = np.ones((2, A[rows].shape[0], XT.shape[1]), dtype=bool)
-        for u in range(X.shape[1]):
-            y = XT[u] * sign[rows, u, None]
-            strict &= y > A[rows, u, None]
-            tie &= y == A[rows, u, None]
-        counts[:, rows] += np.count_nonzero(tests, axis=2)
-    return counts
-
-
-def _sweep_counts(X, A, up):
-    """The counts of _broadcast_counts for two columns, by sorting: strict
-    counts the rows with x_u > a_u where up and x_u < a_u elsewhere, on
-    both coordinates; tie counts x == a. Exact, in O((n + q) log^2 n).
-
-    x > a is x >= nextafter(a, inf), so every count is of x_u >= b_u, and a
-    coordinate pointing down is the complement of one: the four quadrants
-    follow by inclusion-exclusion from the marginal counts and the
-    dominance count D = #{x_0 >= b_0, x_1 >= b_1}. D is a merge-sort-tree
-    query: with the rows in descending x_0, D counts the rows of a prefix
-    whose x_1 rank is at least b_1's; each set bit of the prefix length is
-    one sorted block of that many rows, searched once.
-    """
-    n = X.shape[0]
-    B = np.where(up, np.nextafter(A, np.inf), A)
-    cols = np.sort(X, axis=0)
-    above = [n - np.searchsorted(cols[:, u], B[:, u]) for u in (0, 1)]
-    rank = np.searchsorted(cols[:, 1], X[np.argsort(-X[:, 0]), 1])
-    least = np.searchsorted(cols[:, 1], B[:, 1])
-    dom = np.zeros(len(A), dtype=np.int64)
-    for lvl in range(n.bit_length()):
-        keys = np.sort((np.arange(n) >> lvl) * n + rank)
-        hit = np.flatnonzero((above[0] >> lvl) & 1)
-        block = (above[0][hit] >> lvl) - 1
-        dom[hit] += ((block + 1) << lvl) - np.searchsorted(keys, block * n + least[hit])
-    strict = np.select([up[:, 0] & up[:, 1], up[:, 0], up[:, 1]],
-                       [dom, above[0] - dom, above[1] - dom],
-                       n - above[0] - above[1] + dom)
-    rows = np.sort(np.ascontiguousarray(X).view(complex).ravel())
-    points = np.ascontiguousarray(A).view(complex).ravel()
-    tie = np.searchsorted(rows, points, "right") - np.searchsorted(rows, points)
-    return strict, tie
 
 
 def _record(num, den, kept) -> TpRows:
@@ -180,10 +129,7 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRow
     m; a dropped coordinate is unbounded. One box_masses call integrates all
     2q boxes, so all boxes of the batch share one draw set."""
     kept = _kept(C, m, eps)
-    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
-    bounded, up = np.tile([kept, _up(C, m)], (1, 2, 1))
-    num, den = box_masses(density, np.where(bounded & up, anchors, -np.inf),
-                          np.where(bounded & ~up, anchors, np.inf),
+    num, den = box_masses(density, *_orthant_boxes(C, m, kept),
                           integrator).reshape(2, -1)
     return _record(num, den, kept)
 

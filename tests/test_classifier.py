@@ -265,7 +265,9 @@ class TestScoresFallOutward:
             models.append(fit_tocc_db(X, 0.9, RngStream(seed),
                                       components_range=(1, 2), n_restarts=1,
                                       mc_samples=10_000))
-        t = np.linspace(0.0, 4.0, 41)[1:, None]
+        # 100 points per ray make 200 boxes, which at n = 2000 the p = 2
+        # sweep counts.
+        t = np.linspace(0.0, 4.0, 101)[1:, None]
         for model in models:
             m = model.prototypes[0]
             for _ in range(5):

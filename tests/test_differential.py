@@ -121,14 +121,21 @@ def counting_case(gen):
     return X, m, sample_queries(gen, X, m, eps), eps
 
 
-def force_sweep(monkeypatch):
-    """Take the p = 2 sweep at every size, and count the groups it scores."""
-    monkeypatch.setattr(transvariation, "_SWEEP_MIN_PAIRS", 0)
+def spy_sweep(monkeypatch):
+    """Count the row blocks the p = 2 sweep counts."""
     calls = []
-    sweep = transvariation._sweep_counts
-    monkeypatch.setattr(transvariation, "_sweep_counts",
+    sweep = numcore._sweep_counts
+    monkeypatch.setattr(numcore, "_sweep_counts",
                         lambda *args: calls.append(1) or sweep(*args))
     return calls
+
+
+def force_sweep(monkeypatch):
+    """Take the p = 2 sweep for every batch of one-sided boxes at every
+    size, and count the row blocks it counts."""
+    monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
+    monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS", 0)
+    return spy_sweep(monkeypatch)
 
 
 def scaled_grid_case():
@@ -198,6 +205,35 @@ class TestCountingKernel:
                 assert np.array_equal(got, expected), k
         assert not sweep or len(calls) > 2092
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
+    def test_density_power_of_two_scales(self, monkeypatch, sweep):
+        # Scaling the means, the prototype and the queries by 2^k and the
+        # covariances by 4^k scales every Cholesky factor, draw and bound
+        # by exactly 2^k, so no box mass may move. Queries share a
+        # coordinate with the prototype, or both, so some boxes are bounded
+        # on one coordinate or none.
+        gen = np.random.default_rng(108)
+        density = mixture_case(gen, 2)
+        m = np.array([0.25, -0.5])
+        Q = np.vstack([gen.integers(-3, 4, size=(70, 2)) / 2, m,
+                       [[0.25, 1.0], [-1.0, -0.5]]])
+        calls = force_sweep(monkeypatch)
+        if not sweep:
+            monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 2 * len(Q) + 1)
+
+        def scores(k):
+            s = 2.0 ** k
+            scaled = MixtureDensity(density.weights, density.means * s,
+                                    density.covariances * s * s)
+            integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(5))
+            return tp_density_scores(scaled, Q * s, m * s, integ, 0.0)
+
+        want = scores(0)
+        for k in range(-200, 201, 25):
+            for got, expected in zip(scores(k), want):
+                assert np.array_equal(got, expected), k
+        assert bool(calls) == sweep
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCountingSweep:
@@ -219,12 +255,14 @@ class TestCountingSweep:
         Q = np.vstack([X[gen.integers(0, 2000, size=4000)],
                        gen.integers(-22, 23, size=(3000, 2)),
                        gen.normal(size=(3000, 2)) * 10])
-        monkeypatch.setattr(transvariation, "_SWEEP_MIN_PAIRS", len(X) * len(Q) + 1)
-        broadcast = tp_scores(X, Q, m)
         calls = force_sweep(monkeypatch)
+        monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 2 * len(Q) + 1)
+        loop = tp_scores(X, Q, m)
+        assert not calls
+        monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
         sweep = tp_scores(X, Q, m)
         assert calls
-        for got, want in zip(sweep, broadcast):
+        for got, want in zip(sweep, loop):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("scale", [2.0 ** -485, 2.0 ** -486, 2.0 ** 1023],
@@ -234,19 +272,19 @@ class TestCountingSweep:
         # 2^-485 they are still at least 2^-1074, near 2^-486 one-ulp
         # differences multiply to 2^-1076 and 2^-1075, which round to 0,
         # and near 2^1023 m - c overflows. Both counters compare, so the
-        # sweep runs at each scale and equals the broadcast kernel and the
+        # sweep runs at each scale and equals the comparison loop and the
         # comparison oracle.
         s, u = scale, np.spacing(scale)
         m = np.array([s + 3 * u, s])
         X = np.array([[s + u, -(s + u)], [s + 2 * u, -s], m, [-s, -s],
                       [-(s + u), s + u], [s, -s]])
         Q = np.vstack([X, [[-s, -(s + u)], [s + 3 * u, -s]]])
-        broadcast = tp_scores(X, Q, m, 0.0)
+        loop = tp_scores(X, Q, m, 0.0)
         calls = force_sweep(monkeypatch)
         sweep = tp_scores(X, Q, m, 0.0)
         oracles = [ref.comparison_tp(X, c, m, 0.0) for c in Q]
         assert calls
-        for got, want in zip(sweep, broadcast):
+        for got, want in zip(sweep, loop):
             assert np.array_equal(got, want)
         assert_rows_match(sweep, oracles, zero_denominator)
 
@@ -257,6 +295,74 @@ class TestCountingSweep:
         for eps in (-1.0, -1e-300, np.nan):
             with pytest.raises(ValueError, match="must be a number >= 0"):
                 tp_scores(Q, Q, np.zeros(2), eps)
+
+
+def signed_zero_grid(gen, n, p):
+    """Rows of the grid {-1, 0, 1}^p, half of them repeated, with a random
+    sign on every zero."""
+    X = gen.integers(-1, 2, size=(n, p)).astype(float)
+    X[n // 2:] = X[:n - n // 2]
+    return np.where(X == 0, gen.choice([-0.0, 0.0], size=X.shape), X)
+
+
+def open_boxes(gen, q, p, values, two_sided=False):
+    """q open boxes whose coordinates are each unbounded, bounded below or
+    above at one of values, or, with two_sided, bounded on both sides."""
+    sides = gen.integers(4 if two_sided else 3, size=(q, p))
+    lower = np.where(sides % 2 == 1, gen.choice(values, size=(q, p)), -np.inf)
+    upper = np.where(sides >= 2, gen.choice(values, size=(q, p)), np.inf)
+    return lower, upper
+
+
+def box_count_oracle(X, lower, upper):
+    return [int(np.count_nonzero(np.all((lo < X) & (X < hi), axis=1)))
+            for lo, hi in zip(lower, upper)]
+
+
+class TestCounters:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_tie_counts(self, p):
+        gen = np.random.default_rng(130 + p)
+        X = signed_zero_grid(gen, 300, p)
+        A = np.vstack([X[:40], signed_zero_grid(gen, 60, p)])
+        A = np.where(A == 0, gen.choice([-0.0, 0.0], size=A.shape), A)
+        assert np.signbit(X[X == 0]).any() and np.signbit(A[A == 0]).any()
+        want = (X[None] == A[:, None]).all(2).sum(1)
+        assert np.array_equal(numcore.tie_counts(X, A), want)
+
+    @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (3, False),
+                                          (2, True)],
+                             ids=["p1", "p2", "p3", "p2-sweep"])
+    def test_box_counts(self, monkeypatch, p, sweep):
+        # 300 rows in 97-row blocks leave a ragged last block of 9; bounds
+        # on the grid put rows on the box faces.
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+        calls = force_sweep(monkeypatch)
+        gen = np.random.default_rng(140 + p)
+        X = signed_zero_grid(gen, 300, p)
+        lower, upper = open_boxes(gen, 200, p, [-1.0, -0.0, 0.0, 0.5, 1.0],
+                                       two_sided=not sweep)
+        lower[:3], upper[:3] = -np.inf, np.inf
+        assert np.array_equal(numcore.box_counts(X, lower, upper),
+                              box_count_oracle(X, lower, upper))
+        assert len(calls) == (4 if sweep else 0)
+
+    @pytest.mark.parametrize("lo, hi", [([-0.5, -0.5], [0.5, 0.5]),
+                                        ([np.inf, -np.inf], [0.5, np.inf])],
+                             ids=["two-sided", "empty"])
+    def test_one_two_sided_box_keeps_the_loop(self, monkeypatch, lo, hi):
+        # The empty coordinate (inf, 0.5) is bounded on both sides too.
+        gen = np.random.default_rng(150)
+        X = gen.normal(size=(2000, 2))
+        lower, upper = open_boxes(gen, 512, 2, X[:50].ravel())
+        both = np.vstack([lower, [lo]]), np.vstack([upper, [hi]])
+        calls = spy_sweep(monkeypatch)
+        assert np.array_equal(numcore.box_counts(X, *both),
+                              box_count_oracle(X, *both))
+        assert not calls
+        assert np.array_equal(numcore.box_counts(X, lower, upper),
+                              box_count_oracle(X, lower, upper))
+        assert calls
 
 
 def mixture_case(gen, p):

@@ -375,6 +375,63 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# Each field of a model file, and the first and last entry of each array,
+# is replaced in turn by each of these values.
+SWEEP_VALUES = [None, "x", True, float("nan"), -1, 1e308, [], [[[1]]], 0]
+
+
+def edit_paths(value, path=()):
+    """Key paths to every object field of a parsed JSON document, at any
+    depth, and to the first and last entry of each array."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = sorted({0, len(value) - 1}) if value else []
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from edit_paths(value[key], path + (key,))
+
+
+class TestModelFileSweep:
+    def test_every_edit_predicts_or_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # A valid edit, such as another threshold, may predict; nothing may
+        # raise past main or exit with more than one line on stderr. One
+        # parser serves every run, as building it costs more than a run.
+        parser = tocc.cli.build_parser()
+        monkeypatch.setattr(tocc.cli, "build_parser", lambda: parser)
+        X = np.random.default_rng(60).normal(size=(30, 2))
+        data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n-1.0,2.0\n")
+        path, out = tmp_path / "m.json", tmp_path / "p.csv"
+        failures, edits = [], 0
+        for method in ALL_METHODS:
+            save_model(fit_method(method, X, 0.9, RngStream(61), k=2,
+                                  mc_samples=10_000, components_range=(1, 2),
+                                  n_restarts=1), path)
+            text = path.read_text()
+            for edit in edit_paths(json.loads(text)):
+                for value in SWEEP_VALUES:
+                    doc = json.loads(text)
+                    parent = doc
+                    for key in edit[:-1]:
+                        parent = parent[key]
+                    parent[edit[-1]] = value
+                    path.write_text(json.dumps(doc))
+                    edits += 1
+                    try:
+                        rc = run_cli("predict", "--model", path, "--data", data,
+                                     "--out", out)
+                    except Exception as exc:    # noqa: BLE001 - reported below
+                        rc = repr(exc)
+                    err = capsys.readouterr().err
+                    if not (rc == 0 or rc == 2 and err.count("\n") == 1):
+                        failures.append((method, edit, value, rc, err))
+        assert edits > 1000
+        assert not failures, failures[:5]
+
+
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -490,3 +547,21 @@ class TestCli:
         monkeypatch.setenv("TOCC_SEED", "99")
         from tocc.cli import _default_seed
         assert _default_seed() == 99
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
+    def test_bad_seed_env_exits_2(self, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv("TOCC_SEED", env)
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--scenario", "a", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"TOCC_SEED={env!r}" in err
+        assert not out.exists()
+
+    def test_seed_env_writes_the_seeded_file(self, tmp_path, monkeypatch):
+        by_flag, by_env = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("simulate", "--scenario", "a", "--n-target", 20,
+                       "--seed", 7, "--out", by_flag) == 0
+        monkeypatch.setenv("TOCC_SEED", "7")
+        assert run_cli("simulate", "--scenario", "a", "--n-target", 20,
+                       "--out", by_env) == 0
+        assert by_flag.read_bytes() == by_env.read_bytes()
