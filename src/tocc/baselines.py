@@ -109,8 +109,12 @@ class BaselineModel:
                              f"({sorted(widths)})")
         self.p = widths.pop()
         require_feature_names(self.feature_names, self.p)
-        if self.kind == "kde" and not np.all(self.bandwidths > 0):
-            raise ValueError("kde bandwidths must be positive")
+        if self.kind == "kde":
+            with np.errstate(over="ignore"):
+                norm = (np.sqrt(2.0 * np.pi) * self.bandwidths).prod()
+            if not (np.all(self.bandwidths > 0) and np.isfinite(norm)):
+                raise ValueError("kde bandwidths must be positive, and their "
+                                 "normaliser (sqrt(2 pi) h).prod() finite")
         if self.kind == "gauss":
             require_symmetric(self.cov_inv, "gauss cov_inv")
             try:

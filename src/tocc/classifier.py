@@ -119,6 +119,10 @@ class ToccModel:
         if self.variant != "db" and not all(
                 np.all(np.isfinite(np.asarray(g, dtype=float))) for g in self.groups):
             raise ValueError("group rows must be finite")
+        if self.variant == "pam_df" and not all(
+                np.all(g == proto, axis=1).any()
+                for proto, g in zip(self.prototypes, self.groups)):
+            raise ValueError("each pam_df prototype must be a row of its group")
         if self.pam is not None and (
                 self.variant != "pam_df" or len(self.pam.medoids) != k
                 or self.pam.medoids[-1] >= self.pam.assignment.size
@@ -356,7 +360,9 @@ def predict(model: ToccModel, Z) -> PredictionResult:
     lowest cluster index) and accept it when the score reaches that
     prototype's threshold. Z must be finite and as wide as the model."""
     vals = as_queries(Z, model.p, "predict")
-    clusters = np.linalg.norm(vals[:, None] - model.prototypes, axis=2).argmin(axis=1)
+    clusters = np.zeros(vals.shape[0], dtype=np.intp)
+    if model.n_prototypes > 1:
+        clusters = np.linalg.norm(vals[:, None] - model.prototypes, axis=2).argmin(1)
     scores = np.empty(vals.shape[0])
     for g in range(model.n_prototypes):
         rows = clusters == g

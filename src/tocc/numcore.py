@@ -1,6 +1,6 @@
 """Shared numerical primitives: quantiles, medians, spatial median, PCA,
-correlation, seeded random streams, the one box counter and tie counter
-behind both score forms, and the counting kernel's row grouping.
+correlation, seeded random streams, and the one box counter and tie counter
+behind both score forms.
 
 Everything here is a pure function of its inputs; RngStream is an immutable
 handle that derives fresh numpy generators on demand, so repeated calls with
@@ -240,13 +240,22 @@ def _sweep_counts(X, A, up):
                      n - above[0] - above[1] + dom)
 
 
-def tie_counts(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def tie_counts(X: np.ndarray, A: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Count of the rows of the n x p points X equal to each row of the
-    q x p anchors A, by sorting one key per row of X and searching it for
-    the anchors' keys."""
-    keys = np.sort(_row_keys(X))
-    anchors = _row_keys(A)
-    return np.searchsorted(keys, anchors, "right") - np.searchsorted(keys, anchors)
+    q x p anchors A on the coordinates its row of the boolean mask kept
+    keeps, 0 for a row that keeps none: per distinct mask row, by sorting
+    one key per row of X on its columns and searching it for the anchors'."""
+    counts = np.zeros(A.shape[0], dtype=np.int64)
+    _, first, which = np.unique(_row_keys(kept + 0.0), return_index=True,
+                                return_inverse=True)
+    for j, cols in enumerate(kept[first]):
+        if cols.any():
+            rows = np.flatnonzero(which == j)
+            keys = np.sort(_row_keys(X[:, cols]))
+            anchors = _row_keys(A[np.ix_(rows, cols)])
+            counts[rows] = (np.searchsorted(keys, anchors, "right")
+                            - np.searchsorted(keys, anchors))
+    return counts
 
 
 def _row_keys(M):
@@ -260,16 +269,6 @@ def _row_keys(M):
         return np.ascontiguousarray(M).view(complex)[:, 0]
     M = np.ascontiguousarray(M + 0.0)
     return M.view(np.dtype((np.void, M.itemsize * M.shape[1])))[:, 0]
-
-
-def row_patterns(mask: np.ndarray):
-    """(columns, rows) for each distinct row of the boolean q x p mask that
-    is true somewhere: its true columns and the indices of the rows equal
-    to it."""
-    patterns, which = np.unique(mask, axis=0, return_inverse=True)
-    for j, pattern in enumerate(patterns):
-        if pattern.any():
-            yield np.flatnonzero(pattern), np.flatnonzero(which.reshape(-1) == j)
 
 
 def _splitmix64(x: int) -> int:

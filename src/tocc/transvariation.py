@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import box_masses
-from .numcore import (as_values, box_counts, require_finite_rows,
-                      row_patterns, tie_counts)
+from .numcore import as_values, box_counts, require_finite_rows, tie_counts
 
 DROP_EPS = 1e-12
 
@@ -77,26 +76,12 @@ def _orthant_boxes(C, m, kept):
     queries C (q x p) with prototype m: box i lies beyond the anchor a =
     C[i] and box q + i beyond a = m, both in C[i]'s direction from m,
     (a_u, inf) where it points up and (-inf, a_u) where it points down, on
-    each coordinate that the mask kept (or True) keeps; a coordinate not
-    kept is unbounded."""
+    each coordinate that the mask kept keeps; a coordinate not kept is
+    unbounded."""
     up = _up(C, m)
     lo, hi = kept & up, kept & ~up
     return (np.concatenate([np.where(lo, C, -np.inf), np.where(lo, m, -np.inf)]),
             np.concatenate([np.where(hi, C, np.inf), np.where(hi, m, np.inf)]))
-
-
-def _orthant_counts(X, C, m):
-    """Weighted counts of the rows of X beyond each query row of C, and
-    beyond m, in the query's orthant direction from m (ties weight 1/2),
-    for queries off m on every coordinate: the rows strictly inside each
-    open orthant box, plus half the rows equal to its anchor. Returns
-    (numerator, denominator)."""
-    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
-    num, den = (box_counts(X, *_orthant_boxes(C, m, True))
-                + 0.5 * tie_counts(X, anchors)).reshape(2, -1)
-    if np.any(num > den):
-        raise RuntimeError("numerator exceeded denominator (counting bug)")
-    return num, den
 
 
 def _record(num, den, kept) -> TpRows:
@@ -110,14 +95,19 @@ def _record(num, den, kept) -> TpRows:
 
 def tp_scores(X, C, m, eps: float = DROP_EPS) -> TpRows:
     """Counting-form tp of each row of the float array C (q x p) against the
-    rows of X and prototype m, numerator and denominator in unit counts.
-    multivariate_tp is the one-query case."""
+    rows of X and prototype m, numerator and denominator in unit counts;
+    multivariate_tp is the one-query case. One box_counts call counts the
+    rows strictly inside the 2q boxes of tp_density_scores, and one
+    tie_counts call adds half the rows equal to each box's anchor on its
+    kept coordinates, none for a query that keeps no coordinate."""
     vals = as_values(X)
     kept = _kept(C, m, eps)
-    num, den = np.full((2, C.shape[0]), float(vals.shape[0]))
-    for cols, rows in row_patterns(kept):
-        num[rows], den[rows] = _orthant_counts(
-            vals[:, cols], C[np.ix_(rows, cols)], m[cols])
+    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
+    num, den = (box_counts(vals, *_orthant_boxes(C, m, kept))
+                + 0.5 * tie_counts(vals, anchors, np.concatenate([kept, kept]))
+                ).reshape(2, -1)
+    if np.any(num > den):
+        raise RuntimeError("numerator exceeded denominator (counting bug)")
     return _record(num, den, kept)
 
 
@@ -174,8 +164,8 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     _require_finite("univariate_tp", c=c, m=m)
     if c == m:
         return TpScore(1.0, arr.size / 2.0, arr.size / 2.0)
-    num, _ = _orthant_counts(arr, np.array([[c]]), np.array([m]))
-    weighted = float(num[0])
+    rows = tp_scores(arr, np.array([[c]]), np.array([m]), 0.0)
+    weighted = float(rows.numerator[0])
     return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
 

@@ -190,6 +190,24 @@ class TestCountingKernel:
             assert fields(univariate_tp(xs, c, m)) \
                 == fields(ref.univariate_tp(xs, c, m))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_mixed_patterns_match_single_queries(self, p):
+        # Every subset of coordinates is shared with the prototype by some
+        # queries of one batch, so the batch mixes every kept pattern; the
+        # prototype is off the integer grid, so only shared ones drop.
+        gen = np.random.default_rng(109 + p)
+        X = gen.integers(-2, 3, size=(60, p)).astype(float)
+        X[40:] = X[:20]
+        m = np.median(X, axis=0) + 0.25
+        patterns = (np.arange(2 ** p)[:, None] >> np.arange(p)) & 1 == 1
+        share = patterns[gen.permutation(np.repeat(np.arange(2 ** p), 12))]
+        Q = np.where(share, m, gen.integers(-3, 4, size=share.shape))
+        rows = tp_scores(X, Q, m)
+        assert np.array_equal(rows.kept, ~share)
+        assert_rows_match(rows, [multivariate_tp(X, c, m) for c in Q],
+                          lambda single: single.degenerate)
+        assert_counts_match(X, Q, m, transvariation.DROP_EPS)
+
     @pytest.mark.parametrize("sweep", [False, True], ids=["default", "sweep"])
     def test_power_of_two_scales(self, monkeypatch, sweep):
         # Scaling by 2^k is exact, so no count may move: not where products
@@ -203,7 +221,7 @@ class TestCountingKernel:
             s = 2.0 ** k
             for got, expected in zip(tp_scores(X * s, Q * s, m * s, 0.0), want):
                 assert np.array_equal(got, expected), k
-        assert not sweep or len(calls) > 2092
+        assert not sweep or len(calls) == 1 + 2092
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
     def test_density_power_of_two_scales(self, monkeypatch, sweep):
@@ -238,12 +256,16 @@ class TestCountingKernel:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCountingSweep:
     def test_sweep_matches_reference(self, monkeypatch):
+        # A batch is one box_counts call and its n <= 300 rows one block,
+        # so each p = 2 case makes exactly one sweep call.
         calls = force_sweep(monkeypatch)
         gen = np.random.default_rng(105)
+        wide = 0
         for _ in range(40):
             X, m, Q, eps = counting_case(gen)
             assert_counts_match(X, Q, m, eps)
-        assert len(calls) > 20
+            wide += X.shape[1] == 2
+        assert len(calls) == wide > 0
 
     def test_sweep_matches_broadcast_at_cli_scale(self, monkeypatch):
         # 2000 rows of a coarse grid with duplicated rows against 10 000
@@ -320,15 +342,21 @@ def box_count_oracle(X, lower, upper):
 
 
 class TestCounters:
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 70])
     def test_tie_counts(self, p):
+        # Masks of every density, all-True and all-False rows among them,
+        # in no order, so the anchors of one mask are scattered.
         gen = np.random.default_rng(130 + p)
         X = signed_zero_grid(gen, 300, p)
         A = np.vstack([X[:40], signed_zero_grid(gen, 60, p)])
         A = np.where(A == 0, gen.choice([-0.0, 0.0], size=A.shape), A)
         assert np.signbit(X[X == 0]).any() and np.signbit(A[A == 0]).any()
-        want = (X[None] == A[:, None]).all(2).sum(1)
-        assert np.array_equal(numcore.tie_counts(X, A), want)
+        kept = gen.random(A.shape) < gen.random((len(A), 1))
+        kept[gen.choice(len(A), size=20, replace=False)] = [[True], [False]] * 10
+        want = ((X[None] == A[:, None]) | ~kept[:, None]).all(2).sum(1)
+        want[~kept.any(1)] = 0
+        assert np.array_equal(numcore.tie_counts(X, A, kept), want)
+        assert want.max() > 1 and (want == 0).any()
 
     @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (3, False),
                                           (2, True)],

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,48 @@ class TestModelFileSweep:
                         failures.append((method, edit, value, rc, err))
         assert edits > 1000
         assert not failures, failures[:5]
+
+
+class TestExtremeModelValues:
+    """A finite but extreme entry is refused where it breaks what every
+    fitted file holds, and otherwise predicts without a floating-point
+    warning."""
+
+    def with_huge_entry(self, tmp_path, method, field):
+        """predict's arguments for a saved file whose first entry of field
+        is 1e308."""
+        X = np.random.default_rng(62).normal(size=(30, 2))
+        path = tmp_path / "m.json"
+        save_model(fit_method(method, X, 0.9, RngStream(63), k=2,
+                              mc_samples=10_000, components_range=(1, 1),
+                              n_restarts=1), path)
+        doc = json.loads(path.read_text())
+        entry = doc[field]
+        while isinstance(entry[0], list):
+            entry = entry[0]
+        entry[0] = 1e308
+        path.write_text(json.dumps(doc))
+        data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n-1.0,2.0\n")
+        return "predict", "--model", path, "--data", data, "--out", tmp_path / "p.csv"
+
+    @pytest.mark.parametrize("method, field, message", [
+        ("pam-tocc-df", "prototypes",
+         "each pam_df prototype must be a row of its group"),
+        ("kde", "bandwidths", "normaliser (sqrt(2 pi) h).prod() finite")],
+        ids=["pam-prototype", "kde-bandwidth"])
+    def test_huge_entry_exits_2(self, tmp_path, capsys, method, field, message):
+        assert run_cli(*self.with_huge_entry(tmp_path, method, field)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("method", ["tocc-df", "tocc-db"])
+    def test_huge_prototype_predicts_quietly(self, tmp_path, method):
+        # One prototype needs no nearest-prototype distance, which would
+        # overflow here.
+        argv = self.with_huge_entry(tmp_path, method, "prototypes")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(*argv) == 0
 
 
 class TestCli:
