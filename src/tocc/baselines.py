@@ -23,8 +23,8 @@ import numpy as np
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_feature_names, require_finite_rows,
-                      require_symmetric)
+                      require_feature_names, require_symmetric,
+                      require_training_rows)
 
 
 class _Kind(NamedTuple):
@@ -171,12 +171,13 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     error). mix_gauss scores the BIC-selected mixture density. kde scores a
     Gaussian product kernel with Silverman's-rule diagonal bandwidth. kmeans
     scores distance to the nearest of k=5 centroids (Lloyd, seeded by rng).
+    The training rows and s must pass numcore.require_training_rows.
     """
     spec = _check_kind(kind)
     if rng is None and kind in ("mix_gauss", "kmeans"):
         raise ValueError(f"{kind} requires an RngStream")
     vals = as_values(X_target)
-    require_finite_rows(vals, "fit_baseline", "training")
+    require_training_rows(vals, s, "fit_baseline")
     names = list(X_target.feature_names) if hasattr(X_target, "feature_names") else None
 
     if kind == "gauss":

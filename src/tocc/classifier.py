@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_feature_names, require_finite_rows,
+                      require_feature_names, require_training_rows,
                       spatial_median)
 from .transvariation import DROP_EPS, TpRows, tp_density_scores, tp_scores
 
@@ -282,16 +282,6 @@ def _assignment_cost(dist, medoids):
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _check_target(vals: np.ndarray, s, where: str) -> None:
-    if not 0.0 < float(s) < 1.0:
-        raise ValueError(f"sensitivity s={float(s)} must lie strictly inside (0, 1)")
-    if vals.shape[0] < 5:
-        raise ValueError("need at least 5 training rows")
-    require_finite_rows(vals, where, "training")
-    if np.all(vals == vals[0]):
-        raise ValueError("degenerate constant training data")
-
-
 def _feature_names(X):
     return list(X.feature_names) if hasattr(X, "feature_names") else None
 
@@ -310,7 +300,7 @@ def fit_tocc_df(X_target, s: float) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
     vals = as_values(X_target)
-    _check_target(vals, s, "fit_tocc_df")
+    require_training_rows(vals, s, "fit_tocc_df")
     return _calibrated([vals], "df", spatial_median(vals), [s], groups=[vals.copy()],
                        feature_names=_feature_names(X_target))
 
@@ -322,7 +312,7 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     range), then scores by orthant-mass ratios under that density, counted
     on mc_samples Monte Carlo draws from stream rng.child(997)."""
     vals = as_values(X_target)
-    _check_target(vals, s, "fit_tocc_db")
+    require_training_rows(vals, s, "fit_tocc_db")
     density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
     integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
     return _calibrated([vals], "db", spatial_median(vals), [s], density=density,
@@ -338,7 +328,7 @@ def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
     model.n_prototypes is the k used.
     """
     vals = as_values(X_target)
-    _check_target(vals, s, "fit_pam_tocc_df")
+    require_training_rows(vals, s, "fit_pam_tocc_df")
     while True:
         result = pam(vals, k)
         if np.bincount(result.assignment, minlength=k).min() >= 3:

@@ -232,17 +232,16 @@ def kmeans_lloyd(vals: np.ndarray, k: int,
     return centroids, labels
 
 
-def _initial_params(vals, labels, k, reg_base):
-    n, p = vals.shape
+def _initial_params(z, labels, k, global_cov, reg_base):
+    n, p = z.shape
     weights = np.empty(k)
     means = np.empty((k, p))
     covs = np.empty((k, p, p))
-    global_cov = np.cov(vals, rowvar=False, ddof=1).reshape(p, p)
     for g in range(k):
-        members = vals[labels == g]
+        members = z[labels == g]
         weights[g] = max(len(members), 1) / n
         if len(members) == 0:
-            means[g] = vals.mean(axis=0)
+            means[g] = z.mean(axis=0)
             covs[g] = global_cov
         else:
             means[g] = members.mean(axis=0)
@@ -267,54 +266,36 @@ def _regularize_spd(cov: np.ndarray) -> np.ndarray | None:
 
 
 def _chol_all(covs):
-    """Cholesky factors of every component as one (k, p, p) stack, ridging
-    failures; returns (factors, covs, bumped) or None if some component is
-    beyond repair. The stacked call factors each matrix exactly as a
-    per-matrix call does; only a failure takes the per-component path."""
+    """Cholesky factors of every component as one (k, p, p) stack; returns
+    (factors, covs, bumped) or None if some component is beyond repair. A
+    failed stack is factored once more after _regularize_spd ridges each
+    component, which leaves a healthy one unchanged; the stacked call factors
+    each matrix exactly as a per-matrix call does."""
     try:
         return np.linalg.cholesky(covs), covs, False
     except np.linalg.LinAlgError:
         pass
-    chols = np.empty_like(covs)
-    out = covs.copy()
-    bumped = False
-    for g, cov in enumerate(covs):
-        try:
-            chols[g] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            fixed = _regularize_spd(cov)
-            if fixed is None:
-                return None
-            out[g] = fixed
-            chols[g] = np.linalg.cholesky(fixed)
-            bumped = True
-    return chols, out, bumped
+    fixed = [_regularize_spd(cov) for cov in covs]
+    if any(cov is None for cov in fixed):
+        return None
+    covs = np.array(fixed)
+    return np.linalg.cholesky(covs), covs, True
 
 
-def _em_single(vals, k, gen):
-    """One EM run; returns (mixture, loglik) or None on degeneracy.
+def _em_single(z, k, gen, global_cov, reg_base):
+    """One EM run on the standardized rows z from a k-means start drawn with
+    gen; returns ((weights, means, covs), loglik) in z's units, or None on
+    degeneracy.
 
-    Runs on per-column standardized data (an exact reparameterization that
-    keeps tiny-variance features well conditioned) and rescales the fitted
-    parameters at the end. A pure EM step never lowers the log-likelihood
-    (checked); a drop right after a covariance had to be ridge-bumped means
-    a component is collapsing, so the run stops at the last clean iterate.
+    A pure EM step never lowers the log-likelihood (checked); a drop right
+    after a covariance had to be ridge-bumped means a component is
+    collapsing, so the run stops at the last clean iterate.
     """
-    n, p = vals.shape
-    center = vals.mean(axis=0)
-    scale = vals.std(axis=0, ddof=0)
-    scale[scale == 0] = 1.0
-    z = (vals - center) / scale
-
-    reg_base = 1e-8 * max(np.trace(np.cov(z, rowvar=False, ddof=1).reshape(p, p)) / p,
-                          1e-12)
+    n = z.shape[0]
     _, labels = kmeans_lloyd(z, k, gen)
-    weights, means, covs = _initial_params(z, labels, k, reg_base)
+    weights, means, covs = _initial_params(z, labels, k, global_cov, reg_base)
 
-    prev_ll = -np.inf
-    prev_state = None
-    state = None
-    ll = -np.inf
+    prev_ll, prev_state = -np.inf, None
     for _ in range(_EM_MAX_ITER):
         refit = _chol_all(covs)
         if refit is None:
@@ -356,25 +337,20 @@ def _em_single(vals, k, gen):
         cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff \
             / nk[:, None, None]
         covs = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return state, ll
 
-    # Map parameters back to the original units: mu = z_mu * s + c,
-    # cov = S z_cov S; the log-likelihood shifts by -n * sum(log s).
-    weights, means, covs = state
-    out_means = means * scale + center
-    out_covs = covs * scale[None, :, None] * scale[None, None, :]
-    refit = _chol_all(out_covs)
-    if refit is None:
-        return None
-    final = MixtureDensity(weights.copy(), out_means, refit[1])
-    return final, ll - n * float(np.log(scale).sum())
+
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
 def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> MixtureDensity:
     """Fit full-covariance mixtures over a component range, keep the BIC winner.
 
-    Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts;
+    Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts
+    and keeps the one of highest log-likelihood, the first among equals;
     candidates with too few observations per component (n <= G*(p+1)) are
-    skipped.
+    skipped, and a range of only such candidates is an error.
     BIC = 2*loglik - params*ln(n), maximized. All candidates degenerate is an
     error.
 
@@ -383,9 +359,11 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
     X : DataMatrix or array
         Training sample.
     components_range : (lo, hi) tuple
-        Inclusive bounds of the candidate component counts, e.g. (1, 9).
+        Inclusive bounds of the candidate component counts, integers with
+        1 <= lo <= hi, e.g. (1, 9).
     rng : RngStream
         Drives the k-means seedings; the fit is deterministic given it.
+    n_restarts : int, at least 1
 
     A non-finite training row is a ValueError that names it.
     """
@@ -393,28 +371,47 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
     require_finite_rows(vals, "fit_gmm", "training")
     n, p = vals.shape
     lo, hi = components_range
-    if lo > hi:
-        raise ValueError("fit_gmm: empty component range")
+    if not _is_count(n_restarts):
+        raise ValueError(f"fit_gmm: n_restarts={n_restarts!r} must be an integer >= 1")
+    if not (_is_count(lo) and _is_count(hi) and lo <= hi):
+        raise ValueError(f"fit_gmm: components_range={components_range!r} must "
+                         f"be two integers 1 <= lo <= hi")
+    top = min(hi, (n - 1) // (p + 1))
+    if top < lo:
+        raise ValueError(f"fit_gmm: {n} rows in {p} dimensions are too few for "
+                         f"any component count G in {lo}..{hi} (n > G(p + 1) "
+                         f"is needed)")
+
+    # EM runs on per-column standardized rows z = (x - c) / s, an exact
+    # reparameterization that keeps tiny-variance features well conditioned.
+    # A fit maps back to data units as mu = z_mu * s + c and cov = S z_cov S,
+    # and its log-likelihood shifts by -n * sum(log s).
+    center = vals.mean(axis=0)
+    scale = vals.std(axis=0, ddof=0)
+    scale[scale == 0] = 1.0
+    z = (vals - center) / scale
+    global_cov = np.cov(z, rowvar=False, ddof=1).reshape(p, p)
+    reg_base = 1e-8 * max(np.trace(global_cov) / p, 1e-12)
+    shift = n * float(np.log(scale).sum())
 
     best = None
-    for k in range(lo, hi + 1):
-        if k < 1 or n <= k * (p + 1):
-            continue
-        best_run = None
-        for r in range(n_restarts):
-            gen = rng.child(k).child(r).generator()
-            result = _em_single(vals, k, gen)
-            if result is None:
-                continue
-            mixture, ll = result
-            if best_run is None or ll > best_run[1]:
-                best_run = (mixture, ll)
-        if best_run is None:
+    for k in range(lo, top + 1):
+        runs = [_em_single(z, k, rng.child(k).child(r).generator(), global_cov,
+                           reg_base) for r in range(n_restarts)]
+        # The best restart whose covariances factor in data units; the
+        # sort is stable, so the first among equals.
+        ranked = sorted(filter(None, runs), key=lambda run: run[1] - shift,
+                        reverse=True)
+        for (weights, means, covs), ll in ranked:
+            refit = _chol_all(covs * scale[None, :, None] * scale[None, None, :])
+            if refit is not None:
+                break
+        else:
             continue
         n_params = (k - 1) + k * p + k * p * (p + 1) // 2
-        bic = 2.0 * best_run[1] - n_params * np.log(n)
-        if best is None or bic > best[1]:
-            best = (best_run[0], bic)
+        bic = 2.0 * (ll - shift) - n_params * np.log(n)
+        if best is None or bic > best[0]:
+            best = (bic, MixtureDensity(weights, means * scale + center, refit[1]))
     if best is None:
         raise ValueError("fit_gmm: every candidate component count was degenerate")
-    return best[0]
+    return best[1]

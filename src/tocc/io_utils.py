@@ -125,33 +125,50 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _all_numbers(value) -> bool:
+    """Whether value is a JSON number, or an array or object of them at any
+    depth: no bool, string or null anywhere."""
+    if isinstance(value, (list, dict)):
+        return all(map(_all_numbers,
+                       value.values() if isinstance(value, dict) else value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class _Codec(NamedTuple):
     """How one kind of field value goes to JSON and back: dump writes it,
-    build reads it from a JSON value of json_type (object: any). A None
-    value is written as null, or left out of the file when optional."""
+    build reads it from a JSON value of json_type (object: any), made of
+    JSON numbers only when numeric. A None value is written as null, or left
+    out of the file when optional."""
 
     dump: Callable
     build: Callable
     json_type: type = object
     optional: bool = False
+    numeric: bool = False
 
     def load(self, name: str, value):
         if not isinstance(value, self.json_type):
-            kind = "an object" if self.json_type is dict else "an array"
+            kind = {dict: "an object", list: "an array"}.get(self.json_type,
+                                                             "a number")
             raise ValueError(f"model field '{name}' must be {kind}, "
                              f"not {json.dumps(value)}")
+        if self.numeric and not _all_numbers(value):
+            raise ValueError(f"model field '{name}' must hold only numbers (no "
+                             f"string, bool or null), not {json.dumps(value):.60}")
         return self.build(value)
 
 
 _PLAIN = _Codec(lambda v: v, lambda v: v)
-_FLOATS = _Codec(_arr, np.array, list)
+_NUMBER = _Codec(lambda v: v, lambda v: v, (int, float), numeric=True)
+_FLOATS = _Codec(_arr, np.array, list, numeric=True)
 # An empty list is written as null.
 _ARRAYS = _Codec(lambda v: [_arr(g) for g in v] or None,
-                 lambda v: [np.array(g) for g in v] or None, list)
+                 lambda v: [np.array(g) for g in v] or None, list, numeric=True)
 _MIXTURE = _Codec(
     lambda d: {"weights": _arr(d.weights), "means": _arr(d.means),
                "covariances": _arr(d.covariances)},
-    lambda o: MixtureDensity(o["weights"], o["means"], o["covariances"]), dict)
+    lambda o: MixtureDensity(o["weights"], o["means"], o["covariances"]), dict,
+    numeric=True)
 _INTEGRATOR = _Codec(
     lambda i: {"method": i.method, "mc_samples": i.mc_samples,
                "seed": i.rng.seed, "stream_id": i.rng.stream_id},
@@ -168,12 +185,12 @@ _PAM = _Codec(
 # cls(**fields), so every file passes the class's own consistency checks.
 _MODELS = {
     "tocc": (ToccModel, (
-        ("variant", _PLAIN), ("sensitivity", _FLOATS), ("eps", _PLAIN),
+        ("variant", _PLAIN), ("sensitivity", _FLOATS), ("eps", _NUMBER),
         ("prototypes", _FLOATS), ("thresholds", _FLOATS),
         ("feature_names", _PLAIN), ("groups", _ARRAYS), ("density", _MIXTURE),
         ("integrator", _INTEGRATOR), ("pam", _PAM))),
     "baseline": (BaselineModel, (
-        ("kind", _PLAIN), ("sensitivity", _PLAIN), ("threshold", _PLAIN),
+        ("kind", _PLAIN), ("sensitivity", _NUMBER), ("threshold", _NUMBER),
         ("score_direction", _PLAIN), ("feature_names", _PLAIN),
         ("mean", _FLOATS), ("cov_inv", _FLOATS), ("bandwidths", _FLOATS),
         ("train", _FLOATS), ("centroids", _FLOATS), ("density", _MIXTURE))),

@@ -134,6 +134,19 @@ def require_finite_rows(vals: np.ndarray, where: str, kind: str) -> None:
         raise ValueError(f"{where}: {kind} row {bad[0]} is not finite")
 
 
+def require_training_rows(vals: np.ndarray, s, where: str) -> None:
+    """The rule every fit applies to its training rows and sensitivity:
+    ValueError unless s lies strictly inside (0, 1) and vals holds at least
+    5 rows, all finite and not all equal."""
+    if not 0.0 < float(s) < 1.0:
+        raise ValueError(f"sensitivity s={float(s)} must lie strictly inside (0, 1)")
+    if vals.shape[0] < 5:
+        raise ValueError("need at least 5 training rows")
+    require_finite_rows(vals, where, "training")
+    if np.all(vals == vals[0]):
+        raise ValueError("degenerate constant training data")
+
+
 def require_feature_names(names, p: int) -> None:
     """ValueError unless a fitted model's feature names are None or a list
     of p names."""

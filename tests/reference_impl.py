@@ -6,20 +6,21 @@ library used before its batched orthant-counting kernel: sign_counts, the
 univariate counting score, the counting and density forms of the
 multivariate score, the three calibration comprehensions and the predict
 loops; the per-component EM iteration and Gaussian log-density the library
-used before its stacked EM step; the per-cut-point ROC loop; the
-hand-written model save/load the library used before its persistence table;
-orthant_probability and the batched density score as they were before
-both integrated their boxes through density.box_masses (the three density
-scores take their Monte Carlo draws as column subsets of the full
-mixture's draws, as box_masses does, and their closed-form marginals from
-_marginal); and the
-one-candidate-at-a-time random-projection selection, the per-projection VIP
-loop and the per-column PCA sign fix the feature-selection layer used before
-it worked on stacked arrays; and PAM with whole n x n temporaries and the
-per-query product KDE, as they were before both worked in blocks. Beside
-the frozen copies, comparison_tp counts the multivariate score straight
-from its definition by plain comparisons: the product tests agree with it
-unless a product of differences underflows or a difference overflows.
+used before its stacked EM step, and the mixture search that ran each
+restart on its own standardized copy of the rows; the per-cut-point ROC
+loop; the hand-written model save/load the library used before its
+persistence table; orthant_probability and the batched density score as they
+were before both integrated their boxes through density.box_masses (the
+three density scores take their Monte Carlo draws as column subsets of the
+full mixture's draws, as box_masses does, and their closed-form marginals
+from _marginal); and the one-candidate-at-a-time random-projection
+selection, the per-projection VIP loop and the per-column PCA sign fix the
+feature-selection layer used before it worked on stacked arrays; and PAM
+with whole n x n temporaries and the per-query product KDE, as they were
+before both worked in blocks. Beside the frozen copies, comparison_tp counts
+the multivariate score straight from its definition by plain comparisons:
+the product tests agree with it unless a product of differences underflows
+or a difference overflows.
 The differential tests compare the library against it with np.array_equal
 or byte equality. Only tests import this module.
 """
@@ -36,8 +37,8 @@ from scipy.special import logsumexp, ndtr
 from tocc import __version__
 from tocc.baselines import BaselineModel
 from tocc.classifier import PamResult, ToccModel
-from tocc.density import (MixtureDensity, OrthantIntegrator, _initial_params,
-                          _regularize_spd, kmeans_lloyd)
+from tocc.density import (MixtureDensity, OrthantIntegrator, _regularize_spd,
+                          kmeans_lloyd)
 from tocc.evaluation import RocCurve
 from tocc.featsel import VipRanking
 from tocc.numcore import (PcaResult, RngStream, as_values, empirical_quantile,
@@ -319,8 +320,10 @@ def predict_scores(model, Z):
 # ---------------------------------------------------------------------------
 # The EM iteration as it was before it was stacked over components: one
 # Cholesky, solve_triangular and covariance product per component, and
-# scipy's logsumexp. kmeans_lloyd, _initial_params and _regularize_spd are
-# unchanged and shared.
+# scipy's logsumexp; each run standardizes the rows, seeds itself and maps
+# its fit back to data units, and fit_gmm keeps the BIC winner of the best
+# restarts, as the search was before it standardized once per call.
+# kmeans_lloyd and _regularize_spd are unchanged and shared.
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -341,6 +344,27 @@ def logpdf(density, X) -> np.ndarray:
     lp = component_logpdf(density, X) \
         + np.log(np.maximum(density.weights, 1e-300))
     return logsumexp(lp, axis=1)
+
+
+def _initial_params(vals, labels, k, reg_base):
+    n, p = vals.shape
+    weights = np.empty(k)
+    means = np.empty((k, p))
+    covs = np.empty((k, p, p))
+    global_cov = np.cov(vals, rowvar=False, ddof=1).reshape(p, p)
+    for g in range(k):
+        members = vals[labels == g]
+        weights[g] = max(len(members), 1) / n
+        if len(members) == 0:
+            means[g] = vals.mean(axis=0)
+            covs[g] = global_cov
+        else:
+            means[g] = members.mean(axis=0)
+            covs[g] = np.cov(members, rowvar=False, ddof=0).reshape(p, p) \
+                if len(members) > 1 else global_cov
+        covs[g] += reg_base * np.eye(p)
+    weights /= weights.sum()
+    return weights, means, covs
 
 
 def _chol_all(covs):
@@ -441,6 +465,31 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
         return None
     final = MixtureDensity(weights.copy(), out_means, np.array(fixed))
     return final, ll - n * float(np.log(scale).sum())
+
+
+def fit_gmm(vals, components_range, rng, n_restarts=5) -> MixtureDensity:
+    """The BIC winner over lo..hi of each G's best restart, the first
+    among equals; a G with n <= G(p + 1) is skipped."""
+    n, p = vals.shape
+    lo, hi = components_range
+    best = None
+    for k in range(lo, hi + 1):
+        if k < 1 or n <= k * (p + 1):
+            continue
+        best_run = None
+        for r in range(n_restarts):
+            result = _em_single(vals, k, rng.child(k).child(r).generator())
+            if result is not None and (best_run is None or result[1] > best_run[1]):
+                best_run = result
+        if best_run is None:
+            continue
+        n_params = (k - 1) + k * p + k * p * (p + 1) // 2
+        bic = 2.0 * best_run[1] - n_params * np.log(n)
+        if best is None or bic > best[1]:
+            best = (best_run[0], bic)
+    if best is None:
+        raise ValueError("fit_gmm: every candidate component count was degenerate")
+    return best[0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,19 @@ class TestPredictBaseline:
         with pytest.raises(ValueError, match="training row 3 is not finite"):
             fit_baseline(kind, X, 0.9, RngStream(15))
 
+    @pytest.mark.parametrize("kind", ["gauss", "mix_gauss", "kde", "kmeans"])
+    def test_identical_rows_rejected(self, kind):
+        # mix_gauss fitted these and scored every query 0; kmeans fitted them.
+        X = np.tile([1.0, 2.0], (50, 1))
+        with pytest.raises(ValueError, match="degenerate constant training data"):
+            fit_baseline(kind, X, 0.9, RngStream(15))
+
+    @pytest.mark.parametrize("kind", ["gauss", "mix_gauss", "kde", "kmeans"])
+    def test_three_rows_rejected(self, kind):
+        X = gaussian_sample(15, n=3)
+        with pytest.raises(ValueError, match="need at least 5 training rows"):
+            fit_baseline(kind, X, 0.9, RngStream(15))
+
     def test_invalid_sensitivity(self):
         with pytest.raises(ValueError):
             fit_baseline("gauss", gaussian_sample(14), 1.0)

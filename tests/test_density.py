@@ -200,6 +200,30 @@ class TestFitGmm:
             # every candidate needs n > k * (p + 1) = 30
             fit_gmm(X[:4], (2, 3), RngStream(16))
 
+    @pytest.mark.parametrize("n_restarts", [0, -2, 1.5, True, None])
+    def test_bad_restart_count_rejected(self, n_restarts):
+        X = np.random.default_rng(21).normal(size=(60, 2))
+        with pytest.raises(ValueError, match=r"fit_gmm: n_restarts=.* must be "
+                                             r"an integer >= 1"):
+            fit_gmm(X, (1, 2), RngStream(22), n_restarts=n_restarts)
+
+    @pytest.mark.parametrize("components_range", [
+        (0, 0), (0, 2), (3, 2), (1.0, 3), (1, 3.0), (True, 2)])
+    def test_bad_component_range_rejected(self, components_range):
+        X = np.random.default_rng(21).normal(size=(60, 2))
+        with pytest.raises(ValueError, match=r"must be two integers 1 <= lo <= hi"):
+            fit_gmm(X, components_range, RngStream(22))
+
+    def test_range_too_wide_for_the_rows(self):
+        # 60 rows in 2 dimensions fit at most G = 19 components.
+        X = np.random.default_rng(21).normal(size=(60, 2))
+        with pytest.raises(ValueError, match=r"60 rows in 2 dimensions are too "
+                                             r"few for any component count G "
+                                             r"in 40\.\.45"):
+            fit_gmm(X, (40, 45), RngStream(22))
+        f = fit_gmm(X, (19, 45), RngStream(22), n_restarts=1)
+        assert f.n_components == 19
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_training_row_rejected(self, bad):
         X = np.random.default_rng(19).normal(size=(40, 2))

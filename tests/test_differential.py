@@ -1,18 +1,19 @@
 """Differential sweeps: the batched orthant-counting kernel and its p = 2
 sort-and-search sweep, the one box-mass function, the stacked EM step, the
-sorted ROC sweep, the table-driven model files, the stacked
-feature-selection front-ends, blocked PAM and the blocked product KDE
-against the frozen per-query, per-component, per-cut-point, hand-written,
-per-candidate and whole-array references in reference_impl.py, compared
-exactly. The counting kernels are also compared with the comparison oracle
-there, on every case, since the frozen product tests are exact only inside
-a value range.
+mixture search that standardizes once, the sorted ROC sweep, the
+table-driven model files, the stacked feature-selection front-ends, blocked
+PAM and the blocked product KDE against the frozen per-query,
+per-component, per-cut-point, hand-written, per-candidate and whole-array
+references in reference_impl.py, compared exactly. The counting kernels are
+also compared with the comparison oracle there, on every case, since the
+frozen product tests are exact only inside a value range.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
 must not move a single score, tie or dropped coordinate, stacking the EM
-step must not move a single mixture parameter or log-likelihood, a model
-file must keep every byte, and stacking the projection candidates must not
-change which projection is selected.
+step or sharing one standardization across restarts must not move a single
+mixture parameter or log-likelihood, a model file must keep every byte, and
+stacking the projection candidates must not change which projection is
+selected.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 import reference_impl as ref
 from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
-                  fit_pam_tocc_df, fit_tocc_db, fit_tocc_df, load_glass,
+                  ScenarioSpec, fit_gmm, fit_pam_tocc_df, fit_tocc_db,
+                  fit_tocc_df, generate, load_glass,
                   load_model, multivariate_tp, multivariate_tp_density,
                   orthant_probability, predict, roc_curve, save_model,
                   univariate_tp)
@@ -552,21 +554,42 @@ class TestFitPredict:
         assert np.array_equal(predict(model, Z).score, scores)
 
 
+def standardized(vals):
+    """fit_gmm's shared EM input: the column centers and scales, the
+    standardized rows z, their covariance and the ridge base."""
+    p = vals.shape[1]
+    center = vals.mean(axis=0)
+    scale = vals.std(axis=0, ddof=0)
+    scale[scale == 0] = 1.0
+    z = (vals - center) / scale
+    global_cov = np.cov(z, rowvar=False, ddof=1).reshape(p, p)
+    return center, scale, z, global_cov, 1e-8 * max(np.trace(global_cov) / p, 1e-12)
+
+
 def assert_same_em(vals, k, stream):
     """The library's and the reference EM run from the same seed: both
     degenerate (None), or equal weights, means, covariances and
-    log-likelihood. Returns the library's result."""
-    got = density._em_single(vals, k, stream.generator())
+    log-likelihood once the library's run on the standardized rows is mapped
+    back to data units as fit_gmm maps its best restart. Returns the mapped
+    (mixture, loglik) or None."""
+    center, scale, z, global_cov, reg_base = standardized(vals)
+    run = density._em_single(z, k, stream.generator(), global_cov, reg_base)
     want = ref._em_single(vals, k, stream.generator())
-    if got is None or want is None:
-        assert got is None and want is None
-        return got
-    (f, ll), (f_ref, ll_ref) = got, want
+    if run is not None:
+        (weights, means, covs), ll = run
+        refit = density._chol_all(covs * scale[None, :, None] * scale[None, None, :])
+        run = None if refit is None else (
+            MixtureDensity(weights, means * scale + center, refit[1]),
+            ll - vals.shape[0] * float(np.log(scale).sum()))
+    if run is None or want is None:
+        assert run is None and want is None
+        return run
+    (f, ll), (f_ref, ll_ref) = run, want
     assert np.array_equal(f.weights, f_ref.weights)
     assert np.array_equal(f.means, f_ref.means)
     assert np.array_equal(f.covariances, f_ref.covariances)
     assert ll == ll_ref
-    return got
+    return run
 
 
 def glass_target(*features):
@@ -619,6 +642,60 @@ class TestEmStep:
         # Ba is zero on most glass targets: this G = 3 restart degenerates.
         assert assert_same_em(glass_target("RI", "Ba"), 3,
                               RngStream(71).child(3).child(1)) is None
+
+
+def assert_same_fit(vals, components_range, seed, n_restarts):
+    got = fit_gmm(vals, components_range, RngStream(seed), n_restarts=n_restarts)
+    want = ref.fit_gmm(vals, components_range, RngStream(seed), n_restarts=n_restarts)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.means, want.means)
+    assert np.array_equal(got.covariances, want.covariances)
+
+
+class TestFitGmmSearch:
+    """fit_gmm standardizes once per call and maps one restart per G back;
+    the frozen search standardizes and maps back every restart."""
+
+    def test_glass_pairs(self, monkeypatch):
+        # RI/Na at stream 71 holds the G = 6 restart whose covariance takes
+        # the ridge path; RI/Ba holds collapsing and degenerate restarts.
+        bumps = []
+
+        def counted(cov):
+            bumps.append(cov)
+            return ref._regularize_spd(cov)
+
+        monkeypatch.setattr(density, "_regularize_spd", counted)
+        assert_same_fit(glass_target("RI", "Na"), (1, 9), 71, 5)
+        assert bumps
+        assert_same_fit(glass_target("RI", "Ba"), (1, 9), 71, 5)
+        for features in (("Si", "Mg"), ("Al", "Ca")):
+            assert_same_fit(glass_target(*features), (4, 7), 71, 2)
+
+    @pytest.mark.parametrize("scenario", list("abdei"))
+    def test_scenarios(self, scenario):
+        X = generate(ScenarioSpec(scenario, 150, RngStream(1))).target.values
+        assert_same_fit(X, (1, 3), 1, 2)
+
+    def test_best_restart_that_maps_back(self, monkeypatch):
+        # When the best restart's covariances do not factor in data units,
+        # the next-best restart of that G is mapped back instead.
+        vals = glass_target("Al", "Ca")
+        center, scale, z, global_cov, reg_base = standardized(vals)
+        runs = [density._em_single(z, 4, RngStream(2).child(4).child(r).generator(),
+                                   global_cov, reg_base) for r in range(3)]
+        first, second = sorted(range(3), key=lambda r: runs[r][1], reverse=True)[:2]
+        assert runs[first][1] > runs[second][1]
+        to_data = [run[0][2] * scale[None, :, None] * scale[None, None, :]
+                   for run in runs]
+        chol_all = density._chol_all
+        monkeypatch.setattr(density, "_chol_all", lambda covs: None if
+                            np.array_equal(covs, to_data[first]) else chol_all(covs))
+        f = fit_gmm(vals, (4, 4), RngStream(2), n_restarts=3)
+        weights, means, _ = runs[second][0]
+        assert np.array_equal(f.weights, weights)
+        assert np.array_equal(f.means, means * scale + center)
+        assert np.array_equal(f.covariances, to_data[second])
 
 
 class TestMixtureLogDensity:

@@ -262,8 +262,9 @@ class TestToccModelFiles:
         ("tocc-db", {"sensitivity": None},
          "sensitivity s must lie strictly inside (0, 1)"),
         ("tocc-df", {"groups": [[[0.0, None]] + [[0.0, 1.0]] * 29]},
-         "group rows must be finite"),
-        ("tocc-df", {"eps": True}, "eps=True must be a finite number >= 0"),
+         "model field 'groups' must hold only numbers (no string, bool or "
+         "null), not [[[0.0, null]"),
+        ("tocc-df", {"eps": True}, "model field 'eps' must hold only numbers"),
         ("tocc-db", {"integrator": 5},
          "model field 'integrator' must be an object, not 5"),
         ("tocc-db", {"density": [1, 2]},
@@ -294,7 +295,19 @@ class TestToccModelFiles:
         ("pam-tocc-df", {"pam": {"total_cost": "abc"}},
          "pam total_cost must be a finite number >= 0, not 'abc'"),
         ("tocc-db", {"density": {"covariances": [[[1.0, 0.5], [0.0, 1.0]]]}},
-         "mixture covariances must be symmetric")],
+         "mixture covariances must be symmetric"),
+        ("tocc-df", {"thresholds": ["0.5"]},
+         """model field 'thresholds' must hold only numbers (no string, bool """
+         """or null), not ["0.5"]"""),
+        ("tocc-df", {"prototypes": [["0.5", 0.0]]},
+         "model field 'prototypes' must hold only numbers"),
+        ("pam-tocc-df", {"groups": [[["0.5", 0.0]]] * 5},
+         "model field 'groups' must hold only numbers"),
+        ("tocc-db", {"density": {"weights": ["1.0"]}},
+         "model field 'density' must hold only numbers"),
+        ("tocc-df", {"eps": "0.5"}, "model field 'eps' must be a number, not \"0.5\""),
+        ("tocc-df", {"sensitivity": [True]},
+         "model field 'sensitivity' must hold only numbers")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
@@ -305,7 +318,9 @@ class TestToccModelFiles:
              "object-sensitivity", "numeric-thresholds", "null-medoids",
              "string-medoids", "medoid-out-of-range", "null-assignment",
              "huge-assignment", "one-entry-assignment", "string-total-cost",
-             "asymmetric-covariance"])
+             "asymmetric-covariance", "string-threshold", "string-prototype",
+             "string-group-entry", "string-mixture-weight", "string-eps",
+             "bool-sensitivity"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
@@ -353,11 +368,27 @@ class TestBaselineModelFiles:
          "gauss cov_inv must be positive definite"),
         ("gauss", {"cov_inv": [[1.0, 0.5], [0.0, 1.0]]},
          "gauss cov_inv must be symmetric"),
-        ("gauss", {"centroids": [[0.0, 0.0]]}, "a gauss model has no centroids")],
+        ("gauss", {"centroids": [[0.0, 0.0]]}, "a gauss model has no centroids"),
+        ("gauss", {"threshold": "0.5"},
+         "model field 'threshold' must be a number, not \"0.5\""),
+        ("mix-gauss", {"threshold": True},
+         "model field 'threshold' must hold only numbers (no string, bool or "
+         "null), not true"),
+        ("mix-gauss", {"sensitivity": "0.9"},
+         "model field 'sensitivity' must be a number, not \"0.9\""),
+        ("kde", {"sensitivity": [0.9]},
+         "model field 'sensitivity' must be a number, not [0.9]"),
+        ("mix-gauss", {"density": {"weights": ["1.0"], "means": [[0.0, 0.0]],
+                                   "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}},
+         "model field 'density' must hold only numbers"),
+        ("kmeans", {"centroids": [["0.5", 0.0]]},
+         "model field 'centroids' must hold only numbers")],
         ids=["null-mean", "null-threshold", "unknown-direction",
              "narrow-bandwidths", "one-feature-name", "three-feature-names",
              "non-positive-bandwidths", "negative-definite-cov-inv",
-             "asymmetric-cov-inv", "gauss-with-centroids"])
+             "asymmetric-cov-inv", "gauss-with-centroids", "string-threshold",
+             "bool-threshold", "string-sensitivity", "list-sensitivity",
+             "string-mixture-weight", "string-centroid"])
     def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
         X = np.random.default_rng(57).normal(size=(40, 2))
         path = tmp_path / f"{kind}.json"
@@ -378,7 +409,7 @@ def run_cli(*argv):
 
 # Each field of a model file, and the first and last entry of each array,
 # is replaced in turn by each of these values.
-SWEEP_VALUES = [None, "x", True, float("nan"), -1, 1e308, [], [[[1]]], 0]
+SWEEP_VALUES = [None, "x", "0.5", True, float("nan"), -1, 1e308, [], [[[1]]], 0]
 
 
 def edit_paths(value, path=()):
@@ -473,6 +504,35 @@ class TestExtremeModelValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run_cli(*argv) == 0
+
+
+class TestFitRefusals:
+    """tocc fit refuses training data and search settings no fit can use,
+    with a one-line exit 2."""
+
+    @pytest.mark.parametrize("method, rows, message", [
+        ("mix-gauss", "1,2\n" * 50, "degenerate constant training data"),
+        ("kmeans", "1,2\n" * 50, "degenerate constant training data"),
+        ("gauss", "0,1\n1,0\n2,2\n", "need at least 5 training rows"),
+        ("kde", "0,1\n1,0\n2,2\n", "need at least 5 training rows"),
+        ("kmeans", "0,1\n1,0\n2,2\n", "need at least 5 training rows")],
+        ids=["mix-gauss-identical", "kmeans-identical", "gauss-3-rows",
+             "kde-3-rows", "kmeans-3-rows"])
+    def test_training_rows(self, tmp_path, capsys, method, rows, message):
+        data = write(tmp_path / "d.csv", "a,b\n" + rows)
+        assert run_cli("fit", "--data", data, "--method", method,
+                       "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_empty_component_range(self, tmp_path, capsys):
+        data = write(tmp_path / "d.csv", "a,b\n" + "".join(
+            f"{i % 7},{i % 5}\n" for i in range(40)))
+        assert run_cli("fit", "--data", data, "--method", "mix-gauss",
+                       "--components", "0:0", "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "components_range=(0, 0) must be two integers 1 <= lo <= hi" in err
 
 
 class TestCli:
