@@ -1,8 +1,9 @@
 """Gaussian-mixture density estimation and orthant-region integration.
 
 The mixture backs the density-based classifier variant and the Mix-Gauss
-baseline. Fitting is plain EM with full covariances, k-means-seeded restarts,
-and BIC model selection over a component range. Orthant/box probabilities are
+baseline. Fitting is plain EM with full covariances, k-means-seeded restarts
+that iterate together as one stacked EM loop, and BIC model selection over a
+component range. Orthant/box probabilities are
 closed-form in one dimension and Monte Carlo above, with a fixed stream so
 every evaluation of the same integrator replays the same sample set.
 """
@@ -25,44 +26,97 @@ _EM_TOL = 1e-6        # stop once an EM step gains less log-likelihood
 _EM_MAX_ITER = 500
 
 
+def _sum_last(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """a.sum(axis=-1) in the order numpy sums a row whose entries are
+    contiguous, its pairwise_sum (a left fold below 8 terms, eight
+    interleaved accumulators up to 128, halves cut at a multiple of 8
+    above), or with pairwise=False in the order it sums a row whose entries
+    lie apart, one term after another. numpy makes one slow call per short
+    contiguous row; here each term is one array operation."""
+    n = a.shape[-1]
+    if pairwise and n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_last(a[..., :half]) + _sum_last(a[..., half:])
+    if pairwise and n >= 8:
+        r = a[..., :8].copy()
+        for i in range(8, n - n % 8, 8):
+            r += a[..., i:i + 8]
+        res = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
+            + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+        tail = n - n % 8
+    else:
+        res = a[..., 0].copy()
+        tail = 1
+    for i in range(tail, n):
+        res += a[..., i]
+    return res
+
+
+def _column_major(X) -> bool:
+    """Whether numpy lays X - means[..., None, :] out with X's columns
+    contiguous, which it does after a column-major X."""
+    return X.strides[0] < X.strides[1]
+
+
+def _centered(X, means, order="K") -> np.ndarray:
+    """(..., k, n, p) array X - means[..., None, :] for (..., k, p) means,
+    written one coordinate at a time: numpy broadcasts over a short last
+    axis one row at a time. Order "K" lays each n x p block out as that
+    broadcast does, after X, and order "C" row-major."""
+    shape = means.shape[:-1] + X.shape
+    if order == "K" and _column_major(X):
+        out = np.empty(shape[:-2] + X.shape[::-1]).swapaxes(-1, -2)
+    else:
+        out = np.empty(shape)
+    for j in range(X.shape[1]):
+        np.subtract(X[:, j], means[..., j, None], out=out[..., j])
+    return out
+
+
 def _component_logpdf(X, means, chols) -> np.ndarray:
-    """C-ordered n x k matrix of Gaussian log densities of the rows of X, one
-    column per component (mean means[g], lower Cholesky factor chols[g]).
+    """(..., k, n) array of Gaussian log densities of the rows of X, one row
+    per component: means is (..., k, p) and chols the matching (..., k, p, p)
+    lower Cholesky factors, so a stack of mixtures is scored in one call.
 
     dtrtrs(L.T, ., lower=0, trans=1) is the exact LAPACK call scipy's
     solve_triangular makes for a C-ordered lower factor; calling it directly
-    skips the wrapper's per-call checks. The output must stay C-ordered: EM's
-    responsibility sums depend on its memory order.
+    skips the wrapper's per-call checks, and it whitens each component's
+    row-major n x p block of `white` in place, as a column-major p x n
+    matrix. Each squared distance is summed over p in the order numpy sums
+    a broadcast X - mean, whose layout follows X's.
     """
+    p = X.shape[1]
     # A collapsed component can push the quadratic form past float range;
     # EM's degeneracy check catches the resulting -inf/nan.
     with np.errstate(over="ignore"):
-        white = X[None, :, :] - means[:, None, :]
-        for g, L in enumerate(chols):
-            white[g] = dtrtrs(L.T, white[g].T, lower=0, trans=1)[0].T
-        quad = np.ascontiguousarray((white * white).sum(axis=2).T)
-        log_det = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-        return -0.5 * quad - log_det - 0.5 * means.shape[1] * _LOG_2PI
+        white = _centered(X, means, "C")
+        for L, w in zip(chols.reshape(-1, p, p), white.reshape(-1, *X.shape)):
+            dtrtrs(L.T, w.T, lower=0, trans=1, overwrite_b=1)
+        quad = _sum_last(white * white, pairwise=not _column_major(X))
+        log_det = np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+        return -0.5 * quad - log_det[..., None] - 0.5 * p * _LOG_2PI
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a 2-D array, bit-identical to
-    scipy.special.logsumexp(a, axis=1) (scipy 1.17) without its per-call
-    overhead: the row maximum's m tied entries are summed separately as
-    log1p(s / m) + log(m) + max, and rows where that is not finite (all -inf,
-    +inf or nan) fall back to log(sum(exp(a))).
+    """log(sum(exp(a))) over axis -2 (the components) of a (..., k, n)
+    array, bit-identical to scipy.special.logsumexp(b, axis=-1) (scipy 1.17)
+    for b = np.moveaxis(a, -2, -1) in C order, without its per-call
+    overhead: the maximum's m tied entries are summed separately as
+    log1p(s / m) + log(m) + max, and entries where that is not finite (all
+    -inf, +inf or nan) fall back to log(sum(exp(a))).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        at_max = a == a_max
-        m = at_max.sum(axis=1, keepdims=True, dtype=float)
-        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        a_max = a.max(axis=-2)
+        at_max = a == a_max[..., None, :]
+        m = at_max.sum(axis=-2, dtype=float)
+        terms = np.exp(np.where(at_max, -np.inf, a) - a_max[..., None, :])
+        s = _sum_last(terms.swapaxes(-1, -2))
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
+        out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+            out[bad] = np.log(np.exp(np.moveaxis(a, -2, -1)[bad]).sum(axis=1))
     return out
 
 
@@ -107,10 +161,11 @@ class MixtureDensity:
         """n x G matrix of per-component Gaussian log densities; X must be
         finite and p wide."""
         X = as_queries(np.atleast_2d(X), self.p, "component_logpdf")
-        return _component_logpdf(X, self.means, self._chols)
+        return _component_logpdf(X, self.means, self._chols).T
 
     def logpdf(self, X) -> np.ndarray:
-        lp = self.component_logpdf(X) + np.log(np.maximum(self.weights, 1e-300))
+        lp = self.component_logpdf(X).T \
+            + np.log(np.maximum(self.weights, 1e-300))[:, None]
         return logsumexp(lp)
 
     def pdf(self, X) -> np.ndarray:
@@ -252,13 +307,13 @@ def _initial_params(z, labels, k, global_cov, reg_base):
     return weights, means, covs
 
 
-def _regularize_spd(cov: np.ndarray) -> np.ndarray | None:
-    """Nudge the diagonal until Cholesky succeeds; None if hopeless."""
+def _regularize_spd(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Nudge the diagonal until Cholesky succeeds; returns (factor, cov), or
+    None if hopeless."""
     bump = 1e-8 * max(np.trace(cov) / cov.shape[0], 1e-12)
     for _ in range(8):
         try:
-            np.linalg.cholesky(cov)
-            return cov
+            return np.linalg.cholesky(cov), cov
         except np.linalg.LinAlgError:
             cov = cov + bump * np.eye(cov.shape[0])
             bump *= 10.0
@@ -268,76 +323,113 @@ def _regularize_spd(cov: np.ndarray) -> np.ndarray | None:
 def _chol_all(covs):
     """Cholesky factors of every component as one (k, p, p) stack; returns
     (factors, covs, bumped) or None if some component is beyond repair. A
-    failed stack is factored once more after _regularize_spd ridges each
-    component, which leaves a healthy one unchanged; the stacked call factors
-    each matrix exactly as a per-matrix call does."""
+    failed stack is repaired component by component by _regularize_spd,
+    which leaves a healthy one unchanged and returns the factor it made; the
+    stacked call factors each matrix exactly as a per-matrix call does."""
     try:
         return np.linalg.cholesky(covs), covs, False
     except np.linalg.LinAlgError:
         pass
     fixed = [_regularize_spd(cov) for cov in covs]
-    if any(cov is None for cov in fixed):
+    if any(f is None for f in fixed):
         return None
-    covs = np.array(fixed)
-    return np.linalg.cholesky(covs), covs, True
+    chols, covs = zip(*fixed)
+    return np.array(chols), np.array(covs), True
 
 
-def _em_single(z, k, gen, global_cov, reg_base):
-    """One EM run on the standardized rows z from a k-means start drawn with
-    gen; returns ((weights, means, covs), loglik) in z's units, or None on
-    degeneracy.
+def _em_restarts(z, k, gens, global_cov, reg_base):
+    """EM on the standardized rows z from one k-means start per generator in
+    gens, all runs iterating as one (R, k, ...) stack; returns one
+    ((weights, means, covs), loglik) in z's units per run, in gens' order, or
+    None for a run that degenerates.
 
-    A pure EM step never lowers the log-likelihood (checked); a drop right
-    after a covariance had to be ridge-bumped means a component is
-    collapsing, so the run stops at the last clean iterate.
+    Each run stops on its own test and leaves the stack, and the others go
+    on; every run computes exactly what it would compute alone. A pure EM
+    step never lowers the log-likelihood (checked); a drop right after a
+    covariance had to be ridge-bumped, or on a factor with a tiny pivot
+    (a component collapsing onto a lower-dimensional set, where float
+    arithmetic can wobble downhill), means the run has gone degenerate, so
+    it keeps its last clean iterate.
     """
     n = z.shape[0]
-    _, labels = kmeans_lloyd(z, k, gen)
-    weights, means, covs = _initial_params(z, labels, k, global_cov, reg_base)
-
-    prev_ll, prev_state = -np.inf, None
+    starts = [_initial_params(z, kmeans_lloyd(z, k, gen)[1], k, global_cov,
+                              reg_base) for gen in gens]
+    weights, means, covs = (np.array(a) for a in zip(*starts))
+    runs = [None] * len(gens)
+    live = np.arange(len(gens))       # the run behind each row of the stack
+    prev_ll = np.full(len(gens), -np.inf)
+    prev_state = weights, means, covs
     for _ in range(_EM_MAX_ITER):
-        refit = _chol_all(covs)
-        if refit is None:
-            return None
-        chols, covs, bumped = refit
-        # A factor with a tiny pivot means a component is collapsing onto a
-        # lower-dimensional set; float arithmetic can then wobble downhill.
-        pivots = np.diagonal(chols, axis1=1, axis2=2)
-        fragile = bool(np.any(pivots.min(axis=1)
-                              < 1e-7 * np.maximum(pivots.max(axis=1), 1.0)))
+        try:
+            chols, bumped = np.linalg.cholesky(covs), np.zeros(live.size, bool)
+        except np.linalg.LinAlgError:
+            # Factor run by run; only a failing run takes the ridge repair,
+            # and a run beyond repair leaves the stack as None.
+            refits = [_chol_all(c) for c in covs]
+            ok = np.array([refit is not None for refit in refits])
+            if not ok.any():
+                return runs
+            chols, covs, bumped = (np.array(a) for a in zip(*filter(None, refits)))
+            weights, means, prev_ll, live = (
+                a[ok] for a in (weights, means, prev_ll, live))
+            prev_state = tuple(a[ok] for a in prev_state)
 
         log_joint = _component_logpdf(z, means, chols) \
-            + np.log(np.maximum(weights, 1e-300))
+            + np.log(np.maximum(weights, 1e-300))[..., None]
         row_ll = logsumexp(log_joint)
-        ll = float(row_ll.sum())
-        if not np.isfinite(ll):
-            return None
-        state = (weights, means, covs)
-        if np.isfinite(prev_ll) and ll < prev_ll - 1e-6 * max(1.0, abs(prev_ll)):
-            # EM guarantees a monotone log-likelihood; only the ridge repair
-            # or a collapsing component may break it, and either way the run
-            # has gone degenerate: keep the last clean iterate.
-            if not (bumped or fragile):
-                raise RuntimeError("EM log-likelihood decreased on a healthy step")
-            state, ll = prev_state, prev_ll
-            break
-        if ll - prev_ll < _EM_TOL and np.isfinite(prev_ll):
-            break
-        prev_ll, prev_state = ll, state
+        ll = row_ll.sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            going = (ll - prev_ll >= _EM_TOL) & (ll < np.inf)
+        if not going.all():
+            # Some run stops: a non-finite log-likelihood, a fall, or
+            # convergence (prev_ll is -inf only before the first step).
+            bad = ~np.isfinite(ll)
+            fell = ~bad & (ll < prev_ll - 1e-6 * np.maximum(1.0, np.abs(prev_ll)))
+            done = ~going & ~bad & ~fell
+            for i in np.flatnonzero(fell):
+                pivots = np.diagonal(chols[i], axis1=1, axis2=2)
+                fragile = np.any(pivots.min(axis=1)
+                                 < 1e-7 * np.maximum(pivots.max(axis=1), 1.0))
+                if not (bumped[i] or fragile):
+                    raise RuntimeError("EM log-likelihood decreased on a healthy step")
+                runs[live[i]] = tuple(a[i] for a in prev_state), float(prev_ll[i])
+            for i in np.flatnonzero(done):
+                runs[live[i]] = (weights[i], means[i], covs[i]), float(ll[i])
+            weights, means, covs, ll, live, log_joint, row_ll = (
+                a[going] for a in (weights, means, covs, ll, live, log_joint, row_ll))
+            if not live.size:
+                return runs
+        prev_ll, prev_state = ll, (weights, means, covs)
 
-        resp = np.exp(log_joint - row_ll[:, None])
-        nk = resp.sum(axis=0)
-        if np.any(nk < 1e-10):
-            return None
+        # The frozen EM sums responsibilities over a fresh n x k array: a
+        # fresh copy (C strides even when k = 1) gives nk and the means'
+        # matmul operand the same bits.
+        resp_kn = np.exp(log_joint - row_ll[:, None, :])
+        resp = resp_kn.transpose(0, 2, 1).copy()
+        nk = resp.sum(axis=1)
+        if (nk < 1e-10).any():
+            # A vanishing weight: the run degenerates (None).
+            keep = ~(nk < 1e-10).any(axis=1)
+            resp_kn, resp, nk, prev_ll, live = (
+                a[keep] for a in (resp_kn, resp, nk, prev_ll, live))
+            prev_state = tuple(a[keep] for a in prev_state)
+            if not live.size:
+                return runs
         weights = nk / n
-        means = (resp.T @ z) / nk[:, None]
-        # The stacked matmul makes one gemm per component, as a loop would.
-        diff = z - means[:, None, :]
-        cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff \
-            / nk[:, None, None]
-        covs = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return state, ll
+        means = (resp.transpose(0, 2, 1) @ z) / nk[..., None]
+        # The covariance gemm's bits depend on its operands' layout, which
+        # _centered (and empty_like after it) keeps as the frozen EM's
+        # broadcast had it; the stacked matmul makes one gemm per component.
+        diff = _centered(z, means)
+        weighted = np.empty_like(diff)
+        for j in range(z.shape[1]):
+            np.multiply(resp_kn, diff[..., j], out=weighted[..., j])
+        cov = weighted.swapaxes(2, 3) @ diff / nk[..., None, None]
+        covs = 0.5 * (cov + cov.swapaxes(2, 3))
+    # The cap: each run still in the stack keeps its last iterate.
+    for i, r in enumerate(live):
+        runs[r] = tuple(a[i] for a in prev_state), float(prev_ll[i])
+    return runs
 
 
 def _is_count(v) -> bool:
@@ -347,8 +439,9 @@ def _is_count(v) -> bool:
 def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> MixtureDensity:
     """Fit full-covariance mixtures over a component range, keep the BIC winner.
 
-    Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts
-    and keeps the one of highest log-likelihood, the first among equals;
+    Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts,
+    stacked into one EM loop in which each restart stops on its own, and
+    keeps the one of highest log-likelihood, the first among equals;
     candidates with too few observations per component (n <= G*(p+1)) are
     skipped, and a range of only such candidates is an error.
     BIC = 2*loglik - params*ln(n), maximized. All candidates degenerate is an
@@ -396,8 +489,8 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
 
     best = None
     for k in range(lo, top + 1):
-        runs = [_em_single(z, k, rng.child(k).child(r).generator(), global_cov,
-                           reg_base) for r in range(n_restarts)]
+        runs = _em_restarts(z, k, [rng.child(k).child(r).generator()
+                                   for r in range(n_restarts)], global_cov, reg_base)
         # The best restart whose covariances factor in data units; the
         # sort is stable, so the first among equals.
         ranked = sorted(filter(None, runs), key=lambda run: run[1] - shift,

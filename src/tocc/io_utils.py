@@ -134,6 +134,19 @@ def _all_numbers(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _fits_floats(value) -> bool:
+    """Whether every integer in value, at any depth, converts to a float."""
+    if isinstance(value, (list, dict)):
+        return all(map(_fits_floats,
+                       value.values() if isinstance(value, dict) else value))
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
+
+
 class _Codec(NamedTuple):
     """How one kind of field value goes to JSON and back: dump writes it,
     build reads it from a JSON value of json_type (object: any), made of
@@ -147,6 +160,9 @@ class _Codec(NamedTuple):
     numeric: bool = False
 
     def load(self, name: str, value):
+        if not _fits_floats(value):
+            raise ValueError(f"model field '{name}' holds an integer too large "
+                             f"for a float")
         if not isinstance(value, self.json_type):
             kind = {dict: "an object", list: "an array"}.get(self.json_type,
                                                              "a number")
@@ -218,8 +234,16 @@ def save_model(model, path, config: dict | None = None) -> None:
 
 def load_model(path):
     """Load a model written by save_model; predictions round-trip bit-exactly
-    because floats are stored at full precision. A missing key or an
-    inconsistent model is a ValueError."""
+    because floats are stored at full precision. A missing key, an
+    inconsistent model or a file nested too deeply to read is a ValueError."""
+    try:
+        return _load_model(path)
+    except RecursionError:
+        raise ValueError(f"{path}: model file is nested too deeply to "
+                         f"read") from None
+
+
+def _load_model(path):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -37,8 +37,7 @@ from scipy.special import logsumexp, ndtr
 from tocc import __version__
 from tocc.baselines import BaselineModel
 from tocc.classifier import PamResult, ToccModel
-from tocc.density import (MixtureDensity, OrthantIntegrator, _regularize_spd,
-                          kmeans_lloyd)
+from tocc.density import MixtureDensity, OrthantIntegrator, kmeans_lloyd
 from tocc.evaluation import RocCurve
 from tocc.featsel import VipRanking
 from tocc.numcore import (PcaResult, RngStream, as_values, empirical_quantile,
@@ -318,12 +317,14 @@ def predict_scores(model, Z):
 # ---------------------------------------------------------------------------
 # Per-component EM and Gaussian log-density
 # ---------------------------------------------------------------------------
-# The EM iteration as it was before it was stacked over components: one
-# Cholesky, solve_triangular and covariance product per component, and
-# scipy's logsumexp; each run standardizes the rows, seeds itself and maps
+# The EM iteration as it was before it was stacked over components and
+# restarts: one restart at a time, one Cholesky, solve_triangular and
+# covariance product per component, and scipy's logsumexp; each run
+# standardizes the rows, seeds itself and maps
 # its fit back to data units, and fit_gmm keeps the BIC winner of the best
 # restarts, as the search was before it standardized once per call.
-# kmeans_lloyd and _regularize_spd are unchanged and shared.
+# kmeans_lloyd is unchanged and shared; _regularize_spd is the copy that
+# returns the ridged covariance alone.
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -365,6 +366,19 @@ def _initial_params(vals, labels, k, reg_base):
         covs[g] += reg_base * np.eye(p)
     weights /= weights.sum()
     return weights, means, covs
+
+
+def _regularize_spd(cov: np.ndarray) -> np.ndarray | None:
+    """Nudge the diagonal until Cholesky succeeds; None if hopeless."""
+    bump = 1e-8 * max(np.trace(cov) / cov.shape[0], 1e-12)
+    for _ in range(8):
+        try:
+            np.linalg.cholesky(cov)
+            return cov
+        except np.linalg.LinAlgError:
+            cov = cov + bump * np.eye(cov.shape[0])
+            bump *= 10.0
+    return None
 
 
 def _chol_all(covs):

@@ -1,16 +1,17 @@
 """Differential sweeps: the batched orthant-counting kernel and its p = 2
-sort-and-search sweep, the one box-mass function, the stacked EM step, the
-mixture search that standardizes once, the sorted ROC sweep, the
-table-driven model files, the stacked feature-selection front-ends, blocked
-PAM and the blocked product KDE against the frozen per-query,
-per-component, per-cut-point, hand-written, per-candidate and whole-array
-references in reference_impl.py, compared exactly. The counting kernels are
+sort-and-search sweep, the one box-mass function, the EM loop stacked over
+components and restarts, the mixture search that standardizes once, the
+sorted ROC sweep, the table-driven model files, the stacked
+feature-selection front-ends, blocked PAM and the blocked product KDE
+against the frozen per-query, per-restart and per-component, per-cut-point,
+hand-written, per-candidate and whole-array references in
+reference_impl.py, compared exactly. The counting kernels are
 also compared with the comparison oracle there, on every case, since the
 frozen product tests are exact only inside a value range.
 
 Every comparison is np.array_equal or ==, never approx: batching the count
-must not move a single score, tie or dropped coordinate, stacking the EM
-step or sharing one standardization across restarts must not move a single
+must not move a single score, tie or dropped coordinate, stacking EM over
+components and restarts or sharing one standardization must not move a single
 mixture parameter or log-likelihood, a model file must keep every byte, and
 stacking the projection candidates must not change which projection is
 selected.
@@ -18,6 +19,7 @@ selected.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
 import reference_impl as ref
@@ -566,35 +568,60 @@ def standardized(vals):
     return center, scale, z, global_cov, 1e-8 * max(np.trace(global_cov) / p, 1e-12)
 
 
-def assert_same_em(vals, k, stream):
-    """The library's and the reference EM run from the same seed: both
-    degenerate (None), or equal weights, means, covariances and
-    log-likelihood once the library's run on the standardized rows is mapped
-    back to data units as fit_gmm maps its best restart. Returns the mapped
-    (mixture, loglik) or None."""
+def assert_same_em(vals, k, streams):
+    """The library's stacked EM over one restart per stream and the
+    reference EM run from each stream alone, under the same iteration cap:
+    each restart and its reference run both degenerate (None), or have
+    equal weights, means, covariances and log-likelihood once the library's
+    run on the standardized rows is mapped back to data units as fit_gmm
+    maps its best restart. Returns the mapped (mixture, loglik) or None of
+    every restart."""
     center, scale, z, global_cov, reg_base = standardized(vals)
-    run = density._em_single(z, k, stream.generator(), global_cov, reg_base)
-    want = ref._em_single(vals, k, stream.generator())
-    if run is not None:
-        (weights, means, covs), ll = run
-        refit = density._chol_all(covs * scale[None, :, None] * scale[None, None, :])
-        run = None if refit is None else (
-            MixtureDensity(weights, means * scale + center, refit[1]),
-            ll - vals.shape[0] * float(np.log(scale).sum()))
-    if run is None or want is None:
-        assert run is None and want is None
-        return run
-    (f, ll), (f_ref, ll_ref) = run, want
-    assert np.array_equal(f.weights, f_ref.weights)
-    assert np.array_equal(f.means, f_ref.means)
-    assert np.array_equal(f.covariances, f_ref.covariances)
-    assert ll == ll_ref
-    return run
+    runs = density._em_restarts(z, k, [s.generator() for s in streams],
+                                global_cov, reg_base)
+    assert len(runs) == len(streams)
+    mapped = []
+    for run, stream in zip(runs, streams):
+        want = ref._em_single(vals, k, stream.generator(),
+                              max_iter=density._EM_MAX_ITER)
+        if run is not None:
+            (weights, means, covs), ll = run
+            refit = density._chol_all(covs * scale[None, :, None] * scale[None, None, :])
+            run = None if refit is None else (
+                MixtureDensity(weights, means * scale + center, refit[1]),
+                ll - vals.shape[0] * float(np.log(scale).sum()))
+        mapped.append(run)
+        if run is None or want is None:
+            assert run is None and want is None
+            continue
+        (f, ll), (f_ref, ll_ref) = run, want
+        assert np.array_equal(f.weights, f_ref.weights)
+        assert np.array_equal(f.means, f_ref.means)
+        assert np.array_equal(f.covariances, f_ref.covariances)
+        assert ll == ll_ref
+    return mapped
 
 
 def glass_target(*features):
     glass = load_glass()
     return glass.select_rows(glass.is_target()).select_features(list(features)).values
+
+
+def restarts(stream, k, n):
+    return [stream.child(k).child(r) for r in range(n)]
+
+
+def counting_regularize(monkeypatch):
+    """Record every covariance the ridge repair receives."""
+    bumps = []
+    regularize = density._regularize_spd
+
+    def counted(cov):
+        bumps.append(cov)
+        return regularize(cov)
+
+    monkeypatch.setattr(density, "_regularize_spd", counted)
+    return bumps
 
 
 class TestEmStep:
@@ -604,44 +631,114 @@ class TestEmStep:
                        gen.normal(size=(50, 2)) * 0.3 + [4.0, 1.0],
                        gen.normal(size=(40, 2)) @ [[1.0, 0.9], [0.0, 0.3]] - 3.0])
         for k in range(1, 10):
-            for r in range(3):
-                assert_same_em(X, k, RngStream(121).child(k).child(r))
-        Y = gen.normal(size=(120, 3)) @ gen.normal(size=(3, 3))
+            assert_same_em(X, k, restarts(RngStream(121), k, 3))
+        # Column-major rows take column-major M-step operands, as numpy's
+        # broadcast gave the frozen EM.
+        Y = np.asfortranarray(gen.normal(size=(120, 3)) @ gen.normal(size=(3, 3)))
         for k in range(1, 6):
-            assert_same_em(Y, k, RngStream(122).child(k))
+            assert_same_em(Y, k, restarts(RngStream(122), k, 2))
 
     @pytest.mark.parametrize("features", [("RI", "Na"), ("Si", "Mg"),
                                           ("Al", "Ca")], ids="-".join)
     def test_glass_column_pairs(self, features):
         vals = glass_target(*features)
         for k in range(1, 10):
-            assert_same_em(vals, k, RngStream(71).child(k).child(k % 5))
+            assert_same_em(vals, k, restarts(RngStream(71), k, 2))
 
     def test_ridge_bump(self, monkeypatch):
         # A component of the RI/Na glass targets collapses at G = 6, so its
-        # covariance fails Cholesky and takes the per-component ridge path.
-        bumps = []
-
-        def counted(cov):
-            bumps.append(cov)
-            return ref._regularize_spd(cov)
-
-        monkeypatch.setattr(density, "_regularize_spd", counted)
-        assert assert_same_em(glass_target("RI", "Na"), 6,
-                              RngStream(71).child(6).child(0)) is not None
+        # covariance fails Cholesky and takes the per-component ridge path
+        # while the other restarts of the stack run on.
+        bumps = counting_regularize(monkeypatch)
+        runs = assert_same_em(glass_target("RI", "Na"), 6, restarts(RngStream(71), 6, 3))
+        assert runs[0] is not None
         assert bumps
+
+    def test_run_beyond_repair(self, monkeypatch):
+        # With every ridge declared hopeless, the restart whose covariance
+        # fails Cholesky leaves the stack as None and the rest go on, as in
+        # the frozen runs.
+        def hopeless(regularize):
+            def wrapped(cov):
+                try:
+                    np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    return None
+                return regularize(cov)
+            return wrapped
+
+        monkeypatch.setattr(density, "_regularize_spd", hopeless(density._regularize_spd))
+        monkeypatch.setattr(ref, "_regularize_spd", hopeless(ref._regularize_spd))
+        runs = assert_same_em(glass_target("RI", "Na"), 6, restarts(RngStream(71), 6, 3))
+        assert runs[0] is None and runs[1] is not None
 
     def test_collapsing_component(self):
         # At G = 2 one RI/Ba component collapses onto the Ba = 0 rows: the
         # log-likelihood drops on a step with a tiny Cholesky pivot, and the
         # run keeps its last clean iterate instead of raising.
-        assert assert_same_em(glass_target("RI", "Ba"), 2,
-                              RngStream(71).child(2).child(0)) is not None
+        runs = assert_same_em(glass_target("RI", "Ba"), 2, restarts(RngStream(71), 2, 2))
+        assert runs[0] is not None
+        # On RI/Fe the second restart collapses while the first runs on,
+        # healthy: the fall is judged by the falling restart's own pivots.
+        runs = assert_same_em(glass_target("RI", "Fe"), 2, restarts(RngStream(71), 2, 2))
+        assert runs[1] is not None
 
     def test_degenerate_run(self):
-        # Ba is zero on most glass targets: this G = 3 restart degenerates.
-        assert assert_same_em(glass_target("RI", "Ba"), 3,
-                              RngStream(71).child(3).child(1)) is None
+        # Ba is zero on most glass targets: this G = 3 restart loses a
+        # component's weight on its second step and degenerates, and the
+        # rest of the stack goes on.
+        runs = assert_same_em(glass_target("RI", "Ba"), 3, restarts(RngStream(71), 3, 3))
+        assert runs[1] is None and runs[0] is not None
+
+    def test_vanishing_weight_on_the_capped_iteration(self, monkeypatch):
+        # The frozen EM still runs the capped iteration's M-step, so the
+        # restart above degenerates when the cap is its second step too,
+        # while its stack-mates keep their capped iterates.
+        monkeypatch.setattr(density, "_EM_MAX_ITER", 2)
+        runs = assert_same_em(glass_target("RI", "Ba"), 3, restarts(RngStream(71), 3, 3))
+        assert runs[1] is None and runs[0] is not None and runs[2] is not None
+
+    def test_iteration_cap(self):
+        # Scenario a at seed 3, G = 2: restart 0 converges after 456 steps and
+        # restart 1 runs alone in the stack until the 500-step cap stops it.
+        X = generate(ScenarioSpec("a", 150, RngStream(3))).target.values
+        streams = restarts(RngStream(3), 2, 2)
+        runs = assert_same_em(X, 2, streams)
+        assert runs[0] is not None and runs[1] is not None
+        longer = ref._em_single(X, 2, streams[1].generator(),
+                                max_iter=density._EM_MAX_ITER + 1)
+        assert longer[1] != runs[1][1]
+
+    def test_healthy_drop_raises(self, monkeypatch):
+        # A log-likelihood forced down on a healthy third step of one restart
+        # raises in the stack, as it does in that restart's frozen run.
+        gen = np.random.default_rng(130)
+        X = np.vstack([gen.normal(size=(60, 2)), gen.normal(size=(60, 2)) + 1.5])
+        streams = restarts(RngStream(131), 2, 3)
+
+        def lowered(lse, rows):
+            calls = []
+
+            def wrapped(a, *args, **kwargs):
+                out = lse(a, *args, **kwargs)
+                calls.append(out.shape)
+                if len(calls) == 3:
+                    out = out.copy()
+                    out[rows] -= 1.0
+                return out
+            return wrapped, calls
+
+        spy, calls = lowered(density.logsumexp, 1)
+        monkeypatch.setattr(density, "logsumexp", spy)
+        center, scale, z, global_cov, reg_base = standardized(X)
+        with pytest.raises(RuntimeError, match="decreased on a healthy step"):
+            density._em_restarts(z, 2, [s.generator() for s in streams],
+                                 global_cov, reg_base)
+        assert calls[2] == (3, 120)        # all three restarts still ran
+        spy, calls = lowered(ref.logsumexp, slice(None))
+        monkeypatch.setattr(ref, "logsumexp", spy)
+        with pytest.raises(RuntimeError, match="decreased on a healthy step"):
+            ref._em_single(X, 2, streams[1].generator())
 
 
 def assert_same_fit(vals, components_range, seed, n_restarts):
@@ -659,13 +756,7 @@ class TestFitGmmSearch:
     def test_glass_pairs(self, monkeypatch):
         # RI/Na at stream 71 holds the G = 6 restart whose covariance takes
         # the ridge path; RI/Ba holds collapsing and degenerate restarts.
-        bumps = []
-
-        def counted(cov):
-            bumps.append(cov)
-            return ref._regularize_spd(cov)
-
-        monkeypatch.setattr(density, "_regularize_spd", counted)
+        bumps = counting_regularize(monkeypatch)
         assert_same_fit(glass_target("RI", "Na"), (1, 9), 71, 5)
         assert bumps
         assert_same_fit(glass_target("RI", "Ba"), (1, 9), 71, 5)
@@ -682,8 +773,8 @@ class TestFitGmmSearch:
         # the next-best restart of that G is mapped back instead.
         vals = glass_target("Al", "Ca")
         center, scale, z, global_cov, reg_base = standardized(vals)
-        runs = [density._em_single(z, 4, RngStream(2).child(4).child(r).generator(),
-                                   global_cov, reg_base) for r in range(3)]
+        runs = density._em_restarts(z, 4, [s.generator() for s in restarts(RngStream(2), 4, 3)],
+                                    global_cov, reg_base)
         first, second = sorted(range(3), key=lambda r: runs[r][1], reverse=True)[:2]
         assert runs[first][1] > runs[second][1]
         to_data = [run[0][2] * scale[None, :, None] * scale[None, None, :]
@@ -731,16 +822,84 @@ class TestLogsumexp:
             a[gen.random(a.shape) < 0.2] = -np.inf
             a[0] = -np.inf                              # an all -inf row
             with np.errstate(all="raise"):
-                got = density.logsumexp(a)
+                # The library sums over axis -2, a stack of such arrays at once.
+                got = density.logsumexp(a.T)
+                stacked = density.logsumexp(np.stack([a.T, a.T[::-1]]))
                 want = scipy_logsumexp(a, axis=1)
             assert np.array_equal(got, want)
+            assert np.array_equal(stacked[0], want)
+            assert np.array_equal(stacked[1], scipy_logsumexp(a[:, ::-1], axis=1))
 
     def test_non_finite_rows_match_scipy(self):
         a = np.array([[np.inf, 0.0], [np.nan, 0.0], [np.inf, -np.inf],
                       [-np.inf, -np.inf], [1e308, 1e308]])
         with np.errstate(all="ignore"):
-            assert np.array_equal(density.logsumexp(a),
+            assert np.array_equal(density.logsumexp(a.T),
                                   scipy_logsumexp(a, axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sum_last_matches_numpy(self, order):
+        # numpy sums a row of contiguous entries pairwise and a row whose
+        # entries lie apart one term after another; the library adds the
+        # terms one array at a time in either order.
+        gen = np.random.default_rng(141)
+        for n in list(range(1, 34)) + [127, 128, 129, 136, 300]:
+            a = np.asarray(gen.normal(size=(40, n))
+                           * np.exp(gen.normal(size=(40, n)) * 8), order=order)
+            assert np.array_equal(density._sum_last(a, pairwise=order == "C"),
+                                  a.sum(axis=1))
+
+
+class TestCentered:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_the_broadcast(self, order, p):
+        # The M-step's operands must be laid out as numpy lays out
+        # X - means[..., None, :], whose layout follows X's.
+        gen = np.random.default_rng(142)
+        X = np.asarray(gen.normal(size=(30, p)), order=order)
+        means = gen.normal(size=(3, 4, p))
+        want = X - means[..., None, :]
+        got = density._centered(X, means)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+        row_major = density._centered(X, means, "C")
+        assert np.array_equal(row_major, want) and row_major.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [2, 9])
+    def test_log_density_sums_as_the_broadcast(self, order, p):
+        # Squared distances are summed over p in the order numpy sums the
+        # broadcast X - mean, whose layout follows X's: pairwise for
+        # row-major X, one term after another for column-major X (the two
+        # differ from p = 8 on).
+        gen = np.random.default_rng(143)
+        X = np.asarray(gen.normal(size=(50, p)), order=order)
+        means = gen.normal(size=(3, p))
+        A = gen.normal(size=(3, p, p))
+        chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + np.eye(p))
+        white = X - means[:, None, :]
+        for g, L in enumerate(chols):
+            white[g] = solve_triangular(L, white[g].T, lower=True).T
+        log_det = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        want = -0.5 * (white * white).sum(axis=2) - log_det[:, None] \
+            - 0.5 * p * float(np.log(2.0 * np.pi))
+        assert np.array_equal(density._component_logpdf(X, means, chols), want)
+
+
+class TestCholAll:
+    def test_repair_returns_its_factors(self):
+        # A failed stack is repaired component by component, each factored
+        # once: the factors equal a fresh stacked factorization of the
+        # repaired covariances, which match the frozen repair.
+        covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+                         [[1.0, 0.0], [0.0, 3.0]]])
+        chols, fixed, bumped = density._chol_all(covs)
+        assert bumped
+        assert np.array_equal(chols, np.linalg.cholesky(fixed))
+        _, want, _ = ref._chol_all(covs)
+        assert np.array_equal(fixed, want)
+        assert np.array_equal(fixed[[0, 2]], covs[[0, 2]])
 
 
 class TestRocCurve:

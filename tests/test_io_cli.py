@@ -307,7 +307,9 @@ class TestToccModelFiles:
          "model field 'density' must hold only numbers"),
         ("tocc-df", {"eps": "0.5"}, "model field 'eps' must be a number, not \"0.5\""),
         ("tocc-df", {"sensitivity": [True]},
-         "model field 'sensitivity' must hold only numbers")],
+         "model field 'sensitivity' must hold only numbers"),
+        ("tocc-db", {"integrator": {"mc_samples": 10 ** 400}},
+         "model field 'integrator' holds an integer too large for a float")],
         ids=["db-null-integrator", "null-eps", "null-mc-samples",
              "fractional-mc-samples", "one-feature-name", "three-feature-names",
              "numeric-feature-names", "null-integrator-seed",
@@ -320,7 +322,7 @@ class TestToccModelFiles:
              "huge-assignment", "one-entry-assignment", "string-total-cost",
              "asymmetric-covariance", "string-threshold", "string-prototype",
              "string-group-entry", "string-mixture-weight", "string-eps",
-             "bool-sensitivity"])
+             "bool-sensitivity", "huge-mc-samples"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):
         X = np.random.default_rng(55).normal(size=(30, 2))
         path = tmp_path / f"{method}.json"
@@ -339,6 +341,18 @@ class TestToccModelFiles:
                        "--out", tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # json.load recurses once per level; a file nested past the
+        # interpreter's recursion limit is refused as a file, not a crash.
+        path = write(tmp_path / "model.json",
+                     '{"schema_version": 1, "model": "baseline", "threshold": '
+                     + "[" * 5000 + "]" * 5000 + "}\n")
+        data = write(tmp_path / "q.csv", "a,b\n0.5,0.5\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: model file is nested too deeply" in err
 
     def test_top_level_array_exits_2(self, tmp_path, capsys):
         path = write(tmp_path / "model.json", "[1]\n")
@@ -382,13 +396,18 @@ class TestBaselineModelFiles:
                                    "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}},
          "model field 'density' must hold only numbers"),
         ("kmeans", {"centroids": [["0.5", 0.0]]},
-         "model field 'centroids' must hold only numbers")],
+         "model field 'centroids' must hold only numbers"),
+        ("gauss", {"threshold": 10 ** 400},
+         "model field 'threshold' holds an integer too large for a float"),
+        ("kde", {"train": [[10 ** 400, 0.0]]},
+         "model field 'train' holds an integer too large for a float")],
         ids=["null-mean", "null-threshold", "unknown-direction",
              "narrow-bandwidths", "one-feature-name", "three-feature-names",
              "non-positive-bandwidths", "negative-definite-cov-inv",
              "asymmetric-cov-inv", "gauss-with-centroids", "string-threshold",
              "bool-threshold", "string-sensitivity", "list-sensitivity",
-             "string-mixture-weight", "string-centroid"])
+             "string-mixture-weight", "string-centroid", "huge-threshold",
+             "huge-train-entry"])
     def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
         X = np.random.default_rng(57).normal(size=(40, 2))
         path = tmp_path / f"{kind}.json"
@@ -409,7 +428,8 @@ def run_cli(*argv):
 
 # Each field of a model file, and the first and last entry of each array,
 # is replaced in turn by each of these values.
-SWEEP_VALUES = [None, "x", "0.5", True, float("nan"), -1, 1e308, [], [[[1]]], 0]
+SWEEP_VALUES = [None, "x", "0.5", True, float("nan"), -1, 1e308, [], [[[1]]], 0,
+                10 ** 400]
 
 
 def edit_paths(value, path=()):
