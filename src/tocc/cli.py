@@ -13,6 +13,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .evaluation import (ALL_METHODS, TOCC_METHODS, fit_method, make_method,
                          roc_curve, run_benchmark)
@@ -111,12 +113,10 @@ def _predictions(args):
 
 def cmd_predict(args):
     data, pred = _predictions(args)
-    rows = []
-    for i in range(data.n):
-        cluster = int(pred.cluster[i]) if pred.cluster is not None else ""
-        rows.append([i, pred.score[i], "accept" if pred.accept[i] else "reject",
-                     cluster])
-    write_csv(args.out, ["row", "score", "decision", "cluster"], rows,
+    decision = np.where(pred.accept, "accept", "reject")
+    cluster = [""] * data.n if pred.cluster is None else pred.cluster
+    write_csv(args.out, ["row", "score", "decision", "cluster"],
+              [range(data.n), pred.score, decision, cluster],
               "predict", _config(args, ["model", "data", "glass", "seed"]))
     print(f"predicted {data.n} rows -> {args.out} "
           f"({int(pred.accept.sum())} accepted)")
@@ -125,8 +125,7 @@ def cmd_predict(args):
 
 def cmd_score(args):
     data, pred = _predictions(args)
-    rows = [[i, pred.score[i]] for i in range(data.n)]
-    write_csv(args.out, ["row", "score"], rows, "score",
+    write_csv(args.out, ["row", "score"], [range(data.n), pred.score], "score",
               _config(args, ["model", "data", "glass", "seed"]))
     print(f"scored {data.n} rows -> {args.out}")
     return 0
@@ -137,13 +136,13 @@ def cmd_roc(args):
     if data.row_labels is None:
         raise ValueError("roc requires labeled data (--label-column or --glass)")
     curve = roc_curve(pred.typicality(), data.is_target())
-    rows = list(zip(curve.fpr, curve.tpr, curve.thresholds))
     config = {**_config(args, ["model", "data", "glass"]), "auc": repr(curve.auc)}
-    write_csv(args.out, ["fpr", "tpr", "threshold"], rows, "roc", config)
+    write_csv(args.out, ["fpr", "tpr", "threshold"],
+              [curve.fpr, curve.tpr, curve.thresholds], "roc", config)
     if args.svg:
         write_roc_svg(args.svg, [(os.path.basename(args.model), curve)],
                       config=config)
-    print(f"roc: auc={curve.auc:.4f} ({len(rows)} points) -> {args.out}")
+    print(f"roc: auc={curve.auc:.4f} ({curve.fpr.size} points) -> {args.out}")
     return 0
 
 
@@ -153,14 +152,12 @@ def cmd_reduce(args):
         else data
     reducer, _ = pca_reduce(fit_on, args.d, which=args.which)
     reduced = reducer.apply(data)
-    rows = []
-    for i in range(reduced.n):
-        row = list(reduced.values[i])
-        if data.row_labels is not None:
-            row.append(data.row_labels[i])
-        rows.append(row)
-    header = list(reduced.feature_names) + (["label"] if data.row_labels else [])
-    write_csv(args.out, header, rows, "reduce",
+    columns = list(reduced.values.T)
+    header = list(reduced.feature_names)
+    if data.row_labels is not None:
+        columns.append(data.row_labels)
+        header.append("label")
+    write_csv(args.out, header, columns, "reduce",
               _config(args, ["data", "glass", "d", "which", "fit_on"]))
     print(f"reduced to {args.d} components ({args.which}) -> {args.out}")
     return 0
@@ -171,10 +168,10 @@ def cmd_vip(args):
     train = _target_rows(data)
     ranking, selected = kappa_vip(train, args.d, args.b1, args.b2, args.kappa,
                                   args.n_keep, RngStream(args.seed).child(1))
-    rows = [[train.feature_names[j], ranking.vip[j],
-             "yes" if j in selected else "no"]
-            for j in ranking.ranking]
-    write_csv(args.out, ["feature", "vip", "selected"], rows, "vip",
+    order = ranking.ranking.tolist()
+    columns = [[train.feature_names[j] for j in order], ranking.vip[order],
+               ["yes" if j in selected else "no" for j in order]]
+    write_csv(args.out, ["feature", "vip", "selected"], columns, "vip",
               _config(args, ["d", "b1", "b2", "kappa", "n_keep", "seed"]))
     names = [train.feature_names[j] for j in selected]
     print(f"vip ranking -> {args.out}; kappa-VIP selected: {', '.join(names)}")
@@ -186,12 +183,13 @@ def cmd_simulate(args):
                         n_nontarget=args.n_nontarget, lam=args.lam,
                         box_scale=args.box_scale)
     sample = generate(spec)
-    rows = [[x, y, "target"] for x, y in sample.target.values]
-    rows += [[x, y, "non-target"] for x, y in sample.nontarget.values]
+    values = np.concatenate([sample.target.values, sample.nontarget.values])
+    labels = ["target"] * sample.target.n + ["non-target"] * sample.nontarget.n
     config = _config(args, ["scenario", "n_target", "n_nontarget",
                             "box_scale", "seed"])
     config["lambda"] = args.lam
-    write_csv(args.out, ["x1", "x2", "label"], rows, "simulate", config)
+    write_csv(args.out, ["x1", "x2", "label"], [*values.T, labels], "simulate",
+              config)
     write_json_report(args.out + ".meta.json",
                       {"n_target": spec.n_target,
                        "n_nontarget": spec.nontarget_size,
@@ -215,14 +213,14 @@ def cmd_bench(args):
                             "mc_samples"])
     config["lambda"] = args.lam
     config["methods"] = ",".join(methods)
-    rows = [[r.method, r.replication,
-             "" if r.sensitivity is None else r.sensitivity,
-             "" if r.specificity is None else r.specificity,
-             "" if r.auc is None else r.auc,
-             r.error or ""]
-            for r in result.reports]
+    reports = result.reports
+    columns = [[r.method for r in reports], [r.replication for r in reports]]
+    for name in ("sensitivity", "specificity", "auc"):
+        values = (getattr(r, name) for r in reports)
+        columns.append(["" if v is None else v for v in values])
+    columns.append([r.error or "" for r in reports])
     write_csv(args.out, ["method", "replication", "sensitivity", "specificity",
-                         "auc", "error"], rows, "bench", config)
+                         "auc", "error"], columns, "bench", config)
 
     summary = result.summary()
     printable = {}
@@ -269,9 +267,9 @@ def cmd_glass_repro(args):
     header = ["variant"] + list(FRONTENDS) + ["varsel2"]
     for metric in ("auc", "specificity"):
         # The external variable-selection column is n/a, see the report.
+        rows = tables[metric]
         write_csv(os.path.join(args.outdir, f"{metric}_table.csv"), header,
-                  [row + ["n/a"] for row in tables[metric]], "glass-repro",
-                  config)
+                  [*zip(*rows), ["n/a"] * len(rows)], "glass-repro", config)
     _write_repro_report(os.path.join(args.outdir, "report.md"), result, config,
                         args.data)
 

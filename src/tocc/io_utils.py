@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, count, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,6 +33,11 @@ class IngestError(ValueError):
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# Records parsed per block. Only one block's cell strings are held at once;
+# the rest of the file is held as doubles.
+_BLOCK_ROWS = 1024
+
+
 def ingest_csv(path, label_column: str | None = None,
                target_labels=None, nontarget_labels=None,
                normalize_by: str | None = None) -> DataMatrix:
@@ -43,7 +49,15 @@ def ingest_csv(path, label_column: str | None = None,
     non-target, otherwise an unmapped value is an error. Omitting both sets
     expects literal "target"/"non-target" values. normalize_by divides every
     other feature column by the named column row-wise (the reference column
-    is dropped afterwards). Errors carry the offending row/column.
+    is dropped afterwards).
+
+    The file is read once, a column at a time: each block of records is
+    transposed, each column converted with one float conversion and checked
+    with one finiteness test, normalize_by is one division, and each
+    distinct label is looked up once. A cell is parsed as float() parses
+    it. When a check fails, the block's rows are walked in file order, and
+    the error names the first offending row and column, as a row-by-row
+    read would.
     """
     if target_labels is None and label_column is not None:
         target_labels = {TARGET_LABEL}
@@ -51,69 +65,118 @@ def ingest_csv(path, label_column: str | None = None,
     target_set = {str(v) for v in target_labels} if target_labels else set()
     nontarget_set = {str(v) for v in nontarget_labels} if nontarget_labels else None
 
+    def label_of(raw):
+        """The row label of a stripped label cell; None if it is unknown."""
+        if raw in target_set:
+            return TARGET_LABEL
+        if nontarget_set is None or raw in nontarget_set:
+            return NONTARGET_LABEL
+        return None
+
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-
-    label_idx = None
-    if label_column is not None:
-        if label_column not in header:
-            raise IngestError(f"{path}: missing column '{label_column}'")
-        label_idx = header.index(label_column)
-    norm_idx = None
-    if normalize_by is not None:
-        if normalize_by not in header:
-            raise IngestError(f"{path}: missing column '{normalize_by}'")
-        norm_idx = header.index(normalize_by)
-        if norm_idx == label_idx:
-            raise IngestError(f"{path}: normalize_by cannot be the label column")
-
-    feature_idx = [j for j in range(len(header)) if j not in (label_idx, norm_idx)]
-    feature_names = [header[j] for j in feature_idx]
-
-    def number(record, r, j):
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
         try:
-            cell = float(record[j])
-        except ValueError:
-            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                              f"non-numeric cell '{record[j]}'") from None
-        if not np.isfinite(cell):
-            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                              f"non-finite cell '{record[j]}'")
-        return cell
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
 
-    rows, labels = [], []
-    for r, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != len(header):
-            raise IngestError(f"{path}: row {r}: expected {len(header)} cells, "
-                              f"got {len(record)}")
-        vals = [number(record, r, j) for j in feature_idx]
-        if norm_idx is not None:
-            ref = number(record, r, norm_idx)
-            if ref == 0:
-                raise IngestError(f"{path}: row {r}, column '{normalize_by}': "
-                                  f"zero reference value")
-            vals = [v / ref for v in vals]
-        rows.append(vals)
-        if label_idx is not None:
-            raw = record[label_idx].strip()
-            if raw in target_set:
-                labels.append(TARGET_LABEL)
-            elif nontarget_set is None or raw in nontarget_set:
-                labels.append(NONTARGET_LABEL)
-            else:
-                raise IngestError(f"{path}: row {r}, column '{label_column}': "
-                                  f"unknown label '{raw}'")
-    if not rows:
+        label_idx = None
+        if label_column is not None:
+            if label_column not in header:
+                raise IngestError(f"{path}: missing column '{label_column}'")
+            label_idx = header.index(label_column)
+        norm_idx = None
+        if normalize_by is not None:
+            if normalize_by not in header:
+                raise IngestError(f"{path}: missing column '{normalize_by}'")
+            norm_idx = header.index(normalize_by)
+            if norm_idx == label_idx:
+                raise IngestError(f"{path}: normalize_by cannot be the label "
+                                  f"column")
+        feature_idx = [j for j in range(len(header))
+                       if j not in (label_idx, norm_idx)]
+
+        def first_bad_row(block, first_row):
+            """Raise the error of the first bad record of block, whose first
+            record is file row first_row, checking each row's cells in the
+            order a row-by-row read meets them."""
+            def number(record, r, j):
+                try:
+                    cell = float(record[j])
+                except ValueError:
+                    raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                                      f"non-numeric cell '{record[j]}'") from None
+                if not np.isfinite(cell):
+                    raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                                      f"non-finite cell '{record[j]}'")
+                return cell
+
+            for r, record in enumerate(block, start=first_row):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise IngestError(f"{path}: row {r}: expected {len(header)} "
+                                      f"cells, got {len(record)}")
+                for j in feature_idx:
+                    number(record, r, j)
+                if norm_idx is not None and number(record, r, norm_idx) == 0:
+                    raise IngestError(f"{path}: row {r}, column "
+                                      f"'{normalize_by}': zero reference value")
+                if label_idx is not None:
+                    raw = record[label_idx].strip()
+                    if label_of(raw) is None:
+                        raise IngestError(f"{path}: row {r}, column "
+                                          f"'{label_column}': unknown label "
+                                          f"'{raw}'")
+            raise AssertionError(f"{path}: a column check failed on no row")
+
+        def floats(cells):
+            """cells as finite doubles; None if one is not."""
+            try:
+                col = np.array(cells, dtype=float)
+            except ValueError:
+                return None
+            return col if np.isfinite(col).all() else None
+
+        blocks, labels, known = [], [], {}
+        # Blank records stay in each block, so that a record's place in it
+        # gives its row number.
+        for first_row in count(2, _BLOCK_ROWS):
+            block = list(islice(reader, _BLOCK_ROWS))
+            if not block:
+                break
+            records = list(filter(None, block))
+            if not records:
+                continue
+            if set(map(len, records)) != {len(header)}:
+                first_bad_row(block, first_row)
+            columns = list(zip(*records))
+            values = np.empty((len(records), len(feature_idx)))
+            for k, j in enumerate(feature_idx):
+                col = floats(columns[j])
+                if col is None:
+                    first_bad_row(block, first_row)
+                values[:, k] = col
+            if norm_idx is not None:
+                ref = floats(columns[norm_idx])
+                if ref is None or not ref.all():
+                    first_bad_row(block, first_row)
+                # A quotient too large for a double becomes inf without a
+                # warning, as in Python float division; DataMatrix refuses it.
+                with np.errstate(over="ignore"):
+                    values /= ref[:, None]
+            if label_idx is not None:
+                cells = columns[label_idx]
+                for raw in set(cells).difference(known):
+                    known[raw] = label_of(raw.strip())
+                if None in known.values():
+                    first_bad_row(block, first_row)
+                labels += map(known.__getitem__, cells)
+            blocks.append(values)
+    if not blocks:
         raise IngestError(f"{path}: no data rows")
-    return DataMatrix(np.array(rows), feature_names,
+    return DataMatrix(np.concatenate(blocks), [header[j] for j in feature_idx],
                       labels if label_idx is not None else None)
 
 
@@ -125,26 +188,17 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def _all_numbers(value) -> bool:
-    """Whether value is a JSON number, or an array or object of them at any
-    depth: no bool, string or null anywhere."""
-    if isinstance(value, (list, dict)):
-        return all(map(_all_numbers,
-                       value.values() if isinstance(value, dict) else value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _fits_floats(value) -> bool:
-    """Whether every integer in value, at any depth, converts to a float."""
-    if isinstance(value, (list, dict)):
-        return all(map(_fits_floats,
-                       value.values() if isinstance(value, dict) else value))
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            return False
-    return True
+def _leaves(value) -> list:
+    """Every entry of a parsed JSON value, at any depth, that is neither an
+    array nor an object; value itself when it is neither. One pass per
+    nesting level, not one call per entry."""
+    leaves, level = [], [value]
+    while level:
+        arrays = [v for v in level if type(v) is list]
+        objects = [v.values() for v in level if type(v) is dict]
+        leaves += [v for v in level if type(v) not in (list, dict)]
+        level = [*chain.from_iterable(arrays), *chain.from_iterable(objects)]
+    return leaves
 
 
 class _Codec(NamedTuple):
@@ -160,15 +214,22 @@ class _Codec(NamedTuple):
     numeric: bool = False
 
     def load(self, name: str, value):
-        if not _fits_floats(value):
-            raise ValueError(f"model field '{name}' holds an integer too large "
-                             f"for a float")
+        # One walk serves both checks on the entries; an integer too large
+        # for a float is named before a wrong type or a non-number.
+        leaves = _leaves(value)
+        kinds = set(map(type, leaves))
+        if int in kinds:
+            try:
+                list(map(float, (v for v in leaves if type(v) is int)))
+            except OverflowError:
+                raise ValueError(f"model field '{name}' holds an integer too "
+                                 f"large for a float") from None
         if not isinstance(value, self.json_type):
             kind = {dict: "an object", list: "an array"}.get(self.json_type,
                                                              "a number")
             raise ValueError(f"model field '{name}' must be {kind}, "
-                             f"not {json.dumps(value)}")
-        if self.numeric and not _all_numbers(value):
+                             f"not {json.dumps(value):.60}")
+        if self.numeric and not kinds <= {int, float}:
             raise ValueError(f"model field '{name}' must hold only numbers (no "
                              f"string, bool or null), not {json.dumps(value):.60}")
         return self.build(value)
@@ -276,30 +337,31 @@ def _config_lines(command: str, config: dict | None):
     return lines
 
 
-def write_csv(path, header, rows, command: str, config: dict | None = None) -> None:
-    """CSV with deterministic '#' provenance comments before the header."""
+def write_csv(path, header, columns, command: str,
+              config: dict | None = None) -> None:
+    """CSV with deterministic '#' provenance comments before the header.
+
+    columns holds one sequence per header name, all of one length; an
+    array is written as its Python values (tolist), any other sequence as
+    it is. csv writes a Python float as its repr, the shortest text that
+    reads back as the same double. The rows are written in one pass over
+    the columns.
+    """
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col
+             for col in columns]
     with open(path, "w", newline="") as fh:
         for line in _config_lines(command, config):
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
+        writer.writerows(zip(*cells))
 
 
 def _json_default(v):
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return _cell(v)
+    if isinstance(v, np.floating):
+        return repr(float(v))
+    if isinstance(v, (np.integer, np.bool_)):
+        return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
     raise TypeError(f"not JSON-serializable: {type(v).__name__}")

@@ -1,5 +1,6 @@
 """Reference implementations of the transvariation scores, the EM step,
-the ROC sweep and the model-file writer and reader.
+the ROC sweep, the CSV reader and writer and the model-file writer and
+reader.
 
 A frozen copy of the straightforward one-query-at-a-time scoring code the
 library used before its batched orthant-counting kernel: sign_counts, the
@@ -8,7 +9,8 @@ multivariate score, the three calibration comprehensions and the predict
 loops; the per-component EM iteration and Gaussian log-density the library
 used before its stacked EM step, and the mixture search that ran each
 restart on its own standardized copy of the rows; the per-cut-point ROC
-loop; the hand-written model save/load the library used before its
+loop; the row-by-row CSV reader and the cell-by-cell CSV writer; the
+hand-written model save/load the library used before its
 persistence table; orthant_probability and the batched density score as they
 were before both integrated their boxes through density.box_masses (the
 three density scores take their Monte Carlo draws as column subsets of the
@@ -27,6 +29,7 @@ or byte equality. Only tests import this module.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 
@@ -40,8 +43,10 @@ from tocc.classifier import PamResult, ToccModel
 from tocc.density import MixtureDensity, OrthantIntegrator, kmeans_lloyd
 from tocc.evaluation import RocCurve
 from tocc.featsel import VipRanking
-from tocc.numcore import (PcaResult, RngStream, as_values, empirical_quantile,
-                           spatial_median)
+from tocc.io_utils import IngestError
+from tocc.numcore import (NONTARGET_LABEL, TARGET_LABEL, DataMatrix, PcaResult,
+                          RngStream, as_values, empirical_quantile,
+                          spatial_median)
 from tocc.transvariation import DROP_EPS, TpScore
 
 
@@ -525,6 +530,106 @@ def roc_curve(scores, is_target) -> RocCurve:
     fpr, tpr, ths = np.array(fpr), np.array(tpr), np.array(ths)
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
     return RocCurve(fpr, tpr, ths, auc)
+
+
+# ---------------------------------------------------------------------------
+# CSV files, one row and one cell at a time
+# ---------------------------------------------------------------------------
+
+def ingest_csv(path, label_column=None, target_labels=None,
+               nontarget_labels=None, normalize_by=None) -> DataMatrix:
+    if target_labels is None and label_column is not None:
+        target_labels = {TARGET_LABEL}
+        nontarget_labels = nontarget_labels or {NONTARGET_LABEL}
+    target_set = {str(v) for v in target_labels} if target_labels else set()
+    nontarget_set = {str(v) for v in nontarget_labels} if nontarget_labels else None
+
+    with open(path, newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+
+    label_idx = None
+    if label_column is not None:
+        if label_column not in header:
+            raise IngestError(f"{path}: missing column '{label_column}'")
+        label_idx = header.index(label_column)
+    norm_idx = None
+    if normalize_by is not None:
+        if normalize_by not in header:
+            raise IngestError(f"{path}: missing column '{normalize_by}'")
+        norm_idx = header.index(normalize_by)
+        if norm_idx == label_idx:
+            raise IngestError(f"{path}: normalize_by cannot be the label column")
+
+    feature_idx = [j for j in range(len(header)) if j not in (label_idx, norm_idx)]
+    feature_names = [header[j] for j in feature_idx]
+
+    def number(record, r, j):
+        try:
+            cell = float(record[j])
+        except ValueError:
+            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                              f"non-numeric cell '{record[j]}'") from None
+        if not np.isfinite(cell):
+            raise IngestError(f"{path}: row {r}, column '{header[j]}': "
+                              f"non-finite cell '{record[j]}'")
+        return cell
+
+    rows, labels = [], []
+    for r, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise IngestError(f"{path}: row {r}: expected {len(header)} cells, "
+                              f"got {len(record)}")
+        vals = [number(record, r, j) for j in feature_idx]
+        if norm_idx is not None:
+            ref = number(record, r, norm_idx)
+            if ref == 0:
+                raise IngestError(f"{path}: row {r}, column '{normalize_by}': "
+                                  f"zero reference value")
+            vals = [v / ref for v in vals]
+        rows.append(vals)
+        if label_idx is not None:
+            raw = record[label_idx].strip()
+            if raw in target_set:
+                labels.append(TARGET_LABEL)
+            elif nontarget_set is None or raw in nontarget_set:
+                labels.append(NONTARGET_LABEL)
+            else:
+                raise IngestError(f"{path}: row {r}, column '{label_column}': "
+                                  f"unknown label '{raw}'")
+    if not rows:
+        raise IngestError(f"{path}: no data rows")
+    return DataMatrix(np.array(rows), feature_names,
+                      labels if label_idx is not None else None)
+
+
+def write_csv(path, header, rows, command, config=None) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# tocc-version: {__version__}\n")
+        fh.write(f"# command: {command}\n")
+        for key in sorted((config or {}).keys()):
+            fh.write(f"# {key}: {config[key]}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+
+
+def _cell(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    if isinstance(v, (np.bool_,)):
+        return bool(v)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Differential sweeps: the batched orthant-counting kernel and its p = 2
 sort-and-search sweep, the one box-mass function, the EM loop stacked over
 components and restarts, the mixture search that standardizes once, the
-sorted ROC sweep, the table-driven model files, the stacked
-feature-selection front-ends, blocked PAM and the blocked product KDE
-against the frozen per-query, per-restart and per-component, per-cut-point,
-hand-written, per-candidate and whole-array references in
-reference_impl.py, compared exactly. The counting kernels are
+sorted ROC sweep, the column-wise CSV reader and writer, the
+table-driven model files, the stacked feature-selection front-ends, blocked
+PAM and the blocked product KDE against the frozen per-query, per-restart
+and per-component, per-cut-point, row-by-row, hand-written, per-candidate
+and whole-array references in reference_impl.py, compared exactly. The counting kernels are
 also compared with the comparison oracle there, on every case, since the
 frozen product tests are exact only inside a value range.
 
@@ -29,10 +29,12 @@ from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
                   load_model, multivariate_tp, multivariate_tp_density,
                   orthant_probability, predict, roc_curve, save_model,
                   univariate_tp)
-from tocc import baselines, classifier, density, numcore, transvariation
+from tocc import (baselines, classifier, density, io_utils, numcore,
+                  transvariation)
 from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
 from tocc.featsel import compute_vip, rp_select
+from tocc.io_utils import IngestError, ingest_csv, write_csv
 from tocc.transvariation import tp_density_scores, tp_scores
 
 
@@ -962,6 +964,164 @@ class TestModelFiles:
             assert type(loaded) is type(model)
             assert loaded.feature_names == ["u", "v"]
             assert_same_predictions(loaded, model, Z)
+
+
+# Cells a generated table may hold besides plain doubles: extreme doubles,
+# text float() reads as a finite double, and text it refuses or reads as
+# a non-finite one.
+EXTREME_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                   2.2250738585072014e-308]
+ODD_NUMBERS = [" 1.5 ", "1_0", "1e-400", "１２", "+.5"]
+BAD_NUMBERS = ["nan", "Infinity", "1e400", "", "0x10", "-inf", "abc"]
+# The last two labels are in no label set the sweep passes.
+LABELS = ["t", "u", " t ", "target", "non-target", "v", "t,u"]
+
+
+def number_cell(gen, bad_rate):
+    if gen.random() < bad_rate:
+        return str(gen.choice(BAD_NUMBERS))
+    pick = gen.random()
+    if pick < 0.15:
+        return repr(float(gen.choice(EXTREME_DOUBLES)))
+    if pick < 0.3:
+        return str(gen.choice(ODD_NUMBERS))
+    return repr(float(gen.normal() * 10.0 ** gen.integers(-300, 300)))
+
+
+def csv_table(gen):
+    """(text, column names) of a random table: features, maybe a reference
+    column 'o' and a label column 'lab' in random places, with comment,
+    blank and quoted cells and, in half the tables, bad cells and rows."""
+    bad_rate = 0.0 if gen.integers(2) else 0.03
+    names = [f"f{j}" for j in range(int(gen.integers(1, 4)))]
+    names += ["o"] * int(gen.integers(2)) + ["lab"] * int(gen.integers(2))
+    names = [str(v) for v in gen.permutation(names)]
+    lines = ["# provenance"] * int(gen.integers(2))
+    lines.append(",".join(f" {h} " if gen.random() < 0.2 else h for h in names))
+    for _ in range(int(gen.integers(1, 25))):
+        cells = []
+        for name in names:
+            if name == "lab":
+                cell = str(gen.choice(LABELS[-2:] if gen.random() < bad_rate
+                                      else LABELS[:-2]))
+            elif name == "o" and gen.random() < bad_rate:
+                cell = str(gen.choice(["0", "-0.0", "0e5"]))
+            elif name == "o":
+                cell = repr(float(gen.uniform(0.5, 2.0)))
+            else:
+                cell = number_cell(gen, bad_rate)
+            if "," in cell or gen.random() < 0.1:
+                cell = f'"{cell}"'
+            cells.append(cell)
+        if gen.random() < bad_rate:
+            cells = cells[:-1] if gen.integers(2) else cells + ["1.0"]
+        lines.append(",".join(cells))
+        if gen.random() < 0.05:
+            lines.append(str(gen.choice(["", "# note", "#"])))
+    return "\n".join(lines) + "\n" * int(gen.integers(1, 3)), names
+
+
+def ingest_options(gen, names):
+    """Keyword arguments for ingest_csv that fit the columns, mostly."""
+    options = {}
+    if "lab" in names and gen.integers(4):
+        options["label_column"] = "lab"
+        options["target_labels"] = [None, ["t"], ["t", "target"]][gen.integers(3)]
+        options["nontarget_labels"] = [None, ["u"], ["u", "non-target"]][
+            gen.integers(3)]
+    elif gen.random() < 0.1:
+        options["label_column"] = "missing"
+    if "o" in names and gen.integers(2):
+        options["normalize_by"] = "o"
+    elif "lab" in names and gen.random() < 0.1:
+        options["normalize_by"] = "lab"
+    return options
+
+
+def ingest_outcome(ingest, path, **options):
+    """What reading path gives: the table bit for bit, or the error."""
+    try:
+        data = ingest(path, **options)
+    except Exception as exc:   # noqa: BLE001 - compared by the caller
+        return type(exc), str(exc)
+    values = data.values
+    return (values.shape, values.dtype, values.flags.c_contiguous,
+            values.tobytes(), data.feature_names, data.row_labels)
+
+
+def assert_same_ingest(path, **options):
+    got = ingest_outcome(ingest_csv, path, **options)
+    assert got == ingest_outcome(ref.ingest_csv, path, **options)
+    return got
+
+
+class TestCsvFiles:
+    def test_ingest_sweep_matches_reference(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(150)
+        path = tmp_path / "t.csv"
+        errors = 0
+        for _ in range(400):
+            text, names = csv_table(gen)
+            path.write_text(text, encoding="utf-8")
+            # Tables span one block or several, blank ones included.
+            monkeypatch.setattr(io_utils, "_BLOCK_ROWS",
+                                int(gen.choice([1, 2, 5, 1024])))
+            got = assert_same_ingest(path, **ingest_options(gen, names))
+            errors += len(got) == 2
+        # Both valid tables and refused ones are compared.
+        assert 50 < errors < 350
+
+    @pytest.mark.parametrize("cell", [*map(repr, EXTREME_DOUBLES),
+                                      *ODD_NUMBERS, *BAD_NUMBERS])
+    def test_each_odd_cell_matches_reference(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f'a,b\n1.0,2.0\n"{cell}",3.0\n', encoding="utf-8")
+        assert_same_ingest(path)
+
+    @pytest.mark.parametrize("text, options, message", [
+        ("a,b\n1,2\n3,x\n5,6\n7\n", {},
+         "row 3, column 'b': non-numeric cell 'x'"),
+        ("a,lab\n1,t\n2,zz\ninf,t\n",
+         {"label_column": "lab", "target_labels": ["t"],
+          "nontarget_labels": ["u"]},
+         "row 3, column 'lab': unknown label 'zz'"),
+        ("a,o\n1,2\n3,0\n4,x\n", {"normalize_by": "o"},
+         "row 3, column 'o': zero reference value"),
+        ("a,b\n\n1,2\n\n3,nan\n", {}, "row 5, column 'b': non-finite cell 'nan'")],
+        ids=["non-numeric-before-short-row", "label-before-non-finite",
+             "zero-reference", "blank-lines-counted"])
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    def test_first_bad_row_wins(self, tmp_path, monkeypatch, text, options,
+                                message, block_rows):
+        monkeypatch.setattr(io_utils, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        got = assert_same_ingest(path, **options)
+        assert got == (IngestError, f"{path}: {message}")
+
+    def test_writer_sweep_matches_reference(self, tmp_path):
+        gen = np.random.default_rng(151)
+        extremes = [-0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1]
+        for case in range(150):
+            n = int(gen.integers(0, 30))
+            floats = gen.normal(size=n) * 10.0 ** gen.integers(-300, 300)
+            floats[gen.random(n) < 0.2] = gen.choice(extremes)
+            columns = [
+                floats, gen.integers(-5, 5, size=n), gen.random(n) < 0.5,
+                np.where(gen.random(n) < 0.5, "accept", "reject"), range(n),
+                ["" if gen.random() < 0.3 else float(v) for v in floats],
+                [str(gen.choice(["a", "b,c", 'q"x', ""])) for _ in range(n)],
+                gen.normal(size=(2, n))[0].astype(np.float32)]
+            picked = sorted(gen.choice(len(columns), size=int(gen.integers(1, 6)),
+                                       replace=False))
+            columns = [columns[j] for j in picked]
+            header = [f"c{j}" for j in picked]
+            config = {"seed": case, "data": "x.csv"} if gen.integers(2) else None
+            write_csv(tmp_path / "new.csv", header, columns, "predict", config)
+            ref.write_csv(tmp_path / "old.csv", header,
+                          [list(row) for row in zip(*columns)], "predict", config)
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "old.csv").read_bytes()
 
 
 def assert_same_selection(X, d, b1, b2, stream):

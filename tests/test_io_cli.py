@@ -400,14 +400,20 @@ class TestBaselineModelFiles:
         ("gauss", {"threshold": 10 ** 400},
          "model field 'threshold' holds an integer too large for a float"),
         ("kde", {"train": [[10 ** 400, 0.0]]},
-         "model field 'train' holds an integer too large for a float")],
+         "model field 'train' holds an integer too large for a float"),
+        # A value that breaks several rules is named by the size rule.
+        ("kde", {"train": [[None, 10 ** 400]]},
+         "model field 'train' holds an integer too large for a float"),
+        ("gauss", {"threshold": ["x", 10 ** 400]},
+         "model field 'threshold' holds an integer too large for a float")],
         ids=["null-mean", "null-threshold", "unknown-direction",
              "narrow-bandwidths", "one-feature-name", "three-feature-names",
              "non-positive-bandwidths", "negative-definite-cov-inv",
              "asymmetric-cov-inv", "gauss-with-centroids", "string-threshold",
              "bool-threshold", "string-sensitivity", "list-sensitivity",
              "string-mixture-weight", "string-centroid", "huge-threshold",
-             "huge-train-entry"])
+             "huge-train-entry", "null-and-huge-train-entries",
+             "string-and-huge-threshold-list"])
     def test_edited_file_exits_2(self, tmp_path, capsys, kind, edit, message):
         X = np.random.default_rng(57).normal(size=(40, 2))
         path = tmp_path / f"{kind}.json"
@@ -420,6 +426,21 @@ class TestBaselineModelFiles:
                        "--out", tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_long_value_is_quoted_in_part(self, tmp_path, capsys):
+        # A wrong-typed field is quoted up to 60 characters, not whole.
+        X = np.random.default_rng(57).normal(size=(40, 2))
+        path = tmp_path / "gauss.json"
+        save_model(fit_method("gauss", X, 0.9, RngStream(58)), path)
+        doc = json.loads(path.read_text())
+        doc["threshold"] = [1.5] * 100_000
+        path.write_text(json.dumps(doc))
+        data = write(tmp_path / "q.csv", "a,b\n0.0,0.0\n")
+        assert run_cli("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "model field 'threshold' must be a number, not [1.5, 1.5" in err
 
 
 def run_cli(*argv):
