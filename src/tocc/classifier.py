@@ -173,15 +173,20 @@ class PredictionResult:
 # Partitioning Around Medoids
 # ---------------------------------------------------------------------------
 
-# Rows per block of the n x n column sums in BUILD and SWAP; n up to this is
-# one block.
+# Rows per block of the distance matrix and of BUILD's column sums, and
+# columns per block of SWAP's screen; n up to this is one block.
 _PAM_BLOCK = 256
 
 
 def _pairwise_distances(vals: np.ndarray) -> np.ndarray:
+    """Euclidean distances as (|x|^2 + |y|^2) - 2 x.y, holding one n x n
+    array: the Gram product is written first and each row block of the
+    squared norms' outer sum is subtracted into it in place."""
     sq = (vals ** 2).sum(axis=1)
-    d2 = np.add.outer(sq, sq)
-    d2 -= (2.0 * vals) @ vals.T
+    d2 = (2.0 * vals) @ vals.T
+    for start in range(0, len(sq), _PAM_BLOCK):
+        r = slice(start, start + _PAM_BLOCK)
+        np.subtract(np.add.outer(sq[r], sq), d2[r], out=d2[r])
     np.fill_diagonal(d2, 0.0)
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
@@ -233,31 +238,91 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
         nearest = np.minimum(nearest, dist[:, j])
     medoids.sort()
 
-    swaps = 0
-    cost = _assignment_cost(dist, medoids)[2]
-    while swaps < max_swaps:
-        nearest_pos, d1, d2 = _nearest_two(dist, medoids)
-        for pos in range(len(medoids)):
-            # Cost after dropping this medoid: covered points fall back to
-            # their second-nearest, then everyone may adopt the candidate.
-            base = np.where(nearest_pos == pos, d2, d1)
-            new_costs = _column_sums(
-                lambda r, out: np.minimum(base[r, None], dist[r], out=out), buf)
-            new_costs[medoids] = np.inf
-            better = np.flatnonzero(new_costs < cost)
-            if better.size:
-                medoids[pos] = int(better[0])
-                medoids.sort()
-                cost = float(new_costs[better[0]])
-                swaps += 1
+    # SWAP screens candidate columns in float32, one contiguous row of
+    # cols32 per column of dist. A float32 cast or sum may overflow to inf,
+    # which _first_below allows for; nothing in float64 can overflow here
+    # (a distance is at most sqrt of the largest double, 2^512).
+    with np.errstate(over="ignore"):
+        cols32 = dist.T.astype(np.float32, order="C")
+        buf32 = np.empty((min(n, _PAM_BLOCK), n), dtype=np.float32)
+        swaps = 0
+        cost = _assignment_cost(dist, medoids)[2]
+        while swaps < max_swaps:
+            nearest_pos, d1, d2 = _nearest_two(dist, medoids)
+            is_medoid = np.zeros(n, dtype=bool)
+            is_medoid[medoids] = True
+            for pos in range(len(medoids)):
+                # Cost after dropping this medoid: covered points fall back
+                # to their second-nearest, then everyone may adopt the
+                # candidate.
+                base = np.where(nearest_pos == pos, d2, d1)
+                found = _first_below(cost, base, dist, cols32, is_medoid, buf32)
+                if found is not None:
+                    medoids[pos], cost = found
+                    medoids.sort()
+                    swaps += 1
+                    break
+            else:
                 break
-        else:
-            break
 
     assignment, d1, final_cost = _assignment_cost(dist, medoids)
     if not final_cost <= cost + 1e-9:
         raise RuntimeError("PAM cost increased during SWAP")
     return PamResult(list(medoids), assignment, final_cost)
+
+
+def _fold_sums(base, cols) -> np.ndarray:
+    """Column sums of np.minimum(base[:, None], cols), each added row after
+    row in float64 (the floats _column_sums gives). A plain sum(axis=0) is
+    not that for one column, or for a gathered cols in F order: numpy then
+    sums pairwise along the column."""
+    terms = np.minimum(base[:, None], cols)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
+def _first_below(cost, base, dist, cols32, is_medoid, buf32):
+    """The first column j of dist, ascending and not a medoid (is_medoid[j]
+    false), whose new cost sum_i min(base_i, dist_ij) (added row after row
+    in float64) is below cost, as (j, that cost); None if there is none.
+    Call it under np.errstate(over="ignore").
+
+    Each block of columns is screened in float32 first, and a column is
+    ruled out only when its float32 sum a exceeds cost by more than a can
+    err. With u = 2^-24 and e = 2^-126, for the exact sum T and the float64
+    fold E:
+    - float32 rounding is monotone, so a adds up fl32(min(base_i, d_ij)) =
+      min(fl32(base_i), fl32(d_ij)), each within u*t + e of its term t
+      (e covers the subnormal range, even when it flushes to zero);
+    - any order of n - 1 float32 additions errs by at most
+      gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the sum, plus e per addition
+      (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2);
+    - the float64 fold gives E >= T (1 - gamma64_{n-1}).
+    So E < cost forces a < cost (1+u) / ((1 - (n-1)u)(1 - gamma64_{n-1})) +
+    4 n e, and for n u <= 1/4 (any n x n array that fits in memory) that is
+    below cost (1 + 2 n u) + 4 n e, with room to spare for evaluating it
+    in float64. A column whose a is not finite (the float32 cast or sum
+    overflowed, above about 2^126) is never ruled out. Every other column
+    is summed exactly in float64, so the answer is the one whole float64
+    column sums give.
+    """
+    n = base.size
+    bound = cost * (1.0 + n * 2.0 ** -23) + n * 2.0 ** -124
+    base32 = base.astype(np.float32)
+    for start in range(0, n, buf32.shape[0]):
+        block = cols32[start:start + buf32.shape[0]]
+        # Compared in float64: against a float32 array numpy may round
+        # bound to float32, possibly below cost.
+        approx = np.minimum(block, base32, out=buf32[:len(block)]).sum(
+            axis=1).astype(float)
+        ruled_out = (approx > bound) & (approx < np.inf)
+        ruled_out |= is_medoid[start:start + len(block)]
+        candidates = (~ruled_out).nonzero()[0] + start
+        if candidates.size:
+            exact = _fold_sums(base, dist[:, candidates])
+            below = (exact < cost).nonzero()[0]
+            if below.size:
+                return int(candidates[below[0]]), float(exact[below[0]])
+    return None
 
 
 def _nearest_two(dist, medoids):

@@ -24,6 +24,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
 _EM_TOL = 1e-6        # stop once an EM step gains less log-likelihood
 _EM_MAX_ITER = 500
+_EM_FALL = 1e-6       # a relative log-likelihood drop larger than this is a fall
+# A factor is fragile (a component collapsing) below this pivot ratio. The
+# log-likelihood's rounding grows like kappa * u, with u = eps and kappa
+# about (pivot ratio)^-2 the covariance's condition number, so it can fall
+# by _EM_FALL relative once the ratio is below sqrt(u / _EM_FALL) ~ 1.49e-5.
+_EM_FRAGILE_PIVOT = float(np.sqrt(np.finfo(float).eps / _EM_FALL))
 
 
 def _sum_last(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
@@ -384,12 +390,12 @@ def _em_restarts(z, k, gens, global_cov, reg_base):
             # Some run stops: a non-finite log-likelihood, a fall, or
             # convergence (prev_ll is -inf only before the first step).
             bad = ~np.isfinite(ll)
-            fell = ~bad & (ll < prev_ll - 1e-6 * np.maximum(1.0, np.abs(prev_ll)))
+            fell = ~bad & (ll < prev_ll - _EM_FALL * np.maximum(1.0, np.abs(prev_ll)))
             done = ~going & ~bad & ~fell
             for i in np.flatnonzero(fell):
                 pivots = np.diagonal(chols[i], axis1=1, axis2=2)
-                fragile = np.any(pivots.min(axis=1)
-                                 < 1e-7 * np.maximum(pivots.max(axis=1), 1.0))
+                fragile = np.any(pivots.min(axis=1) < _EM_FRAGILE_PIVOT
+                                 * np.maximum(pivots.max(axis=1), 1.0))
                 if not (bumped[i] or fragile):
                     raise RuntimeError("EM log-likelihood decreased on a healthy step")
                 runs[live[i]] = tuple(a[i] for a in prev_state), float(prev_ll[i])

@@ -79,6 +79,8 @@ def ingest_csv(path, label_column: str | None = None,
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
+        except csv.Error as err:
+            raise IngestError(f"{path}: row 1: {err}") from None
         header = [h.strip() for h in header]
 
         label_idx = None
@@ -139,11 +141,21 @@ def ingest_csv(path, label_column: str | None = None,
                 return None
             return col if np.isfinite(col).all() else None
 
-        blocks, labels, known = [], [], {}
+        blocks, labels, known, unreadable = [], [], {}, None
         # Blank records stay in each block, so that a record's place in it
         # gives its row number.
         for first_row in count(2, _BLOCK_ROWS):
-            block = list(islice(reader, _BLOCK_ROWS))
+            if unreadable is not None:
+                break
+            block = []
+            try:
+                block.extend(islice(reader, _BLOCK_ROWS))
+            except csv.Error as err:
+                # A record csv cannot read (a cell over its field limit) ends
+                # the read; the rows before it are checked first, as a
+                # row-by-row read meets them.
+                unreadable = IngestError(f"{path}: row {first_row + len(block)}: "
+                                         f"{err}")
             if not block:
                 break
             records = list(filter(None, block))
@@ -174,6 +186,8 @@ def ingest_csv(path, label_column: str | None = None,
                     first_bad_row(block, first_row)
                 labels += map(known.__getitem__, cells)
             blocks.append(values)
+    if unreadable is not None:
+        raise unreadable
     if not blocks:
         raise IngestError(f"{path}: no data rows")
     return DataMatrix(np.concatenate(blocks), [header[j] for j in feature_idx],

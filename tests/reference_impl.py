@@ -445,7 +445,10 @@ def _em_single(vals, k, gen, tol=1e-6, max_iter=500):
             return None
         chols, covs, bumped_now = refit
         bumped = bumped or bumped_now
-        fragile = any(np.diag(L).min() < 1e-7 * max(np.diag(L).max(), 1.0)
+        # The cutoff is sqrt(eps / 1e-6), the pivot ratio below which
+        # rounding alone can lower the log-likelihood by the 1e-6 fall test.
+        fragile = any(np.diag(L).min()
+                      < np.sqrt(np.finfo(float).eps / 1e-6) * max(np.diag(L).max(), 1.0)
                       for L in chols)
 
         log_joint = _log_joint(z, weights, means, chols)

@@ -231,6 +231,15 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="training row 5 is not finite"):
             fit_gmm(X, (1, 2), RngStream(20))
 
+    @pytest.mark.parametrize("seed", [1, 4, 6, 24, 32])
+    def test_plain_gaussian_data_fits(self, seed):
+        # On these 48 x 3 N(0, I) tables EM falls on a nearly collapsed
+        # component (pivot ratio just above 1e-7) at some G in 5..7; that
+        # is a degenerate fall, not a healthy one.
+        X = np.random.default_rng(seed).normal(size=(48, 3))
+        f = fit_gmm(X, (1, 9), RngStream(seed))
+        assert abs(f.weights.sum() - 1.0) < 1e-10
+
     def test_deterministic(self):
         gen = np.random.default_rng(17)
         X = gen.normal(size=(200, 2))

@@ -17,6 +17,8 @@ stacking the projection candidates must not change which projection is
 selected.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -1214,9 +1216,21 @@ def pam_points(gen, n):
     return X[gen.integers(0, n // 3, size=n)]
 
 
+def pam_outcome(pam, X, k):
+    """(medoids, labels, cost) of pam(X, k), or its RuntimeError's text."""
+    try:
+        result = pam(X, k)
+    except RuntimeError as err:
+        return str(err)
+    return result.medoids, result.assignment.tolist(), result.total_cost
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPam:
-    """Blocked BUILD and SWAP column sums pick the same medoids and costs
-    as whole n x n temporaries, on both sides of the block size."""
+    """Blocked BUILD column sums, and SWAP's float32 screen with exact float64
+    sums for the columns it cannot rule out, pick the same medoids and costs
+    as whole n x n temporaries, on both sides of the block size and across
+    the float32 range."""
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
     def test_matches_reference(self, n):
@@ -1227,6 +1241,82 @@ class TestPam:
             assert got.medoids == want.medoids
             assert np.array_equal(got.assignment, want.assignment)
             assert got.total_cost == want.total_cost
+
+    def test_matches_reference_on_banana(self):
+        # The cli-bulk geometry (a noisy arc) over four column blocks.
+        gen = np.random.default_rng(138)
+        angles = gen.uniform(-0.45 * np.pi, 0.45 * np.pi, size=900)
+        X = 5.0 * np.column_stack([np.sin(angles), np.cos(angles)]) \
+            + gen.normal(0.0, 0.8, size=(900, 2))
+        assert pam_outcome(classifier.pam, X, 5) == pam_outcome(ref.pam, X, 5)
+
+    @pytest.mark.parametrize("e", [-1070, -600, -150, -126, 100, 126, 127,
+                                   140, 200, 500])
+    def test_matches_reference_across_float32_range(self, e):
+        # Scaled by 2^e, the distances leave float32's range (the screen
+        # then rules nothing out) or its normal range; an integer grid puts
+        # exact ties against the current cost.
+        gen = np.random.default_rng(139)
+        grid = gen.integers(-3, 4, size=(300, 2)).astype(float)
+        cloud = gen.normal(size=(300, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X in (grid * 2.0 ** e, cloud * 2.0 ** e):
+                for k in (1, 4):
+                    assert pam_outcome(classifier.pam, X, k) \
+                        == pam_outcome(ref.pam, X, k)
+
+    @pytest.mark.parametrize("scale, half_ulp", [(1.0, 2.0 ** -24),
+                                                 (2.0 ** -140, 2.0 ** -10)],
+                             ids=["normal", "subnormal"])
+    def test_screen_keeps_a_gain_below_float32_resolution(self, scale, half_ulp):
+        # Column 290's new cost is below cost by less than float32 can
+        # resolve (half a float32 ulp relative, 2^-24 for normal numbers,
+        # 2^-10 near 2^-140), and its float32 sum lies above cost; the
+        # screen must still pass it on to the exact sum.
+        n, j = 300, 290
+        t = scale * (1.0 + half_ulp + half_ulp * 2.0 ** -16)
+        cost = n * scale * (1.0 + half_ulp + half_ulp * 2.0 ** -15)
+        base = np.full(n, 2.0 * scale)
+        dist = np.full((n, n), 3.0 * scale)
+        dist[:, j] = t
+        cols32 = dist.T.astype(np.float32, order="C")
+        assert float(np.minimum(cols32[j], base.astype(np.float32)).sum()) > cost
+        buf32 = np.empty((classifier._PAM_BLOCK, n), dtype=np.float32)
+        is_medoid = np.arange(n) == 0
+        assert classifier._first_below(cost, base, dist, cols32, is_medoid,
+                                       buf32) == (j, n * t)
+
+    def test_screen_skips_medoid_columns(self):
+        n = 300
+        dist = np.random.default_rng(142).uniform(1.0, 2.0, size=(n, n))
+        cols32 = dist.T.astype(np.float32, order="C")
+        buf32 = np.empty((classifier._PAM_BLOCK, n), dtype=np.float32)
+        j, _ = classifier._first_below(np.inf, np.full(n, 3.0), dist, cols32,
+                                       np.arange(n) != 271, buf32)
+        assert j == 271
+
+    def test_screen_rules_out_most_columns(self, monkeypatch):
+        # Only a few columns per scan are summed exactly on a plain cloud.
+        summed = []
+        fold = classifier._fold_sums
+        monkeypatch.setattr(classifier, "_fold_sums", lambda base, cols: (
+            summed.append(cols.shape[1]) or fold(base, cols)))
+        X = np.random.default_rng(140).normal(size=(600, 2))
+        classifier.pam(X, 5)
+        assert 0 < sum(summed) < 600
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 300])
+    def test_fold_sums_match_column_sums(self, width):
+        gen = np.random.default_rng(141 + width)
+        dist = classifier._pairwise_distances(pam_points(gen, 2000))
+        base = gen.permutation(dist[0])
+        buf = np.empty((classifier._PAM_BLOCK, 2000))
+        want = classifier._column_sums(
+            lambda r, out: np.minimum(base[r, None], dist[r], out=out), buf)
+        cols = np.sort(gen.choice(2000, width, replace=False))
+        assert np.array_equal(classifier._fold_sums(base, dist[:, cols]),
+                              want[cols])
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_column_sums_match_whole_array(self, n):
@@ -1240,8 +1330,8 @@ class TestPam:
 
     def test_distances_match_reference(self):
         gen = np.random.default_rng(137)
-        for _ in range(20):
-            X = pam_points(gen, int(gen.integers(1, 300)))
+        for n in [*gen.integers(1, 300, size=20), 513, 2000]:
+            X = pam_points(gen, int(n))
             assert np.array_equal(classifier._pairwise_distances(X),
                                   ref._pairwise_distances(X))
 

@@ -79,6 +79,21 @@ class TestIngestCsv:
         path = write(tmp_path / "d.csv", "# provenance\na,b\n1,2\n")
         assert ingest_csv(path).n == 1
 
+    def test_cell_over_field_limit_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path / "big.csv", "a,b\n1,2\n3," + "4" * 200_000 + "\n5,6\n")
+        assert run_cli("reduce", "--data", path, "--out", tmp_path / "r.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "row 3: field larger than field limit" in err
+        # A bad row before the unreadable one is named first; an unreadable
+        # header is row 1.
+        path = write(tmp_path / "b2.csv", "a,b\n1,x\n3," + "4" * 200_000 + "\n")
+        with pytest.raises(IngestError, match="row 2, column 'b'"):
+            ingest_csv(path)
+        path = write(tmp_path / "b3.csv", "a," + "b" * 200_000 + "\n1,2\n")
+        with pytest.raises(IngestError, match="row 1: field larger"):
+            ingest_csv(path)
+
 
 class TestGlassLoader:
     def test_study_subset(self):
@@ -565,6 +580,15 @@ class TestFitRefusals:
                        "--out", tmp_path / "m.json") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_plain_gaussian_table_fits(self, tmp_path):
+        # At seed 1 a 48 x 3 N(0, I) table once made EM fall on a nearly
+        # collapsed component and tocc fit exit 1.
+        rows = np.random.default_rng(1).normal(size=(48, 3))
+        data = write(tmp_path / "d.csv", "a,b,c\n" + "".join(
+            f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()))
+        assert run_cli("fit", "--data", data, "--method", "mix-gauss",
+                       "--seed", 1, "--out", tmp_path / "m.json") == 0
 
     def test_empty_component_range(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "a,b\n" + "".join(
