@@ -131,7 +131,9 @@ class BaselineModel:
             return self.density.pdf(vals)
         if self.kind == "kde":
             return _product_kde(self.train, self.bandwidths, vals)
-        d = np.linalg.norm(vals[:, None, :] - self.centroids[None, :, :], axis=2)
+        # A far query's distance overflows to inf, its limit.
+        with np.errstate(over="ignore"):
+            d = np.linalg.norm(vals[:, None, :] - self.centroids[None, :, :], axis=2)
         return d.min(axis=1)
 
     def predict(self, Z) -> PredictionResult:
@@ -146,10 +148,13 @@ _KDE_BLOCK = 64
 def _product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.ndarray:
     out = np.empty(queries.shape[0])
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * h).prod()
-    for start in range(0, queries.shape[0], _KDE_BLOCK):
-        rows = slice(start, start + _KDE_BLOCK)
-        z = (queries[rows, None, :] - train) / h
-        out[rows] = norm * np.exp(-0.5 * (z ** 2).sum(axis=2)).mean(axis=1)
+    # A far query's squared distance overflows to inf and its kernel to 0,
+    # the density's limit.
+    with np.errstate(over="ignore"):
+        for start in range(0, queries.shape[0], _KDE_BLOCK):
+            rows = slice(start, start + _KDE_BLOCK)
+            z = (queries[rows, None, :] - train) / h
+            out[rows] = norm * np.exp(-0.5 * (z ** 2).sum(axis=2)).mean(axis=1)
     return out
 
 
@@ -160,6 +165,26 @@ def _silverman_bandwidths(vals: np.ndarray) -> np.ndarray:
     if np.any(sd == 0):
         raise ValueError("kde: zero-variance feature, bandwidth undefined")
     return factor * sd
+
+
+def _gauss_fit(vals: np.ndarray) -> dict:
+    """The rows' mean and inverse covariance. A covariance that is singular,
+    or so near it that its inverse is not positive definite or gives a
+    training row a negative or non-finite squared distance, is an error."""
+    mean = vals.mean(axis=0)
+    cov = np.cov(vals, rowvar=False, ddof=1).reshape(vals.shape[1], vals.shape[1])
+    try:
+        cov_inv = np.linalg.inv(cov)
+        np.linalg.cholesky(cov_inv)
+    except np.linalg.LinAlgError:
+        cov_inv = np.full_like(cov, np.nan)
+    diff = vals - mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        forms = np.einsum("ij,jk,ik->i", diff, cov_inv, diff)
+    if not np.all(np.isfinite(forms) & (forms >= 0)):
+        raise ValueError("gauss: singular covariance (a feature is constant "
+                         "or a linear combination of others)")
+    return dict(mean=mean, cov_inv=cov_inv)
 
 
 def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
@@ -181,14 +206,7 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     names = list(X_target.feature_names) if hasattr(X_target, "feature_names") else None
 
     if kind == "gauss":
-        mean = vals.mean(axis=0)
-        cov = np.cov(vals, rowvar=False, ddof=1).reshape(vals.shape[1], vals.shape[1])
-        try:
-            cov_inv = np.linalg.inv(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("gauss: singular covariance (a feature is constant "
-                             "or a linear combination of others)") from exc
-        fitted = dict(mean=mean, cov_inv=cov_inv)
+        fitted = _gauss_fit(vals)
     elif kind == "mix_gauss":
         fitted = dict(density=fit_gmm(vals, components_range, rng))
     elif kind == "kde":

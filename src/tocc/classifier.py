@@ -378,8 +378,10 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     on mc_samples Monte Carlo draws from stream rng.child(997)."""
     vals = as_values(X_target)
     require_training_rows(vals, s, "fit_tocc_db")
-    density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
+    # Built first, so a bad mc_samples fails before the mixture search; it
+    # draws nothing until it is used.
     integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
+    density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
     return _calibrated([vals], "db", spatial_median(vals), [s], density=density,
                        integrator=integrator, feature_names=_feature_names(X_target))
 
@@ -417,7 +419,11 @@ def predict(model: ToccModel, Z) -> PredictionResult:
     vals = as_queries(Z, model.p, "predict")
     clusters = np.zeros(vals.shape[0], dtype=np.intp)
     if model.n_prototypes > 1:
-        clusters = np.linalg.norm(vals[:, None] - model.prototypes, axis=2).argmin(1)
+        # A far query's distances overflow to inf; when all of them do, it
+        # takes cluster 0.
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(vals[:, None] - model.prototypes, axis=2)
+        clusters = dist.argmin(1)
     scores = np.empty(vals.shape[0])
     for g in range(model.n_prototypes):
         rows = clusters == g

@@ -314,8 +314,8 @@ def _initial_params(z, labels, k, global_cov, reg_base):
 
 
 def _regularize_spd(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Nudge the diagonal until Cholesky succeeds; returns (factor, cov), or
-    None if hopeless."""
+    """Nudge the diagonal until Cholesky succeeds; returns (factor, cov),
+    cov itself when it factors as it is, or None if hopeless."""
     bump = 1e-8 * max(np.trace(cov) / cov.shape[0], 1e-12)
     for _ in range(8):
         try:
@@ -327,20 +327,22 @@ def _regularize_spd(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _chol_all(covs):
-    """Cholesky factors of every component as one (k, p, p) stack; returns
-    (factors, covs, bumped) or None if some component is beyond repair. A
-    failed stack is repaired component by component by _regularize_spd,
-    which leaves a healthy one unchanged and returns the factor it made; the
-    stacked call factors each matrix exactly as a per-matrix call does."""
+    """Cholesky factors of a (..., p, p) stack; returns (factors, covs,
+    bumped), bumped one flag per matrix. A failed stack is repaired matrix
+    by matrix by _regularize_spd, which leaves a healthy matrix and its
+    factor as the stacked call makes them (it factors each matrix exactly
+    as a per-matrix call does); a matrix is bumped when the repair returned
+    a ridged copy, and one beyond repair keeps its covariance and gets a nan
+    factor."""
     try:
-        return np.linalg.cholesky(covs), covs, False
+        return np.linalg.cholesky(covs), covs, np.zeros(covs.shape[:-2], bool)
     except np.linalg.LinAlgError:
         pass
-    fixed = [_regularize_spd(cov) for cov in covs]
-    if any(f is None for f in fixed):
-        return None
-    chols, covs = zip(*fixed)
-    return np.array(chols), np.array(covs), True
+    mats = list(covs.reshape(-1, *covs.shape[-2:]))
+    fixed = [_regularize_spd(cov) or (np.full_like(cov, np.nan), cov) for cov in mats]
+    bumped = np.array([f[1] is not cov for f, cov in zip(fixed, mats)])
+    chols, covs_out = (np.reshape(a, covs.shape) for a in zip(*fixed))
+    return chols, covs_out, bumped.reshape(covs.shape[:-2])
 
 
 def _em_restarts(z, k, gens, global_cov, reg_base):
@@ -355,7 +357,9 @@ def _em_restarts(z, k, gens, global_cov, reg_base):
     covariance had to be ridge-bumped, or on a factor with a tiny pivot
     (a component collapsing onto a lower-dimensional set, where float
     arithmetic can wobble downhill), means the run has gone degenerate, so
-    it keeps its last clean iterate.
+    it keeps its last clean iterate. A covariance beyond repair gets a nan
+    factor, so its run's log-likelihood is nan and the run leaves as None
+    on that iteration, as it does alone.
     """
     n = z.shape[0]
     starts = [_initial_params(z, kmeans_lloyd(z, k, gen)[1], k, global_cov,
@@ -366,61 +370,44 @@ def _em_restarts(z, k, gens, global_cov, reg_base):
     prev_ll = np.full(len(gens), -np.inf)
     prev_state = weights, means, covs
     for _ in range(_EM_MAX_ITER):
-        try:
-            chols, bumped = np.linalg.cholesky(covs), np.zeros(live.size, bool)
-        except np.linalg.LinAlgError:
-            # Factor run by run; only a failing run takes the ridge repair,
-            # and a run beyond repair leaves the stack as None.
-            refits = [_chol_all(c) for c in covs]
-            ok = np.array([refit is not None for refit in refits])
-            if not ok.any():
-                return runs
-            chols, covs, bumped = (np.array(a) for a in zip(*filter(None, refits)))
-            weights, means, prev_ll, live = (
-                a[ok] for a in (weights, means, prev_ll, live))
-            prev_state = tuple(a[ok] for a in prev_state)
-
+        chols, covs, bumped = _chol_all(covs)
         log_joint = _component_logpdf(z, means, chols) \
             + np.log(np.maximum(weights, 1e-300))[..., None]
         row_ll = logsumexp(log_joint)
         ll = row_ll.sum(axis=1)
+        # The frozen EM sums responsibilities over a fresh n x k array: a
+        # fresh copy (C strides even when k = 1) gives nk and the means'
+        # matmul operand the same bits.
         with np.errstate(invalid="ignore"):
-            going = (ll - prev_ll >= _EM_TOL) & (ll < np.inf)
-        if not going.all():
-            # Some run stops: a non-finite log-likelihood, a fall, or
-            # convergence (prev_ll is -inf only before the first step).
+            gain = ll - prev_ll
+            resp_kn = np.exp(log_joint - row_ll[:, None, :])
+            resp = resp_kn.transpose(0, 2, 1).copy()
+            nk = resp.sum(axis=1)
+            # A +inf log-likelihood comes from a +inf log density, whose
+            # weight is nan, so only a finite one goes on.
+            keep = (gain >= _EM_TOL) & (nk >= 1e-10).all(axis=1)
+        if not keep.all():
+            # A run stops on a non-finite log-likelihood (None), a fall (its
+            # last clean iterate), convergence (this iterate; prev_ll is
+            # -inf only before the first step) or, still climbing, a
+            # vanishing weight (None).
             bad = ~np.isfinite(ll)
             fell = ~bad & (ll < prev_ll - _EM_FALL * np.maximum(1.0, np.abs(prev_ll)))
-            done = ~going & ~bad & ~fell
             for i in np.flatnonzero(fell):
                 pivots = np.diagonal(chols[i], axis1=1, axis2=2)
                 fragile = np.any(pivots.min(axis=1) < _EM_FRAGILE_PIVOT
                                  * np.maximum(pivots.max(axis=1), 1.0))
-                if not (bumped[i] or fragile):
+                if not (bumped[i].any() or fragile):
                     raise RuntimeError("EM log-likelihood decreased on a healthy step")
                 runs[live[i]] = tuple(a[i] for a in prev_state), float(prev_ll[i])
-            for i in np.flatnonzero(done):
+            for i in np.flatnonzero(~bad & ~fell & (gain < _EM_TOL)):
                 runs[live[i]] = (weights[i], means[i], covs[i]), float(ll[i])
-            weights, means, covs, ll, live, log_joint, row_ll = (
-                a[going] for a in (weights, means, covs, ll, live, log_joint, row_ll))
+            weights, means, covs, ll, live, resp_kn, resp, nk = (
+                a[keep] for a in (weights, means, covs, ll, live, resp_kn, resp, nk))
             if not live.size:
                 return runs
         prev_ll, prev_state = ll, (weights, means, covs)
 
-        # The frozen EM sums responsibilities over a fresh n x k array: a
-        # fresh copy (C strides even when k = 1) gives nk and the means'
-        # matmul operand the same bits.
-        resp_kn = np.exp(log_joint - row_ll[:, None, :])
-        resp = resp_kn.transpose(0, 2, 1).copy()
-        nk = resp.sum(axis=1)
-        if (nk < 1e-10).any():
-            # A vanishing weight: the run degenerates (None).
-            keep = ~(nk < 1e-10).any(axis=1)
-            resp_kn, resp, nk, prev_ll, live = (
-                a[keep] for a in (resp_kn, resp, nk, prev_ll, live))
-            prev_state = tuple(a[keep] for a in prev_state)
-            if not live.size:
-                return runs
         weights = nk / n
         means = (resp.transpose(0, 2, 1) @ z) / nk[..., None]
         # The covariance gemm's bits depend on its operands' layout, which
@@ -502,15 +489,15 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
         ranked = sorted(filter(None, runs), key=lambda run: run[1] - shift,
                         reverse=True)
         for (weights, means, covs), ll in ranked:
-            refit = _chol_all(covs * scale[None, :, None] * scale[None, None, :])
-            if refit is not None:
+            chols, covs, _ = _chol_all(covs * scale[None, :, None] * scale[None, None, :])
+            if np.isfinite(chols).all():
                 break
         else:
             continue
         n_params = (k - 1) + k * p + k * p * (p + 1) // 2
         bic = 2.0 * (ll - shift) - n_params * np.log(n)
         if best is None or bic > best[0]:
-            best = (bic, MixtureDensity(weights, means * scale + center, refit[1]))
+            best = (bic, MixtureDensity(weights, means * scale + center, covs))
     if best is None:
         raise ValueError("fit_gmm: every candidate component count was degenerate")
     return best[1]

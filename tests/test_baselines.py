@@ -39,6 +39,18 @@ class TestGauss:
         with pytest.raises(ValueError, match="singular covariance"):
             fit_baseline("gauss", X, 0.9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed, noise", [(17, 1e-9), (12, 1e-8), (2, 1e-9)])
+    def test_near_singular_covariance_message(self, seed, noise):
+        # The inverse of a near-collinear covariance can pass as positive
+        # definite and still give training rows a negative squared distance
+        # (seeds 17 and 12), or fail to be positive definite (seed 2).
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=87)
+        X = np.column_stack([x, 2 * x + noise * gen.normal(size=87)])
+        with pytest.raises(ValueError, match="singular covariance"):
+            fit_baseline("gauss", X, 0.9)
+
 
 class TestKmeans:
     def test_k_equals_n(self):

@@ -3,6 +3,7 @@ import pytest
 
 from tocc import (MixtureDensity, RngStream, ToccModel, fit_pam_tocc_df,
                   fit_tocc_db, fit_tocc_df, load_glass, pam, predict)
+from tocc import classifier
 
 
 def two_blobs(seed=0, n=50, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
@@ -145,6 +146,15 @@ class TestFitToccDb:
         sd = float(np.sqrt(model.density.covariances[0, 0, 0]))
         score = predict(model, np.array([[mu + 1.2816 * sd]])).score[0]
         assert score == pytest.approx(0.2, abs=0.02)
+
+    def test_mc_samples_checked_before_the_mixture_search(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("fit_gmm ran before mc_samples was checked")
+
+        monkeypatch.setattr(classifier, "fit_gmm", spy)
+        X = np.random.default_rng(26).normal(size=(60, 2))
+        with pytest.raises(ValueError, match="mc_samples >= 10000"):
+            fit_tocc_db(X, 0.9, RngStream(27), mc_samples=5)
 
 
 class TestFitPamToccDf:

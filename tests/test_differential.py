@@ -590,9 +590,10 @@ def assert_same_em(vals, k, streams):
                               max_iter=density._EM_MAX_ITER)
         if run is not None:
             (weights, means, covs), ll = run
-            refit = density._chol_all(covs * scale[None, :, None] * scale[None, None, :])
-            run = None if refit is None else (
-                MixtureDensity(weights, means * scale + center, refit[1]),
+            chols, covs, _ = density._chol_all(covs * scale[None, :, None]
+                                               * scale[None, None, :])
+            run = None if not np.isfinite(chols).all() else (
+                MixtureDensity(weights, means * scale + center, covs),
                 ll - vals.shape[0] * float(np.log(scale).sum()))
         mapped.append(run)
         if run is None or want is None:
@@ -753,9 +754,44 @@ def assert_same_fit(vals, components_range, seed, n_restarts):
     assert np.array_equal(got.covariances, want.covariances)
 
 
+def awkward_table(kind, n, p):
+    """n x p rows of N(0, I) that strain the EM: with a constant column, a
+    column that nearly repeats another (condition number about 1e16), each
+    row repeated six times, rounded to an integer grid (ties), or scaled by
+    2^kind."""
+    gen = np.random.default_rng(200 + n + p)
+    X = gen.normal(size=(n, p))
+    if kind == "constant":
+        X[:, -1] = 3.0
+    elif kind == "collinear":
+        X[:, -1] = X[:, 0] + 1e-8 * gen.normal(size=n)
+    elif kind == "duplicated":
+        X = np.repeat(X[:-(-n // 6)], 6, axis=0)[:n]
+    elif kind == "grid":
+        X = np.round(X * 1.5)
+    else:
+        X *= 2.0 ** kind
+    return X
+
+
+# Each shape at every n, p alternating; a scaling runs the EM of its
+# unscaled table, so each takes one (n, p).
+AWKWARD = [(kind, n, 2 + (i + j) % 2)
+           for i, kind in enumerate(["constant", "collinear", "duplicated", "grid"])
+           for j, n in enumerate((30, 48, 87))] \
+    + [(-300, 30, 2), (-40, 48, 3), (40, 87, 2), (300, 87, 3)]
+
+
 class TestFitGmmSearch:
     """fit_gmm standardizes once per call and maps one restart per G back;
     the frozen search standardizes and maps back every restart."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, n, p", AWKWARD)
+    def test_awkward_tables(self, kind, n, p):
+        # Collapsing components take the ridge repair, and restarts leave
+        # the stack at different steps.
+        assert_same_fit(awkward_table(kind, n, p), (1, 9), n + p, 2)
 
     def test_glass_pairs(self, monkeypatch):
         # RI/Na at stream 71 holds the G = 6 restart whose covariance takes
@@ -784,8 +820,12 @@ class TestFitGmmSearch:
         to_data = [run[0][2] * scale[None, :, None] * scale[None, None, :]
                    for run in runs]
         chol_all = density._chol_all
-        monkeypatch.setattr(density, "_chol_all", lambda covs: None if
-                            np.array_equal(covs, to_data[first]) else chol_all(covs))
+
+        def beyond_repair(covs):
+            if not np.array_equal(covs, to_data[first]):
+                return chol_all(covs)
+            return np.full_like(covs, np.nan), covs, np.zeros(len(covs), bool)
+        monkeypatch.setattr(density, "_chol_all", beyond_repair)
         f = fit_gmm(vals, (4, 4), RngStream(2), n_restarts=3)
         weights, means, _ = runs[second][0]
         assert np.array_equal(f.weights, weights)
@@ -893,13 +933,14 @@ class TestCentered:
 
 class TestCholAll:
     def test_repair_returns_its_factors(self):
-        # A failed stack is repaired component by component, each factored
-        # once: the factors equal a fresh stacked factorization of the
-        # repaired covariances, which match the frozen repair.
+        # A failed stack is repaired matrix by matrix, each factored once:
+        # the factors equal a fresh stacked factorization of the repaired
+        # covariances, which match the frozen repair, and only the ridged
+        # matrix is flagged as bumped.
         covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
                          [[1.0, 0.0], [0.0, 3.0]]])
         chols, fixed, bumped = density._chol_all(covs)
-        assert bumped
+        assert bumped.tolist() == [False, True, False]
         assert np.array_equal(chols, np.linalg.cholesky(fixed))
         _, want, _ = ref._chol_all(covs)
         assert np.array_equal(fixed, want)

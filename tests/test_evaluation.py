@@ -3,6 +3,7 @@ import pytest
 
 from tocc import (Method, RngStream, ScenarioSpec, confusion_metrics,
                   evaluate_method, make_method, roc_curve, run_benchmark)
+from tocc.evaluation import ALL_METHODS, fit_method
 
 
 class TestConfusionMetrics:
@@ -143,3 +144,19 @@ class TestEvaluateMethod:
     def test_unknown_setting(self):
         with pytest.raises(TypeError):
             make_method("pam-tocc-df", 0.9, pam_k=4)
+
+
+class TestFarQueries:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_scored_at_the_limit(self, method):
+        # Distances to these queries overflow: they score at the limit
+        # (density or transvariation 0, distance inf), are rejected, and
+        # raise no floating-point warning.
+        X = np.random.default_rng(64).normal(size=(60, 2))
+        model = fit_method(method, X, 0.9, RngStream(65), k=2, mc_samples=10_000,
+                           components_range=(1, 2), n_restarts=1)
+        result = model.predict(np.array([[1e200, 0.0], [-1e300, 1e300]]))
+        limit = np.inf if method in ("gauss", "kmeans") else 0.0
+        assert result.score.tolist() == [limit, limit]
+        assert not result.accept.any()

@@ -483,11 +483,12 @@ def edit_paths(value, path=()):
 
 
 class TestModelFileSweep:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_edit_predicts_or_exits_2(self, tmp_path, capsys,
                                             monkeypatch):
         # A valid edit, such as another threshold, may predict; nothing may
-        # raise past main or exit with more than one line on stderr. One
-        # parser serves every run, as building it costs more than a run.
+        # warn, raise past main or exit with more than one line on stderr.
+        # One parser serves every run, as building it costs more than a run.
         parser = tocc.cli.build_parser()
         monkeypatch.setattr(tocc.cli, "build_parser", lambda: parser)
         X = np.random.default_rng(60).normal(size=(30, 2))
