@@ -23,7 +23,7 @@ from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
                       require_feature_names, require_training_rows,
                       spatial_median)
-from .transvariation import DROP_EPS, TpRows, tp_density_scores, tp_scores
+from .transvariation import DROP_EPS, tp_density_scores, tp_scores
 
 
 @dataclass
@@ -142,15 +142,6 @@ class ToccModel:
     def predict(self, Z) -> "PredictionResult":
         return predict(self, Z)
 
-    def _score(self, g: int, Z) -> TpRows:
-        """Score the float rows Z against prototype g: under the fitted
-        density for db, by counting against group g otherwise. The one place
-        a variant picks its kernel."""
-        if self.variant == "db":
-            return tp_density_scores(self.density, Z, self.prototypes[g],
-                                     self.integrator, self.eps)
-        return tp_scores(self.groups[g], Z, self.prototypes[g], self.eps)
-
 
 @dataclass
 class PredictionResult:
@@ -221,6 +212,15 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
         raise ValueError(f"pam: k={k} exceeds n={n}")
     if k < 1:
         raise ValueError("pam: k must be at least 1")
+    # Beyond 2^+-255 the squares of the Gram trick overflow or fall below
+    # the normal range and lose their bits. Such rows are scaled by a power
+    # of two, exactly, so that their largest entry lies in [0.5, 1); the
+    # medoids do not change, and the cost is scaled back at the end.
+    shift = 0
+    big = np.abs(vals).max()
+    if 0 < big < np.inf and not 2.0 ** -255 <= big <= 2.0 ** 255:
+        shift = int(np.frexp(big)[1])
+        vals = np.ldexp(vals, -shift)
     dist = _pairwise_distances(vals)
 
     # BUILD: first medoid minimizes total distance; each next one maximizes
@@ -241,7 +241,7 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
     # SWAP screens candidate columns in float32, one contiguous row of
     # cols32 per column of dist. A float32 cast or sum may overflow to inf,
     # which _first_below allows for; nothing in float64 can overflow here
-    # (a distance is at most sqrt of the largest double, 2^512).
+    # (every entry is at most 2^255, so a distance is below 2^257 sqrt(p)).
     with np.errstate(over="ignore"):
         cols32 = dist.T.astype(np.float32, order="C")
         buf32 = np.empty((min(n, _PAM_BLOCK), n), dtype=np.float32)
@@ -265,10 +265,14 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
             else:
                 break
 
+    # final_cost and cost add the same n nonnegative distances in two
+    # orders, each within gamma_{n-1} of their exact sum (Higham 2002, 4.2),
+    # so for n u <= 1/4 they differ by at most 4 n u of cost, u = 2^-53.
     assignment, d1, final_cost = _assignment_cost(dist, medoids)
-    if not final_cost <= cost + 1e-9:
+    if not final_cost <= cost * (1.0 + 4.0 * n * 2.0 ** -53):
         raise RuntimeError("PAM cost increased during SWAP")
-    return PamResult(list(medoids), assignment, final_cost)
+    return PamResult(list(medoids), assignment,
+                     float(np.ldexp(final_cost, shift)))
 
 
 def _fold_sums(base, cols) -> np.ndarray:
@@ -351,23 +355,54 @@ def _feature_names(X):
     return list(X.feature_names) if hasattr(X, "feature_names") else None
 
 
-def _calibrated(own_rows, variant, prototypes, s, **fields) -> ToccModel:
-    """A ToccModel whose threshold g is the (1 - s_g) type-1 quantile of the
-    scores of group g's own rows, own_rows[g], against prototype g."""
-    model = ToccModel(variant, prototypes, np.zeros(len(own_rows)), s, **fields)
-    model.thresholds = np.array([
-        empirical_quantile(model._score(g, rows).value, 1.0 - sg)
-        for g, (rows, sg) in enumerate(zip(own_rows, model.sensitivity))])
-    return model
+def _calibrated(models, own_rows) -> list[ToccModel]:
+    """The models, each threshold g set to the (1 - s_g) type-1 quantile of
+    the scores of own_rows[i][g], the rows of model i's group g, against
+    prototype g; all models' rows are scored together by prototype_scores."""
+    rows = [np.concatenate(groups) for groups in own_rows]
+    clusters = [np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+                for groups in own_rows]
+    scores = prototype_scores(models, rows, clusters)
+    for model, score, labels in zip(models, scores, clusters):
+        model.thresholds = np.array([
+            empirical_quantile(score[labels == g], 1.0 - sg)
+            for g, sg in enumerate(model.sensitivity)])
+    return models
+
+
+def _draft(X_target, s: float, k: int | None) -> ToccModel:
+    """The uncalibrated model of the training rows X_target: tocc-df's (k
+    None), or PAM-TOCC's with k clusters, stepped down as fit_pam_tocc_df
+    says."""
+    vals = as_values(X_target)
+    names = _feature_names(X_target)
+    if k is None:
+        require_training_rows(vals, s, "fit_tocc_df")
+        return ToccModel("df", spatial_median(vals), [0.0], [s],
+                         groups=[vals.copy()], feature_names=names)
+    require_training_rows(vals, s, "fit_pam_tocc_df")
+    while True:
+        result = pam(vals, k)
+        if np.bincount(result.assignment, minlength=k).min() >= 3:
+            break
+        k -= 1
+    return ToccModel("pam_df", vals[result.medoids], np.zeros(k), [s] * k,
+                     groups=[vals[result.assignment == g] for g in range(k)],
+                     feature_names=names, pam=result)
+
+
+def fit_counting(tables, s: float, k: int | None = None) -> list[ToccModel]:
+    """One counting-form model per training table, all calibrated in one
+    tp_scores call: tocc-df's (k None), or PAM-TOCC's with up to k
+    clusters."""
+    models = [_draft(X, s, k) for X in tables]
+    return _calibrated(models, [m.groups for m in models])
 
 
 def fit_tocc_df(X_target, s: float) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
-    vals = as_values(X_target)
-    require_training_rows(vals, s, "fit_tocc_df")
-    return _calibrated([vals], "df", spatial_median(vals), [s], groups=[vals.copy()],
-                       feature_names=_feature_names(X_target))
+    return fit_counting([X_target], s)[0]
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
@@ -382,8 +417,10 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     # draws nothing until it is used.
     integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
     density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
-    return _calibrated([vals], "db", spatial_median(vals), [s], density=density,
-                       integrator=integrator, feature_names=_feature_names(X_target))
+    model = ToccModel("db", spatial_median(vals), [0.0], [s], density=density,
+                      integrator=integrator,
+                      feature_names=_feature_names(X_target))
+    return _calibrated([model], [[vals]])[0]
 
 
 def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
@@ -394,17 +431,7 @@ def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
     k by one until all clusters are large enough (k = 1 always is);
     model.n_prototypes is the k used.
     """
-    vals = as_values(X_target)
-    require_training_rows(vals, s, "fit_pam_tocc_df")
-    while True:
-        result = pam(vals, k)
-        if np.bincount(result.assignment, minlength=k).min() >= 3:
-            break
-        k -= 1
-    groups = [vals[result.assignment == g] for g in range(k)]
-    return _calibrated(groups, "pam_df", vals[result.medoids], [s] * k,
-                       groups=groups, feature_names=_feature_names(X_target),
-                       pam=result)
+    return fit_counting([X_target], s, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +444,62 @@ def predict(model: ToccModel, Z) -> PredictionResult:
     lowest cluster index) and accept it when the score reaches that
     prototype's threshold. Z must be finite and as wide as the model."""
     vals = as_queries(Z, model.p, "predict")
-    clusters = np.zeros(vals.shape[0], dtype=np.intp)
-    if model.n_prototypes > 1:
-        # A far query's distances overflow to inf; when all of them do, it
-        # takes cluster 0.
-        with np.errstate(over="ignore"):
-            dist = np.linalg.norm(vals[:, None] - model.prototypes, axis=2)
-        clusters = dist.argmin(1)
-    scores = np.empty(vals.shape[0])
-    for g in range(model.n_prototypes):
-        rows = clusters == g
-        scores[rows] = model._score(g, vals[rows]).value
+    clusters = nearest_prototypes(vals[None], model.prototypes[None])[0]
+    scores = prototype_scores([model], [vals], [clusters])[0]
     return PredictionResult(scores >= model.thresholds[clusters], scores,
                             clusters if model.variant == "pam_df" else None)
+
+
+def nearest_prototypes(Z, prototypes) -> np.ndarray:
+    """The index of each query's nearest prototype in each of V views at
+    once, for queries Z (V x q x p) and prototypes (V x k x p), rows of +inf
+    padding a view's prototypes: ties go to the lowest index, and a query
+    at inf from every prototype goes to 0. One prototype of every view at
+    a time, so no V x q x k x p array is held."""
+    nearest = np.zeros(Z.shape[:2], dtype=np.intp)
+    if prototypes.shape[1] == 1:
+        return nearest
+    least = np.full(Z.shape[:2], np.inf)
+    # A far query's distances overflow to inf.
+    with np.errstate(over="ignore"):
+        for j in range(prototypes.shape[1]):
+            dist = np.linalg.norm(Z - prototypes[:, j, None], axis=2)
+            closer = dist < least
+            nearest[closer], least[closer] = j, dist[closer]
+    return nearest
+
+
+def prototype_scores(models, Zs, clusters) -> list[np.ndarray]:
+    """The score of each row of Zs[i] against prototype clusters[i] of
+    models[i]. All (model, prototype) segments of df and pam_df models are
+    counted in one tp_scores call, their groups and queries padded with
+    rows of nan to the longest; a db model's rows are scored under its
+    density, one tp_density_scores call per prototype."""
+    scores = [np.empty(len(Z)) for Z in Zs]
+    segments = []
+    for model, Z, labels, out in zip(models, Zs, clusters, scores):
+        for g in range(model.n_prototypes):
+            rows = labels == g
+            if model.variant == "db":
+                out[rows] = tp_density_scores(
+                    model.density, Z[rows], model.prototypes[g],
+                    model.integrator, model.eps).value
+            else:
+                segments.append((out, rows, model.groups[g], Z[rows],
+                                 model.prototypes[g], model.eps))
+    if segments:
+        outs, rows, groups, queries, prototypes, eps = zip(*segments)
+        values = tp_scores(stack_rows(groups, np.nan), stack_rows(queries, np.nan),
+                           np.array(prototypes), np.array(eps)).value
+        for out, where, value in zip(outs, rows, values):
+            out[where] = value[:np.count_nonzero(where)]
+    return scores
+
+
+def stack_rows(arrays, fill) -> np.ndarray:
+    """The 2-D arrays, all p wide, as one S x n x p array, each padded to
+    the longest with rows of fill."""
+    sizes = np.array([len(a) for a in arrays])
+    out = np.full((len(arrays), sizes.max(), arrays[0].shape[1]), fill)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(arrays)
+    return out

@@ -244,8 +244,8 @@ def box_masses(density: MixtureDensity, lower, upper,
         draws = integrator.samples(density)
         # The draws are finite, so the closed box holds the draws of the
         # open box one ulp wider on every side.
-        inside = box_counts(draws, np.nextafter(lower[rows], -np.inf),
-                            np.nextafter(upper[rows], np.inf))
+        inside = box_counts(draws[None], np.nextafter(lower[rows], -np.inf)[None],
+                            np.nextafter(upper[rows], np.inf)[None])[0]
         mass[rows] = inside / draws.shape[0]
     return mass
 

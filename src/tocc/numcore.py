@@ -165,16 +165,16 @@ def require_symmetric(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
-# Rows per block of the points a box count reads, and point-box pairs per
-# tile of its comparison loop: cache-resident, and flat in memory at any
-# number of points.
+# Rows per block of the points a box count reads, and segment-box-row
+# triples per tile of its comparison loop: cache-resident, and flat in
+# memory at any number of points.
 _CHUNK_ELEMENTS = 2 ** 14
 
-# A block of rows is counted by the p = 2 sweep when every box is one-sided
-# and there are at least _SWEEP_MIN_BOXES boxes and _SWEEP_MIN_PAIRS
-# row-box pairs: the loop's cost grows with the pairs, the sweep's with the
-# rows. Best of 15 runs on a 2-core Xeon (Python 3.11, numpy 2.4), one
-# box_counts call, loop / sweep in ms:
+# A segment's block of rows is counted by the p = 2 sweep when every box of
+# the segment is one-sided and there are at least _SWEEP_MIN_BOXES boxes
+# and _SWEEP_MIN_PAIRS row-box pairs: the loop's cost grows with the pairs,
+# the sweep's with the rows. Best of 15 runs on a 2-core Xeon (Python 3.11,
+# numpy 2.4), one box_counts call on one segment, loop / sweep in ms:
 #     rows     96 boxes     128 boxes     192 boxes     256 boxes
 #      500    0.22 / 0.27   0.29 / 0.30   0.43 / 0.34   0.57 / 0.40
 #    2 000    0.84 / 0.64   1.37 / 0.75   1.90 / 0.93   2.67 / 0.96
@@ -188,38 +188,86 @@ _SWEEP_MIN_PAIRS = 2 ** 17
 
 
 def box_counts(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Count of the rows of the n x p points X strictly inside each open box
-    lower[i] < x < upper[i] of the q x p bounds, +-inf allowed.
+    """Count of the rows of segment s of the S x n x p points X strictly
+    inside each open box lower[s, i] < x < upper[s, i] of the S x b x p
+    bounds, +-inf allowed, as an S x b array. A row of nan pads a segment
+    and lies in no box.
 
-    X is read in blocks of at most _CHUNK_ELEMENTS rows. A block is counted
-    by _sweep_counts when p = 2, every box is one-sided (each coordinate a
-    half-line (a, inf) or (-inf, a), or the whole line) and the block is
-    large enough, and otherwise by comparing every row with every box in
-    cache-sized tiles. Both count exactly, so the choice never moves a
-    count.
+    Each segment's rows are read in blocks of at most _CHUNK_ELEMENTS. A
+    segment is counted on its own by _sweep_counts when p = 2, every one of
+    its boxes is one-sided (each coordinate a half-line (a, inf) or
+    (-inf, a), or the whole line) and its blocks are large enough; all
+    other segments are counted together by comparing every row with every
+    box of its segment in cache-sized tiles. Both count exactly, so the
+    choice never moves a count.
     """
-    q, p = lower.shape
-    block = min(X.shape[0], _CHUNK_ELEMENTS) or 1
+    S, b, p = lower.shape
+    real = ~np.isnan(X).any(axis=2)
+    sweep = np.zeros(S, dtype=bool)
+    if p == 2 and b >= _SWEEP_MIN_BOXES:
+        sweep = ((np.minimum(real.sum(axis=1), _CHUNK_ELEMENTS) * b
+                  >= _SWEEP_MIN_PAIRS)
+                 & np.all((lower == -np.inf) | (upper == np.inf), axis=(1, 2)))
+    if not sweep.any():
+        return _tiled_counts(X, lower, upper)
+    counts = np.zeros((S, b), dtype=np.int64)
+    for s in np.flatnonzero(sweep):
+        rows = X[s, real[s]]
+        up = upper[s] == np.inf
+        anchors = np.where(up, lower[s], upper[s])
+        for first in range(0, rows.shape[0], _CHUNK_ELEMENTS):
+            block = rows[first:first + _CHUNK_ELEMENTS]
+            if block.shape[0] * b >= _SWEEP_MIN_PAIRS:
+                counts[s] += _sweep_counts(block, anchors, up)
+            else:
+                counts[s] += _tiled_counts(block[None], lower[s, None],
+                                           upper[s, None])[0]
+    rest = np.flatnonzero(~sweep)
+    if rest.size:
+        counts[rest] = _tiled_counts(X[rest], lower[rest], upper[rest])
+    return counts
+
+
+def _tiled_counts(X, lower, upper):
+    """box_counts by comparisons, for every segment at once. A box bounded
+    nowhere holds every finite row of its segment. The other boxes, in
+    segment order, form one axis cut into tiles of at most
+    _CHUNK_ELEMENTS box-row pairs, each compared with the rows of its
+    segment up to the last row that is not padding in any segment of the
+    tile: a tile inside one segment reads that segment's rows, and a tile
+    spanning several gathers each box's segment rows."""
+    S, b, p = lower.shape
+    counts = np.zeros((S, b), dtype=np.int64)
+    free = np.all((lower == -np.inf) & (upper == np.inf), axis=2)
+    counts += np.where(free, np.isfinite(X).all(axis=2).sum(axis=1)[:, None], 0)
+    segment, index = np.nonzero(~free)
+    lower, upper = lower[segment, index], upper[segment, index]
+    real = ~np.isnan(X).any(axis=2)
+    ends = X.shape[1] - np.argmax(real[:, ::-1], axis=1)
+    block = min(X.shape[1], _CHUNK_ELEMENTS) or 1
     step = max(1, _CHUNK_ELEMENTS // block)
-    sweep = (p == 2 and q >= _SWEEP_MIN_BOXES and block * q >= _SWEEP_MIN_PAIRS
-             and np.all((lower == -np.inf) | (upper == np.inf)))
-    if sweep:
-        up = upper == np.inf
-        anchors = np.where(up, lower, upper)
-    counts = np.zeros(q, dtype=np.int64)
-    for first in range(0, X.shape[0], block):
-        rows = X[first:first + block]
-        if sweep and rows.shape[0] * q >= _SWEEP_MIN_PAIRS:
-            counts += _sweep_counts(rows, anchors, up)
-            continue
-        XT = np.ascontiguousarray(rows.T)
-        for start in range(0, q, step):
+    # Per tile: its first box, its first and last segment, and the end of
+    # the rows it reads.
+    starts = np.arange(0, segment.size, step)
+    tiles = list(zip(starts.tolist(), segment[starts].tolist(),
+                     segment[np.minimum(starts + step, segment.size) - 1].tolist(),
+                     np.maximum.reduceat(ends[segment], starts).tolist()
+                     if starts.size else []))
+    found = np.zeros(segment.size, dtype=np.int64)
+    for first in range(0, X.shape[1], block):
+        XT = np.ascontiguousarray(X[:, first:first + block].transpose(2, 0, 1))
+        for start, low, high, end in tiles:
             box = slice(start, start + step)
-            inside = np.ones((lower[box].shape[0], XT.shape[1]), dtype=bool)
-            for u in range(p):
-                inside &= XT[u] > lower[box, u, None]
-                inside &= XT[u] < upper[box, u, None]
-            counts[box] += np.count_nonzero(inside, axis=1)
+            cols = XT[:, :, :max(0, end - first)]
+            rows = (cols[:, low, None] if low == high
+                    else np.take(cols, segment[box], axis=1))
+            inside = ((rows[0] > lower[box, 0, None])
+                      & (rows[0] < upper[box, 0, None]))
+            for u in range(1, p):
+                inside &= rows[u] > lower[box, u, None]
+                inside &= rows[u] < upper[box, u, None]
+            found[box] += np.count_nonzero(inside, axis=1)
+    counts[segment, index] += found
     return counts
 
 
@@ -254,21 +302,45 @@ def _sweep_counts(X, A, up):
 
 
 def tie_counts(X: np.ndarray, A: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Count of the rows of the n x p points X equal to each row of the
-    q x p anchors A on the coordinates its row of the boolean mask kept
-    keeps, 0 for a row that keeps none: per distinct mask row, by sorting
-    one key per row of X on its columns and searching it for the anchors'."""
-    counts = np.zeros(A.shape[0], dtype=np.int64)
-    _, first, which = np.unique(_row_keys(kept + 0.0), return_index=True,
-                                return_inverse=True)
+    """Count of the rows of segment s of the S x n x p points X equal to
+    each anchor A[s, i] of the S x b x p anchors on the coordinates its row
+    kept[s, i] of the boolean mask keeps, 0 for an anchor that keeps none,
+    as an S x b array; a row of nan pads a segment and equals no anchor.
+    Per distinct mask row, by sorting one integer key per row of X, its
+    segment and the rank of its columns among the distinct rows, and
+    searching it for the anchors'."""
+    S, n, p = X.shape
+    b = A.shape[1]
+    X, A, kept = X.reshape(-1, p), A.reshape(-1, p), kept.reshape(-1, p)
+    counts = np.zeros(S * b, dtype=np.int64)
+    first, which = distinct_rows(kept)
     for j, cols in enumerate(kept[first]):
         if cols.any():
             rows = np.flatnonzero(which == j)
-            keys = np.sort(_row_keys(X[:, cols]))
+            # Each row's rank among the distinct row keys, led by its
+            # segment; an anchor equal to no row gets -1.
+            distinct, rank = np.unique(_row_keys(X[:, cols]), return_inverse=True)
+            keys = np.sort(np.arange(S * n) // n * distinct.size + rank.reshape(-1))
             anchors = _row_keys(A[np.ix_(rows, cols)])
+            place = np.searchsorted(distinct, anchors)
+            anchors = np.where(np.searchsorted(distinct, anchors, "right") > place,
+                               rows // b * distinct.size + place, -1)
             counts[rows] = (np.searchsorted(keys, anchors, "right")
                             - np.searchsorted(keys, anchors))
-    return counts
+    return counts.reshape(S, b)
+
+
+def distinct_rows(M):
+    """(first, which) for the matrix M of small integers, each 0, 1 or 2:
+    the index of the first of each distinct row of M, in the order of their
+    keys, and the position of each row's distinct row in that order. A row
+    is keyed by one integer, its digits in base 3, when that fits in 63
+    bits, and otherwise by _row_keys."""
+    p = M.shape[1]
+    keys = (M.astype(np.int64) @ 3 ** np.arange(p) if p < 40
+            else _row_keys(M + 0.0))
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return first, which.reshape(-1)
 
 
 def _row_keys(M):

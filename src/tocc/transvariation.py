@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import box_masses
-from .numcore import as_values, box_counts, require_finite_rows, tie_counts
+from .numcore import (as_values, box_counts, distinct_rows, require_finite_rows,
+                      tie_counts)
 
 DROP_EPS = 1e-12
 
@@ -55,14 +56,15 @@ _DEGENERATE = 1e-12
 
 def _kept(C, m, eps):
     """The drop rule: a coordinate where the query lies within eps of the
-    prototype carries no sign information and is dropped. eps must be at
-    least 0, so every kept coordinate has c != m and a direction, _up.
-    Near opposite ends of the float range c - m overflows to an infinity,
-    which is kept, as it should be."""
-    if not eps >= 0:
+    prototype carries no sign information and is dropped. eps, a number or
+    one per segment of C, must be at least 0, so every kept coordinate has
+    c != m and a direction, _up. Near opposite ends of the float range
+    c - m overflows to an infinity, which is kept, as it should be."""
+    bound = np.asarray(eps, dtype=float)
+    if not np.all(bound >= 0):
         raise ValueError(f"eps={eps!r} must be a number >= 0")
     with np.errstate(over="ignore"):
-        return np.abs(C - m) > eps
+        return np.abs(C - m) > bound[..., None, None]
 
 
 def _up(C, m):
@@ -72,16 +74,27 @@ def _up(C, m):
 
 
 def _orthant_boxes(C, m, kept):
-    """The 2q x p bounds (lower, upper) of the open orthant boxes of the
-    queries C (q x p) with prototype m: box i lies beyond the anchor a =
-    C[i] and box q + i beyond a = m, both in C[i]'s direction from m,
+    """The open orthant boxes of the queries C (S x q x p) of each segment
+    s with prototype m[s] (S x p), as S x (q + P) x p bounds (lower, upper),
+    and the S x q index of each query's denominator box among the last P.
+    Box i lies beyond the anchor a = C[s, i] in its direction from m[s],
     (a_u, inf) where it points up and (-inf, a_u) where it points down, on
     each coordinate that the mask kept keeps; a coordinate not kept is
-    unbounded."""
-    up = _up(C, m)
+    unbounded. The denominator box lies beyond a = m[s] in the same
+    direction, so it depends only on the query's pattern (each coordinate
+    dropped, up or down): box q + j is the one of the j-th of the P
+    patterns present in any segment, at most 3^p."""
+    up = _up(C, m[:, None])
     lo, hi = kept & up, kept & ~up
-    return (np.concatenate([np.where(lo, C, -np.inf), np.where(lo, m, -np.inf)]),
-            np.concatenate([np.where(hi, C, np.inf), np.where(hi, m, np.inf)]))
+    codes = (kept.view(np.int8) + hi.view(np.int8)).reshape(-1, C.shape[2])
+    first, which = distinct_rows(codes)
+    patterns = codes[first]
+    anchor = m[:, None]
+    return (np.concatenate([np.where(lo, C, -np.inf),
+                            np.where(patterns == 1, anchor, -np.inf)], axis=1),
+            np.concatenate([np.where(hi, C, np.inf),
+                            np.where(patterns == 2, anchor, np.inf)], axis=1),
+            which.reshape(C.shape[:2]))
 
 
 def _record(num, den, kept) -> TpRows:
@@ -93,19 +106,47 @@ def _record(num, den, kept) -> TpRows:
     return TpRows(value, num, den, kept, degenerate)
 
 
-def tp_scores(X, C, m, eps: float = DROP_EPS) -> TpRows:
-    """Counting-form tp of each row of the float array C (q x p) against the
-    rows of X and prototype m, numerator and denominator in unit counts;
-    multivariate_tp is the one-query case. One box_counts call counts the
-    rows strictly inside the 2q boxes of tp_density_scores, and one
-    tie_counts call adds half the rows equal to each box's anchor on its
-    kept coordinates, none for a query that keeps no coordinate."""
-    vals = as_values(X)
-    kept = _kept(C, m, eps)
-    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
-    num, den = (box_counts(vals, *_orthant_boxes(C, m, kept))
-                + 0.5 * tie_counts(vals, anchors, np.concatenate([kept, kept]))
-                ).reshape(2, -1)
+# Query coordinates per chunk of segments that tp_scores scores at a time
+# (a chunk holds at least one segment): this bounds the memory one call
+# holds at any number of segments.
+_QUERY_CHUNK = 2 ** 14
+
+
+def tp_scores(X, C, m, eps=DROP_EPS) -> TpRows:
+    """Counting-form tp of each query C[s, i] of the S x q x p float array
+    C against the rows of group X[s] (S x n x p) and prototype m[s]
+    (S x p), with eps a number or one per segment: numerator and
+    denominator in unit counts, each field of the record S x q (S x q x p
+    for kept). Rows of nan pad the groups and the queries to a common
+    length; a padded query's entries mean nothing. multivariate_tp is the
+    one-segment, one-query case.
+
+    Segments are scored in chunks of at most _QUERY_CHUNK query
+    coordinates. Per chunk, one box_counts call counts the rows strictly
+    inside the boxes of _orthant_boxes, every query's numerator box and one
+    denominator box per orthant pattern, and one tie_counts call adds half
+    the rows equal to each box's anchor on its bounded coordinates, none
+    for a box bounded nowhere."""
+    step = max(1, _QUERY_CHUNK // max(1, C[0].size))
+    if step >= len(C):
+        return _chunk_scores(X, C, m, eps)
+    chunks = [slice(start, start + step) for start in range(0, len(C), step)]
+    return TpRows(*map(np.concatenate, zip(*(
+        _chunk_scores(X[c], C[c], m[c], eps if np.ndim(eps) == 0 else eps[c])
+        for c in chunks))))
+
+
+def _chunk_scores(X, C, m, eps) -> TpRows:
+    """tp_scores of one chunk of segments, in one box_counts and one
+    tie_counts call."""
+    kept = _kept(C, m[:, None], eps)
+    lower, upper, which = _orthant_boxes(C, m, kept)
+    below = lower > -np.inf
+    counts = (box_counts(X, lower, upper)
+              + 0.5 * tie_counts(X, np.where(below, lower, upper),
+                                 below | (upper < np.inf)))
+    q = C.shape[1]
+    num, den = counts[:, :q], np.take_along_axis(counts[:, q:], which, axis=1)
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")
     return _record(num, den, kept)
@@ -116,12 +157,14 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRow
     prototype m, numerator and denominator as probability masses;
     multivariate_tp_density is the one-query case. The numerator box lies
     beyond c and the denominator box beyond m, both in c's direction from
-    m; a dropped coordinate is unbounded. One box_masses call integrates all
-    2q boxes, so all boxes of the batch share one draw set."""
+    m; a dropped coordinate is unbounded. One box_masses call integrates
+    the q numerator boxes and one denominator box per orthant pattern, so
+    all boxes of the batch share one draw set."""
     kept = _kept(C, m, eps)
-    num, den = box_masses(density, *_orthant_boxes(C, m, kept),
-                          integrator).reshape(2, -1)
-    return _record(num, den, kept)
+    lower, upper, which = _orthant_boxes(C[None], m[None], kept[None])
+    masses = box_masses(density, lower[0], upper[0], integrator)
+    q = C.shape[0]
+    return _record(masses[:q], masses[q:][which[0]], kept)
 
 
 def _one_query(batch, c, m, p: int, where: str) -> TpScore:
@@ -164,8 +207,8 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     _require_finite("univariate_tp", c=c, m=m)
     if c == m:
         return TpScore(1.0, arr.size / 2.0, arr.size / 2.0)
-    rows = tp_scores(arr, np.array([[c]]), np.array([m]), 0.0)
-    weighted = float(rows.numerator[0])
+    rows = tp_scores(arr[None], np.array([[[c]]]), np.array([[m]]), 0.0)
+    weighted = float(rows.numerator[0, 0])
     return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
 
@@ -205,8 +248,10 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     """
     vals = as_values(X)
     require_finite_rows(vals, "multivariate_tp", "group")
-    return _one_query(lambda C, m: tp_scores(vals, C, m, eps), c, m,
-                      vals.shape[1], "multivariate_tp")
+    return _one_query(
+        lambda C, m: TpRows(*(f[0] for f in tp_scores(vals[None], C[None],
+                                                       m[None], eps))),
+        c, m, vals.shape[1], "multivariate_tp")
 
 
 def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) -> TpScore:

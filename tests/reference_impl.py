@@ -19,7 +19,11 @@ from _marginal); and the one-candidate-at-a-time random-projection
 selection, the per-projection VIP loop and the per-column PCA sign fix the
 feature-selection layer used before it worked on stacked arrays; and PAM
 with whole n x n temporaries and the per-query product KDE, as they were
-before both worked in blocks. Beside the frozen copies, comparison_tp counts
+before both worked in blocks; and the counting form one group per call
+with one denominator box per query, the per-prototype calibration and
+predict, and the ensemble predict that calls predict once per view, as they
+were before every segment of an ensemble was counted in one call. Beside
+the frozen copies, comparison_tp counts
 the multivariate score straight from its definition by plain comparisons:
 the product tests agree with it unless a product of differences underflows
 or a difference overflows.
@@ -39,15 +43,16 @@ from scipy.special import logsumexp, ndtr
 
 from tocc import __version__
 from tocc.baselines import BaselineModel
-from tocc.classifier import PamResult, ToccModel
-from tocc.density import MixtureDensity, OrthantIntegrator, kmeans_lloyd
+from tocc.classifier import PamResult, PredictionResult, ToccModel
+from tocc.density import (MixtureDensity, OrthantIntegrator, box_masses,
+                          kmeans_lloyd)
 from tocc.evaluation import RocCurve
 from tocc.featsel import VipRanking
 from tocc.io_utils import IngestError
 from tocc.numcore import (NONTARGET_LABEL, TARGET_LABEL, DataMatrix, PcaResult,
-                          RngStream, as_values, empirical_quantile,
-                          spatial_median)
-from tocc.transvariation import DROP_EPS, TpScore
+                          RngStream, as_values, box_counts,
+                          empirical_quantile, spatial_median, tie_counts)
+from tocc.transvariation import DROP_EPS, TpScore, _kept, _record
 
 
 @dataclass(frozen=True)
@@ -909,3 +914,89 @@ def product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.nda
         z = (q - train) / h
         out[i] = norm * np.exp(-0.5 * (z ** 2).sum(axis=1)).mean()
     return out
+
+
+# ---------------------------------------------------------------------------
+# The counting form one group per call, with one denominator box per query,
+# and the ensemble predict that calls predict once per view
+# ---------------------------------------------------------------------------
+# transvariation.tp_scores and _orthant_boxes, classifier.predict and its
+# calibration, and featsel.predict_ensemble as they were before every
+# (view, cluster) segment was counted in one call and each denominator box
+# once per orthant pattern. The library's counters now take a leading
+# segment axis; these copies hand them one segment.
+
+def _orthant_boxes(C, m, kept):
+    """The 2q x p bounds (lower, upper) of the open orthant boxes of the
+    queries C (q x p) with prototype m: box i lies beyond the anchor a =
+    C[i] and box q + i beyond a = m, both in C[i]'s direction from m."""
+    up = C > m
+    lo, hi = kept & up, kept & ~up
+    return (np.concatenate([np.where(lo, C, -np.inf), np.where(lo, m, -np.inf)]),
+            np.concatenate([np.where(hi, C, np.inf), np.where(hi, m, np.inf)]))
+
+
+def tp_scores(X, C, m, eps: float = DROP_EPS):
+    """Counting-form tp of each row of C (q x p) against the rows of X and
+    prototype m: 2q boxes counted in one box_counts call plus half the rows
+    tying each box's anchor."""
+    vals = as_values(X)
+    kept = _kept(C, m, eps)
+    anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
+    lower, upper = _orthant_boxes(C, m, kept)
+    num, den = (box_counts(vals[None], lower[None], upper[None])[0]
+                + 0.5 * tie_counts(vals[None], anchors[None],
+                                   np.concatenate([kept, kept])[None])[0]
+                ).reshape(2, -1)
+    if np.any(num > den):
+        raise RuntimeError("numerator exceeded denominator (counting bug)")
+    return _record(num, den, kept)
+
+
+def box_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
+    """tp_density_scores with the 2q boxes of _orthant_boxes."""
+    kept = _kept(C, m, eps)
+    num, den = box_masses(density, *_orthant_boxes(C, m, kept),
+                          integrator).reshape(2, -1)
+    return _record(num, den, kept)
+
+
+def _score(model, g, Z):
+    if model.variant == "db":
+        return box_density_scores(model.density, Z, model.prototypes[g],
+                                  model.integrator, model.eps)
+    return tp_scores(model.groups[g], Z, model.prototypes[g], model.eps)
+
+
+def calibrated_thresholds(model, own_rows) -> np.ndarray:
+    """Threshold g: the (1 - s_g) type-1 quantile of the scores of
+    own_rows[g] against prototype g, one call per prototype."""
+    return np.array([empirical_quantile(_score(model, g, rows).value, 1.0 - sg)
+                     for g, (rows, sg) in enumerate(zip(own_rows,
+                                                        model.sensitivity))])
+
+
+def predict(model, Z) -> PredictionResult:
+    """Nearest prototype, then one scoring call per prototype."""
+    vals = as_values(Z)
+    clusters = np.zeros(vals.shape[0], dtype=np.intp)
+    if model.n_prototypes > 1:
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(vals[:, None] - model.prototypes, axis=2)
+        clusters = dist.argmin(1)
+    scores = np.empty(vals.shape[0])
+    for g in range(model.n_prototypes):
+        rows = clusters == g
+        scores[rows] = _score(model, g, vals[rows]).value
+    return PredictionResult(scores >= model.thresholds[clusters], scores,
+                            clusters if model.variant == "pam_df" else None)
+
+
+def predict_ensemble(ensemble, Z) -> PredictionResult:
+    """Strict-majority vote, one predict call per view."""
+    vals = as_values(Z)
+    votes = np.zeros(vals.shape[0])
+    for proj, model in zip(ensemble.projections, ensemble.sub_models):
+        votes += predict(model, vals @ proj).accept
+    fraction = votes / len(ensemble.sub_models)
+    return PredictionResult(fraction > 0.5, fraction, None)

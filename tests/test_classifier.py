@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tocc import (MixtureDensity, RngStream, ToccModel, fit_pam_tocc_df,
-                  fit_tocc_db, fit_tocc_df, load_glass, pam, predict)
+                  fit_rp_ensemble, fit_tocc_db, fit_tocc_df, load_glass,
+                  multivariate_tp, multivariate_tp_density, pam, predict)
 from tocc import classifier
 
 
@@ -54,6 +55,18 @@ class TestPam:
             full = pam(X, 3)
             build_only = pam(X, 3, max_swaps=0)
             assert full.total_cost <= build_only.total_cost + 1e-12
+
+    @pytest.mark.parametrize("k", [-540, 300, 500])
+    def test_scale_free(self, k):
+        # Scaling by 2^k is exact, so neither the medoids nor the labels
+        # may move, and the cost scales by 2^k: not where the Gram trick's
+        # squares would underflow (k = -540) or its sums compare beyond an
+        # absolute slack (k = 300, 500).
+        X = np.random.default_rng(0).normal(size=(200, 2))
+        base, scaled = pam(X, 3), pam(X * 2.0 ** k, 3)
+        assert scaled.medoids == base.medoids
+        assert np.array_equal(scaled.assignment, base.assignment)
+        assert scaled.total_cost == np.ldexp(base.total_cost, k)
 
     def test_permutation_invariant_after_canonical_sort(self):
         # The swap scan follows row order, so fits are compared through a
@@ -323,3 +336,46 @@ class TestToccModelConsistency:
     def test_inconsistent_model_rejected(self, changes):
         with pytest.raises(ValueError):
             self.make(**changes)
+
+
+def assert_sensitivity_floor(model, own_rows):
+    """At least a fraction s_g of the rows of group g score at or above
+    threshold g against prototype g, each scored alone."""
+    for rows, proto, threshold, s in zip(own_rows, model.prototypes,
+                                         model.thresholds, model.sensitivity):
+        if model.variant == "db":
+            scores = [multivariate_tp_density(model.density, row, proto,
+                                              model.integrator, model.eps).value
+                      for row in rows]
+        else:
+            scores = [multivariate_tp(rows, row, proto, model.eps).value
+                      for row in rows]
+        assert np.mean(np.array(scores) >= threshold) >= s
+
+
+class TestSensitivityFloor:
+    """Every calibration meets its sensitivity floor on its own rows."""
+
+    @pytest.mark.parametrize("s", [0.8, 0.9, 0.95])
+    def test_df_and_pam_df(self, s):
+        gen = np.random.default_rng(int(100 * s))
+        for trial in range(4):
+            n = int(gen.integers(20, 121))
+            X = gen.normal(size=(n, 2)) @ gen.normal(size=(2, 2))
+            if trial % 2:
+                X = np.round(X)   # ties within groups
+            df = fit_tocc_df(X, s)
+            assert_sensitivity_floor(df, df.groups)
+            pam_df = fit_pam_tocc_df(X, 3, s)
+            assert_sensitivity_floor(pam_df, pam_df.groups)
+
+    @pytest.mark.parametrize("variant, b1", [("df", 9), ("pam_df", 9), ("db", 3)])
+    def test_rp2_sub_models(self, variant, b1):
+        glass = load_glass()
+        target = glass.values[glass.is_target()]
+        ens = fit_rp_ensemble(target, 2, b1, 5, 0.9, RngStream(60),
+                              variant=variant, k=4, mc_samples=10_000,
+                              components_range=(1, 2), n_restarts=1)
+        for proj, sub in zip(ens.projections, ens.sub_models):
+            own = [target @ proj] if variant == "db" else sub.groups
+            assert_sensitivity_floor(sub, own)

@@ -35,9 +35,21 @@ from tocc import (baselines, classifier, density, io_utils, numcore,
                   transvariation)
 from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
-from tocc.featsel import compute_vip, rp_select
+from tocc.featsel import (ProjectionEnsemble, compute_vip, fit_rp_ensemble,
+                          predict_ensemble, rp_select)
 from tocc.io_utils import IngestError, ingest_csv, write_csv
-from tocc.transvariation import tp_density_scores, tp_scores
+from tocc.transvariation import TpRows, tp_density_scores, tp_scores
+
+
+def group_scores(X, Q, m, eps=transvariation.DROP_EPS):
+    """tp_scores of the queries Q against the one group X, a one-segment
+    call."""
+    return TpRows(*(f[0] for f in tp_scores(X[None], Q[None], m[None], eps)))
+
+
+def one_segment(counter, X, *arrays):
+    """A numcore counter on the one segment of points X."""
+    return counter(X[None], *(a[None] for a in arrays))[0]
 
 
 def fields(score):
@@ -85,7 +97,7 @@ def counting_oracles(X, Q, m, eps):
 
 def assert_counts_match(X, Q, m, eps):
     """tp_scores equals every oracle of counting_oracles on every row."""
-    rows = tp_scores(X, Q, m, eps)
+    rows = group_scores(X, Q, m, eps)
     for oracles in counting_oracles(X, Q, m, eps):
         assert_rows_match(rows, oracles, zero_denominator)
 
@@ -210,7 +222,7 @@ class TestCountingKernel:
         patterns = (np.arange(2 ** p)[:, None] >> np.arange(p)) & 1 == 1
         share = patterns[gen.permutation(np.repeat(np.arange(2 ** p), 12))]
         Q = np.where(share, m, gen.integers(-3, 4, size=share.shape))
-        rows = tp_scores(X, Q, m)
+        rows = group_scores(X, Q, m)
         assert np.array_equal(rows.kept, ~share)
         assert_rows_match(rows, [multivariate_tp(X, c, m) for c in Q],
                           lambda single: single.degenerate)
@@ -224,10 +236,10 @@ class TestCountingKernel:
         X, Q, m = scaled_grid_case()
         if sweep:
             calls = force_sweep(monkeypatch)
-        want = tp_scores(X, Q, m, 0.0)
+        want = group_scores(X, Q, m, 0.0)
         for k in range(-1070, 1022):
             s = 2.0 ** k
-            for got, expected in zip(tp_scores(X * s, Q * s, m * s, 0.0), want):
+            for got, expected in zip(group_scores(X * s, Q * s, m * s, 0.0), want):
                 assert np.array_equal(got, expected), k
         assert not sweep or len(calls) == 1 + 2092
 
@@ -287,10 +299,10 @@ class TestCountingSweep:
                        gen.normal(size=(3000, 2)) * 10])
         calls = force_sweep(monkeypatch)
         monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 2 * len(Q) + 1)
-        loop = tp_scores(X, Q, m)
+        loop = group_scores(X, Q, m)
         assert not calls
         monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
-        sweep = tp_scores(X, Q, m)
+        sweep = group_scores(X, Q, m)
         assert calls
         for got, want in zip(sweep, loop):
             assert np.array_equal(got, want)
@@ -309,9 +321,9 @@ class TestCountingSweep:
         X = np.array([[s + u, -(s + u)], [s + 2 * u, -s], m, [-s, -s],
                       [-(s + u), s + u], [s, -s]])
         Q = np.vstack([X, [[-s, -(s + u)], [s + 3 * u, -s]]])
-        loop = tp_scores(X, Q, m, 0.0)
+        loop = group_scores(X, Q, m, 0.0)
         calls = force_sweep(monkeypatch)
-        sweep = tp_scores(X, Q, m, 0.0)
+        sweep = group_scores(X, Q, m, 0.0)
         oracles = [ref.comparison_tp(X, c, m, 0.0) for c in Q]
         assert calls
         for got, want in zip(sweep, loop):
@@ -324,7 +336,7 @@ class TestCountingSweep:
         Q = np.array(np.meshgrid([-2.0, -1, 0, 1, 2], [-2.0, -1, 0, 1, 2])).reshape(2, -1).T
         for eps in (-1.0, -1e-300, np.nan):
             with pytest.raises(ValueError, match="must be a number >= 0"):
-                tp_scores(Q, Q, np.zeros(2), eps)
+                group_scores(Q, Q, np.zeros(2), eps)
 
 
 def signed_zero_grid(gen, n, p):
@@ -363,7 +375,7 @@ class TestCounters:
         kept[gen.choice(len(A), size=20, replace=False)] = [[True], [False]] * 10
         want = ((X[None] == A[:, None]) | ~kept[:, None]).all(2).sum(1)
         want[~kept.any(1)] = 0
-        assert np.array_equal(numcore.tie_counts(X, A, kept), want)
+        assert np.array_equal(one_segment(numcore.tie_counts, X, A, kept), want)
         assert want.max() > 1 and (want == 0).any()
 
     @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (3, False),
@@ -379,7 +391,7 @@ class TestCounters:
         lower, upper = open_boxes(gen, 200, p, [-1.0, -0.0, 0.0, 0.5, 1.0],
                                        two_sided=not sweep)
         lower[:3], upper[:3] = -np.inf, np.inf
-        assert np.array_equal(numcore.box_counts(X, lower, upper),
+        assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
                               box_count_oracle(X, lower, upper))
         assert len(calls) == (4 if sweep else 0)
 
@@ -393,10 +405,10 @@ class TestCounters:
         lower, upper = open_boxes(gen, 512, 2, X[:50].ravel())
         both = np.vstack([lower, [lo]]), np.vstack([upper, [hi]])
         calls = spy_sweep(monkeypatch)
-        assert np.array_equal(numcore.box_counts(X, *both),
+        assert np.array_equal(one_segment(numcore.box_counts, X, *both),
                               box_count_oracle(X, *both))
         assert not calls
-        assert np.array_equal(numcore.box_counts(X, lower, upper),
+        assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
                               box_count_oracle(X, lower, upper))
         assert calls
 
@@ -558,6 +570,155 @@ class TestFitPredict:
         Z = query_rows(seed, X, model)
         scores, _ = ref.predict_scores(model, Z)
         assert np.array_equal(predict(model, Z).score, scores)
+
+
+def segment_case(gen, p, S):
+    """S integer-grid groups of 3 to 60 rows, with duplicated rows, some
+    on the diagonal (so some orthants of their prototype hold no row and
+    some denominators are 0), each with a prototype and 1 to 50 queries:
+    its own rows, grid points, the prototype, the prototype moved by less
+    than DROP_EPS (dropped at eps = DROP_EPS, kept at eps = 0), and points
+    sharing a coordinate with it."""
+    groups, queries, prototypes = [], [], []
+    for s in range(S):
+        n = int(gen.integers(3, 61))
+        X = gen.integers(-3, 4, size=(n, p)).astype(float)
+        if s % 3 == 0:
+            X = np.repeat(X[:, :1], p, axis=1)
+        X[n // 2:] = X[:n - n // 2]
+        m = X[int(gen.integers(n))] if s % 2 else np.median(X, axis=0) + 0.5
+        moved = np.where(gen.random((4, p)) < 0.5, m,
+                         gen.integers(-4, 5, size=(4, p)))
+        Q = np.vstack([X, gen.integers(-4, 5, size=(20, p)), m,
+                       np.repeat([m + 2.0 ** -45], 5, axis=0), moved])
+        groups.append(X)
+        queries.append(Q[gen.permutation(len(Q))[:int(gen.integers(1, 51))]])
+        prototypes.append(m)
+    return groups, queries, np.array(prototypes)
+
+
+def segmented_scores(groups, queries, prototypes, eps):
+    """One tp_scores call over every segment, padded with rows of nan."""
+    return tp_scores(classifier.stack_rows(groups, np.nan),
+                     classifier.stack_rows(queries, np.nan), prototypes, eps)
+
+
+def assert_segments_match(got, groups, queries, prototypes, eps):
+    """The segmented record got equals the frozen one-group tp_scores of
+    each segment, on every field of every query; returns the frozen
+    records."""
+    wants = [ref.tp_scores(X, Q, m, e)
+             for X, Q, m, e in zip(groups, queries, prototypes, eps)]
+    for s, want in enumerate(wants):
+        for field, expected in zip(got, want):
+            assert np.array_equal(field[s, :len(queries[s])], expected), s
+    return wants
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSegmentedCounting:
+    """tp_scores over many padded segments against the frozen one-group
+    tp_scores, which counts a denominator box per query."""
+
+    @pytest.mark.parametrize("p, setting", [
+        (1, "default"), (2, "default"), (3, "default"), (1, "small-tiles"),
+        (2, "small-tiles"), (3, "small-tiles"), (2, "sweep")])
+    def test_matches_one_group_calls(self, monkeypatch, p, setting):
+        gen = np.random.default_rng(160 + p)
+        groups, queries, prototypes = segment_case(gen, p, 14)
+        eps = np.where(gen.random(14) < 0.5, 0.0, transvariation.DROP_EPS)
+        calls = spy_sweep(monkeypatch)
+        if setting == "small-tiles":
+            # Tiles span segments and row blocks, and segments are scored
+            # in several chunks.
+            monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+            monkeypatch.setattr(transvariation, "_QUERY_CHUNK", 40)
+        if setting == "sweep":
+            # The segments with 40 rows or more are swept on their own,
+            # the rest counted together by the comparison loop.
+            monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
+            monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS",
+                                40 * max(map(len, queries)))
+        got = segmented_scores(groups, queries, prototypes, eps)
+        assert (0 < len(calls) < 14) if setting == "sweep" else not calls
+        wants = assert_segments_match(got, groups, queries, prototypes, eps)
+        assert any(want.degenerate.any() for want in wants) or p == 1
+
+
+def assert_ensemble_matches_per_view(ens, train, Z, stream=None, **kw):
+    """Every sub-model's thresholds equal the frozen per-prototype
+    calibration, and the ensemble's votes the frozen per-view predict; with
+    a stream, every sub-model also equals fit_method on its view alone."""
+    vals = train.values if hasattr(train, "values") else train
+    for b, (proj, sub) in enumerate(zip(ens.projections, ens.sub_models)):
+        view = vals @ proj
+        own = [view] if sub.variant == "db" else sub.groups
+        assert np.array_equal(sub.thresholds, ref.calibrated_thresholds(sub, own))
+        if stream is not None:
+            name = {"df": "tocc-df", "pam_df": "pam-tocc-df", "db": "tocc-db"}
+            alone = fit_method(name[sub.variant], view, 0.9,
+                               stream.child(b + 1), **kw)
+            assert np.array_equal(sub.prototypes, alone.prototypes)
+            assert np.array_equal(sub.thresholds, alone.thresholds)
+    got, want = predict_ensemble(ens, Z), ref.predict_ensemble(ens, Z)
+    assert np.array_equal(got.score, want.score)
+    assert np.array_equal(got.accept, want.accept)
+
+
+class TestEnsembleBatching:
+    """An ensemble calibrated and predicted in one segmented counting call
+    against the frozen per-view calibration and predict."""
+
+    @pytest.mark.parametrize("variant, b1, seed",
+                             [("df", 15, 170), ("pam_df", 15, 171),
+                              ("db", 3, 172), ("df", 1, 173), ("pam_df", 1, 174)])
+    def test_matches_per_view(self, variant, b1, seed):
+        kw = dict(k=4, mc_samples=10_000, components_range=(1, 2), n_restarts=1)
+        stream = RngStream(seed)
+        glass = load_glass()
+        target = glass.select_rows(glass.is_target())
+        ens = fit_rp_ensemble(target, 2, b1, 5, 0.9, stream, variant=variant,
+                              **kw)
+        assert len(ens.sub_models) == b1
+        assert_ensemble_matches_per_view(ens, target, glass.values, stream, **kw)
+
+    def test_pam_views_that_step_down(self):
+        # The glass benchmark's pam_df ensemble at seed 35, where some views
+        # keep fewer than k = 4 clusters and are padded with +inf
+        # prototypes.
+        glass = load_glass()
+        target = glass.select_rows(glass.is_target())
+        ens = fit_rp_ensemble(target, 2, 101, 50, 0.9, RngStream(35).child(101),
+                              variant="pam_df", k=4)
+        assert min(m.n_prototypes for m in ens.sub_models) < 4
+        assert_ensemble_matches_per_view(ens, target, glass.values)
+
+    def test_queries_that_tie_a_prototype(self):
+        # Coordinate projections keep integer-grid rows exact, so queries
+        # equal a medoid, lie at equal distances from two medoids, or (far
+        # out) at inf from every medoid; views keep 1 to 3 clusters.
+        gen = np.random.default_rng(175)
+        X = gen.integers(-3, 4, size=(60, 3)).astype(float)
+        eye = np.eye(3)
+        projections = [eye[:, [0, 1]], eye[:, [1, 2]], eye[:, [0, 2]],
+                       eye[:, [2, 0]], eye[:, [1, 0]]]
+        subs = [classifier.fit_pam_tocc_df(X @ P, k, 0.9)
+                for P, k in zip(projections, (3, 1, 2, 3, 2))]
+        subs[1] = classifier.fit_tocc_df(X @ projections[1], 0.9)
+        ens = ProjectionEnsemble(projections, subs)
+        Z = np.vstack([X, gen.integers(-4, 5, size=(40, 3)) / 2.0,
+                       [[1e300, -1e300, 1e300], [0.0, 0.0, 0.0]]])
+        assert_ensemble_matches_per_view(ens, X, Z)
+        views = np.stack([Z @ P for P in projections])
+        protos = classifier.stack_rows([m.prototypes for m in subs], np.inf)
+        nearest = classifier.nearest_prototypes(views, protos)
+        assert np.all(nearest[:, -2] == 0)
+        for view, model, got in zip(views, subs, nearest):
+            if model.n_prototypes > 1:
+                with np.errstate(over="ignore"):
+                    d = np.linalg.norm(view[:, None] - model.prototypes, axis=2)
+                assert np.array_equal(got, d.argmin(axis=1))
+                assert (np.sort(d, axis=1)[:, 0] == np.sort(d, axis=1)[:, 1]).any()
 
 
 def standardized(vals):
@@ -1296,7 +1457,9 @@ class TestPam:
     def test_matches_reference_across_float32_range(self, e):
         # Scaled by 2^e, the distances leave float32's range (the screen
         # then rules nothing out) or its normal range; an integer grid puts
-        # exact ties against the current cost.
+        # exact ties against the current cost. The reference runs on the
+        # rows scaled back by 2^-e, which is exact: beyond 2^+-255 its Gram
+        # trick over- or underflows, and pam scales such rows first.
         gen = np.random.default_rng(139)
         grid = gen.integers(-3, 4, size=(300, 2)).astype(float)
         cloud = gen.normal(size=(300, 3))
@@ -1304,8 +1467,9 @@ class TestPam:
             warnings.simplefilter("error")
             for X in (grid * 2.0 ** e, cloud * 2.0 ** e):
                 for k in (1, 4):
+                    medoids, labels, cost = pam_outcome(ref.pam, np.ldexp(X, -e), k)
                     assert pam_outcome(classifier.pam, X, k) \
-                        == pam_outcome(ref.pam, X, k)
+                        == (medoids, labels, np.ldexp(cost, e))
 
     @pytest.mark.parametrize("scale, half_ulp", [(1.0, 2.0 ** -24),
                                                  (2.0 ** -140, 2.0 ** -10)],
