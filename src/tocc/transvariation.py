@@ -82,19 +82,29 @@ def _orthant_boxes(C, m, kept):
     each coordinate that the mask kept keeps; a coordinate not kept is
     unbounded. The denominator box lies beyond a = m[s] in the same
     direction, so it depends only on the query's pattern (each coordinate
-    dropped, up or down): box q + j is the one of the j-th of the P
-    patterns present in any segment, at most 3^p."""
+    dropped, up or down): box q + j of segment s is the one of the j-th
+    pattern present in s, and P, the most patterns in any segment, is at
+    most min(q, 3^p). A segment with fewer patterns pads its last boxes
+    with the box bounded nowhere, which no query uses."""
+    S, q, p = C.shape
     up = _up(C, m[:, None])
     lo, hi = kept & up, kept & ~up
-    codes = (kept.view(np.int8) + hi.view(np.int8)).reshape(-1, C.shape[2])
-    first, which = distinct_rows(codes)
-    patterns = codes[first]
+    codes = (kept.view(np.int8) + hi.view(np.int8)).reshape(-1, p)
+    # One key per (segment, pattern), ordered by segment first.
+    segment = np.repeat(np.arange(S), q)
+    _, pattern = distinct_rows(codes)
+    _, first, which = np.unique(segment * (S * q) + pattern, return_index=True,
+                                return_inverse=True)
+    owner = segment[first]
+    slot = np.arange(first.size) - np.searchsorted(owner, owner)
+    patterns = np.zeros((S, slot.max(initial=-1) + 1, p), dtype=np.int8)
+    patterns[owner, slot] = codes[first]
     anchor = m[:, None]
     return (np.concatenate([np.where(lo, C, -np.inf),
                             np.where(patterns == 1, anchor, -np.inf)], axis=1),
             np.concatenate([np.where(hi, C, np.inf),
                             np.where(patterns == 2, anchor, np.inf)], axis=1),
-            which.reshape(C.shape[:2]))
+            slot[which].reshape(S, q))
 
 
 def _record(num, den, kept) -> TpRows:

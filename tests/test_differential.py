@@ -395,7 +395,24 @@ class TestCounters:
                               box_count_oracle(X, lower, upper))
         assert len(calls) == (4 if sweep else 0)
 
-    @pytest.mark.parametrize("lo, hi", [([-0.5, -0.5], [0.5, 0.5]),
+    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
+    def test_rows_that_are_not_finite(self, monkeypatch, sweep):
+        # A row with an infinite or nan coordinate lies in no open box, one
+        # bounded nowhere included, whichever counter counts it.
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+        calls = force_sweep(monkeypatch)
+        gen = np.random.default_rng(145)
+        X = signed_zero_grid(gen, 300, 2)
+        X[gen.choice(300, size=30, replace=False), gen.integers(2, size=30)] = (
+            gen.choice([np.inf, -np.inf, np.nan], size=30))
+        lower, upper = open_boxes(gen, 200, 2, [-1.0, -0.0, 0.0, 0.5, 1.0],
+                                  two_sided=not sweep)
+        lower[:3], upper[:3] = -np.inf, np.inf
+        assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
+                              box_count_oracle(X, lower, upper))
+        assert bool(calls) == sweep
+
+    @pytest.mark.parametrize("lo, hi",[([-0.5, -0.5], [0.5, 0.5]),
                                         ([np.inf, -np.inf], [0.5, np.inf])],
                              ids=["two-sided", "empty"])
     def test_one_two_sided_box_keeps_the_loop(self, monkeypatch, lo, hi):
@@ -643,6 +660,32 @@ class TestSegmentedCounting:
         assert (0 < len(calls) < 14) if setting == "sweep" else not calls
         wants = assert_segments_match(got, groups, queries, prototypes, eps)
         assert any(want.degenerate.any() for want in wants) or p == 1
+
+    def test_denominator_boxes_per_segment(self):
+        """Each segment counts one denominator box per orthant pattern of
+        its own queries, not of every segment's: six segments at p = 9,
+        each with three sign patterns no other segment has, build q + 3
+        boxes, and each query's denominator box is the frozen per-query
+        one. The scores at p = 9 match the frozen one-group calls."""
+        gen = np.random.default_rng(171)
+        S, q, p = 6, 30, 9
+        signs = np.unique(gen.choice([-1.0, 1.0], size=(40, p)), axis=0)
+        signs = gen.permutation(signs)[:3 * S].reshape(S, 3, p)
+        C = (signs[np.arange(S)[:, None], gen.integers(3, size=(S, q))]
+             * gen.integers(1, 4, size=(S, q, p)))
+        m = np.zeros((S, p))
+        kept = transvariation._kept(C, m[:, None], 0.0)
+        lower, upper, which = transvariation._orthant_boxes(C, m, kept)
+        assert lower.shape == upper.shape == (S, q + 3, p)
+        for s in range(S):
+            lo, hi = ref._orthant_boxes(C[s], m[s], kept[s])
+            assert np.array_equal(lower[s, q + which[s]], lo[q:])
+            assert np.array_equal(upper[s, q + which[s]], hi[q:])
+        groups = [gen.integers(-2, 3, size=(int(gen.integers(5, 40)), p))
+                  .astype(float) for _ in range(S)]
+        queries = [C[s, :int(gen.integers(1, q + 1))] for s in range(S)]
+        got = segmented_scores(groups, queries, m, np.zeros(S))
+        assert_segments_match(got, groups, queries, m, np.zeros(S))
 
 
 def assert_ensemble_matches_per_view(ens, train, Z, stream=None, **kw):
