@@ -169,11 +169,26 @@ def _silverman_bandwidths(vals: np.ndarray) -> np.ndarray:
 
 def _gauss_fit(vals: np.ndarray) -> dict:
     """The rows' mean and inverse covariance. A covariance that is singular,
-    or so near it that its inverse is not positive definite or gives a
-    training row a negative or non-finite squared distance, is an error."""
+    or so near it that its inverse is not positive definite, that it gives
+    a training row a negative or non-finite squared distance, or that its
+    distances are rounding noise, is an error.
+
+    The last test is scale-free. The covariance of n rows is a sum of n
+    products, so each entry of the correlation matrix R carries a relative
+    rounding error of up to about n u, with u = 2^-53 the unit roundoff. A
+    relative perturbation d of R moves R^-1, and with it every squared
+    distance, by a relative amount of up to k d / (1 - k d), k the 2-norm
+    condition number of R. Once k >= 1 / (n u) that bound is infinite, so
+    the fit is refused there: when the least eigenvalue of R is at most
+    n u times the largest."""
     mean = vals.mean(axis=0)
     cov = np.cov(vals, rowvar=False, ddof=1).reshape(vals.shape[1], vals.shape[1])
+    sd = np.sqrt(np.diag(cov))
     try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eig = np.linalg.eigvalsh(cov / np.outer(sd, sd))
+        if not eig[0] > vals.shape[0] * np.finfo(float).eps / 2 * eig[-1]:
+            raise np.linalg.LinAlgError("correlation matrix near singular")
         cov_inv = np.linalg.inv(cov)
         np.linalg.cholesky(cov_inv)
     except np.linalg.LinAlgError:

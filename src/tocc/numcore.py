@@ -170,19 +170,24 @@ def require_symmetric(a: np.ndarray, what: str) -> None:
 # memory at any number of points.
 _CHUNK_ELEMENTS = 2 ** 14
 
-# A segment's block of rows is counted by the p = 2 sweep when every box of
-# the segment is one-sided and there are at least _SWEEP_MIN_BOXES boxes
-# and _SWEEP_MIN_PAIRS row-box pairs: the loop's cost grows with the pairs,
-# the sweep's with the rows. Best of 15 runs on a 2-core Xeon (Python 3.11,
-# numpy 2.4), one box_counts call on one segment, loop / sweep in ms:
-#     rows     96 boxes     128 boxes     192 boxes     256 boxes
-#      500    0.22 / 0.27   0.29 / 0.30   0.43 / 0.34   0.57 / 0.40
-#    2 000    0.84 / 0.64   1.37 / 0.75   1.90 / 0.93   2.67 / 0.96
-#    8 000    1.42 / 2.20   1.88 / 2.24   2.84 / 2.30   3.74 / 2.35
-#   16 384    2.54 / 4.68   3.42 / 4.78   5.13 / 4.87   6.80 / 4.92
-#  100 000    17.4 / 29.7   23.4 / 29.7   35.8 / 30.8   46.0 / 30.7
-# The crossover is near 180 boxes for full blocks and near 80 at 2 000
-# rows; at 150 rows it is near 1 000 boxes, which the pair bound covers.
+# A segment is counted by the p = 2 sweep when every box of the segment is
+# one-sided and there are at least _SWEEP_MIN_BOXES boxes and
+# _SWEEP_MIN_PAIRS row-box pairs: the loop's cost grows with the pairs,
+# the sweep's with the rows. Best of 31 runs on a 2-core Xeon (Python
+# 3.11, numpy 2.4), one box_counts call on one segment, loop / sweep in ms:
+#     rows    64 boxes    128 boxes    160 boxes    192 boxes    256 boxes
+#      150   0.08/0.43    0.14/0.49    0.16/0.54    0.18/0.54    0.23/0.58
+#      500   0.19/0.55    0.27/0.38    0.33/0.40    0.39/0.43    0.51/0.50
+#    2 000   0.64/1.01    1.26/1.20    1.26/0.86    1.52/0.90    2.05/0.99
+#    8 000   0.72/2.34    1.38/2.44    1.73/2.48    2.14/2.65    2.75/2.61
+#   20 000   2.56/6.74    4.84/6.58    6.05/6.64    7.57/7.13    9.95/7.44
+#  100 000   9.37/31.12  18.18/31.39  22.75/32.86  27.26/32.67  37.05/34.77
+# The crossover is near 250 boxes at 8 000 and 100 000 rows, near 180 at
+# 20 000 (a second block of 3 616 rows), near 120 at 2 000 and 250 at 500;
+# at 150 rows it lies past 512, which the pair bound covers. At 192 every
+# benchmark call takes its faster side: 20 000 draws against about 234
+# boxes are swept, against about 159 looped, and 100 000 draws against 96
+# to 147 boxes looped.
 _SWEEP_MIN_BOXES = 192
 _SWEEP_MIN_PAIRS = 2 ** 17
 
@@ -194,91 +199,60 @@ def box_counts(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
     it lies in no box, as does any row with a coordinate that is not
     finite.
 
-    Each segment's rows are read in blocks of at most _CHUNK_ELEMENTS. A
-    segment is counted on its own by _sweep_counts when p = 2, every one of
-    its boxes is one-sided (each coordinate a half-line (a, inf) or
-    (-inf, a), or the whole line) and its blocks are large enough; all
-    other segments are counted together by comparing every row with every
-    box of its segment in cache-sized tiles. Both count exactly, so the
-    choice never moves a count.
+    Each segment is counted by one algorithm. When p = 2, every box of the
+    segment is one-sided (each coordinate a half-line (a, inf) or
+    (-inf, a), or the whole line) and the segment is large enough, its
+    finite rows are swept by _sweep_counts in blocks of _CHUNK_ELEMENTS
+    rows; all other segments are counted together by _tiled_counts. Both
+    count exactly, so the choice never moves a count.
     """
     S, b, p = lower.shape
-    real = _finite_rows(X)
     sweep = np.zeros(S, dtype=bool)
     if p == 2 and b >= _SWEEP_MIN_BOXES:
-        sweep = ((np.minimum(real.sum(axis=1), _CHUNK_ELEMENTS) * b
-                  >= _SWEEP_MIN_PAIRS)
+        real = np.isfinite(X[..., 0]) & np.isfinite(X[..., 1])
+        sweep = ((real.sum(axis=1) * b >= _SWEEP_MIN_PAIRS)
                  & np.all((lower == -np.inf) | (upper == np.inf), axis=(1, 2)))
     if not sweep.any():
-        return _tiled_counts(X, lower, upper, real)
+        return _tiled_counts(X, lower, upper)
     counts = np.zeros((S, b), dtype=np.int64)
     for s in np.flatnonzero(sweep):
         rows = np.compress(real[s], X[s], axis=0)
         up = upper[s] == np.inf
         anchors = np.where(up, lower[s], upper[s])
         for first in range(0, rows.shape[0], _CHUNK_ELEMENTS):
-            block = rows[first:first + _CHUNK_ELEMENTS]
-            if block.shape[0] * b >= _SWEEP_MIN_PAIRS:
-                counts[s] += _sweep_counts(block, anchors, up)
-            else:
-                counts[s] += _tiled_counts(block[None], lower[s, None],
-                                           upper[s, None],
-                                           np.ones((1, len(block)), dtype=bool))[0]
-    rest = np.flatnonzero(~sweep)
-    if rest.size:
-        counts[rest] = _tiled_counts(X[rest], lower[rest], upper[rest], real[rest])
+            counts[s] += _sweep_counts(rows[first:first + _CHUNK_ELEMENTS], anchors, up)
+    counts[~sweep] = _tiled_counts(X[~sweep], lower[~sweep], upper[~sweep])
     return counts
 
 
-def _tiled_counts(X, lower, upper, real):
-    """box_counts by comparisons, for every segment at once, with real the
-    S x n mask of the finite rows of X. A box bounded nowhere holds every
-    finite row of its segment. The other boxes, in segment order, form one
-    axis cut into tiles of at most _CHUNK_ELEMENTS box-row pairs, each
-    compared with the rows of its segment up to the last finite row of any
-    segment of the tile: a tile inside one segment reads that segment's
-    rows, and a tile spanning several gathers each box's segment rows."""
+def _tiled_counts(X, lower, upper):
+    """box_counts by comparing rows with boxes, for every segment at once,
+    in tiles of at most _CHUNK_ELEMENTS (segment, box, row) triples: a run
+    of segments with all their boxes, or one segment with a run of its
+    boxes, against a block of rows. A tile reads its segments' rows up to
+    the last one whose first coordinate is finite; a row past it fails a
+    comparison with every box, as nan or +-inf fails one of a < x < b."""
     S, b, p = lower.shape
+    n = X.shape[1]
+    # ends[s]: rows of segment s up to its last finite first coordinate.
+    ends = np.logical_or.accumulate(np.isfinite(X[:, ::-1, 0]), axis=1).sum(axis=1)
+    block = min(n, _CHUNK_ELEMENTS) or 1
+    boxes = max(1, min(b, _CHUNK_ELEMENTS // block))
+    runs = max(1, _CHUNK_ELEMENTS // (block * boxes))
+    lower, upper = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lower, upper))
     counts = np.zeros((S, b), dtype=np.int64)
-    free = np.all((lower == -np.inf) & (upper == np.inf), axis=2)
-    counts += np.where(free, real.sum(axis=1)[:, None], 0)
-    segment, index = np.nonzero(~free)
-    lower, upper = lower[segment, index], upper[segment, index]
-    ends = X.shape[1] - np.argmax(real[:, ::-1], axis=1)
-    block = min(X.shape[1], _CHUNK_ELEMENTS) or 1
-    step = max(1, _CHUNK_ELEMENTS // block)
-    # Per tile: its first box, its first and last segment, and the end of
-    # the rows it reads.
-    starts = np.arange(0, segment.size, step)
-    tiles = list(zip(starts.tolist(), segment[starts].tolist(),
-                     segment[np.minimum(starts + step, segment.size) - 1].tolist(),
-                     np.maximum.reduceat(ends[segment], starts).tolist()
-                     if starts.size else []))
-    found = np.zeros(segment.size, dtype=np.int64)
-    for first in range(0, X.shape[1], block):
+    for first in range(0, n, block):
         XT = np.ascontiguousarray(X[:, first:first + block].transpose(2, 0, 1))
-        for start, low, high, end in tiles:
-            box = slice(start, start + step)
-            cols = XT[:, :, :max(0, end - first)]
-            rows = (cols[:, low, None] if low == high
-                    else np.take(cols, segment[box], axis=1))
-            inside = ((rows[0] > lower[box, 0, None])
-                      & (rows[0] < upper[box, 0, None]))
-            for u in range(1, p):
-                inside &= rows[u] > lower[box, u, None]
-                inside &= rows[u] < upper[box, u, None]
-            found[box] += np.count_nonzero(inside, axis=1)
-    counts[segment, index] += found
+        for start in range(0, S, runs):
+            seg = slice(start, start + runs)
+            rows = XT[:, seg, None, :max(0, ends[seg].max() - first)]
+            for low in range(0, b, boxes):
+                box = slice(low, low + boxes)
+                lo, hi = lower[:, seg, box, None], upper[:, seg, box, None]
+                inside = np.logical_and.reduce((rows > lo) & (rows < hi))
+                # int32 sums at most _CHUNK_ELEMENTS ones exactly, and fast.
+                counts[seg, box] += inside.sum(axis=2, dtype=np.int32)
     return counts
-
-
-def _finite_rows(X):
-    """Whether each row of the S x n x p array X is finite, one column at a
-    time: numpy's reduction over a short last axis is about 15 times
-    slower. A row with a coordinate that is not finite, such as a padding
-    row of nan, lies in no open box."""
-    return np.logical_and.reduce([np.isfinite(X[..., u])
-                                  for u in range(X.shape[2])])
 
 
 def _sweep_counts(X, A, up):

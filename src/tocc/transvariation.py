@@ -253,10 +253,12 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
 
     Coordinates where |c_u - m_u| <= eps carry no sign information and are
     dropped (recorded in dropped_coords). All dropped -> score 1. A zero
-    denominator (no training mass in c's direction) -> score 0. A
-    non-finite group row, c or m, or an eps below 0, is an error.
+    denominator (no training mass in c's direction) -> score 0. An empty
+    group, a non-finite group row, c or m, or an eps below 0, is an error.
     """
     vals = as_values(X)
+    if vals.shape[0] == 0:
+        raise ValueError("multivariate_tp: empty group")
     require_finite_rows(vals, "multivariate_tp", "group")
     return _one_query(
         lambda C, m: TpRows(*(f[0] for f in tp_scores(vals[None], C[None],

@@ -51,6 +51,28 @@ class TestGauss:
         with pytest.raises(ValueError, match="singular covariance"):
             fit_baseline("gauss", X, 0.9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 30])
+    def test_rounding_noise_distances_refused(self, scale):
+        # The correlation matrix's condition number is about 1e15 to 1e16
+        # at noise 1e-11 and 1e-7, above the 1 / (87 u) = 1.0e14 cutoff,
+        # and about 1e9 at noise 1e-4. At noise 1e-11, seed 0 passed the
+        # other checks and gave the 87 training rows only 23 distinct
+        # scores. The rule reads the correlation matrix, so rescaling a
+        # column moves no decision.
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            x = gen.normal(size=87)
+            line = 2 * x + gen.normal(size=87) * np.array([[1e-11], [1e-7], [1e-4]])
+            for noise, y in zip((1e-11, 1e-7, 1e-4), line):
+                X = np.column_stack([x, y * scale])
+                if noise < 1e-4:
+                    with pytest.raises(ValueError, match="singular covariance"):
+                        fit_baseline("gauss", X, 0.9)
+                else:
+                    model = fit_baseline("gauss", X, 0.9)
+                    assert len(np.unique(model.scores(X))) == 87
+
 
 class TestKmeans:
     def test_k_equals_n(self):

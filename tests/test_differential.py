@@ -429,6 +429,78 @@ class TestCounters:
                               box_count_oracle(X, lower, upper))
         assert calls
 
+    @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (2, True),
+                                          (3, False), (9, False)],
+                             ids=["p1", "p2", "p2-sweep", "p3", "p9"])
+    def test_box_counts_properties(self, monkeypatch, p, sweep):
+        # Segments of 0 to 20 rows, some with nan or +-inf coordinates,
+        # padded with nan to a common length, every box bounded on the
+        # grid or nowhere. The counts equal the oracle's, bit for bit,
+        # under every tile size, a permutation of the segments, of the
+        # rows within each segment, and extra nan padding. A tile of 2 500
+        # triples holds four segments of different real lengths at 26
+        # boxes, one of 2 ** 14 all seven.
+        gen = np.random.default_rng(180 + p + sweep)
+        calls = force_sweep(monkeypatch) if sweep else spy_sweep(monkeypatch)
+        values = [-1.0, -0.0, 0.0, 0.5, 1.0]
+        for b in (5, 26):
+            groups = [signed_zero_grid(gen, n, p)
+                      for n in gen.permutation([0, 1, 3, 3, 11, 11, 20])]
+            for X in groups:
+                bad = gen.random(len(X)) < 0.2
+                X[bad, gen.integers(p, size=bad.sum())] = gen.choice(
+                    [np.inf, -np.inf, np.nan], size=bad.sum())
+            boxes = [open_boxes(gen, b, p, values, two_sided=not sweep)
+                     for _ in groups]
+            lower, upper = (np.array(side) for side in zip(*boxes))
+            lower[:, 0], upper[:, 0] = -np.inf, np.inf
+            want = np.array([box_count_oracle(X, lo, hi)
+                             for X, lo, hi in zip(groups, lower, upper)])
+            shuffled = [X[gen.permutation(len(X))] for X in groups]
+            perm = gen.permutation(len(groups))
+            X = classifier.stack_rows(groups, np.nan)
+            padded = np.concatenate([X, np.full((len(X), 5, p), np.nan)], axis=1)
+            for chunk in (1, 7, 97, 2500, 2 ** 14):
+                monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", chunk)
+                for got, expected in [
+                        (numcore.box_counts(X, lower, upper), want),
+                        (numcore.box_counts(padded, lower, upper), want),
+                        (numcore.box_counts(X[perm], lower[perm], upper[perm]),
+                         want[perm]),
+                        (numcore.box_counts(classifier.stack_rows(shuffled, np.nan),
+                                            lower, upper), want)]:
+                    assert np.array_equal(got, expected), (b, chunk)
+        assert bool(calls) == sweep
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
+    def test_segments_without_rows_count_zero(self, monkeypatch, sweep):
+        gen = np.random.default_rng(186)
+        if sweep:
+            force_sweep(monkeypatch)
+        lower, upper = open_boxes(gen, 6, 2, [-1.0, 0.0, 1.0])
+        lower, upper = np.stack([lower] * 3), np.stack([upper] * 3)
+        assert np.array_equal(numcore.box_counts(np.empty((3, 0, 2)), lower, upper),
+                              np.zeros((3, 6)))
+        X = np.full((3, 4, 2), np.nan)
+        X[1] = signed_zero_grid(gen, 4, 2)
+        want = np.zeros((3, 6), dtype=int)
+        want[1] = box_count_oracle(X[1], lower[1], upper[1])
+        assert np.array_equal(numcore.box_counts(X, lower, upper), want)
+
+    def test_sweep_traffic(self, monkeypatch):
+        # Under the default _SWEEP_MIN_* rule: a cli-bulk-sized call (2 000
+        # rows, 2 009 one-sided boxes) is swept, and a density call of the
+        # glass study (100 000 draws, 96 boxes) takes the comparison loop.
+        gen = np.random.default_rng(187)
+        calls = spy_sweep(monkeypatch)
+        for n, b, swept in [(2000, 2009, True), (100_000, 96, False)]:
+            X = gen.normal(size=(n, 2))
+            lower, upper = open_boxes(gen, b, 2, X[:50].ravel())
+            calls.clear()
+            assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
+                                  box_count_oracle(X, lower, upper))
+            assert bool(calls) == swept
+
 
 def mixture_case(gen, p):
     G = int(gen.integers(1, 4))
@@ -622,13 +694,18 @@ def segmented_scores(groups, queries, prototypes, eps):
 
 def assert_segments_match(got, groups, queries, prototypes, eps):
     """The segmented record got equals the frozen one-group tp_scores of
-    each segment, on every field of every query; returns the frozen
-    records."""
+    each segment, on every field of every query, and the comparison
+    oracle's score of each query, which shares no code with numcore;
+    returns the frozen records."""
     wants = [ref.tp_scores(X, Q, m, e)
              for X, Q, m, e in zip(groups, queries, prototypes, eps)]
     for s, want in enumerate(wants):
         for field, expected in zip(got, want):
             assert np.array_equal(field[s, :len(queries[s])], expected), s
+        X, Q, m, e = groups[s], queries[s], prototypes[s], eps[s]
+        assert_rows_match(TpRows(*(field[s, :len(Q)] for field in got)),
+                          [ref.comparison_tp(X, c, m, e) for c in Q],
+                          zero_denominator)
     return wants
 
 

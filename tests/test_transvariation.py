@@ -139,6 +139,13 @@ class TestMultivariateTp:
         with pytest.raises(ValueError, match="group row 4 is not finite"):
             multivariate_tp(X, [0.5, 0.5], [0.0, 0.0])
 
+    @pytest.mark.parametrize("X, c, m", [(np.empty((0, 2)), [0, 0], [1, 1]),
+                                         (np.empty(0), [0], [1])],
+                             ids=["2-D", "1-D"])
+    def test_empty_group_rejected(self, X, c, m):
+        with pytest.raises(ValueError, match="multivariate_tp: empty group"):
+            multivariate_tp(X, c, m)
+
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError, match="eps=-1.0 must be a number >= 0"):
             multivariate_tp(self.corners, [0.5, 0.5], [0.0, 0.0], eps=-1.0)
