@@ -471,35 +471,34 @@ def nearest_prototypes(Z, prototypes) -> np.ndarray:
 
 def prototype_scores(models, Zs, clusters) -> list[np.ndarray]:
     """The score of each row of Zs[i] against prototype clusters[i] of
-    models[i]. All (model, prototype) segments of df and pam_df models are
-    counted in one tp_scores call, their groups and queries padded with
-    rows of nan to the longest; a db model's rows are scored under its
-    density, one tp_density_scores call per prototype."""
+    models[i]. Each model's rows are put in cluster order by one stable
+    argsort, so each (model, prototype) segment's queries are one run of
+    them. All segments of df and pam_df models are counted in one tp_scores
+    call, whose flat scores, in segment order, go back through that order;
+    a db model's rows are scored under its density, one tp_density_scores
+    call per prototype."""
     scores = [np.empty(len(Z)) for Z in Zs]
-    segments = []
+    counted, groups, queries, prototypes, eps = [], [], [], [], []
     for model, Z, labels, out in zip(models, Zs, clusters, scores):
-        for g in range(model.n_prototypes):
-            rows = labels == g
-            if model.variant == "db":
-                out[rows] = tp_density_scores(
-                    model.density, Z[rows], model.prototypes[g],
-                    model.integrator, model.eps).value
-            else:
-                segments.append((out, rows, model.groups[g], Z[rows],
-                                 model.prototypes[g], model.eps))
-    if segments:
-        outs, rows, groups, queries, prototypes, eps = zip(*segments)
-        values = tp_scores(stack_rows(groups, np.nan), stack_rows(queries, np.nan),
-                           np.array(prototypes), np.array(eps)).value
-        for out, where, value in zip(outs, rows, values):
-            out[where] = value[:np.count_nonzero(where)]
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=model.n_prototypes)).tolist()
+        ordered = np.take(Z, order, axis=0)
+        runs = [ordered[a:b] for a, b in zip([0, *ends], ends)]
+        if model.variant == "db":
+            out[order] = np.concatenate([
+                tp_density_scores(model.density, run, proto, model.integrator,
+                                  model.eps).value
+                for run, proto in zip(runs, model.prototypes)])
+        else:
+            counted.append((out, order))
+            groups += model.groups
+            queries += runs
+            prototypes.append(model.prototypes)
+            eps += [model.eps] * len(runs)
+    if counted:
+        values = tp_scores(groups, queries, np.concatenate(prototypes), eps).value
+        start = 0
+        for out, order in counted:
+            out[order] = values[start:start + len(order)]
+            start += len(order)
     return scores
-
-
-def stack_rows(arrays, fill) -> np.ndarray:
-    """The 2-D arrays, all p wide, as one S x n x p array, each padded to
-    the longest with rows of fill."""
-    sizes = np.array([len(a) for a in arrays])
-    out = np.full((len(arrays), sizes.max(), arrays[0].shape[1]), fill)
-    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(arrays)
-    return out

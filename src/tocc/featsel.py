@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (PredictionResult, ToccModel, fit_counting,
-                         nearest_prototypes, prototype_scores, stack_rows)
+                         nearest_prototypes, prototype_scores)
 from .evaluation import TOCC_VARIANTS, fit_method
 from .numcore import (DataMatrix, RngStream, as_queries, as_values,
                       correlation_matrix, pca)
@@ -166,8 +166,13 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
     vals = as_queries(Z, ensemble.projections[0].shape[0], "predict_ensemble")
     models = ensemble.sub_models
     views = np.stack([vals @ proj for proj in ensemble.projections])
-    clusters = nearest_prototypes(
-        views, stack_rows([m.prototypes for m in models], np.inf))
+    # Rows of +inf fill out the views with fewer prototypes: no query is
+    # nearer to one.
+    k = max(m.n_prototypes for m in models)
+    prototypes = np.full((len(models), k, views.shape[2]), np.inf)
+    for proto, model in zip(prototypes, models):
+        proto[:model.n_prototypes] = model.prototypes
+    clusters = nearest_prototypes(views, prototypes)
     scores = prototype_scores(models, views, clusters)
     votes = sum(score >= model.thresholds[labels]
                 for model, score, labels in zip(models, scores, clusters))

@@ -165,9 +165,9 @@ def require_symmetric(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
-# Rows per block of the points a box count reads, and segment-box-row
-# triples per tile of its comparison loop: cache-resident, and flat in
-# memory at any number of points.
+# Rows per block of the points a box count reads, and box-row pairs per
+# tile of its comparison loop: cache-resident, and flat in memory at any
+# number of points.
 _CHUNK_ELEMENTS = 2 ** 14
 
 # A segment is counted by the p = 2 sweep when every box of the segment is
@@ -192,67 +192,62 @@ _SWEEP_MIN_BOXES = 192
 _SWEEP_MIN_PAIRS = 2 ** 17
 
 
-def box_counts(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Count of the rows of segment s of the S x n x p points X strictly
-    inside each open box lower[s, i] < x < upper[s, i] of the S x b x p
-    bounds, +-inf allowed, as an S x b array. A row of nan pads a segment;
-    it lies in no box, as does any row with a coordinate that is not
-    finite.
+def box_counts(X: np.ndarray, ends, lower: np.ndarray, upper: np.ndarray,
+               seg: np.ndarray) -> np.ndarray:
+    """Count of the rows of segment seg[i] strictly inside each open box
+    lower[i] < x < upper[i] of the b x p bounds, +-inf allowed, as b counts.
+    The n x p points X hold the segments' rows in segment order, and ends
+    the end of each: segment s is X[ends[s - 1]:ends[s]] (from row 0 for s =
+    0), as in a CSR matrix. seg tags each box with its segment, in any
+    order. A row with a coordinate that is not finite lies in no box.
 
-    Each segment is counted by one algorithm. When p = 2, every box of the
-    segment is one-sided (each coordinate a half-line (a, inf) or
-    (-inf, a), or the whole line) and the segment is large enough, its
-    finite rows are swept by _sweep_counts in blocks of _CHUNK_ELEMENTS
-    rows; all other segments are counted together by _tiled_counts. Both
-    count exactly, so the choice never moves a count.
+    One loop over the segments counts each by one algorithm. When p = 2,
+    every box of the segment is one-sided (each coordinate a half-line
+    (a, inf) or (-inf, a), or the whole line) and the segment is large
+    enough, its finite rows are swept by _sweep_counts in blocks of
+    _CHUNK_ELEMENTS rows; any other segment is compared with its boxes in
+    tiles of at most _CHUNK_ELEMENTS box-row pairs, a run of its boxes
+    against a block of its rows. Both count exactly, so the choice never
+    moves a count.
     """
-    S, b, p = lower.shape
-    sweep = np.zeros(S, dtype=bool)
-    if p == 2 and b >= _SWEEP_MIN_BOXES:
-        real = np.isfinite(X[..., 0]) & np.isfinite(X[..., 1])
-        sweep = ((real.sum(axis=1) * b >= _SWEEP_MIN_PAIRS)
-                 & np.all((lower == -np.inf) | (upper == np.inf), axis=(1, 2)))
-    if not sweep.any():
-        return _tiled_counts(X, lower, upper)
-    counts = np.zeros((S, b), dtype=np.int64)
-    for s in np.flatnonzero(sweep):
-        rows = np.compress(real[s], X[s], axis=0)
-        up = upper[s] == np.inf
-        anchors = np.where(up, lower[s], upper[s])
-        for first in range(0, rows.shape[0], _CHUNK_ELEMENTS):
-            counts[s] += _sweep_counts(rows[first:first + _CHUNK_ELEMENTS], anchors, up)
-    counts[~sweep] = _tiled_counts(X[~sweep], lower[~sweep], upper[~sweep])
-    return counts
-
-
-def _tiled_counts(X, lower, upper):
-    """box_counts by comparing rows with boxes, for every segment at once,
-    in tiles of at most _CHUNK_ELEMENTS (segment, box, row) triples: a run
-    of segments with all their boxes, or one segment with a run of its
-    boxes, against a block of rows. A tile reads its segments' rows up to
-    the last one whose first coordinate is finite; a row past it fails a
-    comparison with every box, as nan or +-inf fails one of a < x < b."""
-    S, b, p = lower.shape
-    n = X.shape[1]
-    # ends[s]: rows of segment s up to its last finite first coordinate.
-    ends = np.logical_or.accumulate(np.isfinite(X[:, ::-1, 0]), axis=1).sum(axis=1)
-    block = min(n, _CHUNK_ELEMENTS) or 1
-    boxes = max(1, min(b, _CHUNK_ELEMENTS // block))
-    runs = max(1, _CHUNK_ELEMENTS // (block * boxes))
-    lower, upper = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lower, upper))
-    counts = np.zeros((S, b), dtype=np.int64)
-    for first in range(0, n, block):
-        XT = np.ascontiguousarray(X[:, first:first + block].transpose(2, 0, 1))
-        for start in range(0, S, runs):
-            seg = slice(start, start + runs)
-            rows = XT[:, seg, None, :max(0, ends[seg].max() - first)]
-            for low in range(0, b, boxes):
-                box = slice(low, low + boxes)
-                lo, hi = lower[:, seg, box, None], upper[:, seg, box, None]
-                inside = np.logical_and.reduce((rows > lo) & (rows < hi))
+    p = X.shape[1]
+    order = np.argsort(seg, kind="stable")
+    # np.take: a 2-D fancy index gathers rows several times slower.
+    lower, upper = (np.take(a, order, axis=0) for a in (lower, upper))
+    # Row and box bounds of each segment, as Python ints for the loop.
+    rows = [0, *np.asarray(ends).tolist()]
+    boxes = np.searchsorted(seg[order], np.arange(len(rows))).tolist()
+    # Coordinates first, each contiguous: a tile compares one run of boxes
+    # with one block of rows, coordinate by coordinate.
+    LT, UT = np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
+    counts = np.zeros(len(seg), dtype=np.int64)
+    for start, stop, low, high in zip(rows, rows[1:], boxes, boxes[1:]):
+        n, b, box = stop - start, high - low, slice(low, high)
+        # n * b bounds the pairs of the finite rows from above.
+        if (p == 2 and b >= _SWEEP_MIN_BOXES and n * b >= _SWEEP_MIN_PAIRS
+                and np.all((lower[box] == -np.inf) | (upper[box] == np.inf))):
+            real = np.isfinite(X[start:stop, 0]) & np.isfinite(X[start:stop, 1])
+            if np.count_nonzero(real) * b >= _SWEEP_MIN_PAIRS:
+                points = np.compress(real, X[start:stop], axis=0)
+                up = upper[box] == np.inf
+                anchors = np.where(up, lower[box], upper[box])
+                for first in range(0, len(points), _CHUNK_ELEMENTS):
+                    counts[box] += _sweep_counts(
+                        points[first:first + _CHUNK_ELEMENTS], anchors, up)
+                continue
+        block = max(1, min(n, _CHUNK_ELEMENTS))
+        run = max(1, min(b, _CHUNK_ELEMENTS // block))
+        for first in range(start, stop, block):
+            points = np.ascontiguousarray(X[first:min(first + block, stop)].T)[:, None]
+            for left in range(low, high, run):
+                tile = slice(left, min(left + run, high))
+                inside = np.logical_and.reduce((points > LT[:, tile, None])
+                                               & (points < UT[:, tile, None]))
                 # int32 sums at most _CHUNK_ELEMENTS ones exactly, and fast.
-                counts[seg, box] += inside.sum(axis=2, dtype=np.int32)
-    return counts
+                counts[tile] += inside.sum(axis=1, dtype=np.int32)
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
 
 
 def _sweep_counts(X, A, up):
@@ -285,33 +280,31 @@ def _sweep_counts(X, A, up):
                      n - above[0] - above[1] + dom)
 
 
-def tie_counts(X: np.ndarray, A: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Count of the rows of segment s of the S x n x p points X equal to
-    each anchor A[s, i] of the S x b x p anchors on the coordinates its row
-    kept[s, i] of the boolean mask keeps, 0 for an anchor that keeps none,
-    as an S x b array; a row of nan pads a segment and equals no anchor.
-    Per distinct mask row, by sorting one integer key per row of X, its
-    segment and the rank of its columns among the distinct rows, and
-    searching it for the anchors'."""
-    S, n, p = X.shape
-    b = A.shape[1]
-    X, A, kept = X.reshape(-1, p), A.reshape(-1, p), kept.reshape(-1, p)
-    counts = np.zeros(S * b, dtype=np.int64)
+def tie_counts(X: np.ndarray, ends, A: np.ndarray, kept: np.ndarray,
+               seg: np.ndarray) -> np.ndarray:
+    """Count of the rows of segment seg[i] equal to each anchor A[i] of the
+    b x p anchors on the coordinates its row kept[i] of the boolean mask
+    keeps, 0 for an anchor that keeps none, as b counts; X and ends hold
+    the segments' rows as box_counts takes them. Per distinct mask row, by
+    sorting one integer key per row of X, its segment and the rank of its
+    columns among the distinct rows, and searching it for the anchors'."""
+    segment = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    counts = np.zeros(len(A), dtype=np.int64)
     first, which = distinct_rows(kept)
     for j, cols in enumerate(kept[first]):
         if cols.any():
-            rows = np.flatnonzero(which == j)
+            boxes = np.flatnonzero(which == j)
             # Each row's rank among the distinct row keys, led by its
             # segment; an anchor equal to no row gets -1.
             distinct, rank = np.unique(_row_keys(X[:, cols]), return_inverse=True)
-            keys = np.sort(np.arange(S * n) // n * distinct.size + rank.reshape(-1))
-            anchors = _row_keys(A[np.ix_(rows, cols)])
+            keys = np.sort(segment * distinct.size + rank.reshape(-1))
+            anchors = _row_keys(A[np.ix_(boxes, cols)])
             place = np.searchsorted(distinct, anchors)
             anchors = np.where(np.searchsorted(distinct, anchors, "right") > place,
-                               rows // b * distinct.size + place, -1)
-            counts[rows] = (np.searchsorted(keys, anchors, "right")
-                            - np.searchsorted(keys, anchors))
-    return counts.reshape(S, b)
+                               seg[boxes] * distinct.size + place, -1)
+            counts[boxes] = (np.searchsorted(keys, anchors, "right")
+                             - np.searchsorted(keys, anchors))
+    return counts
 
 
 def distinct_rows(M):

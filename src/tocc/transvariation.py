@@ -57,14 +57,14 @@ _DEGENERATE = 1e-12
 def _kept(C, m, eps):
     """The drop rule: a coordinate where the query lies within eps of the
     prototype carries no sign information and is dropped. eps, a number or
-    one per segment of C, must be at least 0, so every kept coordinate has
+    one per row of C, must be at least 0, so every kept coordinate has
     c != m and a direction, _up. Near opposite ends of the float range
     c - m overflows to an infinity, which is kept, as it should be."""
     bound = np.asarray(eps, dtype=float)
     if not np.all(bound >= 0):
         raise ValueError(f"eps={eps!r} must be a number >= 0")
     with np.errstate(over="ignore"):
-        return np.abs(C - m) > bound[..., None, None]
+        return np.abs(C - m) > bound[..., None]
 
 
 def _up(C, m):
@@ -73,38 +73,29 @@ def _up(C, m):
     return C > m
 
 
-def _orthant_boxes(C, m, kept):
-    """The open orthant boxes of the queries C (S x q x p) of each segment
-    s with prototype m[s] (S x p), as S x (q + P) x p bounds (lower, upper),
-    and the S x q index of each query's denominator box among the last P.
-    Box i lies beyond the anchor a = C[s, i] in its direction from m[s],
-    (a_u, inf) where it points up and (-inf, a_u) where it points down, on
-    each coordinate that the mask kept keeps; a coordinate not kept is
-    unbounded. The denominator box lies beyond a = m[s] in the same
-    direction, so it depends only on the query's pattern (each coordinate
-    dropped, up or down): box q + j of segment s is the one of the j-th
-    pattern present in s, and P, the most patterns in any segment, is at
-    most min(q, 3^p). A segment with fewer patterns pads its last boxes
-    with the box bounded nowhere, which no query uses."""
-    S, q, p = C.shape
-    up = _up(C, m[:, None])
+def _orthant_boxes(C, M, kept, seg):
+    """The open orthant boxes of the queries C (q x p), query i of segment
+    seg[i] with prototype M[i]: bounds (lower, upper) of the q numerator
+    boxes and then of one denominator box per (segment, pattern) present,
+    the segment of each box, and the index of each query's denominator box
+    among the latter. Box i lies beyond the anchor a = C[i] in its
+    direction from M[i], (a_u, inf) where it points up and (-inf, a_u)
+    where it points down, on each coordinate that the mask kept keeps; a
+    coordinate not kept is unbounded. The denominator box lies beyond a =
+    M[i] in the same direction, so it depends only on the segment and the
+    query's pattern (each coordinate dropped, up or down): a segment has at
+    most min(q, 3^p) of them."""
+    up = _up(C, M)
     lo, hi = kept & up, kept & ~up
-    codes = (kept.view(np.int8) + hi.view(np.int8)).reshape(-1, p)
+    _, pattern = distinct_rows(kept.view(np.int8) + hi.view(np.int8))
     # One key per (segment, pattern), ordered by segment first.
-    segment = np.repeat(np.arange(S), q)
-    _, pattern = distinct_rows(codes)
-    _, first, which = np.unique(segment * (S * q) + pattern, return_index=True,
+    _, first, which = np.unique(seg * len(C) + pattern, return_index=True,
                                 return_inverse=True)
-    owner = segment[first]
-    slot = np.arange(first.size) - np.searchsorted(owner, owner)
-    patterns = np.zeros((S, slot.max(initial=-1) + 1, p), dtype=np.int8)
-    patterns[owner, slot] = codes[first]
-    anchor = m[:, None]
     return (np.concatenate([np.where(lo, C, -np.inf),
-                            np.where(patterns == 1, anchor, -np.inf)], axis=1),
+                            np.where(lo[first], M[first], -np.inf)]),
             np.concatenate([np.where(hi, C, np.inf),
-                            np.where(patterns == 2, anchor, np.inf)], axis=1),
-            slot[which].reshape(S, q))
+                            np.where(hi[first], M[first], np.inf)]),
+            np.concatenate([seg, seg[first]]), which)
 
 
 def _record(num, den, kept) -> TpRows:
@@ -116,47 +107,51 @@ def _record(num, den, kept) -> TpRows:
     return TpRows(value, num, den, kept, degenerate)
 
 
-# Query coordinates per chunk of segments that tp_scores scores at a time
-# (a chunk holds at least one segment): this bounds the memory one call
-# holds at any number of segments.
+# Query coordinates per chunk of segments that tp_scores scores at a time:
+# a chunk holds the segments whose queries start in one stretch of this
+# many coordinates of their concatenation, so at most this many plus one
+# segment's, which bounds the memory one call holds at any number of
+# segments.
 _QUERY_CHUNK = 2 ** 14
 
 
-def tp_scores(X, C, m, eps=DROP_EPS) -> TpRows:
-    """Counting-form tp of each query C[s, i] of the S x q x p float array
-    C against the rows of group X[s] (S x n x p) and prototype m[s]
-    (S x p), with eps a number or one per segment: numerator and
-    denominator in unit counts, each field of the record S x q (S x q x p
-    for kept). Rows of nan pad the groups and the queries to a common
-    length; a padded query's entries mean nothing. multivariate_tp is the
-    one-segment, one-query case.
+def tp_scores(groups, queries, prototypes, eps=DROP_EPS) -> TpRows:
+    """Counting-form tp of each query of segment s, a row of the float
+    array queries[s] (q_s x p), against the rows of the group groups[s]
+    (n_s x p) and prototype prototypes[s] (S x p), with eps a number or one
+    per segment: numerator and denominator in unit counts, each field of
+    the record one entry per query (q x p for kept), in segment order.
+    multivariate_tp is the one-segment, one-query case.
 
-    Segments are scored in chunks of at most _QUERY_CHUNK query
-    coordinates. Per chunk, one box_counts call counts the rows strictly
-    inside the boxes of _orthant_boxes, every query's numerator box and one
-    denominator box per orthant pattern, and one tie_counts call adds half
-    the rows equal to each box's anchor on its bounded coordinates, none
-    for a box bounded nowhere."""
-    step = max(1, _QUERY_CHUNK // max(1, C[0].size))
-    if step >= len(C):
-        return _chunk_scores(X, C, m, eps)
-    chunks = [slice(start, start + step) for start in range(0, len(C), step)]
+    Segments are scored in chunks of about _QUERY_CHUNK query coordinates.
+    Per chunk, one box_counts call counts the rows strictly inside the
+    boxes of _orthant_boxes, every query's numerator box and one
+    denominator box per segment and orthant pattern, and one tie_counts
+    call adds half the rows equal to each box's anchor on its bounded
+    coordinates, none for a box bounded nowhere."""
+    sizes = np.array([Q.size for Q in queries])
+    chunk = (np.cumsum(sizes) - sizes) // _QUERY_CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1), len(queries)]
     return TpRows(*map(np.concatenate, zip(*(
-        _chunk_scores(X[c], C[c], m[c], eps if np.ndim(eps) == 0 else eps[c])
-        for c in chunks))))
+        _chunk_scores(groups[a:b], queries[a:b], prototypes[a:b],
+                      eps if np.ndim(eps) == 0 else eps[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])))))
 
 
-def _chunk_scores(X, C, m, eps) -> TpRows:
+def _chunk_scores(groups, queries, m, eps) -> TpRows:
     """tp_scores of one chunk of segments, in one box_counts and one
     tie_counts call."""
-    kept = _kept(C, m[:, None], eps)
-    lower, upper, which = _orthant_boxes(C, m, kept)
+    X, ends = np.concatenate(groups), np.cumsum([len(g) for g in groups])
+    C = np.concatenate(queries)
+    seg = np.repeat(np.arange(len(queries)), [len(Q) for Q in queries])
+    M = np.take(m, seg, axis=0)
+    kept = _kept(C, M, eps if np.ndim(eps) == 0 else np.asarray(eps)[seg])
+    lower, upper, boxseg, which = _orthant_boxes(C, M, kept, seg)
     below = lower > -np.inf
-    counts = (box_counts(X, lower, upper)
-              + 0.5 * tie_counts(X, np.where(below, lower, upper),
-                                 below | (upper < np.inf)))
-    q = C.shape[1]
-    num, den = counts[:, :q], np.take_along_axis(counts[:, q:], which, axis=1)
+    counts = (box_counts(X, ends, lower, upper, boxseg)
+              + 0.5 * tie_counts(X, ends, np.where(below, lower, upper),
+                                 below | (upper < np.inf), boxseg))
+    num, den = counts[:len(C)], counts[len(C):][which]
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")
     return _record(num, den, kept)
@@ -171,10 +166,10 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRow
     the q numerator boxes and one denominator box per orthant pattern, so
     all boxes of the batch share one draw set."""
     kept = _kept(C, m, eps)
-    lower, upper, which = _orthant_boxes(C[None], m[None], kept[None])
-    masses = box_masses(density, lower[0], upper[0], integrator)
-    q = C.shape[0]
-    return _record(masses[:q], masses[q:][which[0]], kept)
+    lower, upper, _, which = _orthant_boxes(C, np.broadcast_to(m, C.shape), kept,
+                                            np.zeros(len(C), dtype=np.intp))
+    masses = box_masses(density, lower, upper, integrator)
+    return _record(masses[:len(C)], masses[len(C):][which], kept)
 
 
 def _one_query(batch, c, m, p: int, where: str) -> TpScore:
@@ -217,8 +212,8 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     _require_finite("univariate_tp", c=c, m=m)
     if c == m:
         return TpScore(1.0, arr.size / 2.0, arr.size / 2.0)
-    rows = tp_scores(arr[None], np.array([[[c]]]), np.array([[m]]), 0.0)
-    weighted = float(rows.numerator[0, 0])
+    rows = tp_scores([arr], [np.array([[c]])], np.array([[m]]), 0.0)
+    weighted = float(rows.numerator[0])
     return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
 
@@ -260,10 +255,8 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     if vals.shape[0] == 0:
         raise ValueError("multivariate_tp: empty group")
     require_finite_rows(vals, "multivariate_tp", "group")
-    return _one_query(
-        lambda C, m: TpRows(*(f[0] for f in tp_scores(vals[None], C[None],
-                                                       m[None], eps))),
-        c, m, vals.shape[1], "multivariate_tp")
+    return _one_query(lambda C, m: tp_scores([vals], [C], m[None], eps),
+                      c, m, vals.shape[1], "multivariate_tp")
 
 
 def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) -> TpScore:

@@ -923,8 +923,8 @@ def product_kde(train: np.ndarray, h: np.ndarray, queries: np.ndarray) -> np.nda
 # transvariation.tp_scores and _orthant_boxes, classifier.predict and its
 # calibration, and featsel.predict_ensemble as they were before every
 # (view, cluster) segment was counted in one call and each denominator box
-# once per orthant pattern. The library's counters now take a leading
-# segment axis; these copies hand them one segment.
+# once per orthant pattern. The library's counters now take the rows of
+# many segments; these copies hand them one segment.
 
 def _orthant_boxes(C, m, kept):
     """The 2q x p bounds (lower, upper) of the open orthant boxes of the
@@ -944,9 +944,10 @@ def tp_scores(X, C, m, eps: float = DROP_EPS):
     kept = _kept(C, m, eps)
     anchors = np.concatenate([C, np.broadcast_to(m, C.shape)])
     lower, upper = _orthant_boxes(C, m, kept)
-    num, den = (box_counts(vals[None], lower[None], upper[None])[0]
-                + 0.5 * tie_counts(vals[None], anchors[None],
-                                   np.concatenate([kept, kept])[None])[0]
+    ends, seg = [len(vals)], np.zeros(len(anchors), dtype=np.intp)
+    num, den = (box_counts(vals, ends, lower, upper, seg)
+                + 0.5 * tie_counts(vals, ends, anchors,
+                                   np.concatenate([kept, kept]), seg)
                 ).reshape(2, -1)
     if np.any(num > den):
         raise RuntimeError("numerator exceeded denominator (counting bug)")

@@ -44,12 +44,12 @@ from tocc.transvariation import TpRows, tp_density_scores, tp_scores
 def group_scores(X, Q, m, eps=transvariation.DROP_EPS):
     """tp_scores of the queries Q against the one group X, a one-segment
     call."""
-    return TpRows(*(f[0] for f in tp_scores(X[None], Q[None], m[None], eps)))
+    return tp_scores([X], [Q], m[None], eps)
 
 
 def one_segment(counter, X, *arrays):
     """A numcore counter on the one segment of points X."""
-    return counter(X[None], *(a[None] for a in arrays))[0]
+    return counter(X, [len(X)], *arrays, np.zeros(len(arrays[0]), dtype=np.intp))
 
 
 def fields(score):
@@ -433,43 +433,59 @@ class TestCounters:
                                           (3, False), (9, False)],
                              ids=["p1", "p2", "p2-sweep", "p3", "p9"])
     def test_box_counts_properties(self, monkeypatch, p, sweep):
-        # Segments of 0 to 20 rows, some with nan or +-inf coordinates,
-        # padded with nan to a common length, every box bounded on the
-        # grid or nowhere. The counts equal the oracle's, bit for bit,
-        # under every tile size, a permutation of the segments, of the
-        # rows within each segment, and extra nan padding. A tile of 2 500
-        # triples holds four segments of different real lengths at 26
-        # boxes, one of 2 ** 14 all seven.
+        # Segments of 0 to 20 rows, some with nan or +-inf coordinates, and
+        # 0 to 2b boxes each, every box bounded on the grid or nowhere, so
+        # some segments have rows and no boxes and some boxes and no rows.
+        # box_counts equals the oracle's counts, bit for bit, under every
+        # tile size, with the box tags in shuffled order, a permutation of
+        # the segments and of the rows within each segment; tie_counts,
+        # with grid anchors and masks of every density, equals its oracle
+        # under the same shuffles. The tile sizes run from one row against
+        # one box (1) through ragged row blocks and box runs (7, 97) to
+        # whole segments (2 500, 2 ** 14).
         gen = np.random.default_rng(180 + p + sweep)
         calls = force_sweep(monkeypatch) if sweep else spy_sweep(monkeypatch)
         values = [-1.0, -0.0, 0.0, 0.5, 1.0]
         for b in (5, 26):
-            groups = [signed_zero_grid(gen, n, p)
-                      for n in gen.permutation([0, 1, 3, 3, 11, 11, 20])]
+            # (rows, boxes) of each segment, in random order.
+            shapes = gen.permutation([(0, b), (1, 0), (3, 2 * b), (3, 1),
+                                      (11, 0), (11, b), (20, b)])
+            groups = [signed_zero_grid(gen, n, p) for n in shapes[:, 0]]
             for X in groups:
                 bad = gen.random(len(X)) < 0.2
                 X[bad, gen.integers(p, size=bad.sum())] = gen.choice(
                     [np.inf, -np.inf, np.nan], size=bad.sum())
-            boxes = [open_boxes(gen, b, p, values, two_sided=not sweep)
-                     for _ in groups]
-            lower, upper = (np.array(side) for side in zip(*boxes))
-            lower[:, 0], upper[:, 0] = -np.inf, np.inf
-            want = np.array([box_count_oracle(X, lo, hi)
-                             for X, lo, hi in zip(groups, lower, upper)])
+            seg = np.repeat(np.arange(len(groups)), shapes[:, 1])
+            lower, upper = open_boxes(gen, len(seg), p, values,
+                                      two_sided=not sweep)
+            nowhere = gen.random(len(seg)) < 0.1
+            lower[nowhere], upper[nowhere] = -np.inf, np.inf
+            A = signed_zero_grid(gen, len(seg), p)
+            kept = gen.random(A.shape) < gen.random((len(A), 1))
+            want = np.zeros(len(seg), dtype=int)
+            ties = np.zeros(len(seg), dtype=int)
+            for s, X in enumerate(groups):
+                own = seg == s
+                want[own] = box_count_oracle(X, lower[own], upper[own])
+                ties[own] = [((X == a) | ~k).all(1).sum() if k.any() else 0
+                             for a, k in zip(A[own], kept[own])]
+            assert ties.max() > 0
             shuffled = [X[gen.permutation(len(X))] for X in groups]
             perm = gen.permutation(len(groups))
-            X = classifier.stack_rows(groups, np.nan)
-            padded = np.concatenate([X, np.full((len(X), 5, p), np.nan)], axis=1)
+            tags = gen.permutation(len(seg))
+            cases = [  # rows, box order, box tags
+                (groups, slice(None), seg), (shuffled, slice(None), seg),
+                (groups, tags, seg[tags]),
+                ([groups[s] for s in perm], slice(None), np.argsort(perm)[seg])]
             for chunk in (1, 7, 97, 2500, 2 ** 14):
                 monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", chunk)
-                for got, expected in [
-                        (numcore.box_counts(X, lower, upper), want),
-                        (numcore.box_counts(padded, lower, upper), want),
-                        (numcore.box_counts(X[perm], lower[perm], upper[perm]),
-                         want[perm]),
-                        (numcore.box_counts(classifier.stack_rows(shuffled, np.nan),
-                                            lower, upper), want)]:
-                    assert np.array_equal(got, expected), (b, chunk)
+                for rows, order, tagged in cases:
+                    X, ends = np.concatenate(rows), np.cumsum(list(map(len, rows)))
+                    got = numcore.box_counts(X, ends, lower[order], upper[order],
+                                             tagged)
+                    assert np.array_equal(got, want[order]), (b, chunk)
+                    got = numcore.tie_counts(X, ends, A[order], kept[order], tagged)
+                    assert np.array_equal(got, ties[order]), (b, chunk)
         assert bool(calls) == sweep
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
@@ -478,14 +494,18 @@ class TestCounters:
         if sweep:
             force_sweep(monkeypatch)
         lower, upper = open_boxes(gen, 6, 2, [-1.0, 0.0, 1.0])
-        lower, upper = np.stack([lower] * 3), np.stack([upper] * 3)
-        assert np.array_equal(numcore.box_counts(np.empty((3, 0, 2)), lower, upper),
-                              np.zeros((3, 6)))
-        X = np.full((3, 4, 2), np.nan)
-        X[1] = signed_zero_grid(gen, 4, 2)
+        lower, upper = np.tile(lower, (3, 1)), np.tile(upper, (3, 1))
+        seg = np.repeat(np.arange(3), 6)
+        kept = np.ones((18, 2), dtype=bool)
+        for counter, bounds in [(numcore.box_counts, (lower, upper)),
+                                (numcore.tie_counts, (lower, kept))]:
+            assert np.array_equal(counter(np.empty((0, 2)), [0, 0, 0], *bounds, seg),
+                                  np.zeros(18))
+        X = signed_zero_grid(gen, 4, 2)
         want = np.zeros((3, 6), dtype=int)
-        want[1] = box_count_oracle(X[1], lower[1], upper[1])
-        assert np.array_equal(numcore.box_counts(X, lower, upper), want)
+        want[1] = box_count_oracle(X, lower[:6], upper[:6])
+        assert np.array_equal(numcore.box_counts(X, [0, 4, 4], lower, upper, seg),
+                              want.ravel())
 
     def test_sweep_traffic(self, monkeypatch):
         # Under the default _SWEEP_MIN_* rule: a cli-bulk-sized call (2 000
@@ -686,32 +706,28 @@ def segment_case(gen, p, S):
     return groups, queries, np.array(prototypes)
 
 
-def segmented_scores(groups, queries, prototypes, eps):
-    """One tp_scores call over every segment, padded with rows of nan."""
-    return tp_scores(classifier.stack_rows(groups, np.nan),
-                     classifier.stack_rows(queries, np.nan), prototypes, eps)
-
-
 def assert_segments_match(got, groups, queries, prototypes, eps):
-    """The segmented record got equals the frozen one-group tp_scores of
-    each segment, on every field of every query, and the comparison
-    oracle's score of each query, which shares no code with numcore;
-    returns the frozen records."""
+    """The segmented record got, one entry per query in segment order,
+    equals the frozen one-group tp_scores of each segment, on every field
+    of every query, and the comparison oracle's score of each query, which
+    shares no code with numcore; returns the frozen records."""
     wants = [ref.tp_scores(X, Q, m, e)
              for X, Q, m, e in zip(groups, queries, prototypes, eps)]
+    assert len(got.value) == sum(map(len, queries))
+    ends = np.cumsum([len(Q) for Q in queries])
     for s, want in enumerate(wants):
-        for field, expected in zip(got, want):
-            assert np.array_equal(field[s, :len(queries[s])], expected), s
+        own = TpRows(*(field[ends[s] - len(queries[s]):ends[s]] for field in got))
+        for field, expected in zip(own, want):
+            assert np.array_equal(field, expected), s
         X, Q, m, e = groups[s], queries[s], prototypes[s], eps[s]
-        assert_rows_match(TpRows(*(field[s, :len(Q)] for field in got)),
-                          [ref.comparison_tp(X, c, m, e) for c in Q],
+        assert_rows_match(own, [ref.comparison_tp(X, c, m, e) for c in Q],
                           zero_denominator)
     return wants
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSegmentedCounting:
-    """tp_scores over many padded segments against the frozen one-group
+    """tp_scores over many ragged segments against the frozen one-group
     tp_scores, which counts a denominator box per query."""
 
     @pytest.mark.parametrize("p, setting", [
@@ -733,7 +749,7 @@ class TestSegmentedCounting:
             monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
             monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS",
                                 40 * max(map(len, queries)))
-        got = segmented_scores(groups, queries, prototypes, eps)
+        got = tp_scores(groups, queries, prototypes, eps)
         assert (0 < len(calls) < 14) if setting == "sweep" else not calls
         wants = assert_segments_match(got, groups, queries, prototypes, eps)
         assert any(want.degenerate.any() for want in wants) or p == 1
@@ -742,8 +758,9 @@ class TestSegmentedCounting:
         """Each segment counts one denominator box per orthant pattern of
         its own queries, not of every segment's: six segments at p = 9,
         each with three sign patterns no other segment has, build q + 3
-        boxes, and each query's denominator box is the frozen per-query
-        one. The scores at p = 9 match the frozen one-group calls."""
+        boxes each, tagged with their segment, and each query's
+        denominator box is the frozen per-query one. The scores at p = 9
+        match the frozen one-group calls."""
         gen = np.random.default_rng(171)
         S, q, p = 6, 30, 9
         signs = np.unique(gen.choice([-1.0, 1.0], size=(40, p)), axis=0)
@@ -751,17 +768,21 @@ class TestSegmentedCounting:
         C = (signs[np.arange(S)[:, None], gen.integers(3, size=(S, q))]
              * gen.integers(1, 4, size=(S, q, p)))
         m = np.zeros((S, p))
-        kept = transvariation._kept(C, m[:, None], 0.0)
-        lower, upper, which = transvariation._orthant_boxes(C, m, kept)
-        assert lower.shape == upper.shape == (S, q + 3, p)
+        seg = np.repeat(np.arange(S), q)
+        kept = transvariation._kept(C.reshape(-1, p), m[seg], 0.0)
+        lower, upper, boxseg, which = transvariation._orthant_boxes(
+            C.reshape(-1, p), m[seg], kept, seg)
+        assert lower.shape == upper.shape == (S * (q + 3), p)
+        assert np.array_equal(np.bincount(boxseg), np.full(S, q + 3))
+        assert np.array_equal(boxseg[S * q:][which], seg)
         for s in range(S):
-            lo, hi = ref._orthant_boxes(C[s], m[s], kept[s])
-            assert np.array_equal(lower[s, q + which[s]], lo[q:])
-            assert np.array_equal(upper[s, q + which[s]], hi[q:])
+            lo, hi = ref._orthant_boxes(C[s], m[s], kept[seg == s])
+            assert np.array_equal(lower[S * q + which[seg == s]], lo[q:])
+            assert np.array_equal(upper[S * q + which[seg == s]], hi[q:])
         groups = [gen.integers(-2, 3, size=(int(gen.integers(5, 40)), p))
                   .astype(float) for _ in range(S)]
         queries = [C[s, :int(gen.integers(1, q + 1))] for s in range(S)]
-        got = segmented_scores(groups, queries, m, np.zeros(S))
+        got = tp_scores(groups, queries, m, np.zeros(S))
         assert_segments_match(got, groups, queries, m, np.zeros(S))
 
 
@@ -830,7 +851,9 @@ class TestEnsembleBatching:
                        [[1e300, -1e300, 1e300], [0.0, 0.0, 0.0]]])
         assert_ensemble_matches_per_view(ens, X, Z)
         views = np.stack([Z @ P for P in projections])
-        protos = classifier.stack_rows([m.prototypes for m in subs], np.inf)
+        protos = np.full((len(subs), 3, 2), np.inf)
+        for proto, model in zip(protos, subs):
+            proto[:model.n_prototypes] = model.prototypes
         nearest = classifier.nearest_prototypes(views, protos)
         assert np.all(nearest[:, -2] == 0)
         for view, model, got in zip(views, subs, nearest):
@@ -839,6 +862,82 @@ class TestEnsembleBatching:
                     d = np.linalg.norm(view[:, None] - model.prototypes, axis=2)
                 assert np.array_equal(got, d.argmin(axis=1))
                 assert (np.sort(d, axis=1)[:, 0] == np.sort(d, axis=1)[:, 1]).any()
+
+
+@pytest.fixture(scope="module")
+def ragged_cases():
+    """Counting models and ensembles with the queries they score: a df,
+    pam_df (k = 4) and db model on two blobs, and df and pam_df
+    ensembles on the glass table."""
+    X = target_rows(190, n=80)
+    models = [fit_tocc_df(X, 0.9), fit_pam_tocc_df(X, 4, 0.9),
+              fit_tocc_db(X, 0.9, RngStream(190), components_range=(1, 2),
+                          mc_samples=10_000, n_restarts=1)]
+    glass = load_glass()
+    target = glass.select_rows(glass.is_target())
+    ensembles = [fit_rp_ensemble(target, 2, 15, 5, 0.9, RngStream(191 + i),
+                                 variant=variant, k=4)
+                 for i, variant in enumerate(("df", "pam_df"))]
+    return (models, query_rows(190, X, models[1]), ensembles, glass.values)
+
+
+class TestRaggedBatches:
+    """Predict calls whose segments are ragged or empty: no query rows at
+    all, clusters that receive no query, and any subset of a query table,
+    whose rows must score as in the full call."""
+
+    def test_zero_rows(self, ragged_cases):
+        models, _, ensembles, _ = ragged_cases
+        results = [predict(model, np.empty((0, 2))) for model in models]
+        results.append(predict_ensemble(ensembles[1], np.empty((0, 9))))
+        for got in results:
+            assert got.score.shape == got.accept.shape == (0,)
+            assert got.score.dtype == float and got.accept.dtype == bool
+
+    def test_clusters_without_queries(self, ragged_cases):
+        models, Z, ensembles, glass = ragged_cases
+        model = models[1]
+        near = model.prototypes[2] + np.random.default_rng(192).normal(
+            scale=0.01, size=(5, 2))
+        for rows in (near, near[:1], Z[:2]):
+            got, want = predict(model, rows), ref.predict(model, rows)
+            assert np.unique(got.cluster).size < model.n_prototypes
+            for field in ("score", "accept", "cluster"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+        for rows in (glass[:1], glass[100:102]):
+            got, want = predict_ensemble(ensembles[1], rows), \
+                ref.predict_ensemble(ensembles[1], rows)
+            assert np.array_equal(got.score, want.score)
+            assert np.array_equal(got.accept, want.accept)
+
+    @pytest.mark.parametrize("setting", ["default", "small-chunks"])
+    def test_subsets_score_as_in_the_full_call(self, monkeypatch,
+                                               ragged_cases, setting):
+        # An ensemble's views are scored as prototype_scores gets them:
+        # predict_ensemble projects its queries with a matrix product,
+        # whose last bits may depend on how many rows it is given.
+        if setting == "small-chunks":
+            monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
+            monkeypatch.setattr(transvariation, "_QUERY_CHUNK", 40)
+        models, Z, ensembles, glass = ragged_cases
+        cases = [([model], [Z]) for model in models[:2]]
+        for ens in ensembles:
+            cases.append((ens.sub_models, [glass @ P for P in ens.projections]))
+        gen = np.random.default_rng(193)
+        for subs, views in cases:
+            clusters = [classifier.nearest_prototypes(view[None],
+                                                      model.prototypes[None])[0]
+                        for view, model in zip(views, subs)]
+            full = classifier.prototype_scores(subs, views, clusters)
+            assert np.array_equal(full[0], subs[0].predict(views[0]).score)
+            n = len(views[0])
+            for size in (1, 2, 7, n // 2, n):
+                pick = gen.choice(n, size=size, replace=False)
+                got = classifier.prototype_scores(
+                    subs, [view[pick] for view in views],
+                    [labels[pick] for labels in clusters])
+                for score, want in zip(got, full):
+                    assert np.array_equal(score, want[pick]), size
 
 
 def standardized(vals):
