@@ -22,7 +22,7 @@ from .featsel import kappa_vip, pca_reduce
 from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
 from .io_utils import (ingest_csv, load_model, save_model, write_boxplot_svg,
                        write_csv, write_json_report, write_roc_svg)
-from .numcore import RngStream
+from .numcore import ConvergenceError, RngStream
 from .simgen import SCENARIOS, ScenarioSpec, generate
 
 DEFAULT_SEED = 20260808
@@ -433,12 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Bad input (IngestError is a ValueError), a bad TOCC_SEED, and paths
-    # that cannot be read or written end in one line on stderr.
+    # Bad input (IngestError is a ValueError), a bad TOCC_SEED, paths that
+    # cannot be read or written, and a spatial median that does not converge
+    # on the data end in one line on stderr. Every other RuntimeError is a
+    # broken invariant and stays loud.
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"tocc: error: {exc}", file=sys.stderr)
         return 2
 

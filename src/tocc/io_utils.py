@@ -51,13 +51,16 @@ def ingest_csv(path, label_column: str | None = None,
     other feature column by the named column row-wise (the reference column
     is dropped afterwards).
 
-    The file is read once, a column at a time: each block of records is
-    transposed, each column converted with one float conversion and checked
-    with one finiteness test, normalize_by is one division, and each
-    distinct label is looked up once. A cell is parsed as float() parses
-    it. When a check fails, the block's rows are walked in file order, and
-    the error names the first offending row and column, as a row-by-row
-    read would.
+    The file is read once, a block of records at a time, by one parser:
+    each block is transposed, each column converted with one float
+    conversion and checked with one finiteness test, normalize_by is one
+    division, and each distinct label is looked up once. A cell is parsed
+    as float() parses it. A check that fails on a block of several records
+    parses that block's records again one at a time, in file order, through
+    the same parser; the first record that fails on its own raises. A lone
+    record meets the checks in row order (its cell count, each feature
+    cell from left to right, the reference cell, its label), so the error
+    names the row, column and cell that a row-by-row read would name.
     """
     if target_labels is None and label_column is not None:
         target_labels = {TARGET_LABEL}
@@ -98,52 +101,65 @@ def ingest_csv(path, label_column: str | None = None,
                                   f"column")
         feature_idx = [j for j in range(len(header))
                        if j not in (label_idx, norm_idx)]
+        known = {}
 
-        def first_bad_row(block, first_row):
-            """Raise the error of the first bad record of block, whose first
-            record is file row first_row, checking each row's cells in the
-            order a row-by-row read meets them."""
-            def number(record, r, j):
+        def parse(block, first_row):
+            """(values, labels) of the records of block, a list of csv
+            records with at least one not blank, whose first is file row
+            first_row; blank records are skipped but counted."""
+            records = list(filter(None, block))
+            # The cell each message quotes is the lone record's: a block of
+            # several records raises only through its records' own parse.
+            record = records[0]
+
+            def refuse(message):
+                if len(block) > 1:
+                    for r, lone in enumerate(block, first_row):
+                        if lone:
+                            parse([lone], r)
+                raise IngestError(f"{path}: row {first_row}{message}") from None
+
+            def floats(j):
+                """Column j as finite doubles."""
                 try:
-                    cell = float(record[j])
+                    col = np.array(columns[j], dtype=float)
                 except ValueError:
-                    raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                                      f"non-numeric cell '{record[j]}'") from None
-                if not np.isfinite(cell):
-                    raise IngestError(f"{path}: row {r}, column '{header[j]}': "
-                                      f"non-finite cell '{record[j]}'")
-                return cell
+                    refuse(f", column '{header[j]}': non-numeric cell "
+                           f"'{record[j]}'")
+                if not np.isfinite(col).all():
+                    refuse(f", column '{header[j]}': non-finite cell "
+                           f"'{record[j]}'")
+                return col
 
-            for r, record in enumerate(block, start=first_row):
-                if not record:
-                    continue
-                if len(record) != len(header):
-                    raise IngestError(f"{path}: row {r}: expected {len(header)} "
-                                      f"cells, got {len(record)}")
-                for j in feature_idx:
-                    number(record, r, j)
-                if norm_idx is not None and number(record, r, norm_idx) == 0:
-                    raise IngestError(f"{path}: row {r}, column "
-                                      f"'{normalize_by}': zero reference value")
-                if label_idx is not None:
-                    raw = record[label_idx].strip()
-                    if label_of(raw) is None:
-                        raise IngestError(f"{path}: row {r}, column "
-                                          f"'{label_column}': unknown label "
-                                          f"'{raw}'")
-            raise AssertionError(f"{path}: a column check failed on no row")
+            if set(map(len, records)) != {len(header)}:
+                refuse(f": expected {len(header)} cells, got {len(record)}")
+            columns = list(zip(*records))
+            values = np.empty((len(records), len(feature_idx)))
+            for k, j in enumerate(feature_idx):
+                values[:, k] = floats(j)
+            if norm_idx is not None:
+                ref = floats(norm_idx)
+                if not ref.all():
+                    refuse(f", column '{normalize_by}': zero reference value")
+                # A quotient too large for a double becomes inf without a
+                # warning, as in Python float division; DataMatrix refuses it.
+                with np.errstate(over="ignore"):
+                    values /= ref[:, None]
+            if label_idx is None:
+                return values, []
+            cells = columns[label_idx]
+            distinct = set(cells)
+            for raw in distinct.difference(known):
+                known[raw] = label_of(raw.strip())
+            # known keeps None for an unknown label, and so still holds it
+            # while a block's records are parsed again one at a time: each
+            # parse looks only at its own labels.
+            if None in map(known.__getitem__, distinct):
+                refuse(f", column '{label_column}': unknown label "
+                       f"'{record[label_idx].strip()}'")
+            return values, list(map(known.__getitem__, cells))
 
-        def floats(cells):
-            """cells as finite doubles; None if one is not."""
-            try:
-                col = np.array(cells, dtype=float)
-            except ValueError:
-                return None
-            return col if np.isfinite(col).all() else None
-
-        blocks, labels, known, unreadable = [], [], {}, None
-        # Blank records stay in each block, so that a record's place in it
-        # gives its row number.
+        blocks, labels, unreadable = [], [], None
         for first_row in count(2, _BLOCK_ROWS):
             if unreadable is not None:
                 break
@@ -158,34 +174,12 @@ def ingest_csv(path, label_column: str | None = None,
                                          f"{err}")
             if not block:
                 break
-            records = list(filter(None, block))
-            if not records:
-                continue
-            if set(map(len, records)) != {len(header)}:
-                first_bad_row(block, first_row)
-            columns = list(zip(*records))
-            values = np.empty((len(records), len(feature_idx)))
-            for k, j in enumerate(feature_idx):
-                col = floats(columns[j])
-                if col is None:
-                    first_bad_row(block, first_row)
-                values[:, k] = col
-            if norm_idx is not None:
-                ref = floats(columns[norm_idx])
-                if ref is None or not ref.all():
-                    first_bad_row(block, first_row)
-                # A quotient too large for a double becomes inf without a
-                # warning, as in Python float division; DataMatrix refuses it.
-                with np.errstate(over="ignore"):
-                    values /= ref[:, None]
-            if label_idx is not None:
-                cells = columns[label_idx]
-                for raw in set(cells).difference(known):
-                    known[raw] = label_of(raw.strip())
-                if None in known.values():
-                    first_bad_row(block, first_row)
-                labels += map(known.__getitem__, cells)
-            blocks.append(values)
+            # Blank records stay in each block, so that a record's place in
+            # it gives its row number.
+            if any(block):
+                values, block_labels = parse(block, first_row)
+                blocks.append(values)
+                labels += block_labels
     if unreadable is not None:
         raise unreadable
     if not blocks:

@@ -1510,9 +1510,32 @@ class TestCsvFiles:
          "row 3, column 'lab': unknown label 'zz'"),
         ("a,o\n1,2\n3,0\n4,x\n", {"normalize_by": "o"},
          "row 3, column 'o': zero reference value"),
-        ("a,b\n\n1,2\n\n3,nan\n", {}, "row 5, column 'b': non-finite cell 'nan'")],
+        ("a,b\n\n1,2\n\n3,nan\n", {}, "row 5, column 'b': non-finite cell 'nan'"),
+        # Within one row: the cell count, each feature cell from left to
+        # right, the reference cell, then the label.
+        ("a,b,lab\n1,2,t\n3,x,zz\n",
+         {"label_column": "lab", "target_labels": ["t"],
+          "nontarget_labels": ["u"]},
+         "row 3, column 'b': non-numeric cell 'x'"),
+        ("a,o\n1,2\ninf,0\n", {"normalize_by": "o"},
+         "row 3, column 'a': non-finite cell 'inf'"),
+        ("a,b\n1,2\nx,3,4\n", {}, "row 3: expected 2 cells, got 3"),
+        ("a,b\n1,2\nx,inf\n", {}, "row 3, column 'a': non-numeric cell 'x'"),
+        ("a,o\n1,2\nx,inf\n", {"normalize_by": "o"},
+         "row 3, column 'a': non-numeric cell 'x'"),
+        ("a,o,lab\n1,2,t\n1,x,zz\n",
+         {"label_column": "lab", "target_labels": ["t"],
+          "nontarget_labels": ["u"], "normalize_by": "o"},
+         "row 3, column 'o': non-numeric cell 'x'"),
+        ("a,o,lab\n1,2,t\n1,0,zz\n",
+         {"label_column": "lab", "target_labels": ["t"],
+          "nontarget_labels": ["u"], "normalize_by": "o"},
+         "row 3, column 'o': zero reference value")],
         ids=["non-numeric-before-short-row", "label-before-non-finite",
-             "zero-reference", "blank-lines-counted"])
+             "zero-reference", "blank-lines-counted", "cell-before-label",
+             "feature-before-reference", "count-before-cells",
+             "non-numeric-before-non-finite", "feature-before-bad-reference",
+             "reference-before-label", "zero-reference-before-label"])
     @pytest.mark.parametrize("block_rows", [2, 1024])
     def test_first_bad_row_wins(self, tmp_path, monkeypatch, text, options,
                                 message, block_rows):

@@ -591,6 +591,19 @@ class TestFitRefusals:
         assert run_cli("fit", "--data", data, "--method", "mix-gauss",
                        "--seed", 1, "--out", tmp_path / "m.json") == 0
 
+    @pytest.mark.parametrize("method", ["tocc-df", "tocc-db"])
+    def test_far_table_never_exits_1(self, tmp_path, capsys, method):
+        # The spatial median of these five rows, near 1e6, runs out of
+        # Weiszfeld iterations; that once escaped main as a traceback.
+        rows = np.random.default_rng(30).normal(size=(5, 2)) * 2.0**20
+        data = write(tmp_path / "d.csv", "a,b\n" + "".join(
+            f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+        code = run_cli("fit", "--data", data, "--method", method,
+                       "--out", tmp_path / "m.json")
+        assert code in (0, 2)
+        if code == 2:
+            assert capsys.readouterr().err.count("\n") == 1
+
     def test_empty_component_range(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "a,b\n" + "".join(
             f"{i % 7},{i % 5}\n" for i in range(40)))
