@@ -203,7 +203,8 @@ def _gauss_fit(vals: np.ndarray) -> dict:
 
 
 def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
-                 k: int = 5, components_range=(1, 9)) -> BaselineModel:
+                 k: int = 5, components_range=(1, 9),
+                 n_restarts: int = 5) -> BaselineModel:
     """Fit one of the reference classifiers and calibrate its threshold so the
     training acceptance is at least s.
 
@@ -223,7 +224,8 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     if kind == "gauss":
         fitted = _gauss_fit(vals)
     elif kind == "mix_gauss":
-        fitted = dict(density=fit_gmm(vals, components_range, rng))
+        fitted = dict(density=fit_gmm(vals, components_range, rng,
+                                      n_restarts=n_restarts))
     elif kind == "kde":
         fitted = dict(bandwidths=_silverman_bandwidths(vals), train=vals.copy())
     else:  # kmeans

@@ -351,14 +351,51 @@ def _assignment_cost(dist, medoids):
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _feature_names(X):
-    return list(X.feature_names) if hasattr(X, "feature_names") else None
-
-
-def _calibrated(models, own_rows) -> list[ToccModel]:
-    """The models, each threshold g set to the (1 - s_g) type-1 quantile of
-    the scores of own_rows[i][g], the rows of model i's group g, against
-    prototype g; all models' rows are scored together by prototype_scores."""
+def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
+               mc_samples: int = 100_000, components_range=(1, 9),
+               n_restarts: int = 5) -> list[ToccModel]:
+    """One TOCC of the variant ("df", "db" or "pam_df") per training table,
+    each the model fit_tocc_df(table, s), fit_tocc_db(table, s, rngs[i],
+    components_range, mc_samples, n_restarts) or fit_pam_tocc_df(table, k,
+    s) fits alone; only db tables take a stream. The models are drafted
+    in table order and then calibrated together: threshold g of each is the
+    (1 - s_g) type-1 quantile of the scores of its group g (a db model's
+    whole table) against prototype g, all from one prototype_scores call.
+    """
+    fitter = {"df": "fit_tocc_df", "db": "fit_tocc_db",
+              "pam_df": "fit_pam_tocc_df"}.get(variant)
+    if fitter is None:
+        raise ValueError(f"unknown variant '{variant}'")
+    models, own_rows = [], []
+    for X, rng in zip(tables, rngs or [None] * len(tables)):
+        vals = as_values(X)
+        require_training_rows(vals, s, fitter)
+        names = list(X.feature_names) if hasattr(X, "feature_names") else None
+        if variant == "df":
+            model = ToccModel("df", spatial_median(vals), [0.0], [s],
+                              groups=[vals.copy()], feature_names=names)
+        elif variant == "db":
+            # Built first, so a bad mc_samples fails before the mixture
+            # search; it draws nothing until it is used.
+            integrator = OrthantIntegrator("monte_carlo", mc_samples,
+                                           rng.child(997))
+            density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
+            model = ToccModel("db", spatial_median(vals), [0.0], [s],
+                              density=density, integrator=integrator,
+                              feature_names=names)
+        else:
+            g = k
+            while True:
+                result = pam(vals, g)
+                if np.bincount(result.assignment, minlength=g).min() >= 3:
+                    break
+                g -= 1
+            model = ToccModel(
+                "pam_df", vals[result.medoids], np.zeros(g), [s] * g,
+                groups=[vals[result.assignment == j] for j in range(g)],
+                feature_names=names, pam=result)
+        models.append(model)
+        own_rows.append([vals] if variant == "db" else model.groups)
     rows = [np.concatenate(groups) for groups in own_rows]
     clusters = [np.repeat(np.arange(len(groups)), [len(g) for g in groups])
                 for groups in own_rows]
@@ -370,39 +407,10 @@ def _calibrated(models, own_rows) -> list[ToccModel]:
     return models
 
 
-def _draft(X_target, s: float, k: int | None) -> ToccModel:
-    """The uncalibrated model of the training rows X_target: tocc-df's (k
-    None), or PAM-TOCC's with k clusters, stepped down as fit_pam_tocc_df
-    says."""
-    vals = as_values(X_target)
-    names = _feature_names(X_target)
-    if k is None:
-        require_training_rows(vals, s, "fit_tocc_df")
-        return ToccModel("df", spatial_median(vals), [0.0], [s],
-                         groups=[vals.copy()], feature_names=names)
-    require_training_rows(vals, s, "fit_pam_tocc_df")
-    while True:
-        result = pam(vals, k)
-        if np.bincount(result.assignment, minlength=k).min() >= 3:
-            break
-        k -= 1
-    return ToccModel("pam_df", vals[result.medoids], np.zeros(k), [s] * k,
-                     groups=[vals[result.assignment == g] for g in range(k)],
-                     feature_names=names, pam=result)
-
-
-def fit_counting(tables, s: float, k: int | None = None) -> list[ToccModel]:
-    """One counting-form model per training table, all calibrated in one
-    tp_scores call: tocc-df's (k None), or PAM-TOCC's with up to k
-    clusters."""
-    models = [_draft(X, s, k) for X in tables]
-    return _calibrated(models, [m.groups for m in models])
-
-
 def fit_tocc_df(X_target, s: float) -> ToccModel:
     """Density-free TOCC: spatial-median prototype, counting scores,
     threshold at the (1-s) type-1 quantile of training scores."""
-    return fit_counting([X_target], s)[0]
+    return fit_models("df", [X_target], s)[0]
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
@@ -411,16 +419,9 @@ def fit_tocc_db(X_target, s: float, rng: RngStream,
     """Density-based TOCC: fits a Gaussian mixture (BIC over the component
     range), then scores by orthant-mass ratios under that density, counted
     on mc_samples Monte Carlo draws from stream rng.child(997)."""
-    vals = as_values(X_target)
-    require_training_rows(vals, s, "fit_tocc_db")
-    # Built first, so a bad mc_samples fails before the mixture search; it
-    # draws nothing until it is used.
-    integrator = OrthantIntegrator("monte_carlo", mc_samples, rng.child(997))
-    density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
-    model = ToccModel("db", spatial_median(vals), [0.0], [s], density=density,
-                      integrator=integrator,
-                      feature_names=_feature_names(X_target))
-    return _calibrated([model], [[vals]])[0]
+    return fit_models("db", [X_target], s, [rng], mc_samples=mc_samples,
+                      components_range=components_range,
+                      n_restarts=n_restarts)[0]
 
 
 def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
@@ -431,7 +432,7 @@ def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
     k by one until all clusters are large enough (k = 1 always is);
     model.n_prototypes is the k used.
     """
-    return fit_counting([X_target], s, k)[0]
+    return fit_models("pam_df", [X_target], s, k=k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +444,25 @@ def predict(model: ToccModel, Z) -> PredictionResult:
     median for df and db, the nearest medoid for pam_df with ties to the
     lowest cluster index) and accept it when the score reaches that
     prototype's threshold. Z must be finite and as wide as the model."""
-    vals = as_queries(Z, model.p, "predict")
-    clusters = nearest_prototypes(vals[None], model.prototypes[None])[0]
-    scores = prototype_scores([model], [vals], [clusters])[0]
-    return PredictionResult(scores >= model.thresholds[clusters], scores,
-                            clusters if model.variant == "pam_df" else None)
+    return predict_models([model], as_queries(Z, model.p, "predict")[None])[0]
+
+
+def predict_models(models, views) -> list[PredictionResult]:
+    """predict(models[i], views[i]) for each of V models at once, with
+    views a V x q x p array of finite rows as wide as the models: every
+    view's queries go to their nearest prototypes in one nearest_prototypes
+    call, and all views are scored by one prototype_scores call."""
+    # Rows of +inf fill out the views with fewer prototypes: no query is
+    # nearer to one.
+    prototypes = np.full((len(models), max(m.n_prototypes for m in models),
+                          views.shape[2]), np.inf)
+    for proto, model in zip(prototypes, models):
+        proto[:model.n_prototypes] = model.prototypes
+    clusters = nearest_prototypes(views, prototypes)
+    return [PredictionResult(score >= model.thresholds[labels], score,
+                             labels if model.variant == "pam_df" else None)
+            for model, score, labels in zip(
+                models, prototype_scores(models, views, clusters), clusters)]
 
 
 def nearest_prototypes(Z, prototypes) -> np.ndarray:
@@ -457,8 +472,6 @@ def nearest_prototypes(Z, prototypes) -> np.ndarray:
     at inf from every prototype goes to 0. One prototype of every view at
     a time, so no V x q x k x p array is held."""
     nearest = np.zeros(Z.shape[:2], dtype=np.intp)
-    if prototypes.shape[1] == 1:
-        return nearest
     least = np.full(Z.shape[:2], np.inf)
     # A far query's distances overflow to inf.
     with np.errstate(over="ignore"):

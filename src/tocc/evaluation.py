@@ -130,7 +130,8 @@ def fit_method(name: str, X, s: float, rng: RngStream, k: int = 5,
     if name == "pam-tocc-df":
         return fit_pam_tocc_df(X, k, s)
     return fit_baseline(name.replace("-", "_"), X, s, rng, k=kmeans_k,
-                        components_range=components_range)
+                        components_range=components_range,
+                        n_restarts=n_restarts)
 
 
 def make_method(name: str, s: float, **settings) -> Method:

@@ -10,15 +10,13 @@ skips features too correlated with ones already kept.
 
 from __future__ import annotations
 
-import inspect
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (PredictionResult, ToccModel, fit_counting,
-                         nearest_prototypes, prototype_scores)
-from .evaluation import TOCC_VARIANTS, fit_method
+from .classifier import (PredictionResult, ToccModel, fit_models,
+                         predict_models)
 from .numcore import (DataMatrix, RngStream, as_queries, as_values,
                       correlation_matrix, pca)
 
@@ -130,28 +128,14 @@ def fit_rp_ensemble(X_target, d: int, b1: int, b2: int, s: float,
                     rng: RngStream, variant: str = "df",
                     **fit_kwargs) -> ProjectionEnsemble:
     """MAD-select b1 projections, then fit one TOCC of the requested variant
-    on each projected view of the target data; fit_kwargs are
-    evaluation.fit_method's settings, such as k for pam_df. Each db view
-    is fitted by fit_method with stream rng.child(b + 1); the df or pam_df
-    views are fitted one by one and calibrated together in one counting
-    call."""
-    names = {v: name for name, v in TOCC_VARIANTS.items()}
-    if variant not in names:
-        raise ValueError(f"unknown variant '{variant}'")
-    settings = inspect.signature(fit_method).bind(names[variant], X_target, s,
-                                                  rng, **fit_kwargs)
-    settings.apply_defaults()
+    on each projected view of the target data, all views in one
+    classifier.fit_models call; fit_kwargs are its settings, such as k for
+    pam_df. The view of projection b takes stream rng.child(b + 1)."""
     projections = rp_select(X_target, d, b1, b2, rng.child(0))
     vals = as_values(X_target)
-    views = [vals @ proj for proj in projections]
-    if variant == "db":
-        subs = [fit_method(names[variant], view, s, rng.child(b + 1),
-                           **fit_kwargs)
-                for b, view in enumerate(views)]
-    else:
-        subs = fit_counting(views, s, settings.arguments["k"]
-                            if variant == "pam_df" else None)
-    return ProjectionEnsemble(projections, subs)
+    return ProjectionEnsemble(projections, fit_models(
+        variant, [vals @ proj for proj in projections], s,
+        [rng.child(b + 1) for b in range(b1)], **fit_kwargs))
 
 
 def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
@@ -159,24 +143,14 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
 
     The returned score is the accepting-vote fraction, a graded typicality
     usable for ROC curves. Z must be finite and as wide as the data the
-    projections were drawn for. Every view's queries go to their nearest
-    prototypes in one array operation, and all views are scored by one
-    prototype_scores call.
+    projections were drawn for. The queries are projected once per view,
+    and all views are predicted by one classifier.predict_models call.
     """
     vals = as_queries(Z, ensemble.projections[0].shape[0], "predict_ensemble")
-    models = ensemble.sub_models
     views = np.stack([vals @ proj for proj in ensemble.projections])
-    # Rows of +inf fill out the views with fewer prototypes: no query is
-    # nearer to one.
-    k = max(m.n_prototypes for m in models)
-    prototypes = np.full((len(models), k, views.shape[2]), np.inf)
-    for proto, model in zip(prototypes, models):
-        proto[:model.n_prototypes] = model.prototypes
-    clusters = nearest_prototypes(views, prototypes)
-    scores = prototype_scores(models, views, clusters)
-    votes = sum(score >= model.thresholds[labels]
-                for model, score, labels in zip(models, scores, clusters))
-    fraction = votes / len(models)
+    votes = sum(result.accept for result in
+                predict_models(ensemble.sub_models, views))
+    fraction = votes / len(ensemble.sub_models)
     return PredictionResult(fraction > 0.5, fraction, None)
 
 

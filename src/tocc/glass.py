@@ -29,7 +29,6 @@ from .featsel import fit_rp_ensemble, kappa_vip, pca_reduce
 from .io_utils import IngestError, ingest_csv
 from .numcore import NONTARGET_LABEL, TARGET_LABEL, DataMatrix, RngStream
 
-GLASS_FEATURES = ("RI", "Na", "Mg", "Al", "Si", "K", "Ca", "Ba", "Fe")
 # subset -> (target type codes, type codes kept; None keeps every row)
 SUBSETS = {"float-windows": ((1, 3), (1, 3, 5, 6, 7)),
            "all-windows": ((1, 2, 3), None)}

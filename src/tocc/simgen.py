@@ -55,6 +55,11 @@ class ScenarioSpec:
             raise ValueError("n_target must be positive")
         if self.n_nontarget is not None and self.n_nontarget < 1:
             raise ValueError("n_nontarget must be positive")
+        if not (math.isfinite(self.box_scale) and self.box_scale > 0):
+            raise ValueError(f"box_scale={self.box_scale!r} must be a finite "
+                             f"number > 0")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam={self.lam!r} must be a finite number")
 
     @property
     def nontarget_size(self) -> int:

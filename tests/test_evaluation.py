@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tocc import (Method, RngStream, ScenarioSpec, confusion_metrics,
-                  evaluate_method, make_method, roc_curve, run_benchmark)
+                  evaluate_method, fit_gmm, make_method, roc_curve,
+                  run_benchmark)
 from tocc.evaluation import ALL_METHODS, fit_method
 
 
@@ -144,6 +145,19 @@ class TestEvaluateMethod:
     def test_unknown_setting(self):
         with pytest.raises(TypeError):
             make_method("pam-tocc-df", 0.9, pam_k=4)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_mix_gauss_takes_n_restarts(self, seed):
+        # At these seeds one restart and five restarts pick different
+        # mixtures, so a dropped n_restarts shows.
+        X = np.random.default_rng(seed).normal(size=(60, 2)) @ [[1, .5], [0, 1]]
+        X[:20] += 3
+        model = fit_method("mix-gauss", X, 0.9, RngStream(seed),
+                           components_range=(1, 4), n_restarts=1)
+        want = fit_gmm(X, (1, 4), RngStream(seed), n_restarts=1)
+        for field in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(model.density, field),
+                                  getattr(want, field))
 
 
 class TestFarQueries:

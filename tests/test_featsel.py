@@ -141,6 +141,15 @@ class TestEnsembleVoting:
         with pytest.raises(ValueError, match="query row 2 is not finite"):
             predict_ensemble(ens, bad)
 
+    def test_bad_variant_or_setting_rejected(self):
+        X = np.random.default_rng(20).normal(size=(30, 3))
+        with pytest.raises(ValueError, match="unknown variant 'kde'"):
+            fit_rp_ensemble(X, 2, 1, 2, 0.9, RngStream(21), variant="kde")
+        for variant in ("df", "pam_df", "db"):
+            with pytest.raises(TypeError, match="pam_k"):
+                fit_rp_ensemble(X, 2, 1, 2, 0.9, RngStream(21),
+                                variant=variant, pam_k=2)
+
     def test_pam_ensemble_steps_down_on_undersized_views(self):
         # The glass benchmark's pam_df ensemble at seed 35: some projected
         # views leave a k-medoids cluster under 3 members at k=4.

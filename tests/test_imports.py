@@ -59,3 +59,17 @@ def test_no_assert_in_package():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
+
+
+def test_models_import_no_harness():
+    """classifier and featsel fit and predict models; the method registry,
+    the glass study, file I/O and the CLI are built on them, never the
+    other way round."""
+    above = {"evaluation", "glass", "io_utils", "cli"}
+    found = [f"{name}.py:{node.lineno}: {node.module}"
+             for name in ("classifier", "featsel")
+             for node in ast.walk(ast.parse(
+                 (ROOT / "src" / "tocc" / f"{name}.py").read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").rpartition(".")[2] in above]
+    assert found == []

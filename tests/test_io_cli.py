@@ -625,6 +625,18 @@ class TestCli:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--box-scale", "-1", "box_scale=-1.0 must be a finite number > 0"),
+        ("--lambda", "nan", "lam=nan must be a finite number")])
+    def test_simulate_bad_setting_exits_2(self, tmp_path, capsys, flag, value,
+                                          message):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--scenario", "e", flag, value,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     def test_fit_predict_roundtrip(self, tmp_path):
         sim = tmp_path / "sim.csv"
         run_cli("simulate", "--scenario", "a", "--n-target", 60, "--seed", 3,

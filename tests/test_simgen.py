@@ -93,3 +93,13 @@ class TestSpecMechanics:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             ScenarioSpec("a", 0, RngStream(0))
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_box_scale(self, value):
+        with pytest.raises(ValueError, match="box_scale=.* must be a finite number > 0"):
+            ScenarioSpec("e", 100, RngStream(0), box_scale=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_bad_lam(self, value):
+        with pytest.raises(ValueError, match="lam=.* must be a finite number"):
+            ScenarioSpec("a", 100, RngStream(0), lam=value)
