@@ -21,8 +21,8 @@ import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
 from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_feature_names, require_training_rows,
-                      spatial_median)
+                      require_feature_names, require_finite_rows,
+                      require_training_rows, spatial_median)
 from .transvariation import DROP_EPS, tp_density_scores, tp_scores
 
 
@@ -164,22 +164,34 @@ class PredictionResult:
 # Partitioning Around Medoids
 # ---------------------------------------------------------------------------
 
-# Rows per block of the distance matrix and of BUILD's column sums, and
-# columns per block of SWAP's screen; n up to this is one block.
+# Rows per block of the distance matrix and of BUILD's column sums. A table
+# of up to this many rows is one block: SWAP screens all its columns at
+# once and carries nothing between scans. A larger table carries SWAP's
+# bounds, and SWAP's screen and lazy BUILD take quarter blocks of columns.
 _PAM_BLOCK = 256
 
 
-def _pairwise_distances(vals: np.ndarray) -> np.ndarray:
-    """Euclidean distances as (|x|^2 + |y|^2) - 2 x.y, holding one n x n
-    array: the Gram product is written first and each row block of the
-    squared norms' outer sum is subtracted into it in place."""
+def _pairwise_distances(vals: np.ndarray):
+    """(dist, cols32): Euclidean distances as (|x|^2 + |y|^2) - 2 x.y, and
+    their transpose in float32, cols32[j] = dist[:, j]. The Gram product is
+    written first; each row block of the squared norms' outer sum is then
+    subtracted into it in place, clamped, rooted and copied into cols32
+    while it is in cache. A distance beyond float32 is inf in cols32."""
+    n = vals.shape[0]
     sq = (vals ** 2).sum(axis=1)
     d2 = (2.0 * vals) @ vals.T
-    for start in range(0, len(sq), _PAM_BLOCK):
-        r = slice(start, start + _PAM_BLOCK)
-        np.subtract(np.add.outer(sq[r], sq), d2[r], out=d2[r])
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    cols32 = np.empty((n, n), dtype=np.float32)
+    outer = np.empty((min(n, _PAM_BLOCK), n))
+    with np.errstate(over="ignore"):
+        for start in range(0, n, _PAM_BLOCK):
+            block = d2[start:start + _PAM_BLOCK]
+            rows = slice(start, start + len(block))
+            np.subtract(np.add.outer(sq[rows], sq, out=outer[:len(block)]),
+                        block, out=block)
+            block.reshape(-1)[start::n + 1] = 0.0   # the diagonal
+            np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+            cols32[:, rows] = block.T
+    return d2, cols32
 
 
 def _column_sums(fill, buf) -> np.ndarray:
@@ -204,66 +216,125 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
     BUILD greedily seeds medoids by largest cost reduction; SWAP accepts the
     first medoid/candidate exchange that strictly lowers the total cost,
     scanning (medoid, candidate) pairs in ascending row-index order, until no
-    exchange improves or max_swaps exchanges have been taken.
+    exchange improves or max_swaps exchanges have been taken. k >= 1 and
+    max_swaps >= 0 are integers, and every row is finite (ValueError).
+
+    Tables of more than _PAM_BLOCK rows skip work whose outcome is already
+    known (on one block a scan is a handful of array operations, and the
+    bookkeeping would cost as much), and every shortcut is exact: the
+    medoids, labels and cost are the ones the plain search finds.
+
+    - Lazy BUILD. After the row sums and the first full reduction pass,
+      each column keeps its last exact reduction. nearest only falls,
+      fl(x - d) and max(., 0) are monotone, and a float sum of nonnegative
+      terms in a fixed order is monotone in each term, so that value bounds
+      the column's next reduction exactly, with no slack. The quarter block
+      of columns with the highest bounds is evaluated exactly; if no other
+      bound can beat the best of them (a bound that ties it only for a
+      column of lower index, as argmax picks the first), that column wins,
+      and otherwise one full pass decides.
+    - Bounds that survive a swap. For each current medoid m, SWAP keeps
+      low_j <= E(m, j), the float64 fold sum_i min(b_i, d_ij) over the base
+      b (each row's distance to its nearest other medoid), and the b it
+      holds for; a column is read only when low_j does not already prove
+      E(m, j) >= cost. With u = 2^-53 and T(b) the exact sum:
+      - T never falls when a b_i rises, and T(b') >= T(b) - D with
+        D = sum_i max(b_i - b'_i, 0);
+      - the fold is within gamma_{n-1} T of T, as every term is
+        nonnegative (Higham 2002, 4.2);
+      - so under a new base b', E' >= (1 - 3 n u) low - (1 + 2 u) D_fl for
+        low >= 0, where D_fl is D added up in float64; low is lowered to
+        (1 - c) low - (1 + c) D_fl with c = 8 n u, which leaves room for
+        evaluating it, and a negative low stays at or below 0 <= E'. When
+        no b_i fell, the fold's monotonicity keeps low as it is;
+      - every screen and every exact fold in _first_below raises low.
+    - The swapped-in medoid inherits the bounds. After a swap m -> j,
+      removing j from the new medoids leaves exactly the old medoids less
+      m, so j's base equals m's last base bit for bit, and j takes m's
+      bounds and base with no drop. With k = 1 every base is +inf and never
+      changes, so nothing is subtracted there (inf - inf would be nan).
     """
     vals = as_values(X)
     n = vals.shape[0]
+    if not (_is_index(k) and k >= 1):
+        raise ValueError(f"pam: k must be an integer >= 1, not {k!r}")
+    if not _is_index(max_swaps):
+        raise ValueError(f"pam: max_swaps must be an integer >= 0, "
+                         f"not {max_swaps!r}")
     if k > n:
         raise ValueError(f"pam: k={k} exceeds n={n}")
-    if k < 1:
-        raise ValueError("pam: k must be at least 1")
     # Beyond 2^+-255 the squares of the Gram trick overflow or fall below
     # the normal range and lose their bits. Such rows are scaled by a power
     # of two, exactly, so that their largest entry lies in [0.5, 1); the
     # medoids do not change, and the cost is scaled back at the end.
     shift = 0
     big = np.abs(vals).max()
+    if not big < np.inf:
+        require_finite_rows(vals, "pam", "input")
     if 0 < big < np.inf and not 2.0 ** -255 <= big <= 2.0 ** 255:
         shift = int(np.frexp(big)[1])
         vals = np.ldexp(vals, -shift)
-    dist = _pairwise_distances(vals)
+    dist, cols32 = _pairwise_distances(vals)
+    lazy = n > _PAM_BLOCK
 
     # BUILD: first medoid minimizes total distance; each next one maximizes
     # the summed reduction of point-to-nearest-medoid distances. Candidates
     # duplicating a chosen medoid reduce nothing, so distinct rows win first.
-    buf = np.empty((min(n, _PAM_BLOCK), n))
     medoids = [int(np.argmin(dist.sum(axis=1)))]
     nearest = dist[:, medoids[0]].copy()
+    upper = None
     while len(medoids) < k:
-        reduction = _column_sums(lambda r, out: np.maximum(
-            np.subtract(nearest[r, None], dist[r], out=out), 0.0, out=out), buf)
-        reduction[medoids] = -np.inf
-        j = int(np.argmax(reduction))
+        j = -1
+        if lazy and upper is not None:
+            j = _lazy_argmax(upper, nearest, dist, n - len(medoids))
+        if j < 0:
+            upper = _column_sums(lambda r, out: np.maximum(
+                np.subtract(nearest[r, None], dist[r], out=out), 0.0, out=out),
+                np.empty((min(n, _PAM_BLOCK), n)))
+            upper[medoids] = -np.inf
+            j = int(np.argmax(upper))
+        upper[j] = -np.inf
         medoids.append(j)
         nearest = np.minimum(nearest, dist[:, j])
     medoids.sort()
 
-    # SWAP screens candidate columns in float32, one contiguous row of
-    # cols32 per column of dist. A float32 cast or sum may overflow to inf,
-    # which _first_below allows for; nothing in float64 can overflow here
-    # (every entry is at most 2^255, so a distance is below 2^257 sqrt(p)).
-    with np.errstate(over="ignore"):
-        cols32 = dist.T.astype(np.float32, order="C")
-        buf32 = np.empty((min(n, _PAM_BLOCK), n), dtype=np.float32)
-        swaps = 0
-        cost = _assignment_cost(dist, medoids)[2]
-        while swaps < max_swaps:
-            nearest_pos, d1, d2 = _nearest_two(dist, medoids)
-            is_medoid = np.zeros(n, dtype=bool)
-            is_medoid[medoids] = True
-            for pos in range(len(medoids)):
-                # Cost after dropping this medoid: covered points fall back
-                # to their second-nearest, then everyone may adopt the
-                # candidate.
-                base = np.where(nearest_pos == pos, d2, d1)
-                found = _first_below(cost, base, dist, cols32, is_medoid, buf32)
-                if found is not None:
-                    medoids[pos], cost = found
-                    medoids.sort()
-                    swaps += 1
-                    break
-            else:
+    # SWAP; carried maps each medoid to its (base, low) while lazy. Nothing
+    # in float64 can overflow here (every entry is at most 2^255, so a
+    # distance is below 2^257 sqrt(p)), and nearest holds each row's
+    # distance to its nearest medoid, so its sum is _assignment_cost's cost.
+    buf32 = np.empty((_PAM_BLOCK // 4 if lazy else n, n), dtype=np.float32)
+    slack = n * 2.0 ** -50
+    positions = np.arange(k)[:, None]
+    carried = {}
+    swaps = 0
+    cost = float(nearest.sum())
+    while swaps < max_swaps:
+        nearest_pos, d1, d2 = _nearest_two(dist, medoids)
+        # Cost after dropping the medoid at pos: covered points fall back to
+        # their second-nearest, then everyone may adopt the candidate.
+        bases = np.where(nearest_pos == positions, d2, d1)
+        free = np.ones(n, dtype=bool)
+        free[medoids] = False
+        free = free.nonzero()[0]
+        for pos, m in enumerate(medoids):
+            base, low = bases[pos], None
+            if lazy:
+                old, low = carried.get(m, (base, np.zeros(n)))
+                drop = np.maximum(old - base, 0.0).sum() if k > 1 else 0.0
+                if drop:
+                    low = low * (1.0 - slack) - drop * (1.0 + slack)
+                carried[m] = base, low
+            found = _first_below(cost, base, dist, cols32, free, buf32, low)
+            if found is not None:
+                j, cost = found
+                if lazy:
+                    carried[j] = carried.pop(m)
+                medoids[pos] = j
+                medoids.sort()
+                swaps += 1
                 break
+        else:
+            break
 
     # final_cost and cost add the same n nonnegative distances in two
     # orders, each within gamma_{n-1} of their exact sum (Higham 2002, 4.2),
@@ -275,6 +346,27 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
                      float(np.ldexp(final_cost, shift)))
 
 
+def _lazy_argmax(upper, nearest, dist, count):
+    """The first column j of largest reduction sum_i max(nearest_i - d_ij, 0)
+    (added row after row, as _column_sums adds it) among the count columns
+    whose upper[j] is finite, or -1 when the quarter block of the highest
+    upper bounds cannot settle it. upper[j] >= each column's reduction
+    (-inf for a medoid); the columns evaluated take their exact values."""
+    order = np.argsort(-upper, kind="stable")
+    top = np.sort(order[:min(count, _PAM_BLOCK // 4)])
+    cols = dist[:, top]
+    np.maximum(np.subtract(nearest[:, None], cols, out=cols), 0.0, out=cols)
+    exact = np.add.accumulate(cols, axis=0, out=cols)[-1]
+    upper[top] = exact
+    i = int(np.argmax(exact))
+    if top.size < count:
+        rival = order[top.size]
+        if upper[rival] > exact[i] or (upper[rival] == exact[i]
+                                       and rival < top[i]):
+            return -1
+    return int(top[i])
+
+
 def _fold_sums(base, cols) -> np.ndarray:
     """Column sums of np.minimum(base[:, None], cols), each added row after
     row in float64 (the floats _column_sums gives). A plain sum(axis=0) is
@@ -284,45 +376,54 @@ def _fold_sums(base, cols) -> np.ndarray:
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
-def _first_below(cost, base, dist, cols32, is_medoid, buf32):
-    """The first column j of dist, ascending and not a medoid (is_medoid[j]
-    false), whose new cost sum_i min(base_i, dist_ij) (added row after row
-    in float64) is below cost, as (j, that cost); None if there is none.
-    Call it under np.errstate(over="ignore").
+def _first_below(cost, base, dist, cols32, free, buf32, low=None):
+    """The first column j of dist among free (the ascending non-medoid
+    columns) whose new cost E_j = sum_i min(base_i, dist_ij) (added row after
+    row in float64) is below cost, as (j, E_j); None if there is none.
 
-    Each block of columns is screened in float32 first, and a column is
-    ruled out only when its float32 sum a exceeds cost by more than a can
-    err. With u = 2^-24 and e = 2^-126, for the exact sum T and the float64
-    fold E:
-    - float32 rounding is monotone, so a adds up fl32(min(base_i, d_ij)) =
-      min(fl32(base_i), fl32(d_ij)), each within u*t + e of its term t
-      (e covers the subnormal range, even when it flushes to zero);
+    low, when given, holds a lower bound on every E_j. A column whose
+    low_j >= cost is not read, and every column read raises low_j: to E_j
+    when it is summed exactly, and otherwise to the float32 screen's bound.
+
+    The columns read are screened in float32 in chunks of buf32's rows, and
+    a column is ruled out only when its float32 sum a exceeds cost by more
+    than a can err. With u = 2^-24 and e = 2^-126, for the exact sum T:
+    - base is clamped at 2^127 / n before its float32 cast, so no term and
+      no sum overflows, and clamping only lowers terms;
+    - float32 rounding is monotone, so a adds up terms of at most
+      fl32(min(base_i, d_ij)) = min(fl32(base_i), fl32(d_ij)), each within
+      u*t + e of its term t (e covers the subnormal range, even when it
+      flushes to zero);
     - any order of n - 1 float32 additions errs by at most
       gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the sum, plus e per addition
       (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2);
     - the float64 fold gives E >= T (1 - gamma64_{n-1}).
-    So E < cost forces a < cost (1+u) / ((1 - (n-1)u)(1 - gamma64_{n-1})) +
-    4 n e, and for n u <= 1/4 (any n x n array that fits in memory) that is
-    below cost (1 + 2 n u) + 4 n e, with room to spare for evaluating it
-    in float64. A column whose a is not finite (the float32 cast or sum
-    overflowed, above about 2^126) is never ruled out. Every other column
-    is summed exactly in float64, so the answer is the one whole float64
-    column sums give.
+    So a < E (1+u) / ((1 - (n-1)u)(1 - gamma64_{n-1})) + 4 n e, and for
+    n u <= 1/4 (any n x n array that fits in memory) that is below
+    E (1 + 2 n u) + 4 n e, with room to spare for evaluating it in float64:
+    E >= (a - 4 n e) / (1 + 2 n u), and E < cost forces
+    a < cost (1 + 2 n u) + 4 n e. Every column not ruled out is summed
+    exactly in float64, so the answer is the one whole float64 column sums
+    give.
     """
     n = base.size
+    columns = free if low is None else free[low[free] < cost]
+    base32 = np.minimum(base, 2.0 ** 127 / n).astype(np.float32)
     bound = cost * (1.0 + n * 2.0 ** -23) + n * 2.0 ** -124
-    base32 = base.astype(np.float32)
-    for start in range(0, n, buf32.shape[0]):
-        block = cols32[start:start + buf32.shape[0]]
+    for start in range(0, columns.size, buf32.shape[0]):
+        idx = columns[start:start + buf32.shape[0]]
+        block = cols32.take(idx, axis=0, out=buf32[:idx.size], mode="clip")
         # Compared in float64: against a float32 array numpy may round
         # bound to float32, possibly below cost.
-        approx = np.minimum(block, base32, out=buf32[:len(block)]).sum(
-            axis=1).astype(float)
-        ruled_out = (approx > bound) & (approx < np.inf)
-        ruled_out |= is_medoid[start:start + len(block)]
-        candidates = (~ruled_out).nonzero()[0] + start
+        approx = np.minimum(block, base32, out=block).sum(axis=1).astype(float)
+        if low is not None:
+            low[idx] = np.fmax(low[idx], (approx - n * 2.0 ** -124)
+                               / (1.0 + n * 2.0 ** -23))
+        candidates = idx[approx < bound]
         if candidates.size:
             exact = _fold_sums(base, dist[:, candidates])
+            if low is not None:
+                low[candidates] = exact
             below = (exact < cost).nonzero()[0]
             if below.size:
                 return int(candidates[below[0]]), float(exact[below[0]])
@@ -330,14 +431,17 @@ def _first_below(cost, base, dist, cols32, is_medoid, buf32):
 
 
 def _nearest_two(dist, medoids):
+    """(position among medoids of each row's nearest medoid, that distance,
+    the distance to the nearest other medoid, +inf for k = 1); the first
+    position wins a tie, as a stable sort puts it."""
     cols = dist[:, medoids]
-    if cols.shape[1] == 1:
-        pos = np.zeros(dist.shape[0], dtype=int)
-        return pos, cols[:, 0], np.full(dist.shape[0], np.inf)
-    order = np.argsort(cols, axis=1, kind="stable")
-    pos = order[:, 0]
     rows = np.arange(dist.shape[0])
-    return pos, cols[rows, order[:, 0]], cols[rows, order[:, 1]]
+    pos = cols.argmin(axis=1)
+    d1 = cols[rows, pos]
+    if cols.shape[1] == 1:
+        return pos, d1, np.full(dist.shape[0], np.inf)
+    cols[rows, pos] = np.inf
+    return pos, d1, cols.min(axis=1)
 
 
 def _assignment_cost(dist, medoids):

@@ -42,6 +42,29 @@ class TestPam:
         with pytest.raises(ValueError):
             pam(np.ones((3, 2)), 4)
 
+    @pytest.mark.parametrize("k", [2.5, True, 0, -1, None, "2"])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            pam(np.random.default_rng(7).normal(size=(20, 2)), k)
+
+    @pytest.mark.parametrize("max_swaps", [-1, 2.5, True, None])
+    def test_bad_max_swaps_rejected(self, max_swaps):
+        with pytest.raises(ValueError, match="max_swaps must be an integer"):
+            pam(np.random.default_rng(7).normal(size=(20, 2)), 2, max_swaps)
+
+    def test_numpy_integers_accepted(self):
+        X = np.random.default_rng(7).normal(size=(20, 2))
+        got, want = pam(X, np.int64(3), np.int32(5)), pam(X, 3, 5)
+        assert got.medoids == want.medoids
+        assert got.total_cost == want.total_cost
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        X = np.random.default_rng(7).normal(size=(20, 2))
+        X[11, 0] = bad
+        with pytest.raises(ValueError, match="pam: input row 11 is not finite"):
+            pam(X, 2)
+
     def test_assignment_is_nearest(self):
         X = np.random.default_rng(4).normal(size=(60, 2))
         result = pam(X, 4)

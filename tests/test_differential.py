@@ -1660,21 +1660,32 @@ def pam_points(gen, n):
     return X[gen.integers(0, n // 3, size=n)]
 
 
-def pam_outcome(pam, X, k):
-    """(medoids, labels, cost) of pam(X, k), or its RuntimeError's text."""
+def pam_outcome(pam, X, k, max_swaps=1000):
+    """(medoids, labels, cost) of pam(X, k, max_swaps), or its RuntimeError's
+    text."""
     try:
-        result = pam(X, k)
+        result = pam(X, k, max_swaps)
     except RuntimeError as err:
         return str(err)
     return result.medoids, result.assignment.tolist(), result.total_cost
 
 
+def banana(seed, n):
+    """The cli-bulk training geometry: a noisy arc of radius 5 and noise 0.8
+    over 0.9 pi, drawn as the benchmark draws it."""
+    gen = np.random.default_rng(seed)
+    angles = gen.uniform(-0.45 * np.pi, 0.45 * np.pi, size=n)
+    return 5.0 * np.column_stack([np.sin(angles), np.cos(angles)]) \
+        + gen.normal(0.0, 0.8, size=(n, 2))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPam:
-    """Blocked BUILD column sums, and SWAP's float32 screen with exact float64
-    sums for the columns it cannot rule out, pick the same medoids and costs
-    as whole n x n temporaries, on both sides of the block size and across
-    the float32 range."""
+    """Blocked and lazy BUILD column sums, and SWAP's float32 screen with
+    exact float64 sums for the columns neither it nor the bounds carried
+    across swaps rule out, pick the same medoids and costs as whole n x n
+    temporaries, on both sides of the block size and across the float32
+    range."""
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
     def test_matches_reference(self, n):
@@ -1688,11 +1699,54 @@ class TestPam:
 
     def test_matches_reference_on_banana(self):
         # The cli-bulk geometry (a noisy arc) over four column blocks.
-        gen = np.random.default_rng(138)
-        angles = gen.uniform(-0.45 * np.pi, 0.45 * np.pi, size=900)
-        X = 5.0 * np.column_stack([np.sin(angles), np.cos(angles)]) \
-            + gen.normal(0.0, 0.8, size=(900, 2))
+        X = banana(138, 900)
         assert pam_outcome(classifier.pam, X, 5) == pam_outcome(ref.pam, X, 5)
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_matches_reference_on_cli_bulk_table(self, k):
+        # The benchmark's seed-4 training table: dozens of swaps, each
+        # scan reading only the columns its carried bounds leave open.
+        X = banana(4, 2000)
+        assert pam_outcome(classifier.pam, X, k) == pam_outcome(ref.pam, X, k)
+
+    @pytest.mark.parametrize("max_swaps", [0, 1, 2, 7])
+    def test_matches_reference_when_swaps_run_out(self, max_swaps):
+        gen = np.random.default_rng(143)
+        for X in (banana(144, 600), gen.normal(size=(600, 3))):
+            assert pam_outcome(classifier.pam, X, 6, max_swaps) \
+                == pam_outcome(ref.pam, X, 6, max_swaps)
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_matches_reference_on_ties(self, n):
+        # Duplicated rows and integer grids tie exact reductions in BUILD
+        # and exact costs in SWAP, on both sides of the one-block size.
+        gen = np.random.default_rng(145 + n)
+        grid = gen.integers(-3, 4, size=(n, 2)).astype(float)
+        copies = gen.normal(size=(n // 4, 3))[gen.integers(0, n // 4, size=n)]
+        for X in (grid, copies):
+            for k in (2, 4, 7):
+                assert pam_outcome(classifier.pam, X, k) \
+                    == pam_outcome(ref.pam, X, k)
+
+    def test_carried_bounds_are_sound(self, monkeypatch):
+        # Every bound SWAP hands to a scan, and every bound the scan leaves
+        # behind, is at most the column's exact cost under the scan's base.
+        seen = []
+        first_below = classifier._first_below
+
+        def checked(cost, base, dist, cols32, free, buf32, low=None):
+            assert low is not None
+            exact = classifier._fold_sums(base, dist[:, free])
+            assert np.all(low[free] <= exact)
+            found = first_below(cost, base, dist, cols32, free, buf32, low)
+            assert np.all(low[free] <= exact)
+            seen.append(found is not None)
+            return found
+
+        monkeypatch.setattr(classifier, "_first_below", checked)
+        X = banana(146, 700)
+        assert pam_outcome(classifier.pam, X, 7) == pam_outcome(ref.pam, X, 7)
+        assert sum(seen) >= 20 and len(seen) >= 50
 
     @pytest.mark.parametrize("e", [-1070, -600, -150, -126, 100, 126, 127,
                                    140, 200, 500])
@@ -1730,8 +1784,8 @@ class TestPam:
         cols32 = dist.T.astype(np.float32, order="C")
         assert float(np.minimum(cols32[j], base.astype(np.float32)).sum()) > cost
         buf32 = np.empty((classifier._PAM_BLOCK, n), dtype=np.float32)
-        is_medoid = np.arange(n) == 0
-        assert classifier._first_below(cost, base, dist, cols32, is_medoid,
+        free = np.arange(1, n)
+        assert classifier._first_below(cost, base, dist, cols32, free,
                                        buf32) == (j, n * t)
 
     def test_screen_skips_medoid_columns(self):
@@ -1740,8 +1794,56 @@ class TestPam:
         cols32 = dist.T.astype(np.float32, order="C")
         buf32 = np.empty((classifier._PAM_BLOCK, n), dtype=np.float32)
         j, _ = classifier._first_below(np.inf, np.full(n, 3.0), dist, cols32,
-                                       np.arange(n) != 271, buf32)
+                                       np.array([271]), buf32)
         assert j == 271
+
+    @pytest.mark.parametrize("rival, settled", [(5, -1), (270, 263)])
+    def test_lazy_build_tie_goes_to_the_lower_column(self, rival, settled):
+        # The quarter block of highest bounds (columns 200-263) holds the
+        # best exact reduction, 50 at column 263; the rival column outside
+        # it has bound and reduction 50 too. argmax takes the lower of the
+        # two, so a rival below 263 leaves the step to a full pass.
+        n = 300
+        dist, nearest, upper = np.ones((n, n)), np.ones(n), np.zeros(n)
+        upper[200:264] = 100.0
+        upper[rival] = 50.0
+        dist[:10, 200:264] = 0.0
+        dist[:50, [rival, 263]] = 0.0
+        assert classifier._lazy_argmax(upper, nearest, dist, n) == settled
+
+    def test_bound_at_cost_is_not_read(self, monkeypatch):
+        # A bound equal to the cost already proves that a column cannot
+        # lower it, so no column is screened or summed.
+        n = 300
+        dist = np.full((n, n), 3.0)
+        cols32 = dist.T.astype(np.float32, order="C")
+        buf32 = np.empty((classifier._PAM_BLOCK // 4, n), dtype=np.float32)
+        base = np.full(n, 2.0)
+        low = np.full(n, 2.0 * n)
+        summed = []
+        fold = classifier._fold_sums
+        monkeypatch.setattr(classifier, "_fold_sums", lambda base, cols: (
+            summed.append(cols.shape[1]) or fold(base, cols)))
+        assert classifier._first_below(2.0 * n, base, dist, cols32,
+                                       np.arange(1, n), buf32, low) is None
+        assert summed == [] and np.all(low == 2.0 * n)
+
+    def test_swap_reads_few_columns_on_cli_bulk_table(self, monkeypatch):
+        # Counts the columns SWAP screens in float32 on the benchmark's
+        # seed-4 table at k = 5. Screening every column of every block up to
+        # the one holding the first improvement read 115 136 of them.
+        screened = []
+
+        class Counted(np.ndarray):
+            def take(self, indices, *args, **kwargs):
+                screened.append(len(indices))
+                return np.asarray(self).take(indices, *args, **kwargs)
+
+        distances = classifier._pairwise_distances
+        monkeypatch.setattr(classifier, "_pairwise_distances", lambda vals: (
+            lambda dist, cols32: (dist, cols32.view(Counted)))(*distances(vals)))
+        classifier.pam(banana(4, 2000), 5)
+        assert 0 < sum(screened) < 115_136 // 2
 
     def test_screen_rules_out_most_columns(self, monkeypatch):
         # Only a few columns per scan are summed exactly on a plain cloud.
@@ -1756,7 +1858,7 @@ class TestPam:
     @pytest.mark.parametrize("width", [1, 2, 3, 8, 300])
     def test_fold_sums_match_column_sums(self, width):
         gen = np.random.default_rng(141 + width)
-        dist = classifier._pairwise_distances(pam_points(gen, 2000))
+        dist = classifier._pairwise_distances(pam_points(gen, 2000))[0]
         base = gen.permutation(dist[0])
         buf = np.empty((classifier._PAM_BLOCK, 2000))
         want = classifier._column_sums(
@@ -1768,7 +1870,7 @@ class TestPam:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_column_sums_match_whole_array(self, n):
         gen = np.random.default_rng(136)
-        dist = classifier._pairwise_distances(pam_points(gen, n))
+        dist = classifier._pairwise_distances(pam_points(gen, n))[0]
         base = gen.permutation(dist[0])
         buf = np.empty((min(n, classifier._PAM_BLOCK), n))
         got = classifier._column_sums(
@@ -1779,8 +1881,9 @@ class TestPam:
         gen = np.random.default_rng(137)
         for n in [*gen.integers(1, 300, size=20), 513, 2000]:
             X = pam_points(gen, int(n))
-            assert np.array_equal(classifier._pairwise_distances(X),
-                                  ref._pairwise_distances(X))
+            dist, cols32 = classifier._pairwise_distances(X)
+            assert np.array_equal(dist, ref._pairwise_distances(X))
+            assert np.array_equal(cols32, dist.T.astype(np.float32))
 
 
 class TestProductKde:
