@@ -455,14 +455,28 @@ def _assignment_cost(dist, medoids):
 # Fitting
 # ---------------------------------------------------------------------------
 
+def _spatial_medians(tables) -> list[np.ndarray]:
+    """The spatial median of each table, from one spatial_median call per
+    distinct table shape (shapes in order of first appearance)."""
+    medians = [None] * len(tables)
+    for shape in dict.fromkeys(t.shape for t in tables):
+        picked = [i for i, t in enumerate(tables) if t.shape == shape]
+        stack = spatial_median(np.stack([tables[i] for i in picked]))
+        for i, median in zip(picked, stack):
+            medians[i] = median
+    return medians
+
+
 def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
                mc_samples: int = 100_000, components_range=(1, 9),
                n_restarts: int = 5) -> list[ToccModel]:
     """One TOCC of the variant ("df", "db" or "pam_df") per training table,
     each the model fit_tocc_df(table, s), fit_tocc_db(table, s, rngs[i],
     components_range, mc_samples, n_restarts) or fit_pam_tocc_df(table, k,
-    s) fits alone; only db tables take a stream. The models are drafted
-    in table order and then calibrated together: threshold g of each is the
+    s) fits alone; only db tables take a stream. Every table is checked
+    first, and the df and db prototypes, spatial medians, are found in one
+    call per table shape. The models are then drafted in table order and
+    calibrated together: threshold g of each is the
     (1 - s_g) type-1 quantile of the scores of its group g (a db model's
     whole table) against prototype g, all from one prototype_scores call.
     """
@@ -470,13 +484,17 @@ def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
               "pam_df": "fit_pam_tocc_df"}.get(variant)
     if fitter is None:
         raise ValueError(f"unknown variant '{variant}'")
-    models, own_rows = [], []
-    for X, rng in zip(tables, rngs or [None] * len(tables)):
-        vals = as_values(X)
+    values = [as_values(X) for X in tables]
+    for vals in values:
         require_training_rows(vals, s, fitter)
+    medians = (_spatial_medians(values) if variant != "pam_df"
+               else [None] * len(values))
+    models, own_rows = [], []
+    for X, vals, median, rng in zip(tables, values, medians,
+                                    rngs or [None] * len(tables)):
         names = list(X.feature_names) if hasattr(X, "feature_names") else None
         if variant == "df":
-            model = ToccModel("df", spatial_median(vals), [0.0], [s],
+            model = ToccModel("df", median, [0.0], [s],
                               groups=[vals.copy()], feature_names=names)
         elif variant == "db":
             # Built first, so a bad mc_samples fails before the mixture
@@ -484,7 +502,7 @@ def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
             integrator = OrthantIntegrator("monte_carlo", mc_samples,
                                            rng.child(997))
             density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
-            model = ToccModel("db", spatial_median(vals), [0.0], [s],
+            model = ToccModel("db", median, [0.0], [s],
                               density=density, integrator=integrator,
                               feature_names=names)
         else:

@@ -153,7 +153,10 @@ class MixtureDensity:
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         require_symmetric(self.covariances, "mixture covariances")
-        self._chols = np.linalg.cholesky(self.covariances)
+        self._chols, ok = _factor(self.covariances)
+        if not ok.all():
+            raise ValueError(f"mixture covariance {np.flatnonzero(~ok)[0]} "
+                             f"is not positive definite")
 
     @property
     def n_components(self) -> int:
@@ -315,36 +318,76 @@ def _initial_params(z, labels, k, global_cov, reg_base):
     return weights, means, covs
 
 
-def _regularize_spd(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Nudge the diagonal until Cholesky succeeds; returns (factor, cov),
-    cov itself when it factors as it is, or None if hopeless."""
-    bump = 1e-8 * max(np.trace(cov) / cov.shape[0], 1e-12)
-    for _ in range(8):
-        try:
-            return np.linalg.cholesky(cov), cov
-        except np.linalg.LinAlgError:
-            cov = cov + bump * np.eye(cov.shape[0])
-            bump *= 10.0
-    return None
+def _factor(covs):
+    """Lower Cholesky factors of an (m, p, p) stack and one flag per matrix,
+    True where it factors; a matrix that does not gets a nan factor.
+
+    For p <= 2 this is OpenBLAS potf2's arithmetic on the lower triangle,
+    l11 = sqrt(a), l21 = b * (1 / l11), l22 = sqrt(c - l21 * l21), so the
+    factors have np.linalg.cholesky's bits, and a matrix fails where potf2
+    does: on a pivot <= 0 (a nan pivot passes and gives a nan factor).
+    Larger matrices are factored one LAPACK call each.
+    """
+    m, p = covs.shape[0], covs.shape[-1]
+    if p > 2:
+        chols = np.full(covs.shape, np.nan)
+        ok = np.zeros(m, bool)
+        for i, cov in enumerate(covs):
+            try:
+                chols[i] = np.linalg.cholesky(cov)
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return chols, ok
+    chols = np.zeros(covs.shape)
+    a = covs[:, 0, 0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        chols[:, 0, 0] = np.sqrt(a)
+        ok = ~(a <= 0)
+        if p == 2:
+            # potf2 scales by 1 / l11, and a zero scale writes zeros.
+            inverse = 1.0 / chols[:, 0, 0]
+            chols[:, 1, 0] = np.where(inverse == 0, 0.0, covs[:, 1, 0] * inverse)
+            pivot = covs[:, 1, 1] - chols[:, 1, 0] * chols[:, 1, 0]
+            chols[:, 1, 1] = np.sqrt(pivot)
+            ok &= ~(pivot <= 0)
+    chols[~ok] = np.nan
+    return chols, ok
 
 
 def _chol_all(covs):
     """Cholesky factors of a (..., p, p) stack; returns (factors, covs,
-    bumped), bumped one flag per matrix. A failed stack is repaired matrix
-    by matrix by _regularize_spd, which leaves a healthy matrix and its
-    factor as the stacked call makes them (it factors each matrix exactly
-    as a per-matrix call does); a matrix is bumped when the repair returned
-    a ridged copy, and one beyond repair keeps its covariance and gets a nan
-    factor."""
+    bumped), bumped one flag per matrix. When the stacked Cholesky fails,
+    the matrices that do not factor climb a ridge ladder together: each is
+    bumped by 1e-8 * max(trace / p, 1e-12) on the diagonal, ten times more
+    at each further level, cumulatively, for at most seven levels. A
+    repaired matrix is bumped and gets its ridged covariance; a matrix
+    beyond repair keeps its covariance and gets a nan factor. Every factor
+    has the bits a per-matrix np.linalg.cholesky call gives."""
     try:
         return np.linalg.cholesky(covs), covs, np.zeros(covs.shape[:-2], bool)
     except np.linalg.LinAlgError:
         pass
-    mats = list(covs.reshape(-1, *covs.shape[-2:]))
-    fixed = [_regularize_spd(cov) or (np.full_like(cov, np.nan), cov) for cov in mats]
-    bumped = np.array([f[1] is not cov for f, cov in zip(fixed, mats)])
-    chols, covs_out = (np.reshape(a, covs.shape) for a in zip(*fixed))
-    return chols, covs_out, bumped.reshape(covs.shape[:-2])
+    p = covs.shape[-1]
+    mats = covs.reshape(-1, p, p)
+    chols, ok = _factor(mats)
+    fixed = mats.copy()
+    todo = np.flatnonzero(~ok)
+    bumped = np.zeros(ok.shape, bool)
+    ridged = mats[todo]
+    bump = 1e-8 * np.maximum(np.trace(ridged, axis1=1, axis2=2) / p, 1e-12)
+    eye = np.eye(p)
+    for _ in range(7):
+        ridged = ridged + bump[:, None, None] * eye
+        bump = bump * 10.0
+        factors, good = _factor(ridged)
+        done = todo[good]
+        chols[done], fixed[done], bumped[done] = factors[good], ridged[good], True
+        todo, ridged, bump = todo[~good], ridged[~good], bump[~good]
+        if not todo.size:
+            break
+    return (chols.reshape(covs.shape), fixed.reshape(covs.shape),
+            bumped.reshape(covs.shape[:-2]))
 
 
 def _em_restarts(z, k, gens, global_cov, reg_base):

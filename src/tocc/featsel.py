@@ -10,6 +10,7 @@ skips features too correlated with ones already kept.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 from .classifier import (PredictionResult, ToccModel, fit_models,
                          predict_models)
 from .numcore import (DataMatrix, RngStream, as_queries, as_values,
-                      correlation_matrix, pca)
+                      correlation_matrix, pca, require_finite_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,18 @@ def pca_reduce(X, d: int, which: str = "last") -> tuple[PcaReducer, DataMatrix]:
 # Random-projection ensemble
 # ---------------------------------------------------------------------------
 
+def _median_last(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=-1) by exact selection: the middle order statistic,
+    or for an even count the two middle ones averaged as np.median averages
+    them, (lo + hi) / 2. A median is an order statistic, so any exact
+    selection gives its bits; a must be free of nan."""
+    half = a.shape[-1] // 2
+    if a.shape[-1] % 2:
+        return np.partition(a, half, axis=-1)[..., half]
+    part = np.partition(a, (half - 1, half), axis=-1)
+    return (part[..., half - 1] + part[..., half]) / 2
+
+
 def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.ndarray]:
     """Pick b1 projections, each the most compact of b2 random candidates.
 
@@ -83,8 +96,12 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     columns; compactness is the summed per-coordinate MAD of the projected
     target data (smaller = tighter around the median), and the first of
     equally compact candidates wins. b2 = 1 degenerates to pure random
-    projection. Deterministic given the stream.
+    projection. Deterministic given the stream. d, b1 and b2 must be
+    integers (not bools), and a non-finite target row is a ValueError.
     """
+    for name, value in (("d", d), ("b1", b1), ("b2", b2)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"rp_select: {name}={value!r} must be an integer")
     if b1 < 1:
         raise ValueError("b1 must be at least 1")
     if b1 % 2 == 0:
@@ -95,6 +112,7 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     p = vals.shape[1]
     if not 1 <= d < p:
         raise ValueError(f"rp_select: need 1 <= d < p, got d={d}, p={p}")
+    require_finite_rows(vals, "rp_select", "target")
     gen = rng.generator()
     chosen = []
     # One block of b2 candidates at a time keeps the (b2, n, d) projected
@@ -105,9 +123,10 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
         signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
         signs[signs == 0] = 1.0
         candidates = q * signs[:, None, :]
-        projected = vals @ candidates
-        med = np.median(projected, axis=1)
-        spread = np.median(np.abs(projected - med[:, None, :]), axis=1).sum(axis=1)
+        # Each candidate's coordinates as contiguous rows of n projections.
+        projected = (vals @ candidates).transpose(0, 2, 1).copy()
+        med = _median_last(projected)
+        spread = _median_last(np.abs(projected - med[..., None])).sum(axis=1)
         chosen.append(candidates[np.argmin(spread)].copy())
     return chosen
 

@@ -396,46 +396,70 @@ def spatial_median(X) -> np.ndarray:
     """Spatial median (mediancentre): minimizer of the summed Euclidean
     distances, found by modified Weiszfeld iteration.
 
+    X is one n x p table, whose median is returned as a p-vector, or a
+    (V, n, p) stack of V tables, whose medians are returned as a V x p
+    array. The tables of a stack iterate together, each leaving when it
+    stops, and each computes exactly what it computes alone.
+
     Starts at the coordinatewise median (so the objective never exceeds its
     value there). Data points the iterate lands on are pulled out of the
     denominator and handled by the Vardi-Zhang correction. Convergence is
-    declared when successive iterates move less than _WEISZFELD_TOL;
-    exceeding _WEISZFELD_MAX_ITER iterations raises ConvergenceError
-    carrying the last iterate.
+    declared when successive iterates move less than _WEISZFELD_TOL. An
+    empty table is a ValueError, and so is a non-finite row, which it
+    names; the first table that exceeds _WEISZFELD_MAX_ITER iterations
+    raises ConvergenceError carrying its last iterate.
     """
     vals = as_values(X)
-    n = vals.shape[0]
-    if n == 1:
-        return vals[0].copy()
-
-    y = np.median(vals, axis=0)
+    single = vals.ndim == 2
+    stack = vals[None] if single else vals
+    if stack.shape[1] == 0:
+        raise ValueError("spatial_median: a table has no rows")
+    if not np.isfinite(stack).all():
+        v = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
+        require_finite_rows(stack[v], "spatial_median",
+                            "input" if single else f"table {v} input")
+    medians = np.empty(stack.shape[::2])
+    live = np.arange(len(stack))      # the table behind each row of the stack
+    y = np.median(stack, axis=1)
     for _ in range(_WEISZFELD_MAX_ITER):
-        diff = vals - y
-        dist = np.linalg.norm(diff, axis=1)
+        diff = stack - y[:, None, :]
+        # np.linalg.norm(diff, axis=2), without its per-call overhead.
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
         at_point = dist < _WEISZFELD_TOL
-        far = ~at_point
-        if not far.any():
-            return y
-        w = 1.0 / dist[far]
-        t_tilde = (vals[far] * w[:, None]).sum(axis=0) / w.sum()
+        # The plain Weiszfeld update of every table; a table with a row on
+        # its iterate gets a finite stand-in here, replaced below.
+        w = 1.0 / np.maximum(dist, _WEISZFELD_TOL)
+        y_new = (stack * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
         if at_point.any():
-            # Vardi-Zhang step: coincident mass eta pulls the plain Weiszfeld
-            # update back toward the current point.
-            eta = float(at_point.sum())
-            r_vec = (diff[far] * w[:, None]).sum(axis=0)
-            r_norm = np.linalg.norm(r_vec)
-            if r_norm <= eta:
-                return y
-            gamma = min(1.0, eta / r_norm)
-            y_new = (1.0 - gamma) * t_tilde + gamma * y
-        else:
-            y_new = t_tilde
-        if np.linalg.norm(y_new - y) < _WEISZFELD_TOL:
-            return y_new
+            # Vardi-Zhang step, on the table's own rows off the iterate: its
+            # coincident mass eta pulls the plain update back toward the
+            # current point. A table whose rows all coincide with the
+            # iterate, or whose pull outweighs the update, stays where it is.
+            for i in np.flatnonzero(at_point.any(axis=1)):
+                far = ~at_point[i]
+                y_new[i] = y[i]
+                if not far.any():
+                    continue
+                wi = 1.0 / dist[i, far]
+                t_tilde = (stack[i, far] * wi[:, None]).sum(axis=0) / wi.sum()
+                eta = float(at_point[i].sum())
+                r_norm = np.linalg.norm((diff[i, far] * wi[:, None]).sum(axis=0))
+                if r_norm > eta:
+                    gamma = min(1.0, eta / r_norm)
+                    y_new[i] = (1.0 - gamma) * t_tilde + gamma * y[i]
+        # Each step's Euclidean length, by the dot product np.linalg.norm
+        # takes of one vector.
+        step = y_new - y
+        done = np.sqrt(step[:, None, :] @ step[:, :, None])[:, 0, 0] < _WEISZFELD_TOL
+        medians[live[done]] = y_new[done]
+        if done.all():
+            return medians[0] if single else medians
+        if done.any():
+            stack, live, y_new = stack[~done], live[~done], y_new[~done]
         y = y_new
     raise ConvergenceError(
-        f"spatial_median: no convergence after {_WEISZFELD_MAX_ITER} "
-        "iterations", y)
+        f"spatial_median: {'' if single else f'table {live[0]}: '}"
+        f"no convergence after {_WEISZFELD_MAX_ITER} iterations", y[0])
 
 
 def distance_sum(X, point) -> float:

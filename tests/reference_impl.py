@@ -22,7 +22,11 @@ with whole n x n temporaries and the per-query product KDE, as they were
 before both worked in blocks; and the counting form one group per call
 with one denominator box per query, the per-prototype calibration and
 predict, and the ensemble predict that calls predict once per view, as they
-were before every segment of an ensemble was counted in one call. Beside
+were before every segment of an ensemble was counted in one call; and the
+matrix-by-matrix covariance repair, the one-table Weiszfeld iteration and
+the np.median compactness of each projection block, as they were before the
+repair climbed one ridge ladder for a whole stack, the iteration ran over a
+stack of tables and the medians were taken by selection. Beside
 the frozen copies, comparison_tp counts
 the multivariate score straight from its definition by plain comparisons:
 the product tests agree with it unless a product of differences underflows
@@ -49,9 +53,9 @@ from tocc.density import (MixtureDensity, OrthantIntegrator, box_masses,
 from tocc.evaluation import RocCurve
 from tocc.featsel import VipRanking
 from tocc.io_utils import IngestError
-from tocc.numcore import (NONTARGET_LABEL, TARGET_LABEL, DataMatrix, PcaResult,
-                          RngStream, as_values, box_counts,
-                          empirical_quantile, spatial_median, tie_counts)
+from tocc.numcore import (NONTARGET_LABEL, TARGET_LABEL, ConvergenceError,
+                          DataMatrix, PcaResult, RngStream, as_values,
+                          box_counts, empirical_quantile, tie_counts)
 from tocc.transvariation import DROP_EPS, TpScore, _kept, _record
 
 
@@ -274,7 +278,7 @@ def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS):
 
 def df_threshold(X_target, s: float, eps: float = DROP_EPS) -> float:
     vals = as_values(X_target)
-    proto = spatial_median(vals)
+    proto = spatial_median_single(vals)
     scores = [multivariate_tp(vals, row, proto, eps).value for row in vals]
     return empirical_quantile(scores, 1.0 - s)
 
@@ -1001,3 +1005,93 @@ def predict_ensemble(ensemble, Z) -> PredictionResult:
         votes += predict(model, vals @ proj).accept
     fraction = votes / len(ensemble.sub_models)
     return PredictionResult(fraction > 0.5, fraction, None)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-by-matrix covariance repair, one-table Weiszfeld and the
+# np.median compactness of each projection block
+# ---------------------------------------------------------------------------
+# _chol_all and _regularize_spd as they were before a failed stack was
+# repaired one ridge level at a time, spatial_median as it was before it
+# iterated a stack of tables at once, and rp_select as it was before it
+# took its medians by selection.
+
+def regularize_spd_matrixwise(cov):
+    """Nudge the diagonal until Cholesky succeeds; returns (factor, cov),
+    cov itself when it factors as it is, or None if hopeless."""
+    bump = 1e-8 * max(np.trace(cov) / cov.shape[0], 1e-12)
+    for _ in range(8):
+        try:
+            return np.linalg.cholesky(cov), cov
+        except np.linalg.LinAlgError:
+            cov = cov + bump * np.eye(cov.shape[0])
+            bump *= 10.0
+    return None
+
+
+def chol_all_matrixwise(covs):
+    """(factors, covs, bumped) of a (..., p, p) stack; a failed stack is
+    repaired matrix by matrix, and a matrix beyond repair keeps its
+    covariance and gets a nan factor."""
+    try:
+        return np.linalg.cholesky(covs), covs, np.zeros(covs.shape[:-2], bool)
+    except np.linalg.LinAlgError:
+        pass
+    mats = list(covs.reshape(-1, *covs.shape[-2:]))
+    fixed = [regularize_spd_matrixwise(cov) or (np.full_like(cov, np.nan), cov)
+             for cov in mats]
+    bumped = np.array([f[1] is not cov for f, cov in zip(fixed, mats)])
+    chols, covs_out = (np.reshape(a, covs.shape) for a in zip(*fixed))
+    return chols, covs_out, bumped.reshape(covs.shape[:-2])
+
+
+def spatial_median_single(X, tol=1e-8, max_iter=1000):
+    """Modified Weiszfeld iteration from the coordinatewise median, with
+    the Vardi-Zhang step when the iterate lands on data points."""
+    vals = as_values(X)
+    n = vals.shape[0]
+    if n == 1:
+        return vals[0].copy()
+
+    y = np.median(vals, axis=0)
+    for _ in range(max_iter):
+        diff = vals - y
+        dist = np.linalg.norm(diff, axis=1)
+        at_point = dist < tol
+        far = ~at_point
+        if not far.any():
+            return y
+        w = 1.0 / dist[far]
+        t_tilde = (vals[far] * w[:, None]).sum(axis=0) / w.sum()
+        if at_point.any():
+            eta = float(at_point.sum())
+            r_vec = (diff[far] * w[:, None]).sum(axis=0)
+            r_norm = np.linalg.norm(r_vec)
+            if r_norm <= eta:
+                return y
+            gamma = min(1.0, eta / r_norm)
+            y_new = (1.0 - gamma) * t_tilde + gamma * y
+        else:
+            y_new = t_tilde
+        if np.linalg.norm(y_new - y) < tol:
+            return y_new
+        y = y_new
+    raise ConvergenceError("spatial_median: no convergence", y)
+
+
+def rp_select_median(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.ndarray]:
+    """One block of b2 candidates at a time, compactness by np.median."""
+    vals = as_values(X_target)
+    p = vals.shape[1]
+    gen = rng.generator()
+    chosen = []
+    for _ in range(b1):
+        q, r = np.linalg.qr(gen.standard_normal((b2, p, d)))
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        signs[signs == 0] = 1.0
+        candidates = q * signs[:, None, :]
+        projected = vals @ candidates
+        med = np.median(projected, axis=1)
+        spread = np.median(np.abs(projected - med[:, None, :]), axis=1).sum(axis=1)
+        chosen.append(candidates[np.argmin(spread)].copy())
+    return chosen

@@ -1,6 +1,8 @@
 """Differential sweeps: the batched orthant-counting kernel and its p = 2
 sort-and-search sweep, the one box-mass function, the EM loop stacked over
-components and restarts, the mixture search that standardizes once, the
+components and restarts, the closed-form 2 x 2 Cholesky and the stacked
+ridge ladder, the Weiszfeld iteration over a stack of tables, the mixture
+search that standardizes once, the
 sorted ROC sweep, the column-wise CSV reader and writer, the
 table-driven model files, the stacked feature-selection front-ends, blocked
 PAM and the blocked product KDE against the frozen per-query, per-restart
@@ -25,13 +27,13 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
 import reference_impl as ref
-from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
+from tocc import (ConvergenceError, DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
                   ScenarioSpec, fit_gmm, fit_pam_tocc_df, fit_tocc_db,
                   fit_tocc_df, generate, load_glass,
                   load_model, multivariate_tp, multivariate_tp_density,
                   orthant_probability, predict, roc_curve, save_model,
                   univariate_tp)
-from tocc import (baselines, classifier, density, io_utils, numcore,
+from tocc import (baselines, classifier, density, featsel, io_utils, numcore,
                   transvariation)
 from tocc.density import box_masses
 from tocc.evaluation import ALL_METHODS, fit_method
@@ -996,17 +998,37 @@ def restarts(stream, k, n):
     return [stream.child(k).child(r) for r in range(n)]
 
 
-def counting_regularize(monkeypatch):
-    """Record every covariance the ridge repair receives."""
-    bumps = []
-    regularize = density._regularize_spd
+def counting_repairs(monkeypatch):
+    """Record the flags of every stack the repair factors: _chol_all calls
+    _factor when a stacked Cholesky fails, and a False flag is a matrix
+    sent up the ridge ladder."""
+    calls = []
+    factor = density._factor
 
-    def counted(cov):
-        bumps.append(cov)
-        return regularize(cov)
+    def counted(covs):
+        chols, ok = factor(covs)
+        calls.append(ok)
+        return chols, ok
 
-    monkeypatch.setattr(density, "_regularize_spd", counted)
-    return bumps
+    monkeypatch.setattr(density, "_factor", counted)
+    return calls
+
+
+def hopeless_ladder(factor):
+    """_factor with every ridge declared hopeless: after a stack with a
+    failing matrix, the seven ridge levels that follow report every matrix
+    as failing."""
+    levels = []
+
+    def wrapped(covs):
+        if levels:
+            levels.pop()
+            return np.full_like(covs, np.nan), np.zeros(len(covs), bool)
+        chols, ok = factor(covs)
+        if not ok.all():
+            levels.extend([None] * 7)
+        return chols, ok
+    return wrapped
 
 
 class TestEmStep:
@@ -1034,10 +1056,10 @@ class TestEmStep:
         # A component of the RI/Na glass targets collapses at G = 6, so its
         # covariance fails Cholesky and takes the per-component ridge path
         # while the other restarts of the stack run on.
-        bumps = counting_regularize(monkeypatch)
+        repairs = counting_repairs(monkeypatch)
         runs = assert_same_em(glass_target("RI", "Na"), 6, restarts(RngStream(71), 6, 3))
         assert runs[0] is not None
-        assert bumps
+        assert any(not ok.all() for ok in repairs)
 
     def test_run_beyond_repair(self, monkeypatch):
         # With every ridge declared hopeless, the restart whose covariance
@@ -1052,7 +1074,7 @@ class TestEmStep:
                 return regularize(cov)
             return wrapped
 
-        monkeypatch.setattr(density, "_regularize_spd", hopeless(density._regularize_spd))
+        monkeypatch.setattr(density, "_factor", hopeless_ladder(density._factor))
         monkeypatch.setattr(ref, "_regularize_spd", hopeless(ref._regularize_spd))
         runs = assert_same_em(glass_target("RI", "Na"), 6, restarts(RngStream(71), 6, 3))
         assert runs[0] is None and runs[1] is not None
@@ -1176,9 +1198,9 @@ class TestFitGmmSearch:
     def test_glass_pairs(self, monkeypatch):
         # RI/Na at stream 71 holds the G = 6 restart whose covariance takes
         # the ridge path; RI/Ba holds collapsing and degenerate restarts.
-        bumps = counting_regularize(monkeypatch)
+        repairs = counting_repairs(monkeypatch)
         assert_same_fit(glass_target("RI", "Na"), (1, 9), 71, 5)
-        assert bumps
+        assert any(not ok.all() for ok in repairs)
         assert_same_fit(glass_target("RI", "Ba"), (1, 9), 71, 5)
         for features in (("Si", "Mg"), ("Al", "Ca")):
             assert_same_fit(glass_target(*features), (4, 7), 71, 2)
@@ -1311,6 +1333,58 @@ class TestCentered:
         assert np.array_equal(density._component_logpdf(X, means, chols), want)
 
 
+def lapack_factors(covs):
+    """Per-matrix np.linalg.cholesky of an (m, p, p) stack: the factors
+    (nan where it raises) and which matrices factored."""
+    chols = np.full_like(covs, np.nan)
+    ok = np.zeros(len(covs), bool)
+    for i, cov in enumerate(covs):
+        try:
+            chols[i] = np.linalg.cholesky(cov)
+            ok[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return chols, ok
+
+
+def stacked_cholesky_fails(covs):
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestFactor:
+    """density._factor against per-matrix LAPACK: equal factors wherever
+    LAPACK succeeds, and a failure exactly where it raises."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_lapack(self, p):
+        gen = np.random.default_rng(150 + p)
+        m = 2000
+        size = 10.0 ** gen.uniform(-8, 8, size=(m, 1, 1))
+        A = gen.normal(size=(m, p, p)) * size
+        spd = A @ A.transpose(0, 2, 1)
+        v = gen.normal(size=(m, p, 1)) * size
+        # Rank one plus a ridge of either sign near rounding: some factor
+        # on a tiny pivot, the rest fail.
+        near = v @ v.transpose(0, 2, 1) \
+            + (v.transpose(0, 2, 1) @ v) * gen.normal(size=(m, 1, 1)) * 1e-15 * np.eye(p)
+        near[:, 0, 0] *= np.sign(gen.normal(size=m)) if p == 1 else 1.0
+        asymmetric = gen.normal(size=(m, p, p)) * size
+        special = spd.copy()
+        for value in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            special.reshape(-1)[gen.random(special.size) < 0.03] = value
+        for covs in (spd, near, asymmetric, special):
+            want, want_ok = lapack_factors(covs)
+            got, ok = density._factor(covs)
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(got[ok], want[ok], equal_nan=True)
+            assert np.isnan(got[~ok]).all()
+            assert ok.any() and (ok.all() if covs is spd else not ok.all())
+
+
 class TestCholAll:
     def test_repair_returns_its_factors(self):
         # A failed stack is repaired matrix by matrix, each factored once:
@@ -1325,6 +1399,54 @@ class TestCholAll:
         _, want, _ = ref._chol_all(covs)
         assert np.array_equal(fixed, want)
         assert np.array_equal(fixed[[0, 2]], covs[[0, 2]])
+
+    @pytest.mark.parametrize("features", [("Fe",), ("RI", "Na"), ("RI", "Ba", "Fe")],
+                             ids="-".join)
+    def test_ladder_on_glass_em_stacks(self, monkeypatch, features):
+        # Every failing stack a glass mixture search sends to _chol_all
+        # (collapsing components, in the EM and in the map back to data
+        # units) is repaired as the frozen matrix-by-matrix repair does.
+        stacks = []
+        chol_all = density._chol_all
+
+        def recorded(covs):
+            stacks.append(covs.copy())
+            return chol_all(covs)
+        monkeypatch.setattr(density, "_chol_all", recorded)
+        fit_gmm(glass_target(*features), (1, 9), RngStream(71), n_restarts=2)
+        failing = [covs for covs in stacks if stacked_cholesky_fails(covs)]
+        assert failing
+        for covs in failing:
+            got, want = chol_all(covs), ref.chol_all_matrixwise(covs)
+            assert got[2].any()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_ladder_levels_and_beyond_repair(self, p):
+        # Matrices that factor after one to seven ridge levels, or never,
+        # beside healthy ones, at every p up to 9: each bump comes from its
+        # matrix's own trace.
+        gen = np.random.default_rng(155 + p)
+        covs = []
+        for i in range(24):
+            v = gen.normal(size=(p, 1)) * 10.0 ** gen.uniform(-3, 3)
+            scale = (v.T @ v).item()
+            kind = i % 4
+            if kind == 0:
+                covs.append(v @ v.T + scale * 1e-3 * np.eye(p))       # healthy
+            elif kind == 1:
+                shift = 10.0 ** -gen.uniform(5, 15)
+                covs.append(v @ v.T - scale * shift * np.eye(p))      # some levels
+            elif kind == 2:
+                covs.append(-scale * np.eye(p))                       # beyond repair
+            else:
+                covs.append(np.zeros((p, p)))                         # trace 0
+        covs = np.array(covs).reshape(2, 12, p, p)
+        got, want = density._chol_all(covs), ref.chol_all_matrixwise(covs)
+        assert got[2].any() and not got[2].all()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestRocCurve:
@@ -1608,6 +1730,26 @@ class TestFeatureSelection:
         train = glass.select_rows(glass.is_target())
         assert_same_selection(train, 2, 101, 50, RngStream(7).child(1))
 
+    def test_medians_by_selection(self):
+        # Odd and even counts, ties and signed zeros: the selected median
+        # equals np.median's.
+        gen = np.random.default_rng(134)
+        for n in (1, 2, 3, 4, 7, 8, 86, 87):
+            a = gen.normal(size=(6, 3, n))
+            tied = np.round(a)
+            tied[gen.random(tied.shape) < 0.3] = -0.0
+            for case in (a, tied, np.zeros((2, 2, n))):
+                assert np.array_equal(featsel._median_last(case),
+                                      np.median(case, axis=-1))
+
+    def test_rp_select_even_rows_with_ties(self):
+        # With an even row count the median is the mean of the two middle
+        # order statistics; rounded rows tie.
+        X = np.round(np.random.default_rng(135).normal(size=(86, 4)) * 2.0)
+        got = rp_select(X, 2, 5, 50, RngStream(136))
+        want = ref.rp_select_median(X, 2, 5, 50, RngStream(136))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_compute_vip(self):
         gen = np.random.default_rng(133)
         for _ in range(201):
@@ -1645,6 +1787,75 @@ class TestFeatureSelection:
                 X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
             assert_same_pca(X)
         assert_same_pca(np.ones((5, 3)))
+
+
+def assert_same_medians(stack):
+    """spatial_median of the (V, n, p) stack and of each table alone equal
+    the frozen one-table Weiszfeld, bit for bit, or the stack raises for
+    the first table the frozen iteration does not converge on, with the
+    same last iterate; returns how many tables took the Vardi-Zhang step
+    at their end."""
+    want = []
+    for table in stack:
+        try:
+            want.append(ref.spatial_median_single(table))
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError,
+                               match=f"table {len(want)}: no convergence") as got:
+                numcore.spatial_median(stack)
+            assert np.array_equal(got.value.last_iterate, err.last_iterate)
+            return 0
+    got = numcore.spatial_median(stack)
+    for table, g, w in zip(stack, got, want):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        assert np.array_equal(numcore.spatial_median(table), w)
+    return sum(np.linalg.norm(table - w, axis=1).min() < numcore._WEISZFELD_TOL
+               for table, w in zip(stack, want))
+
+
+class TestSpatialMedianStack:
+    def test_random_stacks(self):
+        gen = np.random.default_rng(137)
+        vardi_zhang = 0
+        for trial in range(120):
+            p, n = 1 + trial % 3, int(gen.integers(3, 200))
+            stack = gen.normal(size=(int(gen.integers(1, 6)), n, p))
+            if trial % 3 == 0:
+                stack = np.round(stack, 1)
+            if trial % 4 == 0:         # coincident rows: the Vardi-Zhang step
+                stack[:, :n // 2] = stack[:, :1]
+            vardi_zhang += assert_same_medians(stack * 10.0 ** gen.uniform(-2, 2))
+        assert vardi_zhang
+
+    def test_glass_rp2_views(self):
+        # The 101 views of glass-repro's seed-4 pam-tocc-df/rp2 ensemble;
+        # three end on a data point, by the Vardi-Zhang step.
+        glass = load_glass()
+        train = glass.select_rows(glass.is_target()).values
+        stream = RngStream(4).child(102).child(0)
+        views = np.stack([train @ proj for proj in rp_select(train, 2, 101, 50, stream)])
+        assert assert_same_medians(views) == 3
+
+    def test_first_table_that_does_not_converge(self, monkeypatch):
+        # Table 0 stops at once (every row coincides), tables 1 and 2 need
+        # more than three steps: table 1's error carries its last iterate.
+        monkeypatch.setattr(numcore, "_WEISZFELD_MAX_ITER", 3)
+        stack = np.random.default_rng(138).normal(size=(3, 40, 2))
+        stack[0] = stack[0, 0]
+        with pytest.raises(ConvergenceError, match="table 1: no convergence") as err:
+            numcore.spatial_median(stack)
+        with pytest.raises(ConvergenceError) as want:
+            ref.spatial_median_single(stack[1], max_iter=3)
+        assert np.array_equal(err.value.last_iterate, want.value.last_iterate)
+
+    def test_fit_models_stacks_each_shape(self):
+        # Tables of three shapes, interleaved: one call per shape, and each
+        # prototype is its table's own median.
+        gen = np.random.default_rng(139)
+        tables = [gen.normal(size=shape) for shape in
+                  ((30, 2), (40, 2), (30, 2), (25, 2), (40, 2))]
+        for model, table in zip(classifier.fit_models("df", tables, 0.9), tables):
+            assert np.array_equal(model.prototypes[0], ref.spatial_median_single(table))
 
 
 def pam_points(gen, n):

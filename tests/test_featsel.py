@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,33 @@ class TestRpSelect:
         a = rp_select(X, 2, 5, 4, RngStream(14))
         b = rp_select(X, 2, 5, 4, RngStream(14))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("d, b1, b2, name", [
+        (True, 5, 4, "d=True"), (2, True, 4, "b1=True"), (2, 5, True, "b2=True"),
+        (2.0, 5, 4, "d=2.0"), (2, 3.0, 4, "b1=3.0"), (2, 5, 2.5, "b2=2.5"),
+        (2, "5", 4, "b1='5'"), (None, 5, 4, "d=None")])
+    def test_settings_must_be_integers(self, d, b1, b2, name):
+        # A bool is no count, and a float used to raise a bare TypeError.
+        X = np.random.default_rng(13).normal(size=(30, 4))
+        message = f"rp_select: {name} must be an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rp_select(X, d, b1, b2, RngStream(14))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_rp_ensemble(X, d, b1, b2, 0.9, RngStream(14))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kappa_vip(X, d, b1, b2, 0.5, 2, RngStream(14))
+
+    def test_numpy_integer_settings(self):
+        X = np.random.default_rng(13).normal(size=(30, 4))
+        got = rp_select(X, np.int64(2), np.int32(5), np.uint8(4), RngStream(14))
+        want = rp_select(X, 2, 5, 4, RngStream(14))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_non_finite_target_row_named(self):
+        X = np.random.default_rng(13).normal(size=(30, 4))
+        X[7, 2] = np.nan
+        with pytest.raises(ValueError, match="rp_select: target row 7 is not finite"):
+            rp_select(X, 2, 5, 4, RngStream(14))
 
 
 def _stub_model(threshold):

@@ -311,6 +311,8 @@ class TestToccModelFiles:
          "pam total_cost must be a finite number >= 0, not 'abc'"),
         ("tocc-db", {"density": {"covariances": [[[1.0, 0.5], [0.0, 1.0]]]}},
          "mixture covariances must be symmetric"),
+        ("tocc-db", {"density": {"covariances": [[[1.0, 2.0], [2.0, 1.0]]]}},
+         "mixture covariance 0 is not positive definite"),
         ("tocc-df", {"thresholds": ["0.5"]},
          """model field 'thresholds' must hold only numbers (no string, bool """
          """or null), not ["0.5"]"""),
@@ -335,7 +337,7 @@ class TestToccModelFiles:
              "object-sensitivity", "numeric-thresholds", "null-medoids",
              "string-medoids", "medoid-out-of-range", "null-assignment",
              "huge-assignment", "one-entry-assignment", "string-total-cost",
-             "asymmetric-covariance", "string-threshold", "string-prototype",
+             "asymmetric-covariance", "indefinite-covariance", "string-threshold", "string-prototype",
              "string-group-entry", "string-mixture-weight", "string-eps",
              "bool-sensitivity", "huge-mc-samples"])
     def test_edited_file_exits_2(self, tmp_path, capsys, method, edit, message):

@@ -66,6 +66,24 @@ class TestSpatialMedian:
         X = np.array([[0.0, 0.0]] * 5 + [[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(spatial_median(X), [0, 0], atol=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        # Not a ConvergenceError after 1 000 iterations.
+        with pytest.raises(ValueError, match="spatial_median: input row 0 is not finite"):
+            spatial_median([[bad, 0.0], [1.0, 1.0]])
+        stack = np.zeros((3, 4, 2))
+        stack[2, 1, 0] = bad
+        with pytest.raises(ValueError,
+                           match="spatial_median: table 2 input row 1 is not finite"):
+            spatial_median(stack)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_table_rejected(self):
+        # Not a RuntimeWarning ("Mean of empty slice") and a nan median.
+        with pytest.raises(ValueError, match="spatial_median: a table has no rows"):
+            spatial_median(np.empty((0, 2)))
+
 
 class TestPca:
     def test_dominant_axis(self):
