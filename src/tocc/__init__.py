@@ -9,8 +9,8 @@ forensic glass study.
 __version__ = "0.1.0"
 
 from .numcore import (ConvergenceError, DataMatrix, PcaResult, RngStream,
-                      concat, correlation_matrix, empirical_quantile, pca,
-                      spatial_median)
+                      Settings, concat, correlation_matrix, empirical_quantile,
+                      pca, spatial_median)
 from .transvariation import (TpScore, multivariate_tp, multivariate_tp_density,
                              univariate_tp, univariate_tp_density)
 from .density import (MixtureDensity, OrthantIntegrator, fit_gmm,
@@ -31,8 +31,9 @@ from .io_utils import ingest_csv, load_model, save_model
 
 __all__ = [
     "__version__",
-    "ConvergenceError", "DataMatrix", "PcaResult", "RngStream", "concat",
-    "correlation_matrix", "empirical_quantile", "pca", "spatial_median",
+    "ConvergenceError", "DataMatrix", "PcaResult", "RngStream", "Settings",
+    "concat", "correlation_matrix", "empirical_quantile", "pca",
+    "spatial_median",
     "TpScore", "multivariate_tp", "multivariate_tp_density", "univariate_tp",
     "univariate_tp_density",
     "MixtureDensity", "OrthantIntegrator", "fit_gmm", "orthant_probability",

@@ -22,9 +22,9 @@ import numpy as np
 
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
-from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
-                      require_feature_names, require_symmetric,
-                      require_training_rows)
+from .numcore import (RngStream, Settings, as_queries, as_values,
+                      empirical_quantile, require_feature_names,
+                      require_symmetric, require_training_rows)
 
 
 class _Kind(NamedTuple):
@@ -203,16 +203,19 @@ def _gauss_fit(vals: np.ndarray) -> dict:
 
 
 def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
-                 k: int = 5, components_range=(1, 9),
-                 n_restarts: int = 5) -> BaselineModel:
+                 kmeans_k: int = Settings.kmeans_k,
+                 components_range=Settings.components_range,
+                 n_restarts: int = Settings.n_restarts) -> BaselineModel:
     """Fit one of the reference classifiers and calibrate its threshold so the
     training acceptance is at least s.
 
     gauss scores Mahalanobis distance to the mean (singular covariance is an
-    error). mix_gauss scores the BIC-selected mixture density. kde scores a
-    Gaussian product kernel with Silverman's-rule diagonal bandwidth. kmeans
-    scores distance to the nearest of k=5 centroids (Lloyd, seeded by rng).
-    The training rows and s must pass numcore.require_training_rows.
+    error). mix_gauss scores the BIC-selected mixture density (over
+    components_range, n_restarts EM restarts per G). kde scores a Gaussian
+    product kernel with Silverman's-rule diagonal bandwidth. kmeans scores
+    distance to the nearest of kmeans_k centroids, at most one per row
+    (Lloyd, seeded by rng). The training rows and s must pass
+    numcore.require_training_rows.
     """
     spec = _check_kind(kind)
     if rng is None and kind in ("mix_gauss", "kmeans"):
@@ -229,7 +232,8 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
     elif kind == "kde":
         fitted = dict(bandwidths=_silverman_bandwidths(vals), train=vals.copy())
     else:  # kmeans
-        centroids, _ = kmeans_lloyd(vals, min(k, vals.shape[0]), rng.generator())
+        centroids, _ = kmeans_lloyd(vals, min(kmeans_k, vals.shape[0]),
+                                    rng.generator())
         fitted = dict(centroids=centroids)
 
     model = BaselineModel(kind, 0.0, spec.score_direction, s,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import MixtureDensity, OrthantIntegrator, fit_gmm
-from .numcore import (RngStream, as_queries, as_values, empirical_quantile,
+from .numcore import (RngStream, Settings, as_queries, as_values,
+                      check_setting, empirical_quantile, is_integer,
                       require_feature_names, require_finite_rows,
                       require_training_rows, spatial_median)
 from .transvariation import DROP_EPS, tp_density_scores, tp_scores
@@ -38,7 +39,7 @@ class PamResult:
 
     def __post_init__(self):
         if not (isinstance(self.medoids, list) and self.medoids
-                and all(_is_index(i) for i in self.medoids)
+                and all(is_integer(i, 0) for i in self.medoids)
                 and self.medoids == sorted(set(self.medoids))):
             raise ValueError("pam medoids must be an ascending list of distinct "
                              f"row indices, not {self.medoids!r:.60}")
@@ -55,10 +56,6 @@ class PamResult:
         if not (_is_real(self.total_cost) and 0 <= self.total_cost < np.inf):
             raise ValueError("pam total_cost must be a finite number >= 0, "
                              f"not {self.total_cost!r:.60}")
-
-
-def _is_index(i) -> bool:
-    return isinstance(i, numbers.Integral) and not isinstance(i, bool) and i >= 0
 
 
 def _is_real(v) -> bool:
@@ -256,9 +253,8 @@ def pam(X, k: int, max_swaps: int = 1000) -> PamResult:
     """
     vals = as_values(X)
     n = vals.shape[0]
-    if not (_is_index(k) and k >= 1):
-        raise ValueError(f"pam: k must be an integer >= 1, not {k!r}")
-    if not _is_index(max_swaps):
+    check_setting("k", k)
+    if not is_integer(max_swaps, 0):
         raise ValueError(f"pam: max_swaps must be an integer >= 0, "
                          f"not {max_swaps!r}")
     if k > n:
@@ -467,16 +463,15 @@ def _spatial_medians(tables) -> list[np.ndarray]:
     return medians
 
 
-def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
-               mc_samples: int = 100_000, components_range=(1, 9),
-               n_restarts: int = 5) -> list[ToccModel]:
+def fit_models(variant: str, tables, s: float, rngs=None,
+               settings: Settings = Settings()) -> list[ToccModel]:
     """One TOCC of the variant ("df", "db" or "pam_df") per training table,
     each the model fit_tocc_df(table, s), fit_tocc_db(table, s, rngs[i],
-    components_range, mc_samples, n_restarts) or fit_pam_tocc_df(table, k,
-    s) fits alone; only db tables take a stream. Every table is checked
-    first, and the df and db prototypes, spatial medians, are found in one
-    call per table shape. The models are then drafted in table order and
-    calibrated together: threshold g of each is the
+    **vars(settings)) or fit_pam_tocc_df(table, settings.k, s) fits alone;
+    only db tables take a stream. Every table is checked first, and must
+    be as wide as the first; the df and db prototypes, spatial medians,
+    are found in one call per table shape. The models are then drafted in
+    table order and calibrated together: threshold g of each is the
     (1 - s_g) type-1 quantile of the scores of its group g (a db model's
     whole table) against prototype g, all from one prototype_scores call.
     """
@@ -485,8 +480,11 @@ def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
     if fitter is None:
         raise ValueError(f"unknown variant '{variant}'")
     values = [as_values(X) for X in tables]
-    for vals in values:
+    for i, vals in enumerate(values):
         require_training_rows(vals, s, fitter)
+        if vals.shape[1] != values[0].shape[1]:
+            raise ValueError(f"{fitter}: table {i} has {vals.shape[1]} columns, "
+                             f"table 0 has {values[0].shape[1]}")
     medians = (_spatial_medians(values) if variant != "pam_df"
                else [None] * len(values))
     models, own_rows = [], []
@@ -497,16 +495,15 @@ def fit_models(variant: str, tables, s: float, rngs=None, k: int = 5,
             model = ToccModel("df", median, [0.0], [s],
                               groups=[vals.copy()], feature_names=names)
         elif variant == "db":
-            # Built first, so a bad mc_samples fails before the mixture
-            # search; it draws nothing until it is used.
-            integrator = OrthantIntegrator("monte_carlo", mc_samples,
+            integrator = OrthantIntegrator("monte_carlo", settings.mc_samples,
                                            rng.child(997))
-            density = fit_gmm(vals, components_range, rng, n_restarts=n_restarts)
+            density = fit_gmm(vals, settings.components_range, rng,
+                              n_restarts=settings.n_restarts)
             model = ToccModel("db", median, [0.0], [s],
                               density=density, integrator=integrator,
                               feature_names=names)
         else:
-            g = k
+            g = settings.k
             while True:
                 result = pam(vals, g)
                 if np.bincount(result.assignment, minlength=g).min() >= 3:
@@ -536,14 +533,15 @@ def fit_tocc_df(X_target, s: float) -> ToccModel:
 
 
 def fit_tocc_db(X_target, s: float, rng: RngStream,
-                components_range=(1, 9), mc_samples: int = 100_000,
-                n_restarts: int = 5) -> ToccModel:
+                components_range=Settings.components_range,
+                mc_samples: int = Settings.mc_samples,
+                n_restarts: int = Settings.n_restarts) -> ToccModel:
     """Density-based TOCC: fits a Gaussian mixture (BIC over the component
     range), then scores by orthant-mass ratios under that density, counted
     on mc_samples Monte Carlo draws from stream rng.child(997)."""
-    return fit_models("db", [X_target], s, [rng], mc_samples=mc_samples,
-                      components_range=components_range,
-                      n_restarts=n_restarts)[0]
+    return fit_models("db", [X_target], s, [rng], Settings(
+        mc_samples=mc_samples, components_range=components_range,
+        n_restarts=n_restarts))[0]
 
 
 def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
@@ -554,7 +552,7 @@ def fit_pam_tocc_df(X_target, k: int, s: float) -> ToccModel:
     k by one until all clusters are large enough (k = 1 always is);
     model.n_prototypes is the k used.
     """
-    return fit_models("pam_df", [X_target], s, k=k)[0]
+    return fit_models("pam_df", [X_target], s, settings=Settings(k=k))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .featsel import kappa_vip, pca_reduce
 from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
 from .io_utils import (ingest_csv, load_model, save_model, write_boxplot_svg,
                        write_csv, write_json_report, write_roc_svg)
-from .numcore import ConvergenceError, RngStream
+from .numcore import GLASS_SETTINGS, ConvergenceError, RngStream, Settings
 from .simgen import SCENARIOS, ScenarioSpec, generate
 
 DEFAULT_SEED = 20260808
@@ -79,8 +79,13 @@ def _config(args, keys):
 
 
 def _components_range(text):
+    """The (lo, hi) of --components lo:hi, or (n, n) of --components n."""
     lo, _, hi = text.partition(":")
-    return (int(lo), int(hi or lo))
+    try:
+        return (int(lo), int(hi or lo))
+    except ValueError:
+        raise ValueError(f"--components {text!r} must be lo:hi, two integers"
+                         " (or one)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,7 @@ def cmd_glass_repro(args):
     frontends = [f for f in FRONTENDS if not (args.skip_rp and f == "rp2")]
     # A bad --outdir fails here, before the grid runs.
     os.makedirs(args.outdir, exist_ok=True)
-    result = run_glass_repro(kappa=args.kappa, pam_k=args.k, s=args.s, d=args.d,
+    result = run_glass_repro(kappa=args.kappa, k=args.k, s=args.s, d=args.d,
                              b1=args.b1, b2=args.b2, mc_samples=args.mc_samples,
                              seed=args.seed, data_path=args.data,
                              subset=args.glass_subset, frontends=frontends)
@@ -343,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(ALL_METHODS))
     p.add_argument("--s", type=float, default=0.9,
                    help="minimum training sensitivity")
-    p.add_argument("--k", type=int, default=4, help="PAM cluster count")
-    p.add_argument("--kmeans-k", type=int, default=5)
-    p.add_argument("--mc-samples", type=int, default=100_000)
-    p.add_argument("--components", default="1:9",
+    p.add_argument("--k", type=int, default=GLASS_SETTINGS.k,
+                   help="PAM cluster count")
+    p.add_argument("--kmeans-k", type=int, default=GLASS_SETTINGS.kmeans_k)
+    p.add_argument("--mc-samples", type=int, default=GLASS_SETTINGS.mc_samples)
+    p.add_argument("--components",
+                   default="{}:{}".format(*GLASS_SETTINGS.components_range),
                    help="mixture component range lo:hi")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", required=True)
@@ -403,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.9)
     p.add_argument("--methods", help="comma-separated subset of: "
                                      + ",".join(ALL_METHODS))
-    p.add_argument("--k", type=int, default=5, help="PAM cluster count")
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--k", type=int, default=Settings.k,
+                   help="PAM cluster count")
+    p.add_argument("--mc-samples", type=int, default=Settings.mc_samples)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="also write a JSON summary here")
@@ -417,12 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glass-subset", default="float-windows",
                    choices=list(SUBSETS))
     p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=GLASS_SETTINGS.k)
     p.add_argument("--s", type=float, default=0.9)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b1", type=int, default=101)
     p.add_argument("--b2", type=int, default=50)
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--mc-samples", type=int, default=GLASS_SETTINGS.mc_samples)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--skip-rp", action="store_true",
                    help="skip the (slow) random-projection column")

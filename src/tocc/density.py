@@ -10,15 +10,14 @@ every evaluation of the same integrator replays the same sample set.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import (RngStream, as_queries, as_values, box_counts,
-                      require_finite_rows, require_symmetric)
+from .numcore import (RngStream, Settings, as_queries, as_values, box_counts,
+                      check_setting, require_finite_rows, require_symmetric)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -206,16 +205,13 @@ class OrthantIntegrator:
     """
 
     method: str = "monte_carlo"
-    mc_samples: int = 100_000
+    mc_samples: int = Settings.mc_samples
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
         if self.method != "monte_carlo":
             raise ValueError(f"unknown integrator method '{self.method}'")
-        if not (isinstance(self.mc_samples, numbers.Integral)
-                and self.mc_samples >= 10_000):
-            raise ValueError(f"monte_carlo integrator requires an integer "
-                             f"mc_samples >= 10000, not {self.mc_samples!r}")
+        check_setting("mc_samples", self.mc_samples)
 
     def samples(self, density: MixtureDensity) -> np.ndarray:
         return density.sample(self.mc_samples, self.rng.generator())
@@ -470,11 +466,8 @@ def _em_restarts(z, k, gens, global_cov, reg_base):
     return runs
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-
-
-def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> MixtureDensity:
+def fit_gmm(X, components_range, rng: RngStream,
+            n_restarts: int = Settings.n_restarts) -> MixtureDensity:
     """Fit full-covariance mixtures over a component range, keep the BIC winner.
 
     Each candidate G in lo..hi runs `n_restarts` k-means-seeded EM restarts,
@@ -494,19 +487,16 @@ def fit_gmm(X, components_range, rng: RngStream, n_restarts: int = 5) -> Mixture
         1 <= lo <= hi, e.g. (1, 9).
     rng : RngStream
         Drives the k-means seedings; the fit is deterministic given it.
-    n_restarts : int, at least 1
+    n_restarts : int, at least 1 (Settings.n_restarts by default)
 
     A non-finite training row is a ValueError that names it.
     """
     vals = as_values(X)
     require_finite_rows(vals, "fit_gmm", "training")
     n, p = vals.shape
+    check_setting("n_restarts", n_restarts)
+    check_setting("components_range", components_range)
     lo, hi = components_range
-    if not _is_count(n_restarts):
-        raise ValueError(f"fit_gmm: n_restarts={n_restarts!r} must be an integer >= 1")
-    if not (_is_count(lo) and _is_count(hi) and lo <= hi):
-        raise ValueError(f"fit_gmm: components_range={components_range!r} must "
-                         f"be two integers 1 <= lo <= hi")
     top = min(hi, (n - 1) // (p + 1))
     if top < lo:
         raise ValueError(f"fit_gmm: {n} rows in {p} dimensions are too few for "

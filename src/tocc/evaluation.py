@@ -9,7 +9,6 @@ threshold plus the threshold-free AUC.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,7 +18,7 @@ import numpy as np
 from .baselines import fit_baseline
 from .classifier import (PredictionResult, fit_pam_tocc_df, fit_tocc_db,
                          fit_tocc_df)
-from .numcore import DataMatrix, RngStream, concat
+from .numcore import DataMatrix, RngStream, Settings, concat
 from .simgen import ScenarioSpec, generate
 
 
@@ -109,36 +108,35 @@ BASELINE_METHODS = ("gauss", "mix-gauss", "kde", "kmeans")
 ALL_METHODS = TOCC_METHODS + BASELINE_METHODS
 
 
-def _check_name(name: str) -> None:
+def _settings(name: str, settings: dict) -> Settings:
+    """The settings record of a fit of the named method: ValueError for an
+    unknown method, TypeError for an unknown setting."""
     if name not in ALL_METHODS:
         raise ValueError(f"unknown method '{name}' (choose from {ALL_METHODS})")
+    return Settings(**settings)
 
 
-def fit_method(name: str, X, s: float, rng: RngStream, k: int = 5,
-               kmeans_k: int = 5, mc_samples: int = 100_000,
-               components_range=(1, 9), n_restarts: int = 5):
+def fit_method(name: str, X, s: float, rng: RngStream, **settings):
     """Fit the named method on target rows X at sensitivity s; every entry
-    point fits through this table. k is PAM-TOCC's cluster count, kmeans_k
-    the k-means baseline's; the rest set tocc-db's integrator and the
-    mixture search."""
-    _check_name(name)
+    point fits through this table. settings are Settings fields by name,
+    k for PAM-TOCC, kmeans_k for the k-means baseline, the rest for
+    tocc-db's integrator and the mixture search."""
+    settings = _settings(name, settings)
     if name == "tocc-df":
         return fit_tocc_df(X, s)
     if name == "tocc-db":
-        return fit_tocc_db(X, s, rng, components_range=components_range,
-                           mc_samples=mc_samples, n_restarts=n_restarts)
+        return fit_tocc_db(X, s, rng, settings.components_range,
+                           settings.mc_samples, settings.n_restarts)
     if name == "pam-tocc-df":
-        return fit_pam_tocc_df(X, k, s)
-    return fit_baseline(name.replace("-", "_"), X, s, rng, k=kmeans_k,
-                        components_range=components_range,
-                        n_restarts=n_restarts)
+        return fit_pam_tocc_df(X, settings.k, s)
+    return fit_baseline(name.replace("-", "_"), X, s, rng, settings.kmeans_k,
+                        settings.components_range, settings.n_restarts)
 
 
 def make_method(name: str, s: float, **settings) -> Method:
-    """Build a Method by name; settings are fit_method's keyword arguments,
-    checked here so that a misspelt one fails before any fit runs."""
-    _check_name(name)
-    inspect.signature(fit_method).bind(name, None, s, None, **settings)
+    """Build a Method by name; the name and the settings, fit_method's,
+    are checked here, so that a misspelt one fails before any fit runs."""
+    _settings(name, settings)
 
     def fit(X, rng):
         return fit_method(name, X, s, rng, **settings)

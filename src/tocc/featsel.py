@@ -10,7 +10,6 @@ skips features too correlated with ones already kept.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .classifier import (PredictionResult, ToccModel, fit_models,
                          predict_models)
-from .numcore import (DataMatrix, RngStream, as_queries, as_values,
-                      correlation_matrix, pca, require_finite_rows)
+from .numcore import (DataMatrix, RngStream, Settings, as_queries, as_values,
+                      correlation_matrix, is_integer, pca, require_finite_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     integers (not bools), and a non-finite target row is a ValueError.
     """
     for name, value in (("d", d), ("b1", b1), ("b2", b2)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not is_integer(value):
             raise ValueError(f"rp_select: {name}={value!r} must be an integer")
     if b1 < 1:
         raise ValueError("b1 must be at least 1")
@@ -145,16 +144,17 @@ class ProjectionEnsemble:
 
 def fit_rp_ensemble(X_target, d: int, b1: int, b2: int, s: float,
                     rng: RngStream, variant: str = "df",
-                    **fit_kwargs) -> ProjectionEnsemble:
+                    **settings) -> ProjectionEnsemble:
     """MAD-select b1 projections, then fit one TOCC of the requested variant
     on each projected view of the target data, all views in one
-    classifier.fit_models call; fit_kwargs are its settings, such as k for
-    pam_df. The view of projection b takes stream rng.child(b + 1)."""
+    classifier.fit_models call; settings are Settings fields by name, such
+    as k for pam_df. The view of projection b takes stream rng.child(b + 1)."""
+    settings = Settings(**settings)
     projections = rp_select(X_target, d, b1, b2, rng.child(0))
     vals = as_values(X_target)
     return ProjectionEnsemble(projections, fit_models(
         variant, [vals @ proj for proj in projections], s,
-        [rng.child(b + 1) for b in range(b1)], **fit_kwargs))
+        [rng.child(b + 1) for b in range(b1)], settings))
 
 
 def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:

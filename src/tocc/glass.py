@@ -18,7 +18,7 @@ per cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -27,7 +27,8 @@ from .evaluation import (TOCC_METHODS, TOCC_VARIANTS, confusion_metrics,
                          fit_method, roc_curve)
 from .featsel import fit_rp_ensemble, kappa_vip, pca_reduce
 from .io_utils import IngestError, ingest_csv
-from .numcore import NONTARGET_LABEL, TARGET_LABEL, DataMatrix, RngStream
+from .numcore import (GLASS_SETTINGS, NONTARGET_LABEL, TARGET_LABEL,
+                      DataMatrix, RngStream)
 
 # subset -> (target type codes, type codes kept; None keeps every row)
 SUBSETS = {"float-windows": ((1, 3), (1, 3, 5, 6, 7)),
@@ -88,18 +89,20 @@ class GlassReproResult:
         return self.cells[(variant, frontend)]
 
 
-def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
-                    d: int = 2, b1: int = 101, b2: int = 50,
-                    mc_samples: int = 100_000, seed: int = 7,
+def run_glass_repro(kappa: float = 0.5, k: int = GLASS_SETTINGS.k,
+                    s: float = 0.9, d: int = 2, b1: int = 101, b2: int = 50,
+                    mc_samples: int = GLASS_SETTINGS.mc_samples, seed: int = 7,
                     data_path: str | None = None, subset: str = "float-windows",
                     frontends=FRONTENDS, variants=TOCC_METHODS) -> GlassReproResult:
     """Evaluate each TOCC variant under each front-end on the glass study.
 
     Front-ends are fitted on the target class only; the grid reports AUC,
-    specificity at minimum training sensitivity s, and wall time. The
+    specificity at minimum training sensitivity s, and wall time. k and
+    mc_samples replace GLASS_SETTINGS' values; its other settings hold. The
     external variable-selection column of the published tables is not
     reproducible from this package and is reported as absent by the CLI.
     """
+    settings = replace(GLASS_SETTINGS, k=k, mc_samples=mc_samples)
     data = load_glass(data_path, subset=subset)
     is_target = data.is_target()
     train = data.select_rows(is_target)
@@ -129,27 +132,27 @@ def run_glass_repro(kappa: float = 0.5, pam_k: int = 4, s: float = 0.9,
             start = time.perf_counter()
             if frontend == "rp2":
                 ens = fit_rp_ensemble(train, d, b1, b2, s, rng.child(100 + vi),
-                                      variant=TOCC_VARIANTS[variant], k=pam_k,
-                                      mc_samples=mc_samples)
+                                      variant=TOCC_VARIANTS[variant],
+                                      **vars(settings))
                 pred = ens.predict(data)
                 # A PAM-TOCC fit lowers k when a cluster is undersized.
-                stepped = sum(m.variant == "pam_df" and m.n_prototypes < pam_k
-                              for m in ens.sub_models)
+                stepped = sum(m.n_prototypes < settings.k
+                              for m in ens.sub_models if m.variant == "pam_df")
                 if stepped:
                     result.notes.append(
-                        f"{variant}/rp2: cluster count reduced below k={pam_k}"
-                        f" in {stepped} of {b1} sub-models")
+                        f"{variant}/rp2: cluster count reduced below "
+                        f"k={settings.k} in {stepped} of {b1} sub-models")
             else:
                 train_view, full_view = views[frontend]
                 model = fit_method(variant, train_view, s,
-                                   rng.child(10 + 10 * vi + fi), k=pam_k,
-                                   mc_samples=mc_samples)
+                                   rng.child(10 + 10 * vi + fi),
+                                   **vars(settings))
                 pred = model.predict(full_view)
-                if variant == "pam-tocc-df" and model.n_prototypes < pam_k:
+                if variant == "pam-tocc-df" and model.n_prototypes < settings.k:
                     result.notes.append(
                         f"pam-tocc-df/{frontend}: cluster count reduced to "
                         f"k={model.n_prototypes} (an undersized cluster "
-                        f"blocked k={pam_k})")
+                        f"blocked k={settings.k})")
             seconds = time.perf_counter() - start
             sens, spec = confusion_metrics(pred.accept, is_target)
             auc = roc_curve(pred.typicality(), is_target).auc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,12 @@ NONTARGET_LABEL = "non-target"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def is_integer(v, least=-math.inf) -> bool:
+    """Whether v is an integral number, not a bool, and at least least."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= least)
 
 
 class ConvergenceError(RuntimeError):
@@ -33,6 +39,61 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
+
+# Each integer setting's least value and ValueError message; the message
+# names the public callee whose rule it is (kmeans_lloyd's own check
+# depends on the row count, so kmeans_k's is the record's alone).
+_SETTING_RULES = {
+    "k": (1, "pam: k must be an integer >= 1, not {!r}"),
+    "kmeans_k": (1, "kmeans_k={!r} must be an integer >= 1"),
+    "mc_samples": (10_000, "monte_carlo integrator requires an integer "
+                           "mc_samples >= 10000, not {!r}"),
+    "n_restarts": (1, "fit_gmm: n_restarts={!r} must be an integer >= 1"),
+}
+
+
+def check_setting(name: str, value) -> None:
+    """Raise the ValueError of the named setting's rule if value breaks it;
+    Settings, pam, fit_gmm and OrthantIntegrator all check through here."""
+    if name == "components_range":
+        try:
+            lo, hi = value
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not (is_integer(lo, 1) and is_integer(hi, lo)):
+            raise ValueError(f"fit_gmm: components_range={value!r} must be "
+                             "two integers 1 <= lo <= hi")
+        return
+    least, message = _SETTING_RULES[name]
+    if not is_integer(value, least):
+        raise ValueError(message.format(value))
+
+
+@dataclass(frozen=True)
+class Settings:
+    """The fitting settings, with the only defaults they have: PAM-TOCC's
+    cluster count k, the k-means baseline's kmeans_k, tocc-db's Monte Carlo
+    draws, and the mixture search's component range (mclust's G = 1..9,
+    Fraley & Raftery 2002) and EM restarts per G.
+
+    Every field is checked by check_setting, whether or not a fit reads it.
+    """
+
+    k: int = 5
+    kmeans_k: int = 5
+    mc_samples: int = 100_000
+    components_range: tuple[int, int] = (1, 9)
+    n_restarts: int = 5
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_setting(f.name, getattr(self, f.name))
+
+
+# The glass study's record: PAM-TOCC at k = 4, the k of the README's glass
+# tables.
+GLASS_SETTINGS = Settings(k=4)
+
 
 @dataclass
 class DataMatrix:
@@ -352,8 +413,7 @@ class RngStream:
         # A null seed would make numpy draw fresh OS entropy on every call.
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral)
-                    and not isinstance(value, bool) and value >= 0):
+            if not is_integer(value, 0):
                 raise ValueError(f"RngStream {name}={value!r} must be a "
                                  f"non-negative integer")
 

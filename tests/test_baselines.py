@@ -77,7 +77,7 @@ class TestGauss:
 class TestKmeans:
     def test_k_equals_n(self):
         X = gaussian_sample(4, n=30)
-        model = fit_baseline("kmeans", X, 0.9, RngStream(5), k=30)
+        model = fit_baseline("kmeans", X, 0.9, RngStream(5), kmeans_k=30)
         assert model.threshold == 0.0
         off = X[0] + 0.5
         assert not predict_baseline(model, off.reshape(1, -1)).accept[0]

@@ -106,6 +106,23 @@ class TestPam:
             assert base.medoids == again.medoids
 
 
+class TestFitModels:
+    @pytest.mark.parametrize("variant", ["df", "pam_df", "db"])
+    def test_mixed_widths_named(self, monkeypatch, variant):
+        def spy(*args, **kwargs):
+            raise AssertionError("a fit ran before the widths were checked")
+
+        for name in ("spatial_median", "pam", "fit_gmm"):
+            monkeypatch.setattr(classifier, name, spy)
+        gen = np.random.default_rng(11)
+        tables = [gen.normal(size=(30, 2)), gen.normal(size=(25, 2)),
+                  gen.normal(size=(30, 3))]
+        with pytest.raises(ValueError, match=r"^fit_\w+: table 2 has 3 "
+                           r"columns, table 0 has 2$"):
+            classifier.fit_models(variant, tables, 0.9,
+                                  [RngStream(i) for i in range(3)])
+
+
 class TestFitToccDf:
     def test_calibration(self):
         gen = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import pytest
 from tocc import (RngStream, ToccModel, compute_vip, fit_rp_ensemble,
                   kappa_vip_select, load_glass, pca_reduce, predict_ensemble,
                   rp_select)
+from tocc import featsel
 from tocc.featsel import ProjectionEnsemble, VipRanking, kappa_vip
 
 
@@ -170,10 +171,16 @@ class TestEnsembleVoting:
         with pytest.raises(ValueError, match="query row 2 is not finite"):
             predict_ensemble(ens, bad)
 
-    def test_bad_variant_or_setting_rejected(self):
+    def test_bad_variant_or_setting_rejected(self, monkeypatch):
         X = np.random.default_rng(20).normal(size=(30, 3))
         with pytest.raises(ValueError, match="unknown variant 'kde'"):
             fit_rp_ensemble(X, 2, 1, 2, 0.9, RngStream(21), variant="kde")
+
+        def spy(*args, **kwargs):
+            raise AssertionError("rp_select drew before the settings were checked")
+
+        # A misspelt setting is refused before any projection is drawn.
+        monkeypatch.setattr(featsel, "rp_select", spy)
         for variant in ("df", "pam_df", "db"):
             with pytest.raises(TypeError, match="pam_k"):
                 fit_rp_ensemble(X, 2, 1, 2, 0.9, RngStream(21),
