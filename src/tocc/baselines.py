@@ -245,8 +245,9 @@ def fit_baseline(kind: str, X_target, s: float, rng: RngStream | None = None,
 
 def predict_baseline(model: BaselineModel, Z) -> PredictionResult:
     """Accept rows scoring on the typical side of the threshold (inclusive).
-    Z must be finite and as wide as the model."""
-    vals = as_queries(Z, model.p, "predict_baseline")
+    Z must be finite and as wide as the model, and a DataMatrix must name
+    the model's features in its order."""
+    vals = as_queries(Z, model.p, "predict_baseline", model.feature_names)
     scores = model.scores(vals)
     higher = KINDS[model.kind].higher_is_typical
     accept = scores >= model.threshold if higher else scores <= model.threshold

@@ -472,8 +472,9 @@ def fit_models(variant: str, tables, s: float, rngs=None,
     be as wide as the first; the df and db prototypes, spatial medians,
     are found in one call per table shape. The models are then drafted in
     table order and calibrated together: threshold g of each is the
-    (1 - s_g) type-1 quantile of the scores of its group g (a db model's
-    whole table) against prototype g, all from one prototype_scores call.
+    (1 - s_g) type-1 quantile of the scores against prototype g of the
+    table's rows labelled g (every row for df and db, PAM's assignment for
+    pam_df), all from one prototype_scores call on the tables as given.
     """
     fitter = {"df": "fit_tocc_df", "db": "fit_tocc_db",
               "pam_df": "fit_pam_tocc_df"}.get(variant)
@@ -487,7 +488,7 @@ def fit_models(variant: str, tables, s: float, rngs=None,
                              f"table 0 has {values[0].shape[1]}")
     medians = (_spatial_medians(values) if variant != "pam_df"
                else [None] * len(values))
-    models, own_rows = [], []
+    models, labels = [], []
     for X, vals, median, rng in zip(tables, values, medians,
                                     rngs or [None] * len(tables)):
         names = list(X.feature_names) if hasattr(X, "feature_names") else None
@@ -514,14 +515,12 @@ def fit_models(variant: str, tables, s: float, rngs=None,
                 groups=[vals[result.assignment == j] for j in range(g)],
                 feature_names=names, pam=result)
         models.append(model)
-        own_rows.append([vals] if variant == "db" else model.groups)
-    rows = [np.concatenate(groups) for groups in own_rows]
-    clusters = [np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-                for groups in own_rows]
-    scores = prototype_scores(models, rows, clusters)
-    for model, score, labels in zip(models, scores, clusters):
+        labels.append(np.zeros(len(vals), dtype=np.intp) if model.pam is None
+                      else model.pam.assignment)
+    scores = prototype_scores(models, values, labels)
+    for model, score, own in zip(models, scores, labels):
         model.thresholds = np.array([
-            empirical_quantile(score[labels == g], 1.0 - sg)
+            empirical_quantile(score[own == g], 1.0 - sg)
             for g, sg in enumerate(model.sensitivity)])
     return models
 
@@ -563,8 +562,10 @@ def predict(model: ToccModel, Z) -> PredictionResult:
     """Score each row of Z against its nearest prototype (the one spatial
     median for df and db, the nearest medoid for pam_df with ties to the
     lowest cluster index) and accept it when the score reaches that
-    prototype's threshold. Z must be finite and as wide as the model."""
-    return predict_models([model], as_queries(Z, model.p, "predict")[None])[0]
+    prototype's threshold. Z must be finite and as wide as the model, and
+    a DataMatrix must name the model's features in its order."""
+    vals = as_queries(Z, model.p, "predict", model.feature_names)
+    return predict_models([model], vals[None])[0]
 
 
 def predict_models(models, views) -> list[PredictionResult]:
@@ -604,34 +605,28 @@ def nearest_prototypes(Z, prototypes) -> np.ndarray:
 
 def prototype_scores(models, Zs, clusters) -> list[np.ndarray]:
     """The score of each row of Zs[i] against prototype clusters[i] of
-    models[i]. Each model's rows are put in cluster order by one stable
-    argsort, so each (model, prototype) segment's queries are one run of
-    them. All segments of df and pam_df models are counted in one tp_scores
-    call, whose flat scores, in segment order, go back through that order;
-    a db model's rows are scored under its density, one tp_density_scores
-    call per prototype."""
-    scores = [np.empty(len(Z)) for Z in Zs]
-    counted, groups, queries, prototypes, eps = [], [], [], [], []
-    for model, Z, labels, out in zip(models, Zs, clusters, scores):
-        order = np.argsort(labels, kind="stable")
-        ends = np.cumsum(np.bincount(labels, minlength=model.n_prototypes)).tolist()
-        ordered = np.take(Z, order, axis=0)
-        runs = [ordered[a:b] for a, b in zip([0, *ends], ends)]
+    models[i], in Zs[i]'s order. Each row's segment is its model's offset
+    among all df and pam_df prototypes plus its cluster, and all those rows
+    are counted in one tp_scores call; a db model's rows are scored under
+    its density, one tp_density_scores call for all its prototypes."""
+    scores = [None] * len(models)
+    counted, groups, queries, segs, prototypes, eps = [], [], [], [], [], []
+    for i, (model, Z, labels) in enumerate(zip(models, Zs, clusters)):
         if model.variant == "db":
-            out[order] = np.concatenate([
-                tp_density_scores(model.density, run, proto, model.integrator,
-                                  model.eps).value
-                for run, proto in zip(runs, model.prototypes)])
+            scores[i] = tp_density_scores(model.density, Z, labels,
+                                          model.prototypes, model.integrator,
+                                          model.eps).value
         else:
-            counted.append((out, order))
+            counted.append(i)
+            segs.append(labels + len(groups))
             groups += model.groups
-            queries += runs
+            queries.append(Z)
             prototypes.append(model.prototypes)
-            eps += [model.eps] * len(runs)
+            eps += [model.eps] * model.n_prototypes
     if counted:
-        values = tp_scores(groups, queries, np.concatenate(prototypes), eps).value
-        start = 0
-        for out, order in counted:
-            out[order] = values[start:start + len(order)]
-            start += len(order)
+        values = tp_scores(groups, np.concatenate(queries), np.concatenate(segs),
+                           np.concatenate(prototypes), eps).value
+        ends = np.cumsum([len(Z) for Z in queries])
+        for i, score in zip(counted, np.split(values, ends[:-1])):
+            scores[i] = score
     return scores

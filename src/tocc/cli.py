@@ -88,6 +88,17 @@ def _components_range(text):
                          " (or one)") from None
 
 
+def _settings(args) -> Settings | None:
+    """The fitting settings record of a subcommand's options, checked by
+    Settings; None for a subcommand that takes none. An option a
+    subcommand lacks keeps the record's default."""
+    given = {name: getattr(args, name) for name in ("k", "kmeans_k", "mc_samples")
+             if hasattr(args, name)}
+    if hasattr(args, "components"):
+        given["components_range"] = _components_range(args.components)
+    return Settings(**given) if given else None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -96,9 +107,7 @@ def cmd_fit(args):
     data = _load_data(args)
     train = _target_rows(data)
     model = fit_method(args.method, train, args.s, RngStream(args.seed),
-                       k=args.k, kmeans_k=args.kmeans_k,
-                       mc_samples=args.mc_samples,
-                       components_range=_components_range(args.components))
+                       **vars(args.settings))
     config = _config(args, ["method", "s", "k", "kmeans_k", "mc_samples",
                             "components", "seed"])
     save_model(model, args.out, config=config)
@@ -210,8 +219,7 @@ def cmd_bench(args):
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     spec = ScenarioSpec(args.scenario, args.n_target, RngStream(args.seed),
                         lam=args.lam, box_scale=args.box_scale)
-    method_objs = [make_method(m, args.s, k=args.k, mc_samples=args.mc_samples)
-                   for m in methods]
+    method_objs = [make_method(m, args.s, **vars(args.settings)) for m in methods]
     result = run_benchmark(method_objs, spec, args.reps, args.s)
 
     config = _config(args, ["scenario", "n_target", "reps", "s", "seed", "k",
@@ -254,8 +262,9 @@ def cmd_glass_repro(args):
     frontends = [f for f in FRONTENDS if not (args.skip_rp and f == "rp2")]
     # A bad --outdir fails here, before the grid runs.
     os.makedirs(args.outdir, exist_ok=True)
-    result = run_glass_repro(kappa=args.kappa, k=args.k, s=args.s, d=args.d,
-                             b1=args.b1, b2=args.b2, mc_samples=args.mc_samples,
+    result = run_glass_repro(kappa=args.kappa, k=args.settings.k, s=args.s,
+                             d=args.d, b1=args.b1, b2=args.b2,
+                             mc_samples=args.settings.mc_samples,
                              seed=args.seed, data_path=args.data,
                              subset=args.glass_subset, frontends=frontends)
     config = _config(args, ["kappa", "k", "s", "d", "b1", "b2", "mc_samples",
@@ -444,9 +453,11 @@ def main(argv=None) -> int:
     # Bad input (IngestError is a ValueError), a bad TOCC_SEED, paths that
     # cannot be read or written, and a spatial median that does not converge
     # on the data end in one line on stderr. Every other RuntimeError is a
-    # broken invariant and stays loud.
+    # broken invariant and stays loud. The settings are checked before a
+    # subcommand reads a file or makes a directory.
     try:
         args = build_parser().parse_args(argv)
+        args.settings = _settings(args)
         return args.func(args)
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"tocc: error: {exc}", file=sys.stderr)

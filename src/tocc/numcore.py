@@ -174,15 +174,22 @@ def as_values(X) -> np.ndarray:
     return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
-def as_queries(Z, p: int, where: str) -> np.ndarray:
+def as_queries(Z, p: int, where: str, names=None) -> np.ndarray:
     """Query rows Z as an n x p float array; ValueError unless Z is 2-D (or
-    1-D for p = 1), p wide and finite, naming the first non-finite row."""
+    1-D for p = 1), p wide and finite, naming the first non-finite row.
+    When both the model's feature names and Z's (a DataMatrix) are known,
+    they must be the same list in the same order, so that no column is
+    scored under another column's name."""
     vals = as_values(Z)
     if vals.ndim != 2:
         raise ValueError(f"{where}: queries must be 2-D, got {vals.ndim}-D")
     if vals.shape[1] != p:
         raise ValueError(f"{where}: query dimension {vals.shape[1]} != "
                          f"model dimension {p}")
+    if (names is not None and isinstance(Z, DataMatrix)
+            and Z.feature_names != names):
+        raise ValueError(f"{where}: query features {Z.feature_names} differ "
+                         f"from the model's {names}")
     require_finite_rows(vals, where, "query")
     return vals
 

@@ -107,44 +107,22 @@ def _record(num, den, kept) -> TpRows:
     return TpRows(value, num, den, kept, degenerate)
 
 
-# Query coordinates per chunk of segments that tp_scores scores at a time:
-# a chunk holds the segments whose queries start in one stretch of this
-# many coordinates of their concatenation, so at most this many plus one
-# segment's, which bounds the memory one call holds at any number of
-# segments.
-_QUERY_CHUNK = 2 ** 14
+def tp_scores(groups, C, seg, prototypes, eps=DROP_EPS) -> TpRows:
+    """Counting-form tp of each query, a row of the float array C (q x p),
+    against the rows of the group groups[seg[i]] (n_s x p) and the
+    prototype prototypes[seg[i]] (S x p), with seg the segment of each
+    query, in any order, and eps a number or one per segment: numerator
+    and denominator in unit counts, each field of the record one entry per
+    row of C (q x p for kept), in C's order. multivariate_tp is the
+    one-segment, one-query case.
 
-
-def tp_scores(groups, queries, prototypes, eps=DROP_EPS) -> TpRows:
-    """Counting-form tp of each query of segment s, a row of the float
-    array queries[s] (q_s x p), against the rows of the group groups[s]
-    (n_s x p) and prototype prototypes[s] (S x p), with eps a number or one
-    per segment: numerator and denominator in unit counts, each field of
-    the record one entry per query (q x p for kept), in segment order.
-    multivariate_tp is the one-segment, one-query case.
-
-    Segments are scored in chunks of about _QUERY_CHUNK query coordinates.
-    Per chunk, one box_counts call counts the rows strictly inside the
-    boxes of _orthant_boxes, every query's numerator box and one
-    denominator box per segment and orthant pattern, and one tie_counts
-    call adds half the rows equal to each box's anchor on its bounded
-    coordinates, none for a box bounded nowhere."""
-    sizes = np.array([Q.size for Q in queries])
-    chunk = (np.cumsum(sizes) - sizes) // _QUERY_CHUNK
-    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1), len(queries)]
-    return TpRows(*map(np.concatenate, zip(*(
-        _chunk_scores(groups[a:b], queries[a:b], prototypes[a:b],
-                      eps if np.ndim(eps) == 0 else eps[a:b])
-        for a, b in zip(cuts[:-1], cuts[1:])))))
-
-
-def _chunk_scores(groups, queries, m, eps) -> TpRows:
-    """tp_scores of one chunk of segments, in one box_counts and one
-    tie_counts call."""
+    One box_counts call counts the rows strictly inside the boxes of
+    _orthant_boxes, every query's numerator box and one denominator box
+    per segment and orthant pattern, and one tie_counts call adds half the
+    rows equal to each box's anchor on its bounded coordinates, none for a
+    box bounded nowhere."""
     X, ends = np.concatenate(groups), np.cumsum([len(g) for g in groups])
-    C = np.concatenate(queries)
-    seg = np.repeat(np.arange(len(queries)), [len(Q) for Q in queries])
-    M = np.take(m, seg, axis=0)
+    M = np.take(prototypes, seg, axis=0)
     kept = _kept(C, M, eps if np.ndim(eps) == 0 else np.asarray(eps)[seg])
     lower, upper, boxseg, which = _orthant_boxes(C, M, kept, seg)
     below = lower > -np.inf
@@ -157,30 +135,34 @@ def _chunk_scores(groups, queries, m, eps) -> TpRows:
     return _record(num, den, kept)
 
 
-def tp_density_scores(density, C, m, integrator, eps: float = DROP_EPS) -> TpRows:
+def tp_density_scores(density, C, seg, prototypes, integrator,
+                      eps: float = DROP_EPS) -> TpRows:
     """Density-form tp of each row of the float array C (q x p) with
-    prototype m, numerator and denominator as probability masses;
+    prototype prototypes[seg[i]], seg in any order, numerator and
+    denominator as probability masses, in C's order;
     multivariate_tp_density is the one-query case. The numerator box lies
-    beyond c and the denominator box beyond m, both in c's direction from
-    m; a dropped coordinate is unbounded. One box_masses call integrates
-    the q numerator boxes and one denominator box per orthant pattern, so
-    all boxes of the batch share one draw set."""
-    kept = _kept(C, m, eps)
-    lower, upper, _, which = _orthant_boxes(C, np.broadcast_to(m, C.shape), kept,
-                                            np.zeros(len(C), dtype=np.intp))
+    beyond c and the denominator box beyond its prototype, both in c's
+    direction from it; a dropped coordinate is unbounded. One box_masses
+    call integrates the q numerator boxes and one denominator box per
+    segment and orthant pattern, so all boxes of the batch share one draw
+    set."""
+    M = np.take(prototypes, seg, axis=0)
+    kept = _kept(C, M, eps)
+    lower, upper, _, which = _orthant_boxes(C, M, kept, seg)
     masses = box_masses(density, lower, upper, integrator)
     return _record(masses[:len(C)], masses[len(C):][which], kept)
 
 
 def _one_query(batch, c, m, p: int, where: str) -> TpScore:
-    """Row 0 of batch(C, m), a batch form, for the single query c against
-    prototype m, both finite and p wide."""
+    """Row 0 of batch(C, seg, prototypes), a batch form, for the single
+    query c against prototype m, both finite and p wide."""
     c, m = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (c, m))
     if c.shape != (p,) or m.shape != (p,):
         raise ValueError(f"{where}: dimension mismatch")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(m))):
         raise ValueError(f"{where}: query and prototype must be finite")
-    value, num, den, kept, degenerate = batch(c[None], m)
+    seg = np.zeros(1, dtype=np.intp)
+    value, num, den, kept, degenerate = batch(c[None], seg, m[None])
     return TpScore(float(value[0]), float(num[0]), float(den[0]),
                    np.flatnonzero(~kept[0]).tolist(), bool(degenerate[0]))
 
@@ -212,7 +194,8 @@ def univariate_tp(xs, c: float, m: float) -> TpScore:
     _require_finite("univariate_tp", c=c, m=m)
     if c == m:
         return TpScore(1.0, arr.size / 2.0, arr.size / 2.0)
-    rows = tp_scores([arr], [np.array([[c]])], np.array([[m]]), 0.0)
+    rows = tp_scores([arr], np.array([[c]]), np.zeros(1, dtype=np.intp),
+                     np.array([[m]]), 0.0)
     weighted = float(rows.numerator[0])
     return TpScore(min(1.0, 2.0 * weighted / arr.size), weighted, arr.size / 2.0)
 
@@ -255,7 +238,7 @@ def multivariate_tp(X, c, m, eps: float = DROP_EPS) -> TpScore:
     if vals.shape[0] == 0:
         raise ValueError("multivariate_tp: empty group")
     require_finite_rows(vals, "multivariate_tp", "group")
-    return _one_query(lambda C, m: tp_scores([vals], [C], m[None], eps),
+    return _one_query(lambda C, seg, M: tp_scores([vals], C, seg, M, eps),
                       c, m, vals.shape[1], "multivariate_tp")
 
 
@@ -271,5 +254,6 @@ def multivariate_tp_density(density, c, m, integrator, eps: float = DROP_EPS) ->
     cancels in the ratio; a denominator below 1e-12 flags degeneracy and
     scores 0. A non-finite c or m is an error.
     """
-    return _one_query(lambda C, m: tp_density_scores(density, C, m, integrator, eps),
+    return _one_query(lambda C, seg, M: tp_density_scores(density, C, seg, M,
+                                                          integrator, eps),
                       c, m, density.p, "multivariate_tp_density")

@@ -46,7 +46,13 @@ from tocc.transvariation import TpRows, tp_density_scores, tp_scores
 def group_scores(X, Q, m, eps=transvariation.DROP_EPS):
     """tp_scores of the queries Q against the one group X, a one-segment
     call."""
-    return tp_scores([X], [Q], m[None], eps)
+    return tp_scores([X], Q, np.zeros(len(Q), dtype=np.intp), m[None], eps)
+
+
+def density_scores(density, Q, m, integ, eps=transvariation.DROP_EPS):
+    """tp_density_scores of the queries Q with the one prototype m."""
+    return tp_density_scores(density, Q, np.zeros(len(Q), dtype=np.intp),
+                             m[None], integ, eps)
 
 
 def one_segment(counter, X, *arrays):
@@ -266,7 +272,7 @@ class TestCountingKernel:
             scaled = MixtureDensity(density.weights, density.means * s,
                                     density.covariances * s * s)
             integ = OrthantIntegrator("monte_carlo", 10_000, RngStream(5))
-            return tp_density_scores(scaled, Q * s, m * s, integ, 0.0)
+            return density_scores(scaled, Q * s, m * s, integ, 0.0)
 
         want = scores(0)
         for k in range(-200, 201, 25):
@@ -544,7 +550,7 @@ class TestDensityKernel:
             m = np.median(X, axis=0)
             Q = sample_queries(gen, X, m, transvariation.DROP_EPS)
             assert_rows_match(
-                tp_density_scores(density, Q, m, integ),
+                density_scores(density, Q, m, integ),
                 [ref.multivariate_tp_density(density, c, m, integ) for c in Q],
                 lambda oracle: oracle.denominator_count < 1e-12)
             for c in Q[:8]:
@@ -562,7 +568,7 @@ class TestDensityKernel:
         m = np.zeros(2)
         expected = [ref.multivariate_tp_density(density, c, m, integ).value
                     for c in Q]
-        assert np.array_equal(tp_density_scores(density, Q, m, integ)[0],
+        assert np.array_equal(density_scores(density, Q, m, integ)[0],
                               expected)
 
     def test_degenerate_denominator_matches_reference(self):
@@ -631,7 +637,7 @@ class TestBoxMasses:
             kept = np.flatnonzero(gen.random(p) < 0.7)
             if kept.size:
                 c[kept] = integ.samples(density)[:, kept][gen.integers(10_000)]
-        for got, want in zip(tp_density_scores(density, Q, m, integ),
+        for got, want in zip(density_scores(density, Q, m, integ),
                              ref.tp_density_scores(density, Q, m, integ)):
             assert np.array_equal(got, want)
 
@@ -682,6 +688,24 @@ class TestFitPredict:
         scores, _ = ref.predict_scores(model, Z)
         assert np.array_equal(predict(model, Z).score, scores)
 
+    def test_tocc_db_with_three_prototypes(self):
+        # Every prototype is scored in one tp_density_scores call, with a
+        # denominator box per prototype and orthant pattern.
+        X = target_rows(3, n=150)
+        fitted = fit_tocc_db(X, 0.9, RngStream(3), components_range=(1, 2),
+                             mc_samples=10_000, n_restarts=1)
+        model = classifier.ToccModel(
+            "db", [fitted.prototypes[0], X[0], [3.0, 3.0]], [0.2, 0.3, 0.4],
+            [0.9] * 3, density=fitted.density, integrator=fitted.integrator)
+        Z = np.vstack([query_rows(3, X, model)[:-1], [[3.0, 3.0]]])
+        want = ref.predict(model, Z)
+        got = predict(model, Z)
+        assert np.unique(want.score).size > 100
+        assert np.bincount(np.linalg.norm(
+            Z[:, None] - model.prototypes, axis=2).argmin(1)).min() > 20
+        for field in ("score", "accept"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
 
 def segment_case(gen, p, S):
     """S integer-grid groups of 3 to 60 rows, with duplicated rows, some
@@ -706,6 +730,19 @@ def segment_case(gen, p, S):
         queries.append(Q[gen.permutation(len(Q))[:int(gen.integers(1, 51))]])
         prototypes.append(m)
     return groups, queries, np.array(prototypes)
+
+
+def segmented_scores(groups, queries, prototypes, eps, order=None):
+    """One tp_scores call on the queries of every segment, listed in the
+    given order of their concatenation (segment order without one); the
+    record comes back in segment order."""
+    C = np.concatenate(queries)
+    seg = np.repeat(np.arange(len(queries)), [len(Q) for Q in queries])
+    order = np.arange(len(C)) if order is None else order
+    rows = tp_scores(groups, C[order], seg[order], prototypes, eps)
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return TpRows(*(field[back] for field in rows))
 
 
 def assert_segments_match(got, groups, queries, prototypes, eps):
@@ -734,24 +771,27 @@ class TestSegmentedCounting:
 
     @pytest.mark.parametrize("p, setting", [
         (1, "default"), (2, "default"), (3, "default"), (1, "small-tiles"),
-        (2, "small-tiles"), (3, "small-tiles"), (2, "sweep")])
+        (2, "small-tiles"), (3, "small-tiles"), (2, "sweep"), (1, "shuffled"),
+        (2, "shuffled"), (3, "shuffled")])
     def test_matches_one_group_calls(self, monkeypatch, p, setting):
         gen = np.random.default_rng(160 + p)
         groups, queries, prototypes = segment_case(gen, p, 14)
         eps = np.where(gen.random(14) < 0.5, 0.0, transvariation.DROP_EPS)
         calls = spy_sweep(monkeypatch)
         if setting == "small-tiles":
-            # Tiles span segments and row blocks, and segments are scored
-            # in several chunks.
+            # Tiles span segments and row blocks.
             monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-            monkeypatch.setattr(transvariation, "_QUERY_CHUNK", 40)
         if setting == "sweep":
             # The segments with 40 rows or more are swept on their own,
             # the rest counted together by the comparison loop.
             monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
             monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS",
                                 40 * max(map(len, queries)))
-        got = tp_scores(groups, queries, prototypes, eps)
+        # Shuffled, the segments' queries are interleaved: no segment's
+        # queries are one run.
+        order = (gen.permutation(sum(map(len, queries)))
+                 if setting == "shuffled" else None)
+        got = segmented_scores(groups, queries, prototypes, eps, order)
         assert (0 < len(calls) < 14) if setting == "sweep" else not calls
         wants = assert_segments_match(got, groups, queries, prototypes, eps)
         assert any(want.degenerate.any() for want in wants) or p == 1
@@ -784,7 +824,7 @@ class TestSegmentedCounting:
         groups = [gen.integers(-2, 3, size=(int(gen.integers(5, 40)), p))
                   .astype(float) for _ in range(S)]
         queries = [C[s, :int(gen.integers(1, q + 1))] for s in range(S)]
-        got = tp_scores(groups, queries, m, np.zeros(S))
+        got = segmented_scores(groups, queries, m, np.zeros(S))
         assert_segments_match(got, groups, queries, m, np.zeros(S))
 
 
@@ -920,7 +960,6 @@ class TestRaggedBatches:
         # whose last bits may depend on how many rows it is given.
         if setting == "small-chunks":
             monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-            monkeypatch.setattr(transvariation, "_QUERY_CHUNK", 40)
         models, Z, ensembles, glass = ragged_cases
         cases = [([model], [Z]) for model in models[:2]]
         for ens in ensembles:

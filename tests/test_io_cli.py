@@ -7,7 +7,7 @@ import pytest
 
 import tocc.cli
 import tocc.glass
-from tocc import (RngStream, ingest_csv, load_glass, load_model,
+from tocc import (DataMatrix, RngStream, ingest_csv, load_glass, load_model,
                   run_glass_repro, save_model)
 from tocc.cli import _write_repro_report, main
 from tocc.evaluation import ALL_METHODS, fit_method
@@ -614,6 +614,48 @@ class TestFitRefusals:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "components_range=(0, 0) must be two integers 1 <= lo <= hi" in err
+
+
+class TestQueryFeatureNames:
+    """A query table is matched to a model by its feature names, not by
+    the position of its columns."""
+
+    @pytest.mark.parametrize("command", ["predict", "score", "roc"])
+    @pytest.mark.parametrize("method, where", [("tocc-df", "predict"),
+                                               ("gauss", "predict_baseline")])
+    def test_swapped_header_exits_2(self, tmp_path, capsys, command, method,
+                                    where):
+        train = write(tmp_path / "t.csv", "x1,x2,label\n" + "".join(
+            f"{a},{b},target\n" for a, b in [(0, 0), (1, 1), (2, 0), (0, 2),
+                                             (1, 0), (3, 1), (0, 1)]))
+        query = write(tmp_path / "q.csv",
+                      "x2,x1,label\n3,0,target\n0,1,non-target\n")
+        model, out = tmp_path / "m.json", tmp_path / "out.csv"
+        assert run_cli("fit", "--data", train, "--label-column", "label",
+                       "--method", method, "--out", model) == 0
+        assert run_cli(command, "--model", model, "--data", query,
+                       "--label-column", "label", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"tocc: error: {where}: query features ['x2', 'x1'] differ from "
+            "the model's ['x1', 'x2']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["tocc-df", "pam-tocc-df", "gauss"])
+    def test_plain_arrays_and_unnamed_models_go_by_position(self, method):
+        X = np.random.default_rng(62).normal(size=(40, 2))
+        swapped = DataMatrix(X[:, ::-1], ["x2", "x1"])
+        named = fit_method(method, DataMatrix(X, ["x1", "x2"]), 0.9,
+                           RngStream(63), k=2)
+        unnamed = fit_method(method, X, 0.9, RngStream(63), k=2)
+        assert named.feature_names == ["x1", "x2"]
+        assert unnamed.feature_names is None
+        assert np.array_equal(named.predict(X).score,
+                              named.predict(DataMatrix(X, ["x1", "x2"])).score)
+        assert np.array_equal(unnamed.predict(swapped).score,
+                              unnamed.predict(X[:, ::-1]).score)
+        with pytest.raises(ValueError, match=r"query features \['x2', 'x1'\] "
+                           r"differ from the model's \['x1', 'x2'\]"):
+            named.predict(swapped)
 
 
 class TestCli:

@@ -178,4 +178,12 @@ class TestBadSettingRefused:
                      "--outdir", str(tmp_path / "g")]) == 2
         assert capsys.readouterr().err.startswith(
             "tocc: error: monte_carlo integrator requires")
-        assert not (tmp_path / "g" / "report.md").exists()
+        assert not (tmp_path / "g").exists()
+
+    def test_fit_refuses_before_reading_data(self, capsys, tmp_path):
+        # The missing file is never opened: the bad --k is what is named.
+        assert main(["fit", "--data", str(tmp_path / "missing.csv"),
+                     "--method", "tocc-df", "--k", "0",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            "tocc: error: pam: k must be an integer >= 1, not 0\n")
