@@ -22,7 +22,8 @@ from .featsel import kappa_vip, pca_reduce
 from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
 from .io_utils import (ingest_csv, load_model, save_model, write_boxplot_svg,
                        write_csv, write_json_report, write_roc_svg)
-from .numcore import GLASS_SETTINGS, ConvergenceError, RngStream, Settings
+from .numcore import (GLASS_SETTINGS, ConvergenceError, RngStream, Settings,
+                      check_setting)
 from .simgen import SCENARIOS, ScenarioSpec, generate
 
 DEFAULT_SEED = 20260808
@@ -91,7 +92,13 @@ def _components_range(text):
 def _settings(args) -> Settings | None:
     """The fitting settings record of a subcommand's options, checked by
     Settings; None for a subcommand that takes none. An option a
-    subcommand lacks keeps the record's default."""
+    subcommand lacks keeps the record's default. The subcommand's other
+    options whose rules need no data are checked first, by the rules the
+    library applies (--d's bound depends on the table's width, so a fit
+    checks it)."""
+    for name in ("s", "kappa", "b1", "b2", "n_keep", "reps"):
+        if hasattr(args, name):
+            check_setting(name, getattr(args, name))
     given = {name: getattr(args, name) for name in ("k", "kmeans_k", "mc_samples")
              if hasattr(args, name)}
     if hasattr(args, "components"):
@@ -453,8 +460,8 @@ def main(argv=None) -> int:
     # Bad input (IngestError is a ValueError), a bad TOCC_SEED, paths that
     # cannot be read or written, and a spatial median that does not converge
     # on the data end in one line on stderr. Every other RuntimeError is a
-    # broken invariant and stays loud. The settings are checked before a
-    # subcommand reads a file or makes a directory.
+    # broken invariant and stays loud. Every option whose rule needs no data
+    # is checked before a subcommand reads a file or makes a directory.
     try:
         args = build_parser().parse_args(argv)
         args.settings = _settings(args)

@@ -31,18 +31,17 @@ _EM_FALL = 1e-6       # a relative log-likelihood drop larger than this is a fal
 _EM_FRAGILE_PIVOT = float(np.sqrt(np.finfo(float).eps / _EM_FALL))
 
 
-def _sum_last(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
+def _sum_last(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=-1) in the order numpy sums a row whose entries are
     contiguous, its pairwise_sum (a left fold below 8 terms, eight
     interleaved accumulators up to 128, halves cut at a multiple of 8
-    above), or with pairwise=False in the order it sums a row whose entries
-    lie apart, one term after another. numpy makes one slow call per short
-    contiguous row; here each term is one array operation."""
+    above). numpy makes one slow call per short contiguous row; here each
+    term is one array operation."""
     n = a.shape[-1]
-    if pairwise and n > 128:
+    if n > 128:
         half = n // 2 - n // 2 % 8
         return _sum_last(a[..., :half]) + _sum_last(a[..., half:])
-    if pairwise and n >= 8:
+    if n >= 8:
         r = a[..., :8].copy()
         for i in range(8, n - n % 8, 8):
             r += a[..., i:i + 8]
@@ -57,22 +56,11 @@ def _sum_last(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
     return res
 
 
-def _column_major(X) -> bool:
-    """Whether numpy lays X - means[..., None, :] out with X's columns
-    contiguous, which it does after a column-major X."""
-    return X.strides[0] < X.strides[1]
-
-
-def _centered(X, means, order="K") -> np.ndarray:
-    """(..., k, n, p) array X - means[..., None, :] for (..., k, p) means,
-    written one coordinate at a time: numpy broadcasts over a short last
-    axis one row at a time. Order "K" lays each n x p block out as that
-    broadcast does, after X, and order "C" row-major."""
-    shape = means.shape[:-1] + X.shape
-    if order == "K" and _column_major(X):
-        out = np.empty(shape[:-2] + X.shape[::-1]).swapaxes(-1, -2)
-    else:
-        out = np.empty(shape)
+def _centered(X, means) -> np.ndarray:
+    """Row-major (..., k, n, p) array X - means[..., None, :] for (..., k,
+    p) means, written one coordinate at a time: numpy broadcasts over a
+    short last axis one row at a time."""
+    out = np.empty(means.shape[:-1] + X.shape)
     for j in range(X.shape[1]):
         np.subtract(X[:, j], means[..., j, None], out=out[..., j])
     return out
@@ -87,17 +75,16 @@ def _component_logpdf(X, means, chols) -> np.ndarray:
     solve_triangular makes for a C-ordered lower factor; calling it directly
     skips the wrapper's per-call checks, and it whitens each component's
     row-major n x p block of `white` in place, as a column-major p x n
-    matrix. Each squared distance is summed over p in the order numpy sums
-    a broadcast X - mean, whose layout follows X's.
+    matrix.
     """
     p = X.shape[1]
     # A collapsed component can push the quadratic form past float range;
     # EM's degeneracy check catches the resulting -inf/nan.
     with np.errstate(over="ignore"):
-        white = _centered(X, means, "C")
+        white = _centered(X, means)
         for L, w in zip(chols.reshape(-1, p, p), white.reshape(-1, *X.shape)):
             dtrtrs(L.T, w.T, lower=0, trans=1, overwrite_b=1)
-        quad = _sum_last(white * white, pairwise=not _column_major(X))
+        quad = _sum_last(white * white)
         log_det = np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
         return -0.5 * quad - log_det[..., None] - 0.5 * p * _LOG_2PI
 
@@ -451,9 +438,7 @@ def _em_restarts(z, k, gens, global_cov, reg_base):
 
         weights = nk / n
         means = (resp.transpose(0, 2, 1) @ z) / nk[..., None]
-        # The covariance gemm's bits depend on its operands' layout, which
-        # _centered (and empty_like after it) keeps as the frozen EM's
-        # broadcast had it; the stacked matmul makes one gemm per component.
+        # The stacked matmul makes one gemm per component.
         diff = _centered(z, means)
         weighted = np.empty_like(diff)
         for j in range(z.shape[1]):

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import fit_baseline
 from .classifier import (PredictionResult, fit_pam_tocc_df, fit_tocc_db,
                          fit_tocc_df)
-from .numcore import DataMatrix, RngStream, Settings, concat
+from .numcore import DataMatrix, RngStream, Settings, check_setting, concat
 from .simgen import ScenarioSpec, generate
 
 
@@ -207,8 +207,7 @@ def run_benchmark(methods, spec: ScenarioSpec, replications: int,
     spec reproduces it exactly. Individual method failures are recorded in
     their reports rather than aborting the run.
     """
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
+    check_setting("reps", replications)
     method_objs = [m if isinstance(m, Method) else make_method(m, s) for m in methods]
     result = BenchmarkResult()
     for r in range(replications):

@@ -18,7 +18,8 @@ import numpy as np
 from .classifier import (PredictionResult, ToccModel, fit_models,
                          predict_models)
 from .numcore import (DataMatrix, RngStream, Settings, as_queries, as_values,
-                      correlation_matrix, is_integer, pca, require_finite_rows)
+                      check_setting, correlation_matrix, is_integer, pca,
+                      require_finite_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +99,10 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     projection. Deterministic given the stream. d, b1 and b2 must be
     integers (not bools), and a non-finite target row is a ValueError.
     """
-    for name, value in (("d", d), ("b1", b1), ("b2", b2)):
-        if not is_integer(value):
-            raise ValueError(f"rp_select: {name}={value!r} must be an integer")
-    if b1 < 1:
-        raise ValueError("b1 must be at least 1")
-    if b1 % 2 == 0:
-        raise ValueError("b1 must be odd so majority votes cannot tie")
-    if b2 < 1:
-        raise ValueError("b2 must be at least 1")
+    if not is_integer(d):
+        raise ValueError(f"rp_select: d={d!r} must be an integer")
+    check_setting("b1", b1)
+    check_setting("b2", b2)
     vals = as_values(X_target)
     p = vals.shape[1]
     if not 1 <= d < p:
@@ -133,10 +129,13 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
 @dataclass
 class ProjectionEnsemble:
     """Selected projections with one fitted sub-model each; prediction is a
-    strict-majority vote over the sub-models."""
+    strict-majority vote over the sub-models. feature_names are the
+    training table's (None for a plain array), which a query table must
+    name in the same order."""
 
     projections: list[np.ndarray]
     sub_models: list[ToccModel]
+    feature_names: list[str] | None = None
 
     def predict(self, Z) -> PredictionResult:
         return predict_ensemble(self, Z)
@@ -152,9 +151,11 @@ def fit_rp_ensemble(X_target, d: int, b1: int, b2: int, s: float,
     settings = Settings(**settings)
     projections = rp_select(X_target, d, b1, b2, rng.child(0))
     vals = as_values(X_target)
+    names = (list(X_target.feature_names) if hasattr(X_target, "feature_names")
+             else None)
     return ProjectionEnsemble(projections, fit_models(
         variant, [vals @ proj for proj in projections], s,
-        [rng.child(b + 1) for b in range(b1)], settings))
+        [rng.child(b + 1) for b in range(b1)], settings), names)
 
 
 def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
@@ -162,10 +163,12 @@ def predict_ensemble(ensemble: ProjectionEnsemble, Z) -> PredictionResult:
 
     The returned score is the accepting-vote fraction, a graded typicality
     usable for ROC curves. Z must be finite and as wide as the data the
-    projections were drawn for. The queries are projected once per view,
+    projections were drawn for, and a DataMatrix must name the ensemble's
+    features in its order. The queries are projected once per view,
     and all views are predicted by one classifier.predict_models call.
     """
-    vals = as_queries(Z, ensemble.projections[0].shape[0], "predict_ensemble")
+    vals = as_queries(Z, ensemble.projections[0].shape[0], "predict_ensemble",
+                      ensemble.feature_names)
     views = np.stack([vals @ proj for proj in ensemble.projections])
     votes = sum(result.accept for result in
                 predict_models(ensemble.sub_models, views))
@@ -220,10 +223,8 @@ def kappa_vip_select(ranking: VipRanking, corr: np.ndarray, kappa: float,
     The top-ranked feature is always kept. Stops after n_keep acceptances;
     if the ranking runs out first, returns what was found with a warning.
     """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError("kappa must lie in (0, 1]")
-    if n_keep < 1:
-        raise ValueError("n_keep must be at least 1")
+    check_setting("kappa", kappa)
+    check_setting("n_keep", n_keep)
     corr = np.asarray(corr, dtype=float)
     selected: list[int] = []
     for idx in ranking.ranking:

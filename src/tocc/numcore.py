@@ -40,21 +40,40 @@ class ConvergenceError(RuntimeError):
 # Containers
 # ---------------------------------------------------------------------------
 
-# Each integer setting's least value and ValueError message; the message
-# names the public callee whose rule it is (kmeans_lloyd's own check
-# depends on the row count, so kmeans_k's is the record's alone).
+def _not_integer(least=-math.inf):
+    """A rule's test: v is not an integer of at least least."""
+    return lambda v: not is_integer(v, least)
+
+
+# Each setting's rules in the order they are checked: a test the value
+# fails, and the ValueError message, formatted with the value, that it
+# raises. A message names the public callee whose rule it is (kmeans_lloyd's
+# own check depends on the row count, so kmeans_k's is the record's alone).
 _SETTING_RULES = {
-    "k": (1, "pam: k must be an integer >= 1, not {!r}"),
-    "kmeans_k": (1, "kmeans_k={!r} must be an integer >= 1"),
-    "mc_samples": (10_000, "monte_carlo integrator requires an integer "
-                           "mc_samples >= 10000, not {!r}"),
-    "n_restarts": (1, "fit_gmm: n_restarts={!r} must be an integer >= 1"),
+    "k": [(_not_integer(1), "pam: k must be an integer >= 1, not {!r}")],
+    "kmeans_k": [(_not_integer(1), "kmeans_k={!r} must be an integer >= 1")],
+    "mc_samples": [(_not_integer(10_000), "monte_carlo integrator requires "
+                                          "an integer mc_samples >= 10000, not {!r}")],
+    "n_restarts": [(_not_integer(1), "fit_gmm: n_restarts={!r} must be an "
+                                     "integer >= 1")],
+    "s": [(lambda s: not 0.0 < s < 1.0,
+           "sensitivity s={} must lie strictly inside (0, 1)")],
+    "kappa": [(lambda v: not 0.0 < v <= 1.0, "kappa must lie in (0, 1]")],
+    "n_keep": [(lambda v: v < 1, "n_keep must be at least 1")],
+    "reps": [(lambda v: v < 1, "replications must be at least 1")],
+    "b1": [(_not_integer(), "rp_select: b1={!r} must be an integer"),
+           (lambda v: v < 1, "b1 must be at least 1"),
+           (lambda v: v % 2 == 0, "b1 must be odd so majority votes cannot tie")],
+    "b2": [(_not_integer(), "rp_select: b2={!r} must be an integer"),
+           (lambda v: v < 1, "b2 must be at least 1")],
 }
 
 
 def check_setting(name: str, value) -> None:
-    """Raise the ValueError of the named setting's rule if value breaks it;
-    Settings, pam, fit_gmm and OrthantIntegrator all check through here."""
+    """Raise the ValueError of the named setting's first rule that value
+    breaks: the Settings fields, the sensitivity s (a float), kappa-VIP's
+    kappa and n_keep, rp_select's b1 and b2, and run_benchmark's reps. The
+    library and the CLI check each of them through here only."""
     if name == "components_range":
         try:
             lo, hi = value
@@ -64,9 +83,9 @@ def check_setting(name: str, value) -> None:
             raise ValueError(f"fit_gmm: components_range={value!r} must be "
                              "two integers 1 <= lo <= hi")
         return
-    least, message = _SETTING_RULES[name]
-    if not is_integer(value, least):
-        raise ValueError(message.format(value))
+    for breaks, message in _SETTING_RULES[name]:
+        if breaks(value):
+            raise ValueError(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -99,8 +118,9 @@ GLASS_SETTINGS = Settings(k=4)
 class DataMatrix:
     """An n x p table of real-valued features with optional row labels.
 
-    values must be finite; feature names must be unique. row_labels, when
-    present, tag each row (e.g. "target" / "non-target").
+    values must be finite and are stored as as_values gives them, row-major;
+    feature names must be unique. row_labels, when present, tag each row
+    (e.g. "target" / "non-target").
     """
 
     values: np.ndarray
@@ -108,9 +128,7 @@ class DataMatrix:
     row_labels: list[str] | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values.reshape(-1, 1)
+        self.values = as_values(self.values)
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise ValueError("DataMatrix requires an n x p array with n >= 1, p >= 1")
         if not np.all(np.isfinite(self.values)):
@@ -138,7 +156,9 @@ class DataMatrix:
         """Column subset by index or by feature name."""
         idx = [self.feature_names.index(w) if isinstance(w, str) else int(w)
                for w in which]
-        return DataMatrix(self.values[:, idx],
+        # np.take copies the columns row-major, so as_values need not copy
+        # them again.
+        return DataMatrix(np.take(self.values, idx, axis=1),
                           [self.feature_names[j] for j in idx],
                           self.row_labels)
 
@@ -167,10 +187,13 @@ def concat(a: DataMatrix, b: DataMatrix) -> DataMatrix:
 
 
 def as_values(X) -> np.ndarray:
-    """Accept a DataMatrix or a plain array, return the n x p float array."""
+    """Accept a DataMatrix or a plain array, return the float array (n x 1
+    for a 1-D input) in row-major order, copying any other layout: the one
+    place that decides layout, so every fit and prediction computes the
+    same bits from the same values."""
     if isinstance(X, DataMatrix):
         return X.values
-    arr = np.asarray(X, dtype=float)
+    arr = np.asarray(X, dtype=float, order="C")
     return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
@@ -206,8 +229,7 @@ def require_training_rows(vals: np.ndarray, s, where: str) -> None:
     """The rule every fit applies to its training rows and sensitivity:
     ValueError unless s lies strictly inside (0, 1) and vals holds at least
     5 rows, all finite and not all equal."""
-    if not 0.0 < float(s) < 1.0:
-        raise ValueError(f"sensitivity s={float(s)} must lie strictly inside (0, 1)")
+    check_setting("s", float(s))
     if vals.shape[0] < 5:
         raise ValueError("need at least 5 training rows")
     require_finite_rows(vals, where, "training")

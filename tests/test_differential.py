@@ -1078,9 +1078,7 @@ class TestEmStep:
                        gen.normal(size=(40, 2)) @ [[1.0, 0.9], [0.0, 0.3]] - 3.0])
         for k in range(1, 10):
             assert_same_em(X, k, restarts(RngStream(121), k, 3))
-        # Column-major rows take column-major M-step operands, as numpy's
-        # broadcast gave the frozen EM.
-        Y = np.asfortranarray(gen.normal(size=(120, 3)) @ gen.normal(size=(3, 3)))
+        Y = gen.normal(size=(120, 3)) @ gen.normal(size=(3, 3))
         for k in range(1, 6):
             assert_same_em(Y, k, restarts(RngStream(122), k, 2))
 
@@ -1131,18 +1129,34 @@ class TestEmStep:
 
     def test_degenerate_run(self):
         # Ba is zero on most glass targets: this G = 3 restart loses a
-        # component's weight on its second step and degenerates, and the
-        # rest of the stack goes on.
+        # component's weight on its second step and degenerates, and
+        # restart 0 goes on.
         runs = assert_same_em(glass_target("RI", "Ba"), 3, restarts(RngStream(71), 3, 3))
         assert runs[1] is None and runs[0] is not None
 
     def test_vanishing_weight_on_the_capped_iteration(self, monkeypatch):
-        # The frozen EM still runs the capped iteration's M-step, so the
-        # restart above degenerates when the cap is its second step too,
-        # while its stack-mates keep their capped iterates.
+        # The frozen EM still runs the capped iteration's M-step, so a
+        # restart that loses a component's weight on its second step
+        # degenerates when the cap is that step, while its stack-mates keep
+        # their capped iterates.
+        streams = restarts(RngStream(61), 3, 3)
+        monkeypatch.setattr(density, "_EM_MAX_ITER", 1)
+        runs = assert_same_em(glass_target("RI", "Ba"), 3, streams)
+        assert all(run is not None for run in runs)
+        # Each step's log-likelihoods, from the stack's logsumexp.
+        lls, logsumexp = [], density.logsumexp
+
+        def recorded(a):
+            row_ll = logsumexp(a)
+            lls.append(row_ll.sum(axis=-1))
+            return row_ll
+        monkeypatch.setattr(density, "logsumexp", recorded)
         monkeypatch.setattr(density, "_EM_MAX_ITER", 2)
-        runs = assert_same_em(glass_target("RI", "Ba"), 3, restarts(RngStream(71), 3, 3))
+        runs = assert_same_em(glass_target("RI", "Ba"), 3, streams)
         assert runs[1] is None and runs[0] is not None and runs[2] is not None
+        # Restart 1 was still climbing, finitely: it left on its weight.
+        first, second = lls
+        assert np.isfinite(second[1]) and second[1] - first[1] >= density._EM_TOL
 
     def test_iteration_cap(self):
         # Scenario a at seed 3, G = 2: restart 0 converges after 456 steps and
@@ -1324,46 +1338,41 @@ class TestLogsumexp:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sum_last_matches_numpy(self, order):
-        # numpy sums a row of contiguous entries pairwise and a row whose
-        # entries lie apart one term after another; the library adds the
-        # terms one array at a time in either order.
+        # numpy sums a row of contiguous entries pairwise; the library adds
+        # the terms one array at a time in that order, whatever a's layout.
         gen = np.random.default_rng(141)
         for n in list(range(1, 34)) + [127, 128, 129, 136, 300]:
             a = np.asarray(gen.normal(size=(40, n))
                            * np.exp(gen.normal(size=(40, n)) * 8), order=order)
-            assert np.array_equal(density._sum_last(a, pairwise=order == "C"),
-                                  a.sum(axis=1))
+            assert np.array_equal(density._sum_last(a),
+                                  np.ascontiguousarray(a).sum(axis=1))
 
 
 class TestCentered:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_the_broadcast(self, order, p):
-        # The M-step's operands must be laid out as numpy lays out
-        # X - means[..., None, :], whose layout follows X's.
+        # The M-step's operands are X - means[..., None, :], laid out
+        # row-major whatever X's layout.
         gen = np.random.default_rng(142)
         X = np.asarray(gen.normal(size=(30, p)), order=order)
         means = gen.normal(size=(3, 4, p))
-        want = X - means[..., None, :]
         got = density._centered(X, means)
-        assert np.array_equal(got, want)
-        assert got.strides == want.strides
-        row_major = density._centered(X, means, "C")
-        assert np.array_equal(row_major, want) and row_major.flags.c_contiguous
+        assert np.array_equal(got, X - means[..., None, :])
+        assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("p", [2, 9])
     def test_log_density_sums_as_the_broadcast(self, order, p):
         # Squared distances are summed over p in the order numpy sums the
-        # broadcast X - mean, whose layout follows X's: pairwise for
-        # row-major X, one term after another for column-major X (the two
-        # differ from p = 8 on).
+        # broadcast of row-major X - mean (pairwise, which differs from one
+        # term after another from p = 8 on), whatever X's layout.
         gen = np.random.default_rng(143)
         X = np.asarray(gen.normal(size=(50, p)), order=order)
         means = gen.normal(size=(3, p))
         A = gen.normal(size=(3, p, p))
         chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + np.eye(p))
-        white = X - means[:, None, :]
+        white = np.ascontiguousarray(X) - means[:, None, :]
         for g, L in enumerate(chols):
             white[g] = solve_triangular(L, white[g].T, lower=True).T
         log_det = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)

@@ -171,6 +171,29 @@ class TestEnsembleVoting:
         with pytest.raises(ValueError, match="query row 2 is not finite"):
             predict_ensemble(ens, bad)
 
+    def test_query_feature_names_checked(self):
+        # The ensemble records the training table's names, and a query
+        # table must name them in order: the glass table with its columns
+        # reversed is refused, not scored by position. Plain arrays, and
+        # ensembles fitted on them, are scored by position.
+        glass = load_glass()
+        target = glass.select_rows(glass.is_target())
+        ens = fit_rp_ensemble(target, 2, 5, 5, 0.9, RngStream(1))
+        assert ens.feature_names == glass.feature_names
+        assert predict_ensemble(ens, glass).accept.sum() == 85
+        reversed_glass = glass.select_features(range(9)[::-1])
+        with pytest.raises(ValueError) as info:
+            predict_ensemble(ens, reversed_glass)
+        assert str(info.value) == (
+            f"predict_ensemble: query features {reversed_glass.feature_names} "
+            f"differ from the model's {glass.feature_names}")
+        assert np.array_equal(predict_ensemble(ens, glass.values).score,
+                              predict_ensemble(ens, glass).score)
+        unnamed = fit_rp_ensemble(target.values, 2, 5, 5, 0.9, RngStream(1))
+        assert unnamed.feature_names is None
+        assert np.array_equal(predict_ensemble(unnamed, reversed_glass).score,
+                              predict_ensemble(ens, reversed_glass.values).score)
+
     def test_bad_variant_or_setting_rejected(self, monkeypatch):
         X = np.random.default_rng(20).normal(size=(30, 3))
         with pytest.raises(ValueError, match="unknown variant 'kde'"):

@@ -187,3 +187,64 @@ class TestBadSettingRefused:
                      "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == (
             "tocc: error: pam: k must be an integer >= 1, not 0\n")
+
+
+# Each subcommand with each option whose rule needs no data, and the one
+# line it is refused with. fit and vip name a CSV that does not exist, so a
+# check that came after reading it would name the file instead.
+REFUSALS = [
+    (["fit", "--method", "tocc-df", "--s", "2"],
+     "sensitivity s=2.0 must lie strictly inside (0, 1)"),
+    (["fit", "--method", "gauss", "--s", "0"],
+     "sensitivity s=0.0 must lie strictly inside (0, 1)"),
+    (["fit", "--method", "pam-tocc-df", "--k", "0"],
+     "pam: k must be an integer >= 1, not 0"),
+    (["fit", "--method", "kmeans", "--kmeans-k", "0"],
+     "kmeans_k=0 must be an integer >= 1"),
+    (["fit", "--method", "tocc-db", "--mc-samples", "5"],
+     "monte_carlo integrator requires an integer mc_samples >= 10000, not 5"),
+    (["fit", "--method", "mix-gauss", "--components", "9:1"],
+     "fit_gmm: components_range=(9, 1) must be two integers 1 <= lo <= hi"),
+    (["vip", "--b1", "4"], "b1 must be odd so majority votes cannot tie"),
+    (["vip", "--b1", "0"], "b1 must be at least 1"),
+    (["vip", "--b2", "0"], "b2 must be at least 1"),
+    (["vip", "--kappa", "0"], "kappa must lie in (0, 1]"),
+    (["vip", "--kappa", "1.5"], "kappa must lie in (0, 1]"),
+    (["vip", "--n-keep", "0"], "n_keep must be at least 1"),
+    (["bench", "--scenario", "a", "--s", "1"],
+     "sensitivity s=1.0 must lie strictly inside (0, 1)"),
+    (["bench", "--scenario", "a", "--reps", "0"],
+     "replications must be at least 1"),
+    (["bench", "--scenario", "a", "--k", "0"],
+     "pam: k must be an integer >= 1, not 0"),
+    (["bench", "--scenario", "a", "--mc-samples", "5"],
+     "monte_carlo integrator requires an integer mc_samples >= 10000, not 5"),
+    (["bench", "--scenario", "a", "--n-target", "0"],
+     "n_target must be positive"),
+    (["glass-repro", "--skip-rp", "--s", "2"],
+     "sensitivity s=2.0 must lie strictly inside (0, 1)"),
+    (["glass-repro", "--kappa", "7"], "kappa must lie in (0, 1]"),
+    (["glass-repro", "--b1", "4"], "b1 must be odd so majority votes cannot tie"),
+    (["glass-repro", "--b2", "0"], "b2 must be at least 1"),
+    (["glass-repro", "--k", "0"], "pam: k must be an integer >= 1, not 0"),
+    (["glass-repro", "--mc-samples", "9"],
+     "monte_carlo integrator requires an integer mc_samples >= 10000, not 9"),
+    (["simulate", "--scenario", "a", "--n-target", "0"],
+     "n_target must be positive"),
+    (["simulate", "--scenario", "e", "--box-scale", "nan"],
+     "box_scale=nan must be a finite number > 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_data_free_refusals(capsys, tmp_path, argv, message):
+    # Exit 2, one line on stderr, and no file or directory made.
+    out = str(tmp_path / "out")
+    argv = argv + {"fit": ["--data", str(tmp_path / "missing.csv"), "--out", out],
+                   "vip": ["--data", str(tmp_path / "missing.csv"), "--out", out],
+                   "bench": ["--out", out], "simulate": ["--out", out],
+                   "glass-repro": ["--outdir", out]}[argv[0]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"tocc: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
