@@ -23,7 +23,7 @@ import numpy as np
 from .classifier import PredictionResult
 from .density import MixtureDensity, fit_gmm, kmeans_lloyd
 from .numcore import (RngStream, Settings, as_queries, as_values,
-                      empirical_quantile, require_feature_names,
+                      check_setting, empirical_quantile, require_feature_names,
                       require_symmetric, require_training_rows)
 
 
@@ -85,8 +85,7 @@ class BaselineModel:
         # A missing (None) threshold or sensitivity reads as nan here.
         if not np.isfinite(np.asarray(self.threshold, dtype=float)):
             raise ValueError(f"threshold={self.threshold!r} must be a finite number")
-        if not 0.0 < np.asarray(self.sensitivity, dtype=float) < 1.0:
-            raise ValueError("sensitivity s must lie strictly inside (0, 1)")
+        check_setting("s", float(np.asarray(self.sensitivity, dtype=float)))
         for name in _FITTED:
             if name not in spec.fields and getattr(self, name) is not None:
                 raise ValueError(f"a {self.kind} model has no {name}")

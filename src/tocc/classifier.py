@@ -96,8 +96,8 @@ class ToccModel:
                              f"prototype ({k})")
         if not np.all((self.thresholds >= 0) & (self.thresholds <= 1)):
             raise ValueError("thresholds must lie in [0, 1]")
-        if not np.all((self.sensitivity > 0) & (self.sensitivity < 1)):
-            raise ValueError("sensitivity s must lie strictly inside (0, 1)")
+        for s in self.sensitivity:
+            check_setting("s", float(s))
         if not np.all(np.isfinite(self.prototypes)):
             raise ValueError("prototypes must be finite")
         if not (_is_real(self.eps) and np.isfinite(self.eps) and self.eps >= 0):

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .evaluation import (ALL_METHODS, TOCC_METHODS, fit_method, make_method,
                          roc_curve, run_benchmark)
-from .featsel import kappa_vip, pca_reduce
+from .featsel import kappa_vip, pca_reduce, require_projection_width
 from .glass import FRONTENDS, SUBSETS, load_glass, run_glass_repro
 from .io_utils import (ingest_csv, load_model, save_model, write_boxplot_svg,
                        write_csv, write_json_report, write_roc_svg)
@@ -93,12 +93,15 @@ def _settings(args) -> Settings | None:
     """The fitting settings record of a subcommand's options, checked by
     Settings; None for a subcommand that takes none. An option a
     subcommand lacks keeps the record's default. The subcommand's other
-    options whose rules need no data are checked first, by the rules the
-    library applies (--d's bound depends on the table's width, so a fit
-    checks it)."""
+    options whose rules need no data, --seed among them, are checked first,
+    by the rules the library applies (--d's bound depends on the table's
+    width, so a fit checks it, and glass-repro once it has read the
+    table)."""
     for name in ("s", "kappa", "b1", "b2", "n_keep", "reps"):
         if hasattr(args, name):
             check_setting(name, getattr(args, name))
+    if hasattr(args, "seed"):
+        RngStream(args.seed)
     given = {name: getattr(args, name) for name in ("k", "kmeans_k", "mc_samples")
              if hasattr(args, name)}
     if hasattr(args, "components"):
@@ -267,6 +270,8 @@ def cmd_bench(args):
 
 def cmd_glass_repro(args):
     frontends = [f for f in FRONTENDS if not (args.skip_rp and f == "rp2")]
+    # kappa-VIP projects the table's features onto --d of them.
+    require_projection_width(args.d, load_glass(args.data, args.glass_subset).p)
     # A bad --outdir fails here, before the grid runs.
     os.makedirs(args.outdir, exist_ok=True)
     result = run_glass_repro(kappa=args.kappa, k=args.settings.k, s=args.s,

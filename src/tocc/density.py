@@ -16,8 +16,9 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr
 
-from .numcore import (RngStream, Settings, as_queries, as_values, box_counts,
-                      check_setting, require_finite_rows, require_symmetric)
+from .numcore import (DataMatrix, RngStream, Settings, as_queries, as_values,
+                      box_counts, check_setting, require_finite_rows,
+                      require_symmetric)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _KMEANS_MAX_ITER = 100
@@ -153,9 +154,11 @@ class MixtureDensity:
         return self.means.shape[1]
 
     def component_logpdf(self, X) -> np.ndarray:
-        """n x G matrix of per-component Gaussian log densities; X must be
-        finite and p wide."""
-        X = as_queries(np.atleast_2d(X), self.p, "component_logpdf")
+        """n x G matrix of per-component Gaussian log densities of the rows
+        of X, a DataMatrix or an array (a 1-D array is one row), which must
+        be finite and p wide."""
+        X = as_queries(X if isinstance(X, DataMatrix) else np.atleast_2d(X),
+                       self.p, "component_logpdf")
         return _component_logpdf(X, self.means, self._chols).T
 
     def logpdf(self, X) -> np.ndarray:

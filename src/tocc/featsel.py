@@ -89,6 +89,13 @@ def _median_last(a: np.ndarray) -> np.ndarray:
     return (part[..., half - 1] + part[..., half]) / 2
 
 
+def require_projection_width(d: int, p: int) -> None:
+    """ValueError unless 1 <= d < p: rp_select, and so kappa-VIP and the
+    random-projection ensembles, project p features onto d < p."""
+    if not 1 <= d < p:
+        raise ValueError(f"rp_select: need 1 <= d < p, got d={d}, p={p}")
+
+
 def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.ndarray]:
     """Pick b1 projections, each the most compact of b2 random candidates.
 
@@ -105,8 +112,7 @@ def rp_select(X_target, d: int, b1: int, b2: int, rng: RngStream) -> list[np.nda
     check_setting("b2", b2)
     vals = as_values(X_target)
     p = vals.shape[1]
-    if not 1 <= d < p:
-        raise ValueError(f"rp_select: need 1 <= d < p, got d={d}, p={p}")
+    require_projection_width(d, p)
     require_finite_rows(vals, "rp_select", "target")
     gen = rng.generator()
     chosen = []

@@ -260,26 +260,42 @@ def require_symmetric(a: np.ndarray, what: str) -> None:
 # number of points.
 _CHUNK_ELEMENTS = 2 ** 14
 
-# A segment is counted by the p = 2 sweep when every box of the segment is
-# one-sided and there are at least _SWEEP_MIN_BOXES boxes and
-# _SWEEP_MIN_PAIRS row-box pairs: the loop's cost grows with the pairs,
-# the sweep's with the rows. Best of 31 runs on a 2-core Xeon (Python
-# 3.11, numpy 2.4), one box_counts call on one segment, loop / sweep in ms:
-#     rows    64 boxes    128 boxes    160 boxes    192 boxes    256 boxes
-#      150   0.08/0.43    0.14/0.49    0.16/0.54    0.18/0.54    0.23/0.58
-#      500   0.19/0.55    0.27/0.38    0.33/0.40    0.39/0.43    0.51/0.50
-#    2 000   0.64/1.01    1.26/1.20    1.26/0.86    1.52/0.90    2.05/0.99
-#    8 000   0.72/2.34    1.38/2.44    1.73/2.48    2.14/2.65    2.75/2.61
-#   20 000   2.56/6.74    4.84/6.58    6.05/6.64    7.57/7.13    9.95/7.44
-#  100 000   9.37/31.12  18.18/31.39  22.75/32.86  27.26/32.67  37.05/34.77
-# The crossover is near 250 boxes at 8 000 and 100 000 rows, near 180 at
-# 20 000 (a second block of 3 616 rows), near 120 at 2 000 and 250 at 500;
-# at 150 rows it lies past 512, which the pair bound covers. At 192 every
-# benchmark call takes its faster side: 20 000 draws against about 234
-# boxes are swept, against about 159 looped, and 100 000 draws against 96
-# to 147 boxes looped.
-_SWEEP_MIN_BOXES = 192
-_SWEEP_MIN_PAIRS = 2 ** 17
+# A p = 2 segment whose boxes are all one-sided is counted by a sorting
+# counter when it has at least _SORTING_MIN_BOXES boxes and
+# _SORTING_MIN_PAIRS row-box pairs: by the grid when the (b + 1)^2 cells of
+# its histogram are at most _GRID_CELLS_PER_ROW per row, by the sweep
+# otherwise. Below those floors the comparison loop counts it. The loop's
+# cost grows with the pairs, the grid's with the rows and the cells, the
+# sweep's with the rows. Best of 7 to 31 runs on a 2-core Xeon (Python
+# 3.11, numpy 2.4), one box_counts call on one segment of normal rows and
+# boxes, loop / sweep / grid in ms (- not run):
+#     rows       32 boxes           64 boxes          128 boxes          256 boxes
+#      500   0.13/0.59/0.30     0.23/0.63/0.33     0.44/0.71/0.49     0.83/0.91/2.09
+#    2 000   0.41/1.13/0.40     0.76/1.20/0.46     1.63/1.42/0.68     2.96/1.51/2.47
+#    8 000   0.59/3.93/0.99     1.10/3.36/1.16     1.62/4.20/1.27     4.34/4.33/3.07
+#   20 000   2.31/11.0/1.96     4.41/11.5/2.58     6.56/9.38/2.58     13.0/9.12/3.23
+#  100 000   5.82/40.4/8.78     10.9/38.4/11.1     32.2/37.7/7.87     45.5/39.3/14.2
+#     rows      512 boxes         1 024 boxes        2 048 boxes       20 000 boxes
+#      500   1.27/0.84/9.08     3.06/1.28/28.4     5.32/2.15/130.0      58.9/18.5/-
+#    2 000   4.98/1.35/3.14     9.97/2.51/28.3     21.4/4.45/131.1       206/31.6/-
+#    8 000   6.23/3.14/3.36     12.2/5.36/24.6     36.4/7.21/133.9       337/38.1/-
+#   20 000   23.7/12.3/7.17     68.9/13.3/33.6      111/18.2/141.9      1 218/66.9/-
+#  100 000   89.8/50.0/15.1      194/62.1/38.8      398/70.0/236.5          -/285/-
+# The grid overtakes the loop between 48 and 96 boxes at every row count,
+# and below 2^17 pairs a sort's fixed cost outweighs the loop. Grid /
+# sweep in ms where (b + 1)^2 is 4, 8 and 16 cells per row: 0.39/0.85,
+# 0.40/0.89 and 0.85/0.93 at 2 000 rows; 0.95/2.99, 2.44/3.67 and
+# 4.14/4.26 at 8 000; 2.31/8.84, 3.34/9.09 and 9.82/9.96 at 20 000;
+# 22.4/42.6, 34.5/63.4 and 73.0/56.1 at 100 000. At eight cells per row
+# the grid takes at most about 0.7 of the sweep's time, and its histogram
+# about 64 bytes per row at most. The benchmark's calls are counted so:
+# 20 000 draws against 154 to 229 boxes and 100 000 draws against
+# 91 to 142 the grid, 2 000 rows against 2 004 to 10 004 boxes and about
+# 400 rows against 391 to 2 383 the sweep, and every group scored against
+# itself of at most 150 rows, or 87 rows against 142 boxes, the loop.
+_SORTING_MIN_BOXES = 64
+_SORTING_MIN_PAIRS = 2 ** 17
+_GRID_CELLS_PER_ROW = 8
 
 
 def box_counts(X: np.ndarray, ends, lower: np.ndarray, upper: np.ndarray,
@@ -291,40 +307,44 @@ def box_counts(X: np.ndarray, ends, lower: np.ndarray, upper: np.ndarray,
     0), as in a CSR matrix. seg tags each box with its segment, in any
     order. A row with a coordinate that is not finite lies in no box.
 
-    One loop over the segments counts each by one algorithm. When p = 2,
-    every box of the segment is one-sided (each coordinate a half-line
-    (a, inf) or (-inf, a), or the whole line) and the segment is large
-    enough, its finite rows are swept by _sweep_counts in blocks of
+    One loop over the segments counts each by one of three algorithms.
+    When p = 2, every box of the segment is one-sided (each coordinate a
+    half-line (a, inf) or (-inf, a), or the whole line) and the segment is
+    large enough (_sorting_counter), its finite rows are binned into one
+    cumulative histogram by _grid_counts when its boxes are few against
+    its rows, and otherwise swept by _sweep_counts in blocks of
     _CHUNK_ELEMENTS rows; any other segment is compared with its boxes in
     tiles of at most _CHUNK_ELEMENTS box-row pairs, a run of its boxes
-    against a block of its rows. Both count exactly, so the choice never
-    moves a count.
+    against a block of its rows. All three count exactly, so the choice
+    never moves a count.
     """
     p = X.shape[1]
-    order = np.argsort(seg, kind="stable")
-    # np.take: a 2-D fancy index gathers rows several times slower.
-    lower, upper = (np.take(a, order, axis=0) for a in (lower, upper))
     # Row and box bounds of each segment, as Python ints for the loop.
     rows = [0, *np.asarray(ends).tolist()]
-    boxes = np.searchsorted(seg[order], np.arange(len(rows))).tolist()
+    boxes = [0, *np.cumsum(np.bincount(seg, minlength=len(rows) - 1)).tolist()]
+    # numpy sorts 8- and 16-bit keys stably by counting (a radix sort).
+    order = np.argsort(seg.astype(np.min_scalar_type(len(rows))), kind="stable")
+    # np.take: a 2-D fancy index gathers rows several times slower.
+    lower, upper = (np.take(a, order, axis=0) for a in (lower, upper))
     # Coordinates first, each contiguous: a tile compares one run of boxes
     # with one block of rows, coordinate by coordinate.
     LT, UT = np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
     counts = np.zeros(len(seg), dtype=np.int64)
     for start, stop, low, high in zip(rows, rows[1:], boxes, boxes[1:]):
         n, b, box = stop - start, high - low, slice(low, high)
-        # n * b bounds the pairs of the finite rows from above.
-        if (p == 2 and b >= _SWEEP_MIN_BOXES and n * b >= _SWEEP_MIN_PAIRS
-                and np.all((lower[box] == -np.inf) | (upper[box] == np.inf))):
-            real = np.isfinite(X[start:stop, 0]) & np.isfinite(X[start:stop, 1])
-            if np.count_nonzero(real) * b >= _SWEEP_MIN_PAIRS:
-                points = np.compress(real, X[start:stop], axis=0)
-                up = upper[box] == np.inf
-                anchors = np.where(up, lower[box], upper[box])
-                for first in range(0, len(points), _CHUNK_ELEMENTS):
-                    counts[box] += _sweep_counts(
-                        points[first:first + _CHUNK_ELEMENTS], anchors, up)
+        counter = _sorting_counter(n, b) if p == 2 else None
+        if counter and np.all((lower[box] == -np.inf) | (upper[box] == np.inf)):
+            up = upper[box] == np.inf
+            anchors = np.where(up, lower[box], upper[box])
+            if counter == "grid":
+                counts[box] = _grid_counts(X[start:stop], anchors, up)
                 continue
+            real = np.isfinite(X[start:stop, 0]) & np.isfinite(X[start:stop, 1])
+            points = np.compress(real, X[start:stop], axis=0)
+            for first in range(0, len(points), _CHUNK_ELEMENTS):
+                counts[box] += _sweep_counts(
+                    points[first:first + _CHUNK_ELEMENTS], anchors, up)
+            continue
         block = max(1, min(n, _CHUNK_ELEMENTS))
         run = max(1, min(b, _CHUNK_ELEMENTS // block))
         for first in range(start, stop, block):
@@ -338,6 +358,56 @@ def box_counts(X: np.ndarray, ends, lower: np.ndarray, upper: np.ndarray,
     out = np.empty_like(counts)
     out[order] = counts
     return out
+
+
+def _sorting_counter(n, b):
+    """The counter of b one-sided boxes on n rows at p = 2: "grid"
+    (_grid_counts), "sweep" (_sweep_counts on the finite rows, in row
+    blocks), or None for the comparison loop."""
+    if b < _SORTING_MIN_BOXES or n * b < _SORTING_MIN_PAIRS:
+        return None
+    return "grid" if (b + 1) ** 2 <= _GRID_CELLS_PER_ROW * n else "sweep"
+
+
+def _grid_counts(X, A, up):
+    """Count of the finite rows of the n x 2 points X with x_u > a_u where
+    up and x_u < a_u elsewhere, on both coordinates, for each row a of A:
+    the one-sided boxes of box_counts, from a summed-area table (Crow 1984).
+    Exact, in O(n log n + m_0 m_1) for m_u distinct cuts on coordinate u.
+
+    x > a is x >= nextafter(a, inf), so on each coordinate a box keeps the
+    rows below its cut or the rest, and with t the sorted distinct cuts and
+    a row's bin 1 + #{t <= x}, the rows below t[k] are those of bin at most
+    k + 1. One bincount per block of _CHUNK_ELEMENTS rows adds the rows'
+    bin pairs into an (m_0 + 2) x (m_1 + 2) histogram, whose cumulative
+    sums S[i, j] = #{bin_0 <= i, bin_1 <= j} give each box's count from
+    four entries by inclusion-exclusion. An infinite cut needs no case: no
+    row lies below -inf, and every row below +inf. A row that is not finite
+    is put in bin 0 on both coordinates, which no box reads.
+    """
+    B = np.where(up, np.nextafter(A, np.inf), A)
+    cuts = [np.unique(B[:, u]) for u in (0, 1)]
+    shape = (len(cuts[0]) + 2, len(cuts[1]) + 2)
+    hist = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    for first in range(0, len(X), _CHUNK_ELEMENTS):
+        block = X[first:first + _CHUNK_ELEMENTS]
+        key = np.zeros(len(block), dtype=np.intp)
+        for col, t, stride in zip(block.T, cuts, (shape[1], 1)):
+            # In sorted order the rows of bin k + 1 run from the first row
+            # at or above t[k - 1] to the first at or above t[k].
+            order = np.argsort(col)
+            ends = np.searchsorted(col[order], t)
+            key[order] += np.repeat(np.arange(1, len(t) + 2) * stride,
+                                    np.diff(ends, prepend=0, append=len(col)))
+        key[~np.isfinite(block).all(axis=1)] = 0
+        hist += np.bincount(key, minlength=hist.size)
+    S = hist.reshape(shape).cumsum(0).cumsum(1)
+    lo, hi = [], []
+    for t, B_u, up_u in zip(cuts, B.T, up.T):
+        edge = np.searchsorted(t, B_u, "right")
+        lo.append(np.where(up_u, edge, 0))
+        hi.append(np.where(up_u, len(t) + 1, edge))
+    return S[hi[0], hi[1]] - S[lo[0], hi[1]] - S[hi[0], lo[1]] + S[lo[0], lo[1]]
 
 
 def _sweep_counts(X, A, up):

@@ -87,10 +87,12 @@ def _orthant_boxes(C, M, kept, seg):
     most min(q, 3^p) of them."""
     up = _up(C, M)
     lo, hi = kept & up, kept & ~up
-    _, pattern = distinct_rows(kept.view(np.int8) + hi.view(np.int8))
-    # One key per (segment, pattern), ordered by segment first.
-    _, first, which = np.unique(seg * len(C) + pattern, return_index=True,
-                                return_inverse=True)
+    patterns, pattern = distinct_rows(kept.view(np.int8) + hi.view(np.int8))
+    # One key per (segment, pattern), ordered by segment first. numpy sorts
+    # 8- and 16-bit keys stably by counting (a radix sort).
+    keys = seg * len(patterns) + pattern
+    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     return (np.concatenate([np.where(lo, C, -np.inf),
                             np.where(lo[first], M[first], -np.inf)]),
             np.concatenate([np.where(hi, C, np.inf),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tocc import (MixtureDensity, OrthantIntegrator, RngStream, fit_gmm,
-                  orthant_probability)
+from tocc import (DataMatrix, MixtureDensity, OrthantIntegrator, RngStream,
+                  fit_gmm, orthant_probability)
 from tocc.density import box_masses
 
 
@@ -21,6 +21,14 @@ class TestMixtureDensity:
         f = MixtureDensity([0.5, 0.5], [[0.0], [1e9]], [[[1.0]], [[1.0]]])
         single = MixtureDensity([1.0], [[0.0]], [[[1.0]]])
         assert f.pdf([0.0])[0] == pytest.approx(0.5 * single.pdf([0.0])[0])
+
+    def test_data_matrix_queries(self):
+        # A DataMatrix is read through its values, bit for bit.
+        f = MixtureDensity([0.3, 0.7], [[0.0, 0.0], [2.0, -1.0]],
+                           [np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+        Z = DataMatrix(np.random.default_rng(2).normal(size=(3, 2)), ["a", "b"])
+        for method in (f.logpdf, f.pdf, f.component_logpdf):
+            assert np.array_equal(method(Z), method(Z.values))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Differential sweeps: the batched orthant-counting kernel and its p = 2
-sort-and-search sweep, the one box-mass function, the EM loop stacked over
+"""Differential sweeps: the batched orthant-counting kernel, its p = 2
+sort-and-search sweep and its p = 2 histogram grid, the one box-mass
+function, the EM loop stacked over
 components and restarts, the closed-form 2 x 2 Cholesky and the stacked
 ridge ladder, the Weiszfeld iteration over a stack of tables, the mixture
 search that standardizes once, the
@@ -158,12 +159,43 @@ def spy_sweep(monkeypatch):
     return calls
 
 
+def spy_grid(monkeypatch):
+    """Count the segments the p = 2 grid counts."""
+    calls = []
+    grid = numcore._grid_counts
+    monkeypatch.setattr(numcore, "_grid_counts",
+                        lambda *args: calls.append(1) or grid(*args))
+    return calls
+
+
 def force_sweep(monkeypatch):
     """Take the p = 2 sweep for every batch of one-sided boxes at every
-    size, and count the row blocks it counts."""
-    monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
-    monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS", 0)
+    size, never the grid, and count the row blocks it counts."""
+    monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", 0)
+    monkeypatch.setattr(numcore, "_SORTING_MIN_PAIRS", 0)
+    monkeypatch.setattr(numcore, "_GRID_CELLS_PER_ROW", 0)
     return spy_sweep(monkeypatch)
+
+
+def force_grid(monkeypatch):
+    """Take the p = 2 grid for every batch of one-sided boxes with a finite
+    row, and count the segments it counts."""
+    monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", 0)
+    monkeypatch.setattr(numcore, "_SORTING_MIN_PAIRS", 0)
+    monkeypatch.setattr(numcore, "_GRID_CELLS_PER_ROW", np.inf)
+    return spy_grid(monkeypatch)
+
+
+def force_counter(monkeypatch, counter):
+    """Count p = 2 one-sided batches by the named counter ("loop", "sweep"
+    or "grid") at every size; the spies on the sweep and the grid, in that
+    order."""
+    if counter == "loop":
+        monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", np.inf)
+        return spy_sweep(monkeypatch), spy_grid(monkeypatch)
+    if counter == "sweep":
+        return force_sweep(monkeypatch), spy_grid(monkeypatch)
+    return spy_sweep(monkeypatch), force_grid(monkeypatch)
 
 
 def scaled_grid_case():
@@ -236,23 +268,23 @@ class TestCountingKernel:
                           lambda single: single.degenerate)
         assert_counts_match(X, Q, m, transvariation.DROP_EPS)
 
-    @pytest.mark.parametrize("sweep", [False, True], ids=["default", "sweep"])
-    def test_power_of_two_scales(self, monkeypatch, sweep):
+    @pytest.mark.parametrize("counter", ["default", "sweep", "grid"])
+    def test_power_of_two_scales(self, monkeypatch, counter):
         # Scaling by 2^k is exact, so no count may move: not where products
         # of differences would underflow (k <= -537), nor near the top of
         # the range.
         X, Q, m = scaled_grid_case()
-        if sweep:
-            calls = force_sweep(monkeypatch)
+        if counter != "default":
+            calls = force_counter(monkeypatch, counter)[counter == "grid"]
         want = group_scores(X, Q, m, 0.0)
         for k in range(-1070, 1022):
             s = 2.0 ** k
             for got, expected in zip(group_scores(X * s, Q * s, m * s, 0.0), want):
                 assert np.array_equal(got, expected), k
-        assert not sweep or len(calls) == 1 + 2092
+        assert counter == "default" or len(calls) == 1 + 2092
 
-    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
-    def test_density_power_of_two_scales(self, monkeypatch, sweep):
+    @pytest.mark.parametrize("counter", ["loop", "sweep", "grid"])
+    def test_density_power_of_two_scales(self, monkeypatch, counter):
         # Scaling the means, the prototype and the queries by 2^k and the
         # covariances by 4^k scales every Cholesky factor, draw and bound
         # by exactly 2^k, so no box mass may move. Queries share a
@@ -263,9 +295,7 @@ class TestCountingKernel:
         m = np.array([0.25, -0.5])
         Q = np.vstack([gen.integers(-3, 4, size=(70, 2)) / 2, m,
                        [[0.25, 1.0], [-1.0, -0.5]]])
-        calls = force_sweep(monkeypatch)
-        if not sweep:
-            monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 2 * len(Q) + 1)
+        sweeps, grids = force_counter(monkeypatch, counter)
 
         def scores(k):
             s = 2.0 ** k
@@ -278,7 +308,7 @@ class TestCountingKernel:
         for k in range(-200, 201, 25):
             for got, expected in zip(scores(k), want):
                 assert np.array_equal(got, expected), k
-        assert bool(calls) == sweep
+        assert (bool(sweeps), bool(grids)) == (counter == "sweep", counter == "grid")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -306,10 +336,10 @@ class TestCountingSweep:
                        gen.integers(-22, 23, size=(3000, 2)),
                        gen.normal(size=(3000, 2)) * 10])
         calls = force_sweep(monkeypatch)
-        monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 2 * len(Q) + 1)
+        monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", 2 * len(Q) + 1)
         loop = group_scores(X, Q, m)
         assert not calls
-        monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
+        monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", 0)
         sweep = group_scores(X, Q, m)
         assert calls
         for got, want in zip(sweep, loop):
@@ -386,39 +416,40 @@ class TestCounters:
         assert np.array_equal(one_segment(numcore.tie_counts, X, A, kept), want)
         assert want.max() > 1 and (want == 0).any()
 
-    @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (3, False),
-                                          (2, True)],
-                             ids=["p1", "p2", "p3", "p2-sweep"])
-    def test_box_counts(self, monkeypatch, p, sweep):
+    @pytest.mark.parametrize("p, counter", [(1, None), (2, None), (3, None),
+                                            (2, "sweep"), (2, "grid")],
+                             ids=["p1", "p2", "p3", "p2-sweep", "p2-grid"])
+    def test_box_counts(self, monkeypatch, p, counter):
         # 300 rows in 97-row blocks leave a ragged last block of 9; bounds
         # on the grid put rows on the box faces.
         monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-        calls = force_sweep(monkeypatch)
+        sweeps, grids = force_counter(monkeypatch, counter or "sweep")
         gen = np.random.default_rng(140 + p)
         X = signed_zero_grid(gen, 300, p)
         lower, upper = open_boxes(gen, 200, p, [-1.0, -0.0, 0.0, 0.5, 1.0],
-                                       two_sided=not sweep)
+                                       two_sided=not counter)
         lower[:3], upper[:3] = -np.inf, np.inf
         assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
                               box_count_oracle(X, lower, upper))
-        assert len(calls) == (4 if sweep else 0)
+        assert (len(sweeps), len(grids)) == {None: (0, 0), "sweep": (4, 0),
+                                             "grid": (0, 1)}[counter]
 
-    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
-    def test_rows_that_are_not_finite(self, monkeypatch, sweep):
+    @pytest.mark.parametrize("counter", ["loop", "sweep", "grid"])
+    def test_rows_that_are_not_finite(self, monkeypatch, counter):
         # A row with an infinite or nan coordinate lies in no open box, one
         # bounded nowhere included, whichever counter counts it.
         monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-        calls = force_sweep(monkeypatch)
+        sweeps, grids = force_counter(monkeypatch, counter)
         gen = np.random.default_rng(145)
         X = signed_zero_grid(gen, 300, 2)
         X[gen.choice(300, size=30, replace=False), gen.integers(2, size=30)] = (
             gen.choice([np.inf, -np.inf, np.nan], size=30))
         lower, upper = open_boxes(gen, 200, 2, [-1.0, -0.0, 0.0, 0.5, 1.0],
-                                  two_sided=not sweep)
+                                  two_sided=counter == "loop")
         lower[:3], upper[:3] = -np.inf, np.inf
         assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
                               box_count_oracle(X, lower, upper))
-        assert bool(calls) == sweep
+        assert (bool(sweeps), bool(grids)) == (counter == "sweep", counter == "grid")
 
     @pytest.mark.parametrize("lo, hi",[([-0.5, -0.5], [0.5, 0.5]),
                                         ([np.inf, -np.inf], [0.5, np.inf])],
@@ -437,10 +468,10 @@ class TestCounters:
                               box_count_oracle(X, lower, upper))
         assert calls
 
-    @pytest.mark.parametrize("p, sweep", [(1, False), (2, False), (2, True),
-                                          (3, False), (9, False)],
-                             ids=["p1", "p2", "p2-sweep", "p3", "p9"])
-    def test_box_counts_properties(self, monkeypatch, p, sweep):
+    @pytest.mark.parametrize("p, counter", [(1, None), (2, None), (2, "sweep"),
+                                            (2, "grid"), (3, None), (9, None)],
+                             ids=["p1", "p2", "p2-sweep", "p2-grid", "p3", "p9"])
+    def test_box_counts_properties(self, monkeypatch, p, counter):
         # Segments of 0 to 20 rows, some with nan or +-inf coordinates, and
         # 0 to 2b boxes each, every box bounded on the grid or nowhere, so
         # some segments have rows and no boxes and some boxes and no rows.
@@ -451,8 +482,9 @@ class TestCounters:
         # under the same shuffles. The tile sizes run from one row against
         # one box (1) through ragged row blocks and box runs (7, 97) to
         # whole segments (2 500, 2 ** 14).
-        gen = np.random.default_rng(180 + p + sweep)
-        calls = force_sweep(monkeypatch) if sweep else spy_sweep(monkeypatch)
+        gen = np.random.default_rng(180 + p + bool(counter))
+        sweeps, grids = (force_counter(monkeypatch, counter) if counter else
+                         (spy_sweep(monkeypatch), spy_grid(monkeypatch)))
         values = [-1.0, -0.0, 0.0, 0.5, 1.0]
         for b in (5, 26):
             # (rows, boxes) of each segment, in random order.
@@ -465,7 +497,7 @@ class TestCounters:
                     [np.inf, -np.inf, np.nan], size=bad.sum())
             seg = np.repeat(np.arange(len(groups)), shapes[:, 1])
             lower, upper = open_boxes(gen, len(seg), p, values,
-                                      two_sided=not sweep)
+                                      two_sided=not counter)
             nowhere = gen.random(len(seg)) < 0.1
             lower[nowhere], upper[nowhere] = -np.inf, np.inf
             A = signed_zero_grid(gen, len(seg), p)
@@ -494,13 +526,12 @@ class TestCounters:
                     assert np.array_equal(got, want[order]), (b, chunk)
                     got = numcore.tie_counts(X, ends, A[order], kept[order], tagged)
                     assert np.array_equal(got, ties[order]), (b, chunk)
-        assert bool(calls) == sweep
+        assert (bool(sweeps), bool(grids)) == (counter == "sweep", counter == "grid")
 
-    @pytest.mark.parametrize("sweep", [False, True], ids=["loop", "sweep"])
-    def test_segments_without_rows_count_zero(self, monkeypatch, sweep):
+    @pytest.mark.parametrize("counter", ["loop", "sweep", "grid"])
+    def test_segments_without_rows_count_zero(self, monkeypatch, counter):
         gen = np.random.default_rng(186)
-        if sweep:
-            force_sweep(monkeypatch)
+        force_counter(monkeypatch, counter)
         lower, upper = open_boxes(gen, 6, 2, [-1.0, 0.0, 1.0])
         lower, upper = np.tile(lower, (3, 1)), np.tile(upper, (3, 1))
         seg = np.repeat(np.arange(3), 6)
@@ -516,18 +547,77 @@ class TestCounters:
                               want.ravel())
 
     def test_sweep_traffic(self, monkeypatch):
-        # Under the default _SWEEP_MIN_* rule: a cli-bulk-sized call (2 000
-        # rows, 2 009 one-sided boxes) is swept, and a density call of the
-        # glass study (100 000 draws, 96 boxes) takes the comparison loop.
+        # Under the default routing rule, every benchmark shape takes its
+        # counter: a replicate density call (20 000 draws, 229 boxes) and a
+        # glass-study one (100 000 draws, 96 boxes) the grid, a
+        # cli-bulk-sized call (2 000 rows, 2 009 boxes) the sweep, and an
+        # rp2 view of the glass study (87 rows, 140 boxes) the loop.
         gen = np.random.default_rng(187)
-        calls = spy_sweep(monkeypatch)
-        for n, b, swept in [(2000, 2009, True), (100_000, 96, False)]:
+        sweeps, grids = spy_sweep(monkeypatch), spy_grid(monkeypatch)
+        for n, b, counter in [(20_000, 229, "grid"), (100_000, 96, "grid"),
+                              (2000, 2009, "sweep"), (87, 140, "loop")]:
             X = gen.normal(size=(n, 2))
             lower, upper = open_boxes(gen, b, 2, X[:50].ravel())
-            calls.clear()
+            sweeps.clear(), grids.clear()
             assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
                                   box_count_oracle(X, lower, upper))
-            assert bool(calls) == swept
+            assert (bool(sweeps), bool(grids)) == (counter == "sweep",
+                                                   counter == "grid"), (n, b)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 97, 2 ** 14])
+    def test_grid_matches_oracle(self, monkeypatch, chunk):
+        # Rows on every cut, one ulp either side of it and at -0.0 and 0.0,
+        # some with a nan or infinite coordinate, against one-sided boxes
+        # with anchors on those values, among them boxes bounded nowhere
+        # and empty ones: (inf, inf) or (-inf, -inf) on a coordinate. The
+        # row blocks run from one row to whole segments.
+        monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", chunk)
+        calls = force_grid(monkeypatch)
+        gen = np.random.default_rng(188)
+        cuts = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+        values = np.concatenate([cuts, np.nextafter(cuts, np.inf),
+                                 np.nextafter(cuts, -np.inf)])
+        for trial in range(12):
+            n, b = int(gen.integers(1, 400)), int(gen.integers(1, 60))
+            X = gen.choice(values, size=(n, 2))
+            bad = gen.random(n) < 0.1
+            X[bad, gen.integers(2, size=bad.sum())] = gen.choice(
+                [np.inf, -np.inf, np.nan], size=bad.sum())
+            lower, upper = open_boxes(gen, b, 2, cuts)
+            empty = gen.random((b, 2)) < 0.1
+            side = gen.choice([np.inf, -np.inf], size=(b, 2))
+            lower[empty], upper[empty] = side[empty], side[empty]
+            nowhere = gen.random(b) < 0.1
+            lower[nowhere], upper[nowhere] = -np.inf, np.inf
+            calls.clear()
+            assert np.array_equal(one_segment(numcore.box_counts, X, lower, upper),
+                                  box_count_oracle(X, lower, upper)), trial
+            assert len(calls) == 1
+
+    def test_one_call_mixes_the_counters(self, monkeypatch):
+        # One call under the default rule with a segment for each counter,
+        # box tags shuffled: 20 000 rows against 100 one-sided boxes (the
+        # grid), 2 000 against 600 (the sweep), 87 against 140 and 3 000
+        # against 100 boxes, one of them two-sided (the loop), and an
+        # empty segment.
+        gen = np.random.default_rng(189)
+        sweeps, grids = spy_sweep(monkeypatch), spy_grid(monkeypatch)
+        shapes = [(20_000, 100, False), (2000, 600, False), (87, 140, False),
+                  (3000, 100, True), (0, 5, False)]
+        groups = [np.round(gen.normal(size=(n, 2)), 2) for n, _, _ in shapes]
+        bounds = [open_boxes(gen, b, 2, np.round(gen.normal(size=40), 2))
+                  for _, b, _ in shapes]
+        bounds[3][0][0], bounds[3][1][0] = -0.5, 0.5
+        lower, upper = (np.concatenate(side) for side in zip(*bounds))
+        seg = np.repeat(np.arange(len(shapes)), [b for _, b, _ in shapes])
+        want = np.concatenate([box_count_oracle(X, lo, hi)
+                               for X, (lo, hi) in zip(groups, bounds)])
+        tags = gen.permutation(len(seg))
+        got = numcore.box_counts(np.concatenate(groups),
+                                 np.cumsum([n for n, _, _ in shapes]),
+                                 lower[tags], upper[tags], seg[tags])
+        assert np.array_equal(got, want[tags])
+        assert len(grids) == 1 and len(sweeps) == 1
 
 
 def mixture_case(gen, p):
@@ -771,28 +861,31 @@ class TestSegmentedCounting:
 
     @pytest.mark.parametrize("p, setting", [
         (1, "default"), (2, "default"), (3, "default"), (1, "small-tiles"),
-        (2, "small-tiles"), (3, "small-tiles"), (2, "sweep"), (1, "shuffled"),
-        (2, "shuffled"), (3, "shuffled")])
+        (2, "small-tiles"), (3, "small-tiles"), (2, "sweep"), (2, "grid"),
+        (1, "shuffled"), (2, "shuffled"), (3, "shuffled")])
     def test_matches_one_group_calls(self, monkeypatch, p, setting):
         gen = np.random.default_rng(160 + p)
         groups, queries, prototypes = segment_case(gen, p, 14)
         eps = np.where(gen.random(14) < 0.5, 0.0, transvariation.DROP_EPS)
-        calls = spy_sweep(monkeypatch)
+        sweeps, grids = spy_sweep(monkeypatch), spy_grid(monkeypatch)
         if setting == "small-tiles":
             # Tiles span segments and row blocks.
             monkeypatch.setattr(numcore, "_CHUNK_ELEMENTS", 97)
-        if setting == "sweep":
-            # The segments with 40 rows or more are swept on their own,
-            # the rest counted together by the comparison loop.
-            monkeypatch.setattr(numcore, "_SWEEP_MIN_BOXES", 0)
-            monkeypatch.setattr(numcore, "_SWEEP_MIN_PAIRS",
+        if setting in ("sweep", "grid"):
+            # The segments with 40 rows or more are swept or gridded on
+            # their own, the rest counted together by the comparison loop.
+            monkeypatch.setattr(numcore, "_SORTING_MIN_BOXES", 0)
+            monkeypatch.setattr(numcore, "_SORTING_MIN_PAIRS",
                                 40 * max(map(len, queries)))
+            monkeypatch.setattr(numcore, "_GRID_CELLS_PER_ROW",
+                                np.inf if setting == "grid" else 0)
         # Shuffled, the segments' queries are interleaved: no segment's
         # queries are one run.
         order = (gen.permutation(sum(map(len, queries)))
                  if setting == "shuffled" else None)
         got = segmented_scores(groups, queries, prototypes, eps, order)
-        assert (0 < len(calls) < 14) if setting == "sweep" else not calls
+        assert (0 < len(sweeps) < 14) if setting == "sweep" else not sweeps
+        assert (0 < len(grids) < 14) if setting == "grid" else not grids
         wants = assert_segments_match(got, groups, queries, prototypes, eps)
         assert any(want.degenerate.any() for want in wants) or p == 1
 

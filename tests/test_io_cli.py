@@ -271,11 +271,11 @@ class TestToccModelFiles:
         ("tocc-db", {"integrator": {"stream_id": -1}},
          "RngStream stream_id=-1 must be a non-negative integer"),
         ("tocc-df", {"sensitivity": [1.5]},
-         "sensitivity s must lie strictly inside (0, 1)"),
+         "sensitivity s=1.5 must lie strictly inside (0, 1)"),
         ("tocc-df", {"sensitivity": [0.0]},
-         "sensitivity s must lie strictly inside (0, 1)"),
+         "sensitivity s=0.0 must lie strictly inside (0, 1)"),
         ("tocc-db", {"sensitivity": None},
-         "sensitivity s must lie strictly inside (0, 1)"),
+         "sensitivity s=nan must lie strictly inside (0, 1)"),
         ("tocc-df", {"groups": [[[0.0, None]] + [[0.0, 1.0]] * 29]},
          "model field 'groups' must hold only numbers (no string, bool or "
          "null), not [[[0.0, null]"),

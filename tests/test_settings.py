@@ -229,6 +229,14 @@ REFUSALS = [
     (["glass-repro", "--k", "0"], "pam: k must be an integer >= 1, not 0"),
     (["glass-repro", "--mc-samples", "9"],
      "monte_carlo integrator requires an integer mc_samples >= 10000, not 9"),
+    (["glass-repro", "--skip-rp", "--seed", "-1"],
+     "RngStream seed=-1 must be a non-negative integer"),
+    (["glass-repro", "--skip-rp", "--d", "0"],
+     "rp_select: need 1 <= d < p, got d=0, p=9"),
+    (["glass-repro", "--skip-rp", "--d", "9"],
+     "rp_select: need 1 <= d < p, got d=9, p=9"),
+    (["fit", "--method", "tocc-df", "--seed", "-1"],
+     "RngStream seed=-1 must be a non-negative integer"),
     (["simulate", "--scenario", "a", "--n-target", "0"],
      "n_target must be positive"),
     (["simulate", "--scenario", "e", "--box-scale", "nan"],
